@@ -1,4 +1,4 @@
-"""Command-line interface: run experiments, estimate widths, fit rates."""
+"""Command-line interface: run experiments, compute widths, fit rates."""
 
 from __future__ import annotations
 
@@ -26,10 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--max-iter", type=int, default=None, help="override max_iter")
     run_p.add_argument("--epsilon", type=float, default=None, help="override epsilon")
 
-    pw_p = sub.add_parser("pwidth", help="estimate the pyramidal width of a vertex CSV")
+    pw_p = sub.add_parser("pwidth", help="compute the pyramidal width of a vertex CSV")
     pw_p.add_argument("vertices_csv", help="CSV matrix, one atom per row")
-    pw_p.add_argument("--directions", type=int, default=64, help="sphere samples per face")
-    pw_p.add_argument("--seed", type=int, default=0, help="direction-sampling seed")
 
     rate_p = sub.add_parser("rate", help="fit a log-linear rate to a trace CSV")
     rate_p.add_argument("trace_csv", help="trace file written by `polyfw run`")
@@ -64,7 +62,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_pwidth(args: argparse.Namespace) -> int:
     spec = VertexList.read_csv(args.vertices_csv)
-    report = geometry.pwidth(spec.matrix, n_directions=args.directions, seed=args.seed)
+    report = geometry.pwidth(spec.matrix)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 

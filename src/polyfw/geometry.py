@@ -5,23 +5,21 @@ of a "pyramid": the oracle atom for a feasible direction together with
 an active set that can represent the base point.  This module computes
 directional widths exactly, per-direction pyramidal widths exactly (via
 a sorted-prefix argument that avoids enumerating active sets), and the
-global pyramidal width as a minimum over enumerated faces and a finite
-direction pool, which makes it an upper-bound estimator.  It also
-estimates the affine-invariant curvature constants by sampling.
+global pyramidal width exactly as the facial distance: the smallest
+distance between a proper face and the hull of the remaining atoms
+(Pena and Rodriguez, Math. Oper. Res. 2019).  It also estimates the
+affine-invariant curvature constants by sampling.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.stats import norm as _gaussian
-from scipy.stats import qmc
 
-from polyfw import oracles
+from polyfw import oracles, solvers
 from polyfw.core import Atom, atom_key
 from polyfw.objectives import (
     CurvatureEstimates,
@@ -31,9 +29,7 @@ from polyfw.objectives import (
 )
 
 PDIRW_ATOM_CAP = 16
-PWIDTH_DIM_CAP = 6
 VALUE_FLOOR = 1e-12  # per-direction values at rounding scale are discarded
-_POOL_CAP = 20_000
 
 
 def _atom_matrix(atoms) -> np.ndarray:
@@ -80,17 +76,16 @@ def dirw(atoms, r) -> float:
     return float(np.max(dots) - np.min(dots))
 
 
-def _min_prefix_containing(mat: np.ndarray, order: np.ndarray, x: np.ndarray) -> int:
-    """Smallest k with x in conv of the first k atoms of ``order``.
+def _shortest_prefix(n: int, feasible: Callable[[int], bool]) -> int:
+    """Smallest k in [1, n] with ``feasible(k)``.
 
-    Membership is monotone in k, so a binary search over prefix length
-    needs only log-many feasibility LPs.  The caller guarantees the full
-    set contains x.
+    Prefix feasibility is monotone in k, so a binary search needs only
+    log-many LPs.  The caller guarantees ``feasible(n)``.
     """
-    lo, hi = 1, len(order)
+    lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if _contains(mat[order[:mid]], x):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -119,7 +114,7 @@ def pdirw(atoms, r, x) -> float:
     order = np.argsort(-dots, kind="stable")
     if not _contains(mat, x):
         raise ValueError("x is not in the convex hull of the atoms")
-    k = _min_prefix_containing(mat, order, x)
+    k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
     return float(dots[order[0]] - dots[order[k - 1]])
 
 
@@ -178,78 +173,6 @@ def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
         frontier = fresh
     faces.add(everything)
     return sorted(faces, key=lambda f: (-len(f), sorted(f)))
-
-
-def _flat_connector(p1: np.ndarray, p2: np.ndarray) -> Optional[np.ndarray]:
-    """Shortest vector between the affine hulls of two point sets."""
-    u1 = (p1[1:] - p1[0]).T if p1.shape[0] > 1 else np.zeros((p1.shape[1], 0))
-    u2 = (p2[1:] - p2[0]).T if p2.shape[0] > 1 else np.zeros((p2.shape[1], 0))
-    gap = p2[0] - p1[0]
-    basis = np.hstack([u1, -u2])
-    if basis.shape[1]:
-        theta, *_ = np.linalg.lstsq(basis, -gap, rcond=None)
-        w = gap + basis @ theta
-    else:
-        w = gap
-    return w if float(np.linalg.norm(w)) > 1e-12 else None
-
-
-def _candidate_directions(
-    face: np.ndarray, basis: np.ndarray, n_directions: int, seed: int
-) -> List[np.ndarray]:
-    """Direction pool for one face: combinatorial witnesses plus samples.
-
-    Combinatorial candidates are pairwise atom differences and the
-    common normals between the affine hulls of complementary parts of
-    small affinely independent subsets (these realize the known width
-    minimizers of cubes and simplices).  Quasi-uniform samples in the
-    face's span fill in the rest.
-    """
-    m, _ = face.shape
-    kdim = basis.shape[0]
-    pool: List[np.ndarray] = []
-    seen = set()
-
-    def push(vec: np.ndarray) -> None:
-        nrm = float(np.linalg.norm(vec))
-        if nrm <= 1e-12 or len(pool) >= _POOL_CAP:
-            return
-        for signed in (vec / nrm, -vec / nrm):
-            key = tuple(np.round(signed, 12))
-            if key not in seen:
-                seen.add(key)
-                pool.append(signed)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            push(face[j] - face[i])
-    for size in range(3, min(m, kdim + 1) + 1):
-        for subset in itertools.combinations(range(m), size):
-            pts = face[list(subset)]
-            if np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9) < size - 1:
-                continue
-            for split in range(1, 2 ** (size - 1)):
-                mask = [(split >> b) & 1 for b in range(size)]
-                part1 = pts[[i for i in range(size) if mask[i]]]
-                part2 = pts[[i for i in range(size) if not mask[i]]]
-                w = _flat_connector(part1, part2)
-                if w is not None:
-                    push(w)
-            if len(pool) >= _POOL_CAP:
-                break
-        if len(pool) >= _POOL_CAP:
-            break
-
-    if kdim == 1:
-        push(basis[0])
-    elif n_directions > 0:
-        sampler = qmc.Sobol(d=kdim, scramble=True, seed=seed)
-        count = 2 ** int(np.ceil(np.log2(max(n_directions, 2))))
-        u = np.clip(sampler.random(count), 1e-12, 1.0 - 1e-12)
-        gauss = _gaussian.ppf(u)
-        for g in gauss[:n_directions]:
-            push(g @ basis)
-    return pool
 
 
 def _cone_prefix_lp(
@@ -318,7 +241,11 @@ def _witness_point(
 
 @dataclass
 class WidthReport:
-    """Pyramidal width estimate plus the witness that attains it."""
+    """Pyramidal width plus the witness that attains it.
+
+    ``directions_sampled`` keeps its historical name; it counts the
+    facial-distance problems solved, one per proper face.
+    """
 
     pwidth_estimate: float
     directions_sampled: int
@@ -334,69 +261,88 @@ class WidthReport:
         }
 
 
-def pwidth(atoms, n_directions: int = 64, seed: int = 0) -> WidthReport:
-    """Upper-bound estimate of the pyramidal width of an atom set.
+def _facial_gap(mat: np.ndarray, face_idx: frozenset) -> np.ndarray:
+    """Shortest vector a - b with a in conv(face), b in conv(other atoms).
 
-    Enumerates all faces, and for each face minimizes the per-direction
-    pyramidal width exactly over base points (via prefix feasibility
-    LPs) across a finite direction pool.  Every evaluated value is an
-    exact pyramidal directional width, so the minimum can only
-    overestimate the true pyramidal width; with the combinatorial pool
-    it is exact on the standard families.
+    It is the min-norm point of the Minkowski difference of the two
+    atom sets, which the MNP solver finds exactly.
+    """
+    inside = sorted(face_idx)
+    diffs = mat[inside][:, None, :] - np.delete(mat, inside, axis=0)[None, :, :]
+    diffs = _dedupe(diffs.reshape(-1, mat.shape[1]))
+    # MNP ends on the exact minimizer of its final active set, so its FW
+    # gap reaches rounding scale; this bound keeps |z| exact to ~1e-12.
+    scale = float(np.max(np.einsum("ij,ij->i", diffs, diffs)))
+    config = solvers.SolverConfig(solvers.Variant.MNP, epsilon=1e-14 * scale)
+    trace = solvers.solve(
+        QuadraticObjective.distance_to(np.zeros(mat.shape[1])),
+        oracles.VertexList(diffs),
+        config,
+    )
+    status = trace.config_echo["exit_status"]
+    if status != "converged":
+        raise RuntimeError(f"facial distance of face {inside} ended with {status}")
+    return trace.final_iterate.x
+
+
+def _face_value(face: np.ndarray, r: np.ndarray) -> Optional[Tuple[float, np.ndarray, int]]:
+    """Pyramidal directional width of unit r on a face, minimized over base points.
+
+    Returns (value, atom order by decreasing projection, prefix size),
+    or None when r points out of the face from every base point.
+    """
+    dots = face @ r
+    order = np.argsort(-dots, kind="stable")
+    if _cone_prefix_lp(face, face[order], r) is None:
+        return None
+    k = _shortest_prefix(
+        len(order), lambda j: _cone_prefix_lp(face, face[order[:j]], r) is not None
+    )
+    return float(dots[order[0]] - dots[order[k - 1]]), order, k
+
+
+def pwidth(atoms) -> WidthReport:
+    """Exact pyramidal width of an atom set, via the facial distance.
+
+    The pyramidal width equals the smallest distance between a proper
+    face and the hull of the atoms off it (Pena and Rodriguez, Math.
+    Oper. Res. 2019); each such distance is one min-norm-point problem.
+    The direction of the shortest gap is then evaluated exactly, on
+    every face and with both signs, by the prefix LPs; the smallest
+    value is reported with a witness that reproduces it, and it must
+    agree with the distance to 1e-9 relative.
     """
     mat = _dedupe(_atom_matrix(atoms))
-    n, d = mat.shape
+    n = mat.shape[0]
     if n > PDIRW_ATOM_CAP:
         raise ValueError(f"pwidth is limited to {PDIRW_ATOM_CAP} atoms")
-    if d > PWIDTH_DIM_CAP:
-        raise ValueError(f"face enumeration is limited to dimension {PWIDTH_DIM_CAP}")
     if n == 1:
         raise ValueError("pyramidal width is undefined for a single point")
     faces = enumerate_faces(mat)
-    best = np.inf
-    best_detail = None
-    sampled = 0
+    everything = frozenset(range(n))
+    gaps = [_facial_gap(mat, f) for f in faces if f != everything]
+    z = min(gaps, key=np.linalg.norm)
+    distance = float(np.linalg.norm(z))
+    if distance <= VALUE_FLOOR:
+        raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
+
+    candidates = []
     for face_idx in faces:
         idx = sorted(face_idx)
         if len(idx) == 1:
             continue
         face = mat[idx]
-        center = face.mean(axis=0)
-        _, svals, vt = np.linalg.svd(face - center, full_matrices=False)
-        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        rank = int(np.sum(svals > 1e-9 * scale))
-        if rank == 0:
-            continue
-        basis = vt[:rank]
-        for r in _candidate_directions(face, basis, n_directions, seed):
-            dots = face @ r
-            order = np.argsort(-dots, kind="stable")
-            full = _cone_prefix_lp(face, face[order], r)
-            if full is None:
-                continue
-            sampled += 1
-            lo, hi = 1, len(order)
-            sol = full
-            while lo < hi:
-                mid = (lo + hi) // 2
-                trial = _cone_prefix_lp(face, face[order[:mid]], r)
-                if trial is not None:
-                    hi = mid
-                    sol = trial
-                else:
-                    lo = mid + 1
-            k = lo
-            value = float(dots[order[0]] - dots[order[k - 1]])
-            if value <= VALUE_FLOOR:
-                continue
-            if value < best:
-                tau = float(sol[: face.shape[0]].sum())
-                best = value
-                best_detail = (idx, face, r, order, k, tau)
-    if best_detail is None:
-        raise ValueError("no feasible direction found; atom set may be degenerate")
+        for r in (z / distance, -z / distance):
+            found = _face_value(face, r)
+            if found is not None and found[0] > VALUE_FLOOR:
+                candidates.append((found[0], idx, face, r) + found[1:])
+    if not candidates:
+        raise RuntimeError("the facial-distance direction is feasible on no face")
+    value, idx, face, r, order, k = min(candidates, key=lambda c: c[0])
+    if abs(value - distance) > 1e-9 * distance:
+        raise RuntimeError(f"pyramidal width {value} disagrees with facial distance {distance}")
 
-    idx, face, r, order, k, tau = best_detail
+    tau = float(_cone_prefix_lp(face, face[order[:k]], r)[: face.shape[0]].sum())
     x = _witness_point(face, order, k, r, tau)
     witness: Dict = {
         "face_atoms": face.tolist(),
@@ -410,8 +356,8 @@ def pwidth(atoms, n_directions: int = 64, seed: int = 0) -> WidthReport:
         witness["base_point"] = x.tolist()
         witness["active_set"] = face[order[:k]].tolist()
     return WidthReport(
-        pwidth_estimate=float(best),
-        directions_sampled=sampled,
+        pwidth_estimate=value,
+        directions_sampled=len(gaps),
         faces_enumerated=len(faces),
         witness=witness,
     )
@@ -431,20 +377,16 @@ def analytic_pwidth(spec: oracles.PolytopeSpec) -> Optional[float]:
     return None
 
 
-def _spec_pwidth(spec: oracles.PolytopeSpec, n_directions: int = 64) -> float:
+def _spec_pwidth(spec: oracles.PolytopeSpec) -> float:
     value = analytic_pwidth(spec)
     if value is not None:
         return value
     atoms = oracles.enumerate_atoms(spec)
-    return pwidth([a.point for a in atoms], n_directions=n_directions).pwidth_estimate
+    return pwidth([a.point for a in atoms]).pwidth_estimate
 
 
-def eccentricity(obj, spec: oracles.PolytopeSpec) -> float:
-    """(diameter / pyramidal width)^2 of the domain.
-
-    A property of the domain alone; the objective argument is accepted
-    for signature symmetry with rate_constant and ignored.
-    """
+def eccentricity(spec: oracles.PolytopeSpec) -> float:
+    """(diameter / pyramidal width)^2 of the domain."""
     M = polytope_diameter(spec)
     delta = _spec_pwidth(spec)
     return float((M / delta) ** 2)
@@ -496,7 +438,7 @@ def _away_value(mat: np.ndarray, grad: np.ndarray, x: np.ndarray) -> Optional[fl
     order = np.argsort(dots, kind="stable")
     if not _contains(mat, x):
         return None
-    k = _min_prefix_containing(mat, order, x)
+    k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
     return float(dots[order[k - 1]])
 
 

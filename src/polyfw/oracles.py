@@ -357,6 +357,7 @@ class BasePolytope(PolytopeSpec):
         self.function = function
         if abs(float(function(frozenset()))) > 1e-12:
             raise ValueError("submodular function must have F(empty) = 0")
+        self._atoms: Optional[List[Atom]] = None  # n! greedy passes; run them once
 
     def _greedy(self, order: Sequence[int]) -> np.ndarray:
         point = np.zeros(self.dimension)
@@ -377,16 +378,18 @@ class BasePolytope(PolytopeSpec):
     def enumerate_atoms(self) -> List[Atom]:
         import math
 
-        if math.factorial(self.dimension) > ENUMERATION_CAP:
-            raise EnumerationError("too many greedy orderings to enumerate")
-        out: List[Atom] = []
-        seen = set()
-        for order in itertools.permutations(range(self.dimension)):
-            atom = Atom(self._greedy(order))
-            if atom.id not in seen:
-                seen.add(atom.id)
-                out.append(atom)
-        return out
+        if self._atoms is None:
+            if math.factorial(self.dimension) > ENUMERATION_CAP:
+                raise EnumerationError("too many greedy orderings to enumerate")
+            out: List[Atom] = []
+            seen = set()
+            for order in itertools.permutations(range(self.dimension)):
+                atom = Atom(self._greedy(order))
+                if atom.id not in seen:
+                    seen.add(atom.id)
+                    out.append(atom)
+            self._atoms = out
+        return list(self._atoms)
 
     def atom_count(self) -> int:
         # distinct greedy vertices, not orderings; requires enumeration
@@ -421,10 +424,9 @@ def lmo(spec: PolytopeSpec, r) -> Atom:
 
 def enumerate_atoms(spec: PolytopeSpec) -> List[Atom]:
     """All atoms of a small spec, interned and deduplicated."""
-    if spec.atom_count() > ENUMERATION_CAP:
-        raise EnumerationError(
-            f"spec has {spec.atom_count()} atoms, above the {ENUMERATION_CAP} cap"
-        )
+    count = spec.atom_count()
+    if count > ENUMERATION_CAP:
+        raise EnumerationError(f"spec has {count} atoms, above the {ENUMERATION_CAP} cap")
     atoms = spec.enumerate_atoms()
     seen = set()
     out = []

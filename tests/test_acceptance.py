@@ -95,8 +95,7 @@ def test_c01_analytic_pyramidal_widths():
     t0 = time.monotonic()
     errs = []
     for tag, spec, expected in targets:
-        rep = geometry.pwidth([a.point for a in spec.enumerate_atoms()],
-                              n_directions=64, seed=0)
+        rep = geometry.pwidth([a.point for a in spec.enumerate_atoms()])
         errs.append((tag, abs(rep.pwidth_estimate - expected) / expected))
     elapsed = time.monotonic() - t0
     worst = max(e for _, e in errs)

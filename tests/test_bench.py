@@ -102,8 +102,7 @@ def test_gen_triangle_theta_range():
 
 def test_gen_triangle_pwidth_estimate_matches_delta():
     _, spec, delta, _ = gen_triangle(math.pi / 2)
-    rep = geometry.pwidth([a.point for a in spec.enumerate_atoms()],
-                          n_directions=64, seed=0)
+    rep = geometry.pwidth([a.point for a in spec.enumerate_atoms()])
     assert rep.pwidth_estimate == pytest.approx(delta, rel=0.02)
 
 
@@ -256,7 +255,7 @@ def test_config_from_json_forms(tmp_path):
 def test_cli_pwidth(tmp_path, capsys):
     csv = tmp_path / "verts.csv"
     csv.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
-    assert cli.main(["pwidth", str(csv), "--directions", "32"]) == 0
+    assert cli.main(["pwidth", str(csv)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pwidth_estimate"] == pytest.approx(1 / math.sqrt(2), rel=0.02)
 

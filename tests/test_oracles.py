@@ -15,6 +15,7 @@ from polyfw.oracles import (
     Simplex,
     VertexList,
     cardinality_cap,
+    enumerate_atoms,
     spec_from_json,
     weighted_concave_cardinality,
 )
@@ -160,6 +161,20 @@ def test_enumeration_matches_lmo_for_all_structured_specs():
             value = float(np.dot(r, spec.lmo(r).point))
             best = min(float(np.dot(r, a.point)) for a in atoms)
             assert abs(value - best) <= 1e-12
+
+
+def test_base_polytope_enumerated_once():
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return float(min(len(s), 2))
+
+    spec = BasePolytope(4, counted)
+    calls.clear()
+    atoms = enumerate_atoms(spec)
+    assert len(atoms) == spec.atom_count()
+    assert len(calls) == 24 * 4  # one greedy pass per ordering
 
 
 def test_enumeration_cap_enforced():
