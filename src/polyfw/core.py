@@ -1,12 +1,18 @@
 """Shared domain types for active-set Frank-Wolfe solvers.
 
 An iterate is kept as an explicit convex combination of atoms (the
-"active set") next to its dense coordinates.  The three step operations
-below are the only ways solvers mutate that representation, so the
-bookkeeping rules live in one place: weights stay positive and sum to
-one, removals are exact (no epsilon residue), and the dense point is
-periodically re-synthesized from the expansion so incremental updates
-cannot drift.
+"active set") next to its dense coordinates.  The active set is
+array-backed: a tuple of atom ids, a weight vector aligned with it, and
+the atoms as rows of an append-only store that a step shares with the
+iterate it came from, so no step copies the atom matrix and the away
+atom is one product of that matrix with the gradient.  The three step
+operations below are the only ways solvers change that representation,
+so the bookkeeping rules live in one place: weights stay positive and
+sum to one, removals are exact (no epsilon residue), and the dense point
+is re-synthesized from the expansion every ``RESYNTH_PERIOD`` steps, on
+each drop or swap, and after an away step longer than 1, so incremental
+updates cannot drift.  ``ActiveIterate.synced`` tells the objective
+state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,118 +82,228 @@ def point_from_key(key: bytes) -> np.ndarray:
     return np.frombuffer(key, dtype=np.float64).copy()
 
 
+class _AtomStore:
+    """Append-only atom rows shared by an iterate and the iterates stepped from it.
+
+    A row, once written, never changes, so every iterate that indexes
+    into the store stays valid however many later steps append to it.
+    ``row_of`` maps an atom id to its row, so an atom that leaves the
+    active set and comes back reuses its row.  A new store has room for
+    2n + 8 rows, where ``ActiveIterate._with_atom`` moves the active
+    rows to a fresh store, so a steady active set never grows it.
+    """
+
+    __slots__ = ("rows", "size", "row_of")
+
+    def __init__(self, ids: Sequence[bytes], points: np.ndarray) -> None:
+        n, d = points.shape
+        self.rows = np.empty((2 * n + 8, d))
+        self.rows[:n] = points
+        self.size = n
+        self.row_of: Dict[bytes, int] = dict(zip(ids, range(n)))
+
+    def row(self, atom: Atom) -> int:
+        """The row holding ``atom``, appended on first sight."""
+        r = self.row_of.get(atom.id)
+        if r is None:
+            r = self.size
+            if r == self.rows.shape[0]:
+                grown = np.empty((2 * r, self.rows.shape[1]))
+                grown[:r] = self.rows
+                self.rows = grown
+            self.rows[r] = atom.point
+            self.row_of[atom.id] = r
+            self.size = r + 1
+        return r
+
+
 class ActiveIterate:
     """A point of the polytope with its explicit convex decomposition.
 
-    Invariants: every stored weight is positive, the weights sum to one
-    within ``WEIGHT_SUM_TOL``, and the dense point ``x`` matches the
-    weighted atom sum within ``DRIFT_LIMIT`` in infinity norm.
-    Instances are value-like: step operations return new iterates.
+    The active set is array-backed: ``ids`` (a tuple of atom ids),
+    the weight vector ``w`` aligned with it, and the atoms' coordinates
+    as rows of an append-only store that a step shares with its parent
+    instead of copying.  ``weights`` reads as an ``{id: weight}`` dict.
+
+    Invariants: every weight is positive, the weights sum to one within
+    ``WEIGHT_SUM_TOL``, and the dense point ``x`` matches the weighted
+    atom sum within ``DRIFT_LIMIT`` in infinity norm.  Instances are
+    value-like: step operations return new iterates and never write to
+    an existing iterate's arrays.
     """
 
-    __slots__ = ("weights", "x", "_atoms", "_steps_since_sync")
+    __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync", "_last")
 
-    def __init__(
-        self,
-        weights: Dict[bytes, float],
-        atoms: Dict[bytes, np.ndarray],
-        x: np.ndarray,
-        steps_since_sync: int = 0,
-    ) -> None:
-        self.weights = weights
-        self._atoms = atoms
-        self.x = x
-        self._steps_since_sync = steps_since_sync
+    def __init__(self, ids: Sequence[bytes], points, w, x: Optional[np.ndarray] = None) -> None:
+        """Iterate with atoms ``points[i]`` (id ``ids[i]``) at weights ``w[i]``.
+
+        ``x`` defaults to the weighted atom sum.  Nothing is validated
+        here; ``check()`` tests the invariants.
+        """
+        self.ids: Tuple[bytes, ...] = tuple(ids)
+        points = np.asarray(points, dtype=np.float64)
+        self.w = np.array(w, dtype=np.float64)
+        if points.ndim != 2 or points.shape[0] != len(self.ids) or self.w.shape != (len(self.ids),):
+            raise ValueError("ids, points and weights must have one entry per atom")
+        self._store = _AtomStore(self.ids, points)
+        self._rows = np.arange(len(self.ids))
+        self._steps_since_sync = 0
+        self._last: Tuple[Optional[bytes], Optional[int]] = (None, None)
+        self.x = self.synthesize() if x is None else np.asarray(x, dtype=np.float64)
+
+    @classmethod
+    def _stepped(cls, ids, w, x, store, rows, steps: int) -> "ActiveIterate":
+        out = cls.__new__(cls)
+        out.ids, out.w, out.x = ids, w, x
+        out._store, out._rows, out._steps_since_sync, out._last = store, rows, steps, (None, None)
+        return out
 
     @classmethod
     def from_atom(cls, atom: Atom) -> "ActiveIterate":
-        return cls({atom.id: 1.0}, {atom.id: atom.point}, atom.point.copy())
+        return cls((atom.id,), atom.point[None, :], [1.0], atom.point.copy())
 
     @classmethod
     def from_weights(cls, pairs: Mapping[Atom, float]) -> "ActiveIterate":
         """Build an iterate from an {atom: weight} convex combination."""
         weights: Dict[bytes, float] = {}
-        atoms: Dict[bytes, np.ndarray] = {}
+        points: Dict[bytes, np.ndarray] = {}
         for atom, w in pairs.items():
             if w < 0:
                 raise ValueError("weights must be nonnegative")
             if w <= WEIGHT_FLOOR:
                 continue
             weights[atom.id] = weights.get(atom.id, 0.0) + float(w)
-            atoms[atom.id] = atom.point
+            points[atom.id] = atom.point
         if not weights:
             raise ValueError("at least one positive weight required")
         total = sum(weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total}")
-        weights = {k: w / total for k, w in weights.items()}
-        x = _synthesize(weights, atoms)
-        return cls(weights, atoms, x)
+        ids = list(weights)
+        return cls(ids, np.stack([points[i] for i in ids]), [weights[i] / total for i in ids])
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.ids)
+
+    @property
+    def weights(self) -> Dict[bytes, float]:
+        """A fresh ``{atom id: weight}`` dict in active-set order."""
+        return dict(zip(self.ids, self.w.tolist()))
+
+    @property
+    def synced(self) -> bool:
+        """True when ``x`` was just re-synthesized from the expansion."""
+        return self._steps_since_sync == 0
 
     def active_ids(self) -> List[bytes]:
-        return list(self.weights)
+        return list(self.ids)
+
+    def index(self, atom_id: bytes) -> Optional[int]:
+        """Position of an atom in ``ids``, or None when it is not active."""
+        if self._last[0] is atom_id:  # a step looks up its away atom twice
+            return self._last[1]
+        row = self._store.row_of.get(atom_id)
+        if row is None:
+            return None
+        hit = (self._rows == row).nonzero()[0]
+        self._last = (atom_id, int(hit[0]) if hit.size else None)
+        return self._last[1]
 
     def atom_point(self, atom_id: bytes) -> np.ndarray:
-        return self._atoms[atom_id]
+        i = self.index(atom_id)
+        if i is None:
+            raise KeyError("atom is not active")
+        point = self._point(i)
+        point.flags.writeable = False
+        return point
+
+    def _point(self, i: int) -> np.ndarray:
+        return self._store.rows[self._rows[i]]
 
     def atoms(self) -> Dict[bytes, np.ndarray]:
-        return dict(self._atoms)
+        rows = self.matrix()
+        rows.flags.writeable = False
+        return dict(zip(self.ids, rows))
+
+    def matrix(self) -> np.ndarray:
+        """The active atoms as rows of a fresh k x d array."""
+        return self._store.rows[self._rows]
+
+    def atom_dots(self, vec: np.ndarray) -> np.ndarray:
+        """<a_i, vec> for each active atom, in ``ids`` order (one product)."""
+        store = self._store
+        return (store.rows[: store.size] @ vec)[self._rows]
 
     def synthesize(self) -> np.ndarray:
-        return _synthesize(self.weights, self._atoms)
+        store = self._store
+        full = np.zeros(store.size)
+        full[self._rows] = self.w
+        return full @ store.rows[: store.size]
 
     def drift(self) -> float:
-        return float(np.max(np.abs(self.x - self.synthesize())))
+        return float(np.maximum.reduce(abs(self.x - self.synthesize())))
 
     def check(self) -> None:
         """Raise if a representation invariant is violated."""
-        if not self.weights:
+        if not self.ids:
             raise AssertionError("empty active set")
-        if min(self.weights.values()) <= 0.0:
+        if not np.minimum.reduce(self.w) > 0.0:
             raise AssertionError("nonpositive weight in active set")
-        total = sum(self.weights.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        total = float(np.add.reduce(self.w))
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise AssertionError(f"weight sum {total} off by more than {WEIGHT_SUM_TOL}")
-        if self.drift() > DRIFT_LIMIT:
+        if not self.drift() <= DRIFT_LIMIT:
             raise AssertionError("dense point drifted from its expansion")
 
+    def _with_atom(self, atom: Atom) -> Tuple[Tuple[bytes, ...], np.ndarray, _AtomStore]:
+        """ids, store rows and store of this active set with ``atom`` appended.
 
-def _synthesize(weights: Mapping[bytes, float], atoms: Mapping[bytes, np.ndarray]) -> np.ndarray:
-    ids = list(weights)
-    mat = np.stack([atoms[i] for i in ids])
-    w = np.array([weights[i] for i in ids])
-    return w @ mat
-
-
-def _cleaned(weights: Dict[bytes, float]) -> Dict[bytes, float]:
-    """Drop exact-zero-range weights and renormalize.
-
-    Removing a weight below ``WEIGHT_FLOOR`` leaves a deficit; dividing
-    by the surviving total redistributes it proportionally.
-    """
-    kept = {k: w for k, w in weights.items() if w > WEIGHT_FLOOR}
-    if not kept:
-        raise AssertionError("all weights collapsed below the floor")
-    total = sum(kept.values())
-    return {k: w / total for k, w in kept.items()}
+        Once the store holds more than twice the active rows (plus
+        slack), the active rows move to a fresh store: amortized over the
+        appends that grew it, that copy costs O(d) per step.
+        """
+        store, rows = self._store, self._rows
+        if store.size >= 2 * len(rows) + 8:
+            store = _AtomStore(self.ids, store.rows[rows])
+            rows = np.arange(len(rows))
+        return self.ids + (atom.id,), np.append(rows, store.row(atom)), store
 
 
 def _advance(
     it: ActiveIterate,
-    weights: Dict[bytes, float],
-    atoms: Dict[bytes, np.ndarray],
+    ids: Tuple[bytes, ...],
+    w: np.ndarray,
+    rows: np.ndarray,
+    store: _AtomStore,
     x_new: np.ndarray,
     force_sync: bool = False,
+    clean: bool = True,
 ) -> ActiveIterate:
-    """Package an updated state, re-synthesizing x on the usual cadence."""
+    """Package an updated state, re-synthesizing x on the usual cadence.
+
+    With ``clean``, weights at or below ``WEIGHT_FLOOR`` are dropped and
+    the rest renormalized: dividing by the surviving total redistributes
+    the deficit proportionally.
+    """
+    if clean:
+        if np.minimum.reduce(w) <= WEIGHT_FLOOR:
+            kept = (w > WEIGHT_FLOOR).nonzero()[0]
+            if not kept.size:
+                raise AssertionError("all weights collapsed below the floor")
+            ids = tuple(ids[i] for i in kept)
+            w, rows = w[kept], rows[kept]
+        w = w / np.add.reduce(w)
     steps = it._steps_since_sync + 1
+    out = ActiveIterate._stepped(ids, w, x_new, store, rows, steps)
     if force_sync or steps >= RESYNTH_PERIOD:
-        x_new = _synthesize(weights, atoms)
-        steps = 0
-    return ActiveIterate(weights, atoms, x_new, steps)
+        out.x = out.synthesize()
+        out._steps_since_sync = 0
+    return out
+
+
+def _without(ids: Tuple[bytes, ...], w: np.ndarray, rows: np.ndarray, j: int):
+    keep = [i for i in range(len(ids)) if i != j]
+    return ids[:j] + ids[j + 1 :], w[keep], rows[keep]
 
 
 def apply_fw_step(it: ActiveIterate, s: Atom, gamma: float) -> ActiveIterate:
@@ -200,12 +316,16 @@ def apply_fw_step(it: ActiveIterate, s: Atom, gamma: float) -> ActiveIterate:
         raise ValueError(f"gamma {gamma} outside [0, 1]")
     if gamma >= 1.0:
         return ActiveIterate.from_atom(s)
-    weights = {k: (1.0 - gamma) * w for k, w in it.weights.items()}
-    weights[s.id] = weights.get(s.id, 0.0) + gamma
-    atoms = dict(it._atoms)
-    atoms[s.id] = s.point
+    w = (1.0 - gamma) * it.w
+    j = it.index(s.id)
+    if j is None:
+        ids, rows, store = it._with_atom(s)
+        w = np.append(w, gamma)
+    else:
+        ids, rows, store = it.ids, it._rows, it._store
+        w[j] += gamma
     x_new = it.x + gamma * (s.point - it.x)
-    return _advance(it, _cleaned(weights), atoms, x_new)
+    return _advance(it, ids, w, rows, store, x_new)
 
 
 def apply_away_step(
@@ -217,9 +337,10 @@ def apply_away_step(
     the atom is removed exactly (a drop step).  Returns the new iterate
     and whether the step was a drop.
     """
-    if v not in it.weights:
+    j = it.index(v)
+    if j is None:
         raise ValueError("away atom is not active")
-    alpha = it.weights[v]
+    alpha = float(it.w[j])
     if len(it) == 1 or alpha >= 1.0:
         raise FullWeightAwayError("cannot step away from a full-weight atom")
     limit = alpha / (1.0 - alpha)
@@ -230,16 +351,17 @@ def apply_away_step(
         raise ValueError(f"gamma {gamma} outside [0, {gamma_max}]")
     if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):
         gamma = gamma_max
-    point_v = it._atoms[v]
     if gamma == gamma_max:
-        weights = {k: (1.0 + gamma) * w for k, w in it.weights.items() if k != v}
-        atoms = {k: p for k, p in it._atoms.items() if k != v}
-        out = _advance(it, _cleaned(weights), atoms, it.x, force_sync=True)
+        ids, w, rows = _without(it.ids, it.w, it._rows, j)
+        out = _advance(it, ids, (1.0 + gamma) * w, rows, it._store, it.x, force_sync=True)
         return out, True
-    weights = {k: (1.0 + gamma) * w for k, w in it.weights.items()}
-    weights[v] = (1.0 + gamma) * alpha - gamma
-    x_new = it.x + gamma * (it.x - point_v)
-    return _advance(it, _cleaned(weights), dict(it._atoms), x_new), False
+    w = (1.0 + gamma) * it.w
+    w[j] = (1.0 + gamma) * alpha - gamma
+    x_new = it.x + gamma * (it.x - it._point(j))
+    # x_new = (1 + gamma) x - gamma v scales the rounding error already in
+    # x by 1 + gamma, so a long step re-synthesizes x from the weights.
+    out = _advance(it, it.ids, w, it._rows, it._store, x_new, force_sync=gamma > 1.0)
+    return out, False
 
 
 def apply_pairwise_step(
@@ -252,33 +374,32 @@ def apply_pairwise_step(
     already active, Swap when it exhausts alpha_v and s was inactive,
     Pairwise otherwise.
     """
-    if v not in it.weights:
+    j = it.index(v)
+    if j is None:
         raise ValueError("source atom is not active")
     if s.id == v:
         raise DegenerateDirectionError("pairwise step onto the same atom")
-    gamma_max = it.weights[v]
+    gamma_max = float(it.w[j])
     if not 0.0 <= gamma <= gamma_max * (1.0 + 1e-12):
         raise ValueError(f"gamma {gamma} outside [0, {gamma_max}]")
     if gamma_max - gamma <= GAMMA_SNAP:
         gamma = gamma_max
-    weights = dict(it.weights)
-    atoms = dict(it._atoms)
-    point_v = it._atoms[v]
-    if gamma == gamma_max:
-        s_was_active = s.id in weights
-        del weights[v]
-        del atoms[v]
-        weights[s.id] = weights.get(s.id, 0.0) + gamma
-        atoms[s.id] = s.point
-        kind = StepKind.DROP if s_was_active else StepKind.SWAP
-        out = _advance(it, weights, atoms, it.x, force_sync=True)
-        return out, kind
+    ids, w, rows, store = it.ids, it.w, it._rows, it._store
     if gamma > 0.0:
-        weights[v] = gamma_max - gamma
-        weights[s.id] = weights.get(s.id, 0.0) + gamma
-        atoms[s.id] = s.point
-    x_new = it.x + gamma * (s.point - point_v)
-    return _advance(it, weights, atoms, x_new), StepKind.PAIRWISE
+        i_s = it.index(s.id)
+        if i_s is None:
+            ids, rows, store = it._with_atom(s)
+            w = np.append(w, gamma)
+        else:
+            w = w.copy()
+            w[i_s] += gamma
+        if gamma == gamma_max:
+            kind = StepKind.SWAP if len(ids) > len(it) else StepKind.DROP
+            ids, w, rows = _without(ids, w, rows, j)
+            return _advance(it, ids, w, rows, store, it.x, force_sync=True, clean=False), kind
+        w[j] = gamma_max - gamma
+    x_new = it.x + gamma * (s.point - it._point(j))
+    return _advance(it, ids, w, rows, store, x_new, clean=False), StepKind.PAIRWISE
 
 
 class StepKind(str, Enum):

@@ -30,6 +30,7 @@ from polyfw.objectives import (
 
 PDIRW_ATOM_CAP = 16
 VALUE_FLOOR = 1e-12  # per-direction values at rounding scale are discarded
+SPAN_RTOL = 1e-9  # r farther than this (relative) from a face's span cannot point along it
 
 
 def _atom_matrix(atoms) -> np.ndarray:
@@ -289,8 +290,15 @@ def _face_value(face: np.ndarray, r: np.ndarray) -> Optional[Tuple[float, np.nda
     """Pyramidal directional width of unit r on a face, minimized over base points.
 
     Returns (value, atom order by decreasing projection, prefix size),
-    or None when r points out of the face from every base point.
+    or None when r points out of the face from every base point.  The
+    cone LP can only be feasible when r lies in the span of the face's
+    edge directions, so a least-squares residual above ``SPAN_RTOL``
+    relative answers None without any LP.
     """
+    span = (face[1:] - face[0]).T
+    coef = np.linalg.lstsq(span, r, rcond=None)[0]
+    if np.linalg.norm(span @ coef - r) > SPAN_RTOL * np.linalg.norm(r):
+        return None
     dots = face @ r
     order = np.argsort(-dots, kind="stable")
     if _cone_prefix_lp(face, face[order], r) is None:

@@ -4,13 +4,21 @@ The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
 and strong-convexity constants are eigenvalues.  A generic objective
 only needs value/gradient; it inherits a golden-section line search.
+
+``Objective.start(it)`` opens the per-solve state the solver loop runs
+on.  The generic state re-evaluates the objective after every step.
+The quadratic state keeps ``Qx`` and the image ``Q a`` of each active
+atom (a scaled column of Q for a 1-sparse atom, one product with Q
+otherwise), so a FW, away or pairwise step costs O(d): the direction's
+image is a difference of two cached vectors, and the gradient, the
+exact line search, the ``Qx`` update and f all follow from it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +42,10 @@ class Objective:
 
     def value_and_gradient(self, x) -> Tuple[float, np.ndarray]:
         return self.value(x), self.gradient(x)
+
+    def start(self, it) -> "ObjectiveState":
+        """The per-solve state of this objective at iterate ``it``."""
+        return ObjectiveState(self, it)
 
     def line_search(self, x, d, gamma_max: float) -> float:
         """Golden-section search for argmin of f(x + gamma d) on [0, gamma_max]."""
@@ -64,8 +76,38 @@ def _check_search_args(obj: Objective, x: np.ndarray, d: np.ndarray, gamma_max: 
         raise ValueError("x and d must match the objective dimension")
     if not gamma_max > 0:
         raise ValueError("gamma_max must be positive")
-    if not np.any(d):
+    if not d.any():
         raise ValueError("search direction is zero")
+
+
+class ObjectiveState:
+    """Value and gradient at a solver's current iterate.
+
+    This generic state re-evaluates the objective after each step and
+    line-searches with ``Objective.line_search``.  ``drift_max`` is the
+    largest incremental-update error corrected at a resync (none here).
+    """
+
+    def __init__(self, obj: Objective, it) -> None:
+        self.obj = obj
+        self.drift_max = 0.0
+        self.reset(it)
+
+    def reset(self, it) -> None:
+        """Re-evaluate at ``it`` from scratch."""
+        self.value, self.grad = self.obj.value_and_gradient(it.x)
+
+    def line_search(self, it, direction: np.ndarray, gamma_max: float, head=None, tail=None) -> float:
+        """Step size along ``direction`` = head - tail from ``it``, in [0, gamma_max].
+
+        ``head`` is the atom the direction points to and ``tail`` the id
+        of the active atom it points away from; None stands for ``it.x``.
+        """
+        return self.obj.line_search(it.x, direction, gamma_max)
+
+    def advance(self, it, gamma: float) -> None:
+        """Move to ``it``, the iterate one step of ``gamma`` along the last searched direction."""
+        self.reset(it)
 
 
 class QuadraticObjective(Objective):
@@ -115,6 +157,9 @@ class QuadraticObjective(Objective):
     def strong_convexity(self) -> float:
         return float(max(self._eigh()[0], 0.0))
 
+    def start(self, it) -> "QuadraticState":
+        return QuadraticState(self, it)
+
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dimension,):
@@ -144,14 +189,71 @@ class QuadraticObjective(Objective):
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         _check_search_args(self, x, d, gamma_max)
-        descent = -float(self.gradient(x) @ d)
-        curvature = float(d @ (self.Q @ d))
-        if curvature <= 0.0:
-            if descent > 0.0:
-                return float(gamma_max)
-            LOGGER.warning("line search called with a non-descent direction")
-            return 0.0
-        return float(np.clip(descent / curvature, 0.0, gamma_max))
+        return _exact_step(-float(self.gradient(x) @ d), float(d @ (self.Q @ d)), gamma_max)
+
+
+def _exact_step(descent: float, curvature: float, gamma_max: float) -> float:
+    """argmin over [0, gamma_max] of -descent * gamma + curvature * gamma^2 / 2."""
+    if curvature <= 0.0:
+        if descent > 0.0:
+            return float(gamma_max)
+        LOGGER.warning("line search called with a non-descent direction")
+        return 0.0
+    return min(max(descent / curvature, 0.0), float(gamma_max))
+
+
+class QuadraticState(ObjectiveState):
+    """Incremental ``Qx`` and cached atom images for one quadratic solve.
+
+    A step along d = head - tail updates ``Qx`` by gamma times
+    ``Q head - Q tail``, where ``Q x`` is ``Qx`` itself and an atom's
+    image is computed once, when the atom is first seen.  Whenever the
+    iterate re-synthesizes x from its expansion (every ``RESYNTH_PERIOD``
+    steps and on each drop or swap), ``Qx`` is recomputed exactly, the
+    gap to the incremental value is folded into ``drift_max``, and the
+    images of atoms that left the active set are released.
+    """
+
+    def __init__(self, obj: "QuadraticObjective", it) -> None:
+        self.Q, self.b, self.c = obj.Q, obj.b, obj.c
+        self.images: Dict[bytes, np.ndarray] = {}
+        self._Qd: Optional[np.ndarray] = None
+        self.drift_max = 0.0
+        self.reset(it)
+
+    def reset(self, it) -> None:
+        self.images = {}
+        self._set(it.x, self.Q @ it.x)
+
+    def _set(self, x: np.ndarray, Qx: np.ndarray) -> None:
+        self.Qx = Qx
+        self.grad = Qx + self.b
+        self.value = float(0.5 * x @ Qx + self.b @ x + self.c)
+
+    def image(self, atom_id: bytes, point: np.ndarray) -> np.ndarray:
+        """Q times an atom, cached by id."""
+        img = self.images.get(atom_id)
+        if img is None:
+            nz = point.nonzero()[0]
+            img = self.Q[nz[0]] * point[nz[0]] if nz.size == 1 else self.Q @ point
+            self.images[atom_id] = img
+        return img
+
+    def line_search(self, it, direction: np.ndarray, gamma_max: float, head=None, tail=None) -> float:
+        """Exact minimizer on [0, gamma_max], as ``QuadraticObjective.line_search``."""
+        Qd = self.Qx if head is None else self.image(head.id, head.point)
+        Qd = Qd - (self.Qx if tail is None else self.image(tail, it.atom_point(tail)))
+        self._Qd = Qd
+        return _exact_step(-float(self.grad @ direction), float(direction @ Qd), gamma_max)
+
+    def advance(self, it, gamma: float) -> None:
+        Qx = self.Qx + gamma * self._Qd
+        if it.synced:
+            exact = self.Q @ it.x
+            self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - exact))))
+            Qx = exact
+            self.images = {k: self.images[k] for k in it.ids if k in self.images}
+        self._set(it.x, Qx)
 
 
 def value_and_gradient(obj: Objective, x) -> Tuple[float, np.ndarray]:

@@ -5,13 +5,24 @@ the best atom, stop once the duality gap is small, otherwise move.
 They differ only in the move:
 
 * ``FW``   classic step toward the oracle atom;
-* ``AFW``  away steps can also shift weight off a bad active atom;
+* ``AFW``  away steps can also shift weight off a bad active atom
+           (the choice is ``afw_choose_direction``);
 * ``PFW``  pairwise steps move weight directly from the worst active
-           atom onto the oracle atom;
+           atom onto the oracle atom (``pfw_step``);
 * ``FCFW`` each iteration re-optimizes over a pool of correction atoms
            until the pool's internal gaps are small;
 * ``MNP``  each iteration runs the min-norm-point style minor cycle,
            landing on the exact minimizer over its active set's hull.
+
+The shared loop runs on the objective's per-solve state
+(``Objective.start``).  For a quadratic that state keeps ``Qx`` and the
+cached image ``Q a`` of each active atom, so a FW, away or pairwise step
+costs O(k + d) with no product by Q; ``Qx`` is recomputed exactly
+whenever the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps
+and on each drop or swap) and after each FCFW/MNP correction.  Besides
+the configuration and outcome, a trace's JSON header records
+``inner_steps`` (summed over the corrections) and ``qx_drift_max`` (the
+largest incremental ``Qx`` error corrected at a resync).
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from polyfw.core import (
     apply_fw_step,
     apply_pairwise_step,
 )
-from polyfw.objectives import Objective, QuadraticObjective
+from polyfw.objectives import Objective, ObjectiveState, QuadraticObjective
 from polyfw.oracles import PolytopeSpec, lmo
 
 
@@ -98,39 +109,39 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
     Ties on the gradient value go to the larger weight, then to the
     atom id, so the choice is deterministic.
     """
-    best_key = None
-    best_id = None
-    for atom_id, weight in it.weights.items():
-        dot = float(grad @ it.atom_point(atom_id))
-        key = (dot, weight, atom_id)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_id = atom_id
-    gap = best_key[0] - float(grad @ it.x)
-    return best_id, gap
+    dots = it.atom_dots(grad)
+    i = int(dots.argmax())
+    best = dots[i]
+    ties = (dots == best).nonzero()[0]
+    if ties.size > 1:
+        i = max(ties.tolist(), key=lambda j: (it.w[j], it.ids[j]))
+    return it.ids[i], float(best) - float(grad @ it.x)
 
 
 def afw_choose_direction(
-    it: ActiveIterate, grad: np.ndarray, s: Atom
+    it: ActiveIterate, grad: np.ndarray, s: Atom, away: Optional[Tuple[bytes, float]] = None
 ) -> Tuple[StepKind, np.ndarray, float, Optional[bytes]]:
-    """Pick the better of the FW and away directions (ties favor FW)."""
+    """Pick the better of the FW and away directions (ties favor FW).
+
+    ``away`` is ``away_atom(it, grad)`` when the caller already has it.
+    """
+    v_id, away_gap = away_atom(it, grad) if away is None else away
     fw_dir = s.point - it.x
-    fw_descent = float(-grad @ fw_dir)
-    v_id, away_gap = away_atom(it, grad)
-    if fw_descent >= away_gap or len(it) == 1:
+    if -float(grad @ fw_dir) >= away_gap or len(it) == 1:
         return StepKind.FW, fw_dir, 1.0, None
-    alpha = it.weights[v_id]
-    away_dir = it.x - it.atom_point(v_id)
-    return StepKind.AWAY, away_dir, alpha / (1.0 - alpha), v_id
+    alpha = float(it.w[it.index(v_id)])
+    return StepKind.AWAY, it.x - it.atom_point(v_id), alpha / (1.0 - alpha), v_id
 
 
 def pfw_step(
-    it: ActiveIterate, grad: np.ndarray, s: Atom
+    it: ActiveIterate, grad: np.ndarray, s: Atom, away: Optional[Tuple[bytes, float]] = None
 ) -> Tuple[np.ndarray, float, bytes]:
-    """Pairwise direction s - v and its maximum step alpha_v."""
-    v_id, _ = away_atom(it, grad)
-    direction = s.point - it.atom_point(v_id)
-    return direction, it.weights[v_id], v_id
+    """Pairwise direction s - v and its maximum step alpha_v.
+
+    ``away`` is ``away_atom(it, grad)`` when the caller already has it.
+    """
+    v_id, _ = away_atom(it, grad) if away is None else away
+    return s.point - it.atom_point(v_id), float(it.w[it.index(v_id)]), v_id
 
 
 def fcfw_correction(
@@ -150,9 +161,8 @@ def fcfw_correction(
     the active-set size, evicting oldest-first.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
-    for atom_id in it.weights:
-        if atom_id not in pool:
-            pool[atom_id] = it.atom_point(atom_id)
+    for atom_id, point in it.atoms().items():
+        pool.setdefault(atom_id, point)
     pool[s.id] = s.point
     atoms = [Atom(p) for p in pool.values()]
     matrix = np.stack([a.point for a in atoms])
@@ -172,7 +182,7 @@ def fcfw_correction(
     while True:
         f_z, grad = obj.value_and_gradient(z.x)
         dots = matrix @ grad
-        i_s = int(np.argmin(dots))
+        i_s = int(dots.argmin())
         g_fw = float(grad @ z.x) - float(dots[i_s])
         v_id, g_away = away_atom(z, grad)
         if g_fw <= eps and g_away <= eps and f_z <= f_slack:
@@ -185,10 +195,10 @@ def fcfw_correction(
         s_in = atoms[i_s]
         fw_dir_in = s_in.point - z.x
         if g_fw >= g_away or len(z) == 1:
-            gamma = obj.line_search(z.x, fw_dir_in, 1.0) if np.any(fw_dir_in) else 0.0
+            gamma = obj.line_search(z.x, fw_dir_in, 1.0) if fw_dir_in.any() else 0.0
             z = apply_fw_step(z, s_in, gamma)
         else:
-            alpha = z.weights[v_id]
+            alpha = float(z.w[z.index(v_id)])
             gmax = alpha / (1.0 - alpha)
             away_dir = z.x - z.atom_point(v_id)
             gamma = obj.line_search(z.x, away_dir, gmax)
@@ -202,7 +212,7 @@ def fcfw_correction(
     if post_away > eps:
         raise CorrectionPostconditionError("correction ended with away gap above eps")
 
-    active = set(z.weights)
+    active = set(z.ids)
     cap = 4 * len(active)
     inactive = [atom_id for atom_id in pool if atom_id not in active]
     room = max(cap - len(active), 0)
@@ -252,14 +262,13 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
-    ids: List[bytes] = list(it.weights)
-    beta = np.array([it.weights[i] for i in ids])
-    points = [it.atom_point(i) for i in ids]
-    if s.id not in it.weights:
+    ids: List[bytes] = list(it.ids)
+    beta = it.w.copy()
+    matrix = it.matrix()
+    if it.index(s.id) is None:
         ids.append(s.id)
-        points.append(s.point)
+        matrix = np.vstack([matrix, s.point])
         beta = np.concatenate([beta, [0.0]])
-    matrix = np.stack(points)
     inner = 0
     away_gap = np.inf
 
@@ -308,10 +317,8 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
         grad = obj.gradient(x_new)
         away_gap = float(np.max(matrix @ grad) - grad @ x_new)
         if away_gap <= MNP_AWAY_GAP_LIMIT:
-            weights = {ids[i]: float(beta[i]) for i in range(len(ids))}
-            atoms = {ids[i]: matrix[i] for i in range(len(ids))}
-            out = ActiveIterate(weights, atoms, x_new)
-            return CorrectionResult(out, dict(atoms), inner, away_gap)
+            out = ActiveIterate(ids, matrix, beta, x_new)
+            return CorrectionResult(out, out.atoms(), inner, away_gap)
     raise CorrectionPostconditionError(
         f"minor cycle away gap {away_gap} stayed above {MNP_AWAY_GAP_LIMIT}"
     )
@@ -321,6 +328,10 @@ def _initial_iterate(
     spec: PolytopeSpec, config: SolverConfig, x0: Union[Atom, ActiveIterate, None]
 ) -> ActiveIterate:
     if isinstance(x0, ActiveIterate):
+        try:
+            x0.check()
+        except AssertionError as exc:
+            raise ValueError(f"x0 is not a valid iterate: {exc}") from exc
         return x0
     if isinstance(x0, Atom):
         return ActiveIterate.from_atom(x0)
@@ -331,6 +342,36 @@ def _initial_iterate(
     else:
         u = np.random.default_rng(config.rng_seed).standard_normal(spec.dimension)
     return ActiveIterate.from_atom(lmo(spec, u))
+
+
+def _line_search_step(
+    variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState
+) -> Optional[Tuple[ActiveIterate, StepKind, float, float, float]]:
+    """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max, away gap).
+
+    None when the chosen direction does not descend (a stall).
+    """
+    away = away_atom(it, grad)
+    if variant is Variant.FW:
+        kind, direction, gamma_max, v_id = StepKind.FW, s.point - it.x, 1.0, None
+    elif variant is Variant.AFW:
+        kind, direction, gamma_max, v_id = afw_choose_direction(it, grad, s, away)
+    else:
+        direction, gamma_max, v_id = pfw_step(it, grad, s, away)
+        kind = StepKind.PAIRWISE
+    if -float(grad @ direction) <= 0.0:
+        return None
+    head = None if kind is StepKind.AWAY else s
+    gamma = state.line_search(it, direction, gamma_max, head, v_id)
+    if kind is StepKind.FW:
+        it = apply_fw_step(it, s, gamma)
+    elif kind is StepKind.AWAY:
+        it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
+        kind = StepKind.DROP if dropped else StepKind.AWAY
+    else:
+        it, kind = apply_pairwise_step(it, v_id, s, gamma)
+    state.advance(it, gamma)
+    return it, kind, gamma, gamma_max, away[1]
 
 
 def solve(
@@ -344,77 +385,54 @@ def solve(
     Returns the full per-iteration trace; the final iterate rides along
     on the ``final_iterate`` attribute.  The trace's JSON header records
     the configuration, the initial objective value, the exit status
-    (``converged``, ``max_iter``, ``stall``, or an error tag), and the
-    final gap.
+    (``converged``, ``max_iter``, ``stall``, or an error tag), the final
+    gap, the summed inner steps of the FCFW/MNP corrections
+    (``inner_steps``) and the largest incremental ``Qx`` error corrected
+    at a resync (``qx_drift_max``).  A caller-supplied ``x0`` iterate
+    that breaks an invariant raises ``ValueError``.
     """
     start = time.perf_counter()
     it = _initial_iterate(spec, config, x0)
     init_size = len(it)
-    f0 = obj.value(it.x)
+    state = obj.start(it)
+    f0 = state.value
     records: List[StepRecord] = []
     pool: Dict[bytes, np.ndarray] = it.atoms()
     exit_status = "max_iter"
     final_gap = np.nan
+    inner_steps = 0
 
     for t in range(config.max_iter):
-        f_t, grad = obj.value_and_gradient(it.x)
+        grad = state.grad
         s = lmo(spec, grad)
-        g_fw = float(-grad @ (s.point - it.x))
+        g_fw = -float(grad @ (s.point - it.x))
         final_gap = g_fw
         if g_fw <= config.epsilon:
             exit_status = "converged"
             break
 
         if config.variant in (Variant.FW, Variant.AFW, Variant.PFW):
-            v_id, pre_away_gap = away_atom(it, grad)
-            away_record = pre_away_gap
-            if config.variant is Variant.FW:
-                direction, gamma_max = s.point - it.x, 1.0
-                apply = "fw"
-            elif config.variant is Variant.AFW:
-                if g_fw >= pre_away_gap or len(it) == 1:
-                    direction, gamma_max = s.point - it.x, 1.0
-                    apply = "fw"
-                else:
-                    alpha = it.weights[v_id]
-                    direction = it.x - it.atom_point(v_id)
-                    gamma_max = alpha / (1.0 - alpha)
-                    apply = "away"
-            else:
-                direction = s.point - it.atom_point(v_id)
-                gamma_max = it.weights[v_id]
-                apply = "pairwise"
-            if float(-grad @ direction) <= 0.0:
+            step = _line_search_step(config.variant, it, grad, s, state)
+            if step is None:
                 exit_status = "stall"
                 break
-            gamma = obj.line_search(it.x, direction, gamma_max)
-            if apply == "fw":
-                it = apply_fw_step(it, s, gamma)
-                kind = StepKind.FW
-            elif apply == "away":
-                it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
-                kind = StepKind.DROP if dropped else StepKind.AWAY
+            it, kind, gamma, gamma_max, away_record = step
+        else:
+            if config.variant is Variant.FCFW:
+                result = fcfw_correction(obj, it, pool, s, config.correction_epsilon)
+                kind = StepKind.CORRECTION
             else:
-                it, kind = apply_pairwise_step(it, v_id, s, gamma)
-        elif config.variant is Variant.FCFW:
-            result = fcfw_correction(obj, it, pool, s, config.correction_epsilon)
+                pre_size = len(it)
+                result = mnp_correction(obj, it, s)
+                kind = StepKind.DROP if len(result.iterate) < pre_size else StepKind.CORRECTION
             it = result.iterate
             pool = result.correction_atoms
-            kind = StepKind.CORRECTION
+            inner_steps += result.inner_steps
             gamma = gamma_max = 0.0
             away_record = result.post_away_gap
-        elif config.variant is Variant.MNP:
-            pre_size = len(it)
-            result = mnp_correction(obj, it, s)
-            it = result.iterate
-            pool = result.correction_atoms
-            kind = StepKind.DROP if len(it) < pre_size else StepKind.CORRECTION
-            gamma = gamma_max = 0.0
-            away_record = result.post_away_gap
-        else:  # pragma: no cover
-            raise ValueError(f"unknown variant {config.variant}")
+            state.reset(it)
 
-        f_new = obj.value(it.x)
+        f_new = state.value
         if not np.isfinite(f_new):
             exit_status = "error:nonfinite"
             break
@@ -443,5 +461,7 @@ def solve(
         "f0": f0,
         "exit_status": exit_status,
         "final_fw_gap": None if np.isnan(final_gap) else final_gap,
+        "inner_steps": inner_steps,
+        "qx_drift_max": state.drift_max,
     }
     return RunTrace(records=records, config_echo=echo, wall_time=wall, final_iterate=it)

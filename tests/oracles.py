@@ -163,3 +163,108 @@ def drop_prefix_ok(kinds, initial_active_size=1):
         if drops > t / 2.0 + 1.0:
             return False
     return True
+
+
+# -- active-set reference model ------------------------------------------------
+#
+# Weights live in a plain {atom id: weight} dict.  The policy constants
+# (the exact-zero floor and the snap of gamma onto gamma_max) are the
+# library's documented numerical policy; everything else follows the
+# step definitions directly.
+
+from polyfw.core import GAMMA_SNAP, WEIGHT_FLOOR  # noqa: E402
+
+
+def point_key(point):
+    """Atom identity: the float64 bytes of the coordinates, -0.0 folded to 0.0."""
+    return (np.asarray(point, dtype=np.float64) + 0.0).tobytes()
+
+
+def _ref_clean(weights):
+    kept = {k: w for k, w in weights.items() if w > WEIGHT_FLOOR}
+    total = sum(kept.values())
+    return {k: w / total for k, w in kept.items()}
+
+
+def ref_fw_step(weights, s_id, gamma):
+    """x <- x + gamma (s - x): every weight times 1 - gamma, s gains gamma."""
+    if gamma >= 1.0:
+        return {s_id: 1.0}
+    out = {k: (1.0 - gamma) * w for k, w in weights.items()}
+    out[s_id] = out.get(s_id, 0.0) + gamma
+    return _ref_clean(out)
+
+
+def ref_away_step(weights, v, gamma):
+    """x <- x + gamma (x - v); returns (weights, dropped)."""
+    alpha = weights[v]
+    gamma_max = alpha / (1.0 - alpha)
+    if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):
+        out = {k: (1.0 + gamma_max) * w for k, w in weights.items() if k != v}
+        return _ref_clean(out), True
+    out = {k: (1.0 + gamma) * w for k, w in weights.items()}
+    out[v] = (1.0 + gamma) * alpha - gamma
+    return _ref_clean(out), False
+
+
+def ref_pairwise_step(weights, v, s_id, gamma):
+    """Move gamma of v's weight onto s; returns (weights, kind)."""
+    alpha = weights[v]
+    out = dict(weights)
+    if alpha - gamma <= GAMMA_SNAP:
+        kind = "DROP" if s_id in weights else "SWAP"
+        del out[v]
+        out[s_id] = out.get(s_id, 0.0) + alpha
+        return out, kind
+    if gamma > 0.0:
+        out[v] = alpha - gamma
+        out[s_id] = out.get(s_id, 0.0) + gamma
+    return out, "PAIRWISE"
+
+
+def dense_fw_reference(Q, b, c, atoms, variant, x0, max_iter, epsilon):
+    """Dense FW / AFW / PFW loop: dict active set, full matvecs, closed-form line search.
+
+    The oracle scans the rows of ``atoms`` (lowest row wins ties).  The
+    dense point is rebuilt from the weights every iteration.  Returns one
+    (kind, gamma, fw_gap, f_value) tuple per step, with the library's
+    pre-step gap / post-step value pairing.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    A = np.asarray(atoms, dtype=np.float64)
+    points = {point_key(x0): np.asarray(x0, dtype=np.float64)}
+    weights = {point_key(x0): 1.0}
+    out = []
+    for _ in range(max_iter):
+        x = sum(w * points[k] for k, w in weights.items())
+        grad = Q @ x + b
+        s = A[int(np.argmin(A @ grad))]
+        s_id = point_key(s)
+        points.setdefault(s_id, s)
+        fw_gap = float(grad @ (x - s))
+        if fw_gap <= epsilon:
+            break
+        v = max(weights, key=lambda k: (float(grad @ points[k]), weights[k], k))
+        away_gap = float(grad @ points[v]) - float(grad @ x)
+        if variant == "FW" or (variant == "AFW" and (fw_gap >= away_gap or len(weights) == 1)):
+            kind, d, gamma_max = "FW", s - x, 1.0
+        elif variant == "AFW":
+            alpha = weights[v]
+            kind, d, gamma_max = "AWAY", x - points[v], alpha / (1.0 - alpha)
+        else:
+            kind, d, gamma_max = "PAIRWISE", s - points[v], weights[v]
+        descent = -float(grad @ d)
+        if descent <= 0.0:
+            break
+        curvature = float(d @ (Q @ d))
+        gamma = gamma_max if curvature <= 0.0 else min(max(descent / curvature, 0.0), gamma_max)
+        if kind == "FW":
+            weights = ref_fw_step(weights, s_id, gamma)
+        elif kind == "AWAY":
+            weights, dropped = ref_away_step(weights, v, gamma)
+            kind = "DROP" if dropped else "AWAY"
+        else:
+            weights, kind = ref_pairwise_step(weights, v, s_id, gamma)
+        x = sum(w * points[k] for k, w in weights.items())
+        out.append((kind, gamma, fw_gap, float(0.5 * x @ (Q @ x) + b @ x + c)))
+    return out

@@ -216,3 +216,76 @@ def test_run_trace_step_counts():
     ]
     trace = RunTrace(records=records)
     assert trace.step_counts() == {"FW": 2, "AWAY": 1}
+
+
+# -- property tests against the dict-based reference model --------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles as ref  # noqa: E402
+from polyfw.core import DRIFT_LIMIT, GAMMA_SNAP, WEIGHT_SUM_TOL, FullWeightAwayError  # noqa: E402
+
+POOL = [Atom(p) for p in np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])]
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["fw", "away", "pairwise"]),
+        st.integers(0, len(POOL) - 1),  # atom pick
+        st.integers(0, 10),  # active atom pick
+        st.one_of(st.just(1.0), st.floats(0.0, 0.999)),  # gamma as a share of its cap
+    ),
+    max_size=40,
+)
+
+
+def _assert_matches(it, expected):
+    assert set(it.weights) == set(expected)
+    for k, w in it.weights.items():
+        assert w == pytest.approx(expected[k], rel=1e-12, abs=1e-15)
+    assert all(w > 0.0 for w in it.weights.values())
+    assert abs(sum(it.weights.values()) - 1.0) <= WEIGHT_SUM_TOL
+    assert it.drift() <= DRIFT_LIMIT
+    it.check()
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.integers(0, len(POOL) - 1), ops=OPS)
+def test_step_primitives_match_reference_model(start, ops):
+    it = ActiveIterate.from_atom(POOL[start])
+    expected = {POOL[start].id: 1.0}
+    for op, pick, active_pick, share in ops:
+        s = POOL[pick]
+        active = list(it.weights)
+        v = active[active_pick % len(active)]
+        if op == "fw":
+            it = apply_fw_step(it, s, share)
+            expected = ref.ref_fw_step(expected, s.id, share)
+        elif op == "away":
+            alpha = it.weights[v]
+            if len(active) == 1 or alpha >= 1.0:
+                with pytest.raises(FullWeightAwayError):
+                    apply_away_step(it, v, 0.0, 1.0)
+                continue
+            gmax = alpha / (1.0 - alpha)
+            gamma = share * gmax
+            it, dropped = apply_away_step(it, v, gamma, gmax)
+            expected, ref_dropped = ref.ref_away_step(expected, v, gamma)
+            assert dropped is ref_dropped is (gmax - gamma <= GAMMA_SNAP * max(1.0, gmax))
+            assert (v in it.weights) is not dropped
+        else:
+            if s.id == v:
+                continue
+            before = it.weights
+            gamma = share * before[v]
+            it, kind = apply_pairwise_step(it, v, s, gamma)
+            expected, ref_kind = ref.ref_pairwise_step(expected, v, s.id, gamma)
+            assert kind.value == ref_kind
+            if before[v] - gamma <= GAMMA_SNAP:  # v's weight is used up
+                assert kind is (StepKind.DROP if s.id in before else StepKind.SWAP)
+                assert v not in it.weights
+            else:
+                assert kind is StepKind.PAIRWISE
+            untouched = set(before) - {v, s.id}
+            assert all(it.weights[k] == before[k] for k in untouched)  # bit for bit
+        _assert_matches(it, expected)

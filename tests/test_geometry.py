@@ -219,3 +219,27 @@ def test_vertex_addition_spot_check_logged():
         c = pwidth(points_of(Cube(d))).pwidth_estimate
         print(f"d={d}: simplex pwidth {s:.6f}, cube pwidth {c:.6f}")
         assert s > 0 and c > 0
+
+
+def test_face_span_test_skips_infeasible_lps(monkeypatch):
+    """r off a face's span cannot point along the face: no LP is run for it."""
+    import json
+
+    from polyfw import geometry
+
+    calls = []
+    original = geometry.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counting)
+    pts = points_of(Cube(3))
+    fast = json.dumps(pwidth(pts).to_json(), sort_keys=True)
+    fast_lps = len(calls)
+    calls.clear()
+    monkeypatch.setattr(geometry, "SPAN_RTOL", np.inf)  # every face goes to the LP
+    full = json.dumps(pwidth(pts).to_json(), sort_keys=True)
+    assert fast == full
+    assert fast_lps < len(calls)
