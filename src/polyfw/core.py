@@ -77,11 +77,6 @@ class Atom:
         return f"Atom({np.array2string(self.point, precision=6)})"
 
 
-def point_from_key(key: bytes) -> np.ndarray:
-    """Inverse of :func:`atom_key`."""
-    return np.frombuffer(key, dtype=np.float64).copy()
-
-
 class _AtomStore:
     """Append-only atom rows shared by an iterate and the iterates stepped from it.
 
@@ -194,9 +189,6 @@ class ActiveIterate:
     def synced(self) -> bool:
         """True when ``x`` was just re-synthesized from the expansion."""
         return self._steps_since_sync == 0
-
-    def active_ids(self) -> List[bytes]:
-        return list(self.ids)
 
     def index(self, atom_id: bytes) -> Optional[int]:
         """Position of an atom in ``ids``, or None when it is not active."""
@@ -370,9 +362,10 @@ def apply_pairwise_step(
     """Shift mass gamma from active atom ``v`` onto atom ``s``.
 
     Only the two named weights change; every other entry is preserved
-    exactly.  Classification: Drop when gamma exhausts alpha_v and s was
-    already active, Swap when it exhausts alpha_v and s was inactive,
-    Pairwise otherwise.
+    exactly.  A gamma at or below ``WEIGHT_FLOOR`` counts as zero, so no
+    atom is left with a sub-floor weight.  Classification: Drop when
+    gamma exhausts alpha_v and s was already active, Swap when it
+    exhausts alpha_v and s was inactive, Pairwise otherwise.
     """
     j = it.index(v)
     if j is None:
@@ -384,6 +377,8 @@ def apply_pairwise_step(
         raise ValueError(f"gamma {gamma} outside [0, {gamma_max}]")
     if gamma_max - gamma <= GAMMA_SNAP:
         gamma = gamma_max
+    elif gamma <= WEIGHT_FLOOR:
+        gamma = 0.0
     ids, w, rows, store = it.ids, it.w, it._rows, it._store
     if gamma > 0.0:
         i_s = it.index(s.id)

@@ -5,13 +5,14 @@ size of an exact line search all have closed forms, and the smoothness
 and strong-convexity constants are eigenvalues.  A generic objective
 only needs value/gradient; it inherits a golden-section line search.
 
-``Objective.start(it)`` opens the per-solve state the solver loop runs
-on.  The generic state re-evaluates the objective after every step.
-The quadratic state keeps ``Qx`` and the image ``Q a`` of each active
-atom (a scaled column of Q for a 1-sparse atom, one product with Q
-otherwise), so a FW, away or pairwise step costs O(d): the direction's
-image is a difference of two cached vectors, and the gradient, the
-exact line search, the ``Qx`` update and f all follow from it.
+``Objective.start(it)`` opens the per-solve state that the solver loop
+and its FCFW/MNP corrections run on.  The generic state re-evaluates
+the objective after every step.  The quadratic state keeps ``Qx`` and
+the image ``Q a`` of each active atom (a scaled column of Q for a
+1-sparse atom, one product with Q otherwise), so a FW, away or pairwise
+step costs O(d): the direction's image is a difference of two cached
+vectors, and the gradient, the exact line search, the ``Qx`` update and
+f all follow from it.  MNP's Gram matrix comes from the same images.
 """
 
 from __future__ import annotations
@@ -207,22 +208,22 @@ class QuadraticState(ObjectiveState):
 
     A step along d = head - tail updates ``Qx`` by gamma times
     ``Q head - Q tail``, where ``Q x`` is ``Qx`` itself and an atom's
-    image is computed once, when the atom is first seen.  Whenever the
-    iterate re-synthesizes x from its expansion (every ``RESYNTH_PERIOD``
-    steps and on each drop or swap), ``Qx`` is recomputed exactly, the
-    gap to the incremental value is folded into ``drift_max``, and the
-    images of atoms that left the active set are released.
+    image is computed once, when the atom is first seen, and kept while
+    it stays active, across corrections.  At each ``reset`` and whenever
+    the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps and on
+    each drop or swap), ``Qx`` is recomputed exactly and the images of
+    inactive atoms are released; a resync folds the incremental error
+    into ``drift_max``.
     """
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
         self.Q, self.b, self.c = obj.Q, obj.b, obj.c
         self.images: Dict[bytes, np.ndarray] = {}
         self._Qd: Optional[np.ndarray] = None
-        self.drift_max = 0.0
-        self.reset(it)
+        super().__init__(obj, it)
 
     def reset(self, it) -> None:
-        self.images = {}
+        self.images = {k: self.images[k] for k in it.ids if k in self.images}
         self._set(it.x, self.Q @ it.x)
 
     def _set(self, x: np.ndarray, Qx: np.ndarray) -> None:
@@ -249,15 +250,10 @@ class QuadraticState(ObjectiveState):
     def advance(self, it, gamma: float) -> None:
         Qx = self.Qx + gamma * self._Qd
         if it.synced:
-            exact = self.Q @ it.x
-            self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - exact))))
-            Qx = exact
-            self.images = {k: self.images[k] for k in it.ids if k in self.images}
-        self._set(it.x, Qx)
-
-
-def value_and_gradient(obj: Objective, x) -> Tuple[float, np.ndarray]:
-    return obj.value_and_gradient(x)
+            self.reset(it)
+            self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - self.Qx))))
+        else:
+            self._set(it.x, Qx)
 
 
 def line_search(obj: Objective, x, d, gamma_max: float) -> float:

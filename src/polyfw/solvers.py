@@ -10,19 +10,21 @@ They differ only in the move:
 * ``PFW``  pairwise steps move weight directly from the worst active
            atom onto the oracle atom (``pfw_step``);
 * ``FCFW`` each iteration re-optimizes over a pool of correction atoms
-           until the pool's internal gaps are small;
+           with AFW steps until the pool's internal gaps are small;
 * ``MNP``  each iteration runs the min-norm-point style minor cycle,
            landing on the exact minimizer over its active set's hull.
 
-The shared loop runs on the objective's per-solve state
-(``Objective.start``).  For a quadratic that state keeps ``Qx`` and the
-cached image ``Q a`` of each active atom, so a FW, away or pairwise step
-costs O(k + d) with no product by Q; ``Qx`` is recomputed exactly
-whenever the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps
-and on each drop or swap) and after each FCFW/MNP correction.  Besides
-the configuration and outcome, a trace's JSON header records
-``inner_steps`` (summed over the corrections) and ``qx_drift_max`` (the
-largest incremental ``Qx`` error corrected at a resync).
+The shared loop and both corrections run on the objective's per-solve
+state (``Objective.start``).  For a quadratic that state keeps ``Qx``
+and the cached image ``Q a`` of each active atom, so a FW, away or
+pairwise step (an FCFW inner step too) costs O(k + d) with no product
+by Q, and MNP's Gram matrix comes from the same images.  ``Qx`` is
+recomputed exactly whenever the iterate re-synthesizes x (every
+``RESYNTH_PERIOD`` steps and on each drop or swap) and after each
+FCFW/MNP correction.  Besides the configuration and outcome, a trace's
+JSON header records ``inner_steps`` (summed over the corrections) and
+``qx_drift_max`` (the largest incremental ``Qx`` error corrected at a
+resync).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from polyfw.core import (
+    WEIGHT_FLOOR,
     ActiveIterate,
     Atom,
     RunTrace,
@@ -44,12 +47,12 @@ from polyfw.core import (
     apply_fw_step,
     apply_pairwise_step,
 )
-from polyfw.objectives import Objective, ObjectiveState, QuadraticObjective
+from polyfw.objectives import Objective, ObjectiveState, QuadraticState
 from polyfw.oracles import PolytopeSpec, lmo
 
 
 class CorrectionStallError(RuntimeError):
-    """Inner correction loop hit its iteration cap before meeting its contract."""
+    """Inner correction loop could not descend, or hit its step cap, short of its contract."""
 
     def __init__(self, message: str, partial: Optional["CorrectionResult"] = None) -> None:
         super().__init__(message)
@@ -145,18 +148,19 @@ def pfw_step(
 
 
 def fcfw_correction(
-    obj: Objective,
+    state: ObjectiveState,
     it: ActiveIterate,
     correction_atoms: Dict[bytes, np.ndarray],
     s: Atom,
     eps: float,
-    step_cap: Optional[int] = None,
 ) -> CorrectionResult:
     """Approximate correction over the atom pool plus the new atom.
 
-    Runs an away-step loop restricted to the pool until the pool's FW
-    gap and away gap both fall to ``eps`` and the objective is no worse
-    than an exact line search toward ``s`` from the incoming iterate.
+    Runs AFW steps (``_line_search_step``) restricted to the pool, on the
+    solver's objective ``state`` at ``it``, until the pool's FW gap and
+    away gap both fall to ``eps`` and the objective is no worse than an
+    exact line search toward ``s`` from the incoming iterate.  A step
+    that cannot descend raises ``CorrectionStallError`` at once.
     Zero-weight atoms are retained in the returned pool up to four times
     the active-set size, evicting oldest-first.
     """
@@ -166,46 +170,38 @@ def fcfw_correction(
     pool[s.id] = s.point
     atoms = [Atom(p) for p in pool.values()]
     matrix = np.stack([a.point for a in atoms])
-    if step_cap is None:
-        step_cap = 10 * max(2, len(correction_atoms)) ** 2
+    step_cap = 10 * max(2, len(correction_atoms)) ** 2
 
     fw_dir = s.point - it.x
     if np.any(fw_dir):
-        gamma_fw = obj.line_search(it.x, fw_dir, 1.0)
-        f_target = obj.value(it.x + gamma_fw * fw_dir)
+        gamma_fw = state.line_search(it, fw_dir, 1.0, s)
+        f_target = state.obj.value(it.x + gamma_fw * fw_dir)
     else:
-        f_target = obj.value(it.x)
+        f_target = state.value
     f_slack = f_target + 1e-12 * (1.0 + abs(f_target))
 
     z = it
     inner = 0
     while True:
-        f_z, grad = obj.value_and_gradient(z.x)
+        grad = state.grad
         dots = matrix @ grad
         i_s = int(dots.argmin())
         g_fw = float(grad @ z.x) - float(dots[i_s])
-        v_id, g_away = away_atom(z, grad)
-        if g_fw <= eps and g_away <= eps and f_z <= f_slack:
+        away = away_atom(z, grad)
+        if g_fw <= eps and away[1] <= eps and state.value <= f_slack:
             break
-        if inner >= step_cap:
+        step = None if inner >= step_cap else _line_search_step(
+            Variant.AFW, z, grad, atoms[i_s], state, away
+        )
+        if step is None:
             raise CorrectionStallError(
-                f"correction did not meet eps={eps} within {step_cap} inner steps",
-                partial=CorrectionResult(z, pool, inner, g_away),
+                f"correction did not meet eps={eps} after {inner} inner steps",
+                partial=CorrectionResult(z, pool, inner, away[1]),
             )
-        s_in = atoms[i_s]
-        fw_dir_in = s_in.point - z.x
-        if g_fw >= g_away or len(z) == 1:
-            gamma = obj.line_search(z.x, fw_dir_in, 1.0) if fw_dir_in.any() else 0.0
-            z = apply_fw_step(z, s_in, gamma)
-        else:
-            alpha = float(z.w[z.index(v_id)])
-            gmax = alpha / (1.0 - alpha)
-            away_dir = z.x - z.atom_point(v_id)
-            gamma = obj.line_search(z.x, away_dir, gmax)
-            z, _ = apply_away_step(z, v_id, gamma, gmax)
+        z = step[0]
         inner += 1
 
-    f_final, grad_final = obj.value_and_gradient(z.x)
+    f_final, grad_final = state.obj.value_and_gradient(z.x)
     _, post_away = away_atom(z, grad_final)
     if f_final > f_slack:
         raise CorrectionPostconditionError("correction ended above the FW line-search value")
@@ -225,13 +221,13 @@ def fcfw_correction(
     return CorrectionResult(z, new_pool, inner, post_away)
 
 
-def _affine_minimizer(obj: QuadraticObjective, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of argmin f over the affine hull of the rows."""
+def _affine_minimizer(points: np.ndarray, images: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of argmin f over the rows' affine hull; images[i] = Q points[i]."""
     m = points.shape[0]
     if m == 1:
         return np.array([1.0])
-    H = points @ obj.Q @ points.T
-    g = points @ obj.b
+    H = points @ images.T
+    g = points @ b
     K = np.zeros((m + 1, m + 1))
     K[:m, :m] = H
     K[:m, m] = 1.0
@@ -251,16 +247,17 @@ MNP_AWAY_GAP_LIMIT = 1e-9
 _MNP_INTERIOR_TOL = 1e-12
 
 
-def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResult:
+def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:
     """Minor cycle: exact minimization over the hull of the active set + s.
 
     Repeatedly minimizes f over the affine hull of the current atoms; a
     minimizer interior to their convex hull is returned, otherwise the
     segment toward it is followed to the boundary and the vanishing
     atoms are dropped.  Quadratic objectives only (one linear solve per
-    pass).  The returned iterate has away gap 0 up to 1e-9.
+    pass, on a Gram matrix built from the ``state``'s cached atom
+    images).  The returned iterate has away gap 0 up to 1e-9.
     """
-    if not isinstance(obj, QuadraticObjective):
+    if not isinstance(state, QuadraticState):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
     ids: List[bytes] = list(it.ids)
     beta = it.w.copy()
@@ -269,6 +266,7 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
         ids.append(s.id)
         matrix = np.vstack([matrix, s.point])
         beta = np.concatenate([beta, [0.0]])
+    images = np.array([state.image(i, p) for i, p in zip(ids, matrix)])
     inner = 0
     away_gap = np.inf
 
@@ -277,7 +275,7 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
             inner += 1
             while True:
                 try:
-                    lam = _affine_minimizer(obj, matrix)
+                    lam = _affine_minimizer(matrix, images, state.b)
                     break
                 except DegenerateActiveSetError:
                     # Affine dependence from rounding: drop the most
@@ -290,7 +288,7 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
                         raise
                     ids = [ids[i] for i in keep]
                     beta = beta[keep] / total
-                    matrix = matrix[keep]
+                    matrix, images = matrix[keep], images[keep]
             if np.min(lam) > _MNP_INTERIOR_TOL:
                 beta = lam
                 break
@@ -311,10 +309,10 @@ def mnp_correction(obj: Objective, it: ActiveIterate, s: Atom) -> CorrectionResu
             ids = [ids[i] for i in keep]
             beta = beta[keep]
             beta = beta / beta.sum()
-            matrix = matrix[keep]
+            matrix, images = matrix[keep], images[keep]
         beta = beta / beta.sum()
         x_new = beta @ matrix
-        grad = obj.gradient(x_new)
+        grad = beta @ images + state.b
         away_gap = float(np.max(matrix @ grad) - grad @ x_new)
         if away_gap <= MNP_AWAY_GAP_LIMIT:
             out = ActiveIterate(ids, matrix, beta, x_new)
@@ -345,13 +343,13 @@ def _initial_iterate(
 
 
 def _line_search_step(
-    variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState
+    variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState, away
 ) -> Optional[Tuple[ActiveIterate, StepKind, float, float, float]]:
     """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max, away gap).
 
+    ``away`` is ``away_atom(it, grad)``; the step moves ``state`` along.
     None when the chosen direction does not descend (a stall).
     """
-    away = away_atom(it, grad)
     if variant is Variant.FW:
         kind, direction, gamma_max, v_id = StepKind.FW, s.point - it.x, 1.0, None
     elif variant is Variant.AFW:
@@ -370,6 +368,8 @@ def _line_search_step(
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
         it, kind = apply_pairwise_step(it, v_id, s, gamma)
+        if gamma <= WEIGHT_FLOOR:  # a no-op, or a snapped drop, which resyncs state
+            gamma = 0.0
     state.advance(it, gamma)
     return it, kind, gamma, gamma_max, away[1]
 
@@ -412,18 +412,18 @@ def solve(
             break
 
         if config.variant in (Variant.FW, Variant.AFW, Variant.PFW):
-            step = _line_search_step(config.variant, it, grad, s, state)
+            step = _line_search_step(config.variant, it, grad, s, state, away_atom(it, grad))
             if step is None:
                 exit_status = "stall"
                 break
             it, kind, gamma, gamma_max, away_record = step
         else:
             if config.variant is Variant.FCFW:
-                result = fcfw_correction(obj, it, pool, s, config.correction_epsilon)
+                result = fcfw_correction(state, it, pool, s, config.correction_epsilon)
                 kind = StepKind.CORRECTION
             else:
                 pre_size = len(it)
-                result = mnp_correction(obj, it, s)
+                result = mnp_correction(state, it, s)
                 kind = StepKind.DROP if len(result.iterate) < pre_size else StepKind.CORRECTION
             it = result.iterate
             pool = result.correction_atoms

@@ -216,7 +216,7 @@ def ref_pairwise_step(weights, v, s_id, gamma):
         del out[v]
         out[s_id] = out.get(s_id, 0.0) + alpha
         return out, kind
-    if gamma > 0.0:
+    if gamma > WEIGHT_FLOOR:  # a sub-floor gamma is an exact zero
         out[v] = alpha - gamma
         out[s_id] = out.get(s_id, 0.0) + gamma
     return out, "PAIRWISE"

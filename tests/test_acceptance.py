@@ -273,7 +273,7 @@ def test_c07_correction_postconditions():
             {atoms[i]: float(w[j]) for j, i in enumerate(picks)})
         grad = obj.gradient(it.x)
         s = lmo(spec, grad)
-        res = fcfw_correction(obj, it,
+        res = fcfw_correction(obj.start(it), it,
                               {a.id: a.point for a in (atoms[i] for i in picks)},
                               s, ceps)
         gamma = obj.line_search(it.x, s.point - it.x, 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyfw.core import (
+    WEIGHT_FLOOR,
     Atom,
     ActiveIterate,
     RunTrace,
@@ -124,6 +125,17 @@ def test_pairwise_interior():
     )
     # untouched entry is conserved exactly, not approximately
     assert out.weights[V2.id] == it.weights[V2.id]
+
+
+def test_pairwise_sub_floor_gamma_is_a_noop():
+    it = ActiveIterate.from_weights({V1: 0.5, V2: 0.5})
+    for gamma in (1.4e-45, 1e-20, WEIGHT_FLOOR):
+        out, kind = apply_pairwise_step(it, V1.id, V3, gamma)  # V3 is a new atom
+        assert kind is StepKind.PAIRWISE
+        assert all(w > WEIGHT_FLOOR for w in out.weights.values())
+        assert out.weights == it.weights  # bit for bit
+        assert np.array_equal(out.x, it.x)
+        out.check()
 
 
 def test_random_step_sequences_keep_invariants():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyfw.core import ActiveIterate, Atom, StepKind
-from polyfw.objectives import QuadraticObjective
+from polyfw.objectives import Objective, QuadraticObjective
 from polyfw.oracles import Cube, Simplex, VertexList, lmo
 from polyfw.solvers import (
     SolverConfig,
@@ -183,7 +183,7 @@ def test_fcfw_correction_segment_is_exact():
     e1 = Atom(np.array([1.0, 0.0]))
     e2 = Atom(np.array([0.0, 1.0]))
     it = ActiveIterate.from_atom(e1)
-    res = fcfw_correction(obj, it, {e1.id: e1.point}, e2, 1e-12)
+    res = fcfw_correction(obj.start(it), it, {e1.id: e1.point}, e2, 1e-12)
     assert np.linalg.norm(res.iterate.x - [0.25, 0.75]) <= 1e-10
     assert res.post_away_gap <= 1e-12
 
@@ -193,7 +193,7 @@ def test_fcfw_correction_noop_when_optimal():
     e1 = Atom(np.array([1.0, 0.0]))
     e2 = Atom(np.array([0.0, 1.0]))
     it = ActiveIterate.from_weights({e1: 0.25, e2: 0.75})
-    res = fcfw_correction(obj, it, {e1.id: e1.point, e2.id: e2.point}, e1, 1e-10)
+    res = fcfw_correction(obj.start(it), it, {e1.id: e1.point, e2.id: e2.point}, e1, 1e-10)
     assert res.inner_steps == 0
     assert np.allclose(res.iterate.x, [0.25, 0.75])
 
@@ -203,7 +203,7 @@ def test_mnp_correction_interior_projection():
     a = Atom(np.array([0.0, 0.0]))
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
-    res = mnp_correction(f, it, a)
+    res = mnp_correction(f.start(it), it, a)
     assert np.allclose(res.iterate.x, [0.3, 0.0], atol=1e-12)
 
 
@@ -212,7 +212,7 @@ def test_mnp_correction_clipped_projection_drops_atom():
     a = Atom(np.array([0.0, 0.0]))
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
-    res = mnp_correction(f, it, b)
+    res = mnp_correction(f.start(it), it, b)
     assert np.allclose(res.iterate.x, [1.0, 0.0], atol=1e-12)
     assert set(res.iterate.weights) == {b.id}
 
@@ -432,3 +432,70 @@ def test_traced_entry_points_are_module_globals(monkeypatch):
         solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=400))
     assert set(calls) == {"lmo", "away_atom", "apply_fw_step", "apply_away_step",
                           "apply_pairwise_step", "fcfw_correction", "mnp_correction"}
+
+
+@pytest.mark.parametrize("variant, per_correction", [(Variant.FCFW, 2), (Variant.MNP, 0)])
+def test_corrections_make_no_dense_product_per_inner_step(variant, per_correction, monkeypatch):
+    """FCFW calls the objective only for its target value and its postcondition; MNP never."""
+    from polyfw.bench import gen_lasso
+
+    calls = []
+    for name in ("value", "gradient", "value_and_gradient", "line_search"):
+        original = vars(QuadraticObjective)[name]
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(QuadraticObjective, name, counting)
+    obj, spec = gen_lasso(30, 60, 6, 0.1, 11, 3.0)
+    trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-8, max_iter=30))
+    assert trace.records and trace.config_echo["inner_steps"] > len(trace.records)
+    assert len(calls) <= per_correction * len(trace.records), sorted(set(calls))
+
+
+def test_generic_objective_path_matches_quadratic():
+    """Every variant but MNP runs on a plain ``Objective`` (golden-section steps).
+
+    Epsilon is 1e-6 because the generic path cannot go much lower here:
+    a line search on values alone cannot tell f apart near the optimum,
+    so at 1e-9 FW/AFW/PFW run to ``max_iter``, and at 1e-7 or below the
+    first FCFW correction needs more than its 40-step inner cap and
+    raises ``CorrectionStallError``.
+    """
+    rng = np.random.default_rng(411)
+    A = rng.standard_normal((8, 5))
+    quad = QuadraticObjective.least_squares(A, rng.standard_normal(8))
+
+    class Wrapped(Objective):
+        dimension = 5
+
+        def value(self, x):
+            return quad.value(x)
+
+        def gradient(self, x):
+            return quad.gradient(x)
+
+    for variant in (Variant.FW, Variant.AFW, Variant.PFW, Variant.FCFW):
+        cfg = SolverConfig(variant, epsilon=1e-6, max_iter=300)
+        generic = solve(Wrapped(), Simplex(5), cfg)
+        exact = solve(quad, Simplex(5), cfg)
+        generic.validate()
+        assert generic.config_echo["exit_status"] == "converged"
+        assert abs(generic.records[-1].f_value - exact.records[-1].f_value) <= 1e-6
+    with pytest.raises(TypeError):
+        solve(Wrapped(), Simplex(5), SolverConfig(Variant.MNP, epsilon=1e-6, max_iter=10))
+
+
+def test_sub_floor_pairwise_step_leaves_state_in_place():
+    """A PFW step whose exact gamma is below ``WEIGHT_FLOOR`` moves neither x nor the state."""
+    obj = QuadraticObjective.distance_to(np.array([0.5 + 1e-15, 0.5 - 1e-15]))
+    e1 = Atom(np.array([1.0, 0.0]))
+    e2 = Atom(np.array([0.0, 1.0]))
+    x0 = ActiveIterate.from_weights({e1: 0.5, e2: 0.5})
+    trace = solve(obj, Simplex(2), SolverConfig(Variant.PFW, epsilon=1e-20, max_iter=3), x0=x0)
+    assert len(trace.records) == 3
+    for rec in trace.records:
+        assert rec.kind is StepKind.PAIRWISE and rec.gamma == 0.0
+        assert rec.fw_gap == trace.records[0].fw_gap > 0.0
+    assert np.array_equal(trace.final_iterate.x, x0.x)
