@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,9 +193,12 @@ class FlowDag(PolytopeSpec):
     """Unit-flow (path) polytope of a DAG.
 
     Coordinates are indexed by arcs; atoms are indicator vectors of
-    source-to-sink paths.  The oracle is a shortest-path dynamic program
-    over a topological order, with ties broken toward the
-    lexicographically smallest arc-index sequence.
+    source-to-sink paths.  The constructor compiles the DAG into depth
+    levels (a node's depth is its longest arc count to the sink), so the
+    oracle's shortest-path dynamic program is one vectorised min per
+    level.  Ties go to the lexicographically smallest arc-index sequence.
+    A direction whose shortest path cost is not finite (it overflows)
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -238,6 +242,29 @@ class FlowDag(PolytopeSpec):
             self._in[v].append(idx)
         self._topo = self._topological_order()
         self._validate_connectivity()
+        self._compile_levels()
+
+    def _compile_levels(self) -> None:
+        """Number the nodes by depth (sink 0, source last) and list their arcs in that order.
+
+        Each level holds its node slice, its slice of ``_arc_order``, those
+        arcs' heads and each node's offset into it for ``np.minimum.reduceat``.
+        """
+        depth = {self.sink: 0}
+        for n in reversed(self._topo):
+            if n != self.sink:
+                depth[n] = 1 + max(depth[self.arcs[idx][1]] for idx in self._out[n])
+        order = sorted(self.nodes, key=lambda n: depth[n])  # stable: first appearance
+        pos = {n: i for i, n in enumerate(order)}
+        self._succ = [[(idx, pos[self.arcs[idx][1]]) for idx in self._out[n]] for n in order]
+        self._arc_order = np.array([idx for out in self._succ for idx, _ in out], dtype=np.intp)
+        heads = np.array([v for out in self._succ for _, v in out], dtype=np.intp)
+        starts = np.cumsum([0] + [len(out) for out in self._succ])
+        bounds = np.searchsorted([depth[n] for n in order], np.arange(depth[self.source] + 2))
+        self._levels = []
+        for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+            arcs = slice(starts[lo], starts[hi])
+            self._levels.append((slice(lo, hi), arcs, heads[arcs], starts[lo:hi] - starts[lo]))
 
     def _topological_order(self) -> List[str]:
         indeg = {n: len(self._in[n]) for n in self.nodes}
@@ -272,35 +299,24 @@ class FlowDag(PolytopeSpec):
 
     def lmo(self, r) -> Atom:
         r = _check_direction(r, self.dimension)
-        dist: Dict[str, float] = {self.sink: 0.0}
-        for n in reversed(self._topo):
-            if n == self.sink:
-                continue
-            best = np.inf
-            for idx in self._out[n]:
-                v = self.arcs[idx][1]
-                if v in dist:
-                    best = min(best, r[idx] + dist[v])
-            if np.isfinite(best):
-                dist[n] = best
-        # Greedy walk from the source; taking the smallest arc index that
-        # attains the optimum yields the lexicographically smallest path.
+        cost = r[self._arc_order]
+        dist = np.zeros(len(self._succ))
+        for nodes, arcs, heads, starts in self._levels:
+            np.minimum.reduceat(cost[arcs] + dist[heads], starts, out=dist[nodes])
+        r_list, d = r.tolist(), dist.tolist()
+        if not math.isfinite(d[-1]):
+            raise ValueError("shortest-path cost is not finite")
+        # Walk from the source taking the smallest arc index that attains
+        # the optimum: the lexicographically smallest path.  ``min``
+        # returns one of its operands, so some out-arc always matches.
         point = np.zeros(self.dimension)
-        node = self.source
-        while node != self.sink:
-            chosen = None
-            for idx in self._out[node]:
-                v = self.arcs[idx][1]
-                if v in dist and r[idx] + dist[v] == dist[node]:
-                    chosen = idx
+        node = len(d) - 1
+        while node:
+            for idx, head in self._succ[node]:
+                if r_list[idx] + d[head] == d[node]:
                     break
-            if chosen is None:  # guard against rounding surprises
-                chosen = min(
-                    (idx for idx in self._out[node] if self.arcs[idx][1] in dist),
-                    key=lambda idx: (r[idx] + dist[self.arcs[idx][1]], idx),
-                )
-            point[chosen] = 1.0
-            node = self.arcs[chosen][1]
+            point[idx] = 1.0
+            node = head
         return Atom(point)
 
     def enumerate_atoms(self) -> List[Atom]:
@@ -326,12 +342,10 @@ class FlowDag(PolytopeSpec):
         return atoms
 
     def atom_count(self) -> int:
-        count: Dict[str, int] = {self.sink: 1}
-        for n in reversed(self._topo):
-            if n == self.sink:
-                continue
-            count[n] = sum(count[self.arcs[idx][1]] for idx in self._out[n])
-        return count[self.source]
+        count = [1]  # paths to the sink from each node, in depth order
+        for out in self._succ[1:]:
+            count.append(sum(count[head] for _, head in out))
+        return count[-1]
 
     def to_json(self) -> Dict:
         return {
@@ -376,8 +390,6 @@ class BasePolytope(PolytopeSpec):
         return Atom(self._greedy(order))
 
     def enumerate_atoms(self) -> List[Atom]:
-        import math
-
         if self._atoms is None:
             if math.factorial(self.dimension) > ENUMERATION_CAP:
                 raise EnumerationError("too many greedy orderings to enumerate")

@@ -4,11 +4,14 @@ Everything in this module is written from the defining formulas, not
 from the library code: argmin-by-scan linear oracles, sort-based
 projections, an exhaustive face-inspection quadratic program, and a
 subset-enumeration pyramidal directional width.  Slow is fine here;
-these only run at test sizes.
+these only run at test sizes.  One exception: ``flowdag_lmo_reference``
+keeps the former dict-based FlowDag oracle, so the compiled one can be
+held to it bit for bit.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,6 +47,74 @@ def l1ball_lmo(r, radius):
     out = np.zeros_like(r)
     out[i] = -radius if r[i] > 0 else radius
     return out
+
+
+def flowdag_lmo_reference(spec, r):
+    """Shortest path by a dict-based DP over a topological order (the former library oracle).
+
+    Nodes whose best cost is not finite are left out of ``dist``; the
+    walk from the source takes the smallest arc index that attains the
+    optimum.  Returns the path's indicator vector.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    dist = {spec.sink: 0.0}
+    for n in reversed(spec._topo):
+        if n == spec.sink:
+            continue
+        best = np.inf
+        for idx in spec._out[n]:
+            v = spec.arcs[idx][1]
+            if v in dist:
+                best = min(best, r[idx] + dist[v])
+        if np.isfinite(best):
+            dist[n] = best
+    # Greedy walk from the source; taking the smallest arc index that
+    # attains the optimum yields the lexicographically smallest path.
+    point = np.zeros(spec.dimension)
+    node = spec.source
+    while node != spec.sink:
+        chosen = None
+        for idx in spec._out[node]:
+            v = spec.arcs[idx][1]
+            if v in dist and r[idx] + dist[v] == dist[node]:
+                chosen = idx
+                break
+        if chosen is None:  # guard against rounding surprises
+            chosen = min(
+                (idx for idx in spec._out[node] if spec.arcs[idx][1] in dist),
+                key=lambda idx: (r[idx] + dist[spec.arcs[idx][1]], idx),
+            )
+        point[chosen] = 1.0
+        node = spec.arcs[chosen][1]
+    return point
+
+
+def flowdag_scan_lmo(spec, r):
+    """Indicator of the path minimising (exact cost, arc-index sequence) over all paths.
+
+    Paths are enumerated from ``spec.arcs``, ``spec.source`` and
+    ``spec.sink`` alone, and costs are summed as exact rationals.  On
+    integer-valued directions the library's float sums are exact too, so
+    the two must pick the same path.
+    """
+    out = {}
+    for idx, (u, _) in enumerate(spec.arcs):
+        out.setdefault(u, []).append(idx)
+    paths = []
+
+    def extend(node, seq):
+        if node == spec.sink:
+            paths.append(tuple(seq))
+            return
+        for idx in out[node]:
+            extend(spec.arcs[idx][1], seq + [idx])
+
+    extend(spec.source, [])
+    r = [Fraction(float(v)) for v in r]
+    best = min(paths, key=lambda seq: (sum(r[i] for i in seq), seq))
+    point = np.zeros(len(spec.arcs))
+    point[list(best)] = 1.0
+    return point
 
 
 def project_to_simplex(y):

@@ -1,6 +1,7 @@
 """Linear minimization oracles against scan references and enumeration."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -236,3 +237,129 @@ def test_simplex_requires_positive_dimension():
 def test_l1ball_requires_positive_radius():
     with pytest.raises(ValueError):
         L1Ball(3, 0.0)
+
+
+def test_flowdag_lmo_rejects_overflowing_path_cost():
+    for r in ([1e308] * 4, [-1e308] * 4):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            _diamond_dag().lmo(r)
+
+
+def test_flowdag_lmo_overflow_on_some_paths_only():
+    # a->b->d sums to +inf; a->c->d costs -1 and is the true minimiser
+    with np.errstate(over="ignore"):
+        point = _diamond_dag().lmo([1e308, 1e308, -1.0, 0.0]).point
+    assert np.array_equal(point, [0.0, 0.0, 1.0, 1.0])
+
+
+def test_flowdag_lmo_minus_inf_through_inner_node_is_not_hidden():
+    # s->a->b->t sums to -inf.  Dropping the non-finite node a would
+    # return s->t (cost 5), which is not the minimiser.
+    spec = FlowDag([("s", "a"), ("a", "b"), ("b", "t"), ("s", "t")])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        spec.lmo([0.0, -1e308, -1e308, 5.0])
+
+
+def _layered_arcs(width, layers):
+    """Arc list of a source, ``layers`` full bipartite layers of ``width`` nodes, and a sink."""
+    arcs = [("s", f"n0_{j}") for j in range(width)]
+    for layer in range(layers - 1):
+        arcs += [(f"n{layer}_{i}", f"n{layer + 1}_{j}") for i in range(width) for j in range(width)]
+    arcs += [(f"n{layers - 1}_{j}", "t") for j in range(width)]
+    return arcs
+
+
+def test_flowdag_json_roundtrip_rebuilds_compiled_levels():
+    dag = FlowDag(_layered_arcs(5, 16))  # the flow_paths benchmark DAG, 385 arcs
+    back = spec_from_json(json.dumps(dag.to_json()))
+    assert back.dimension == dag.dimension == 385
+    assert np.array_equal(back._arc_order, dag._arc_order)
+    assert len(back._levels) == len(dag._levels) == 17
+    for ours, theirs in zip(back._levels, dag._levels):
+        assert ours[:2] == theirs[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(ours[2:], theirs[2:]))
+    rng = np.random.default_rng(109)
+    for _ in range(40):
+        for r in (rng.standard_normal(385), rng.integers(-2, 3, 385).astype(float)):
+            assert back.lmo(r).id == dag.lmo(r).id
+            assert np.array_equal(back.lmo(r).point, ref.flowdag_lmo_reference(dag, r))
+
+
+# -- property tests: every fixed-structure LMO against its reference ----------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Directions are drawn from a small palette of entries, so exact ties are
+# common, with signed zeros, or as continuous draws, either way scaled by
+# a power of ten from 1e-300 to 1e150; no path of the DAGs below can
+# overflow at 1e150.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_SCALE = st.sampled_from([1e-300, 1e-150, 1e-20, 1.0, 3.0, 1e20, 1e150])
+
+
+def _directions(n):
+    def build(scale, palette, continuous, seed):
+        rng = np.random.default_rng(seed)
+        if continuous:
+            return scale * rng.standard_normal(n)
+        return scale * np.array(palette)[rng.integers(len(palette), size=n)]
+
+    palettes = st.lists(_ENTRY, min_size=1, max_size=6)
+    return st.builds(build, _SCALE, palettes, st.booleans(), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _random_dags(draw, max_width=5, max_layers=8):
+    """Random layered DAG: 1-8 layers of width 1-5, random arcs, parallel and skip arcs, shuffled."""
+    widths = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=max_layers))
+    layers = [["s"]] + [[f"n{k}_{j}" for j in range(w)] for k, w in enumerate(widths)] + [["t"]]
+    arcs = []
+    for k in range(len(layers) - 1):
+        nxt = layers[k + 1]
+        fed = set()
+        for u in layers[k]:
+            mask = draw(st.integers(1, 2 ** len(nxt) - 1))  # a nonempty set of heads
+            heads = [v for j, v in enumerate(nxt) if mask >> j & 1]
+            fed.update(heads)
+            arcs += [(u, v) for v in heads]
+        arcs += [(layers[k][0], v) for v in nxt if v not in fed]
+        if draw(st.booleans()):
+            arcs.append(arcs[-1])  # a parallel arc: an exact tie on equal entries
+        if k + 2 < len(layers) and draw(st.booleans()):
+            arcs.append((layers[k][-1], layers[k + 2][0]))  # an arc that skips a layer
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(arcs))
+    return FlowDag([arcs[i] for i in order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flowdag_lmo_matches_dict_reference_bit_for_bit(data):
+    spec = data.draw(_random_dags())
+    r = data.draw(_directions(spec.dimension))
+    atom = spec.lmo(r)
+    expected = ref.flowdag_lmo_reference(spec, r)
+    assert atom.point.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flowdag_lmo_matches_path_scan_on_integer_directions(data):
+    spec = data.draw(_random_dags(max_width=3, max_layers=5))  # a few thousand paths at most
+    entries = st.lists(st.integers(-3, 3), min_size=spec.dimension, max_size=spec.dimension)
+    r = np.array(data.draw(entries), dtype=np.float64)
+    if data.draw(st.booleans()):
+        r = np.where(r == 0, -0.0, r)
+    assert spec.lmo(r).point.tobytes() == ref.flowdag_scan_lmo(spec, r).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_simplex_cube_l1ball_lmos_match_scan_references(n, data):
+    r = data.draw(_directions(n))
+    assert Simplex(n).lmo(r).point.tobytes() == ref.simplex_lmo(r).tobytes()
+    assert Cube(n).lmo(r).point.tobytes() == ref.cube_lmo(r).tobytes()
+    assert L1Ball(n, 2.5).lmo(r).point.tobytes() == ref.l1ball_lmo(r, 2.5).tobytes()
