@@ -41,7 +41,7 @@ class DegenerateDirectionError(ValueError):
 
 
 def atom_key(point: np.ndarray) -> bytes:
-    """Canonical byte encoding of coordinates.
+    """Canonical byte encoding of finite coordinates: all 8·d bytes, -0.0 folded into +0.0.
 
     Equal coordinate vectors map to the same key, so an atom
     re-discovered by a later oracle call is interned to the same id.
@@ -49,14 +49,14 @@ def atom_key(point: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(point, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("atom coordinates must be finite")
-    return (arr + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
+    return (arr + 0.0).tobytes()
 
 
 class Atom:
     """A candidate vertex of the feasible polytope.
 
-    Identity is the canonical encoding of the coordinates: two atoms
-    with equal coordinates are the same atom.
+    Identity is ``atom_key`` of the coordinates: two atoms with equal
+    coordinates are the same.  ``Atom`` copies and checks; ``_adopt`` does neither.
     """
 
     __slots__ = ("id", "point")
@@ -66,6 +66,14 @@ class Atom:
         self.id: bytes = atom_key(pt)
         pt.setflags(write=False)
         self.point: np.ndarray = pt
+
+    @classmethod
+    def _adopt(cls, point: np.ndarray) -> "Atom":
+        """Atom owning ``point``, a finite float64 array, uncopied and unchecked; same id bytes."""
+        atom = cls.__new__(cls)
+        atom.id, atom.point = (point + 0.0).tobytes(), point
+        point.setflags(write=False)
+        return atom
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Atom) and self.id == other.id

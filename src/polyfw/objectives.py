@@ -85,18 +85,22 @@ class ObjectiveState:
     """Value and gradient at a solver's current iterate.
 
     This generic state re-evaluates the objective after each step and
-    line-searches with ``Objective.line_search``.  ``drift_max`` is the
-    largest incremental-update error corrected at a resync (none here).
+    line-searches with ``Objective.line_search``.  ``resyncs`` counts exact
+    recomputations of an incremental state, ``drift_max`` their largest fix (none here).
     """
 
     def __init__(self, obj: Objective, it) -> None:
         self.obj = obj
         self.drift_max = 0.0
+        self.resyncs = 0
         self.reset(it)
 
     def reset(self, it) -> None:
-        """Re-evaluate at ``it`` from scratch."""
-        self.value, self.grad = self.obj.value_and_gradient(it.x)
+        """Re-evaluate at ``it`` from scratch; the gradient must be a vector shaped like ``it.x``."""
+        self.value, grad = self.obj.value_and_gradient(it.x)
+        self.grad = np.asarray(grad, dtype=np.float64)
+        if self.grad.shape != it.x.shape:
+            raise ValueError(f"gradient has shape {self.grad.shape}, expected {it.x.shape}")
 
     def line_search(self, it, direction: np.ndarray, gamma_max: float, head=None, tail=None) -> float:
         """Step size along ``direction`` = head - tail from ``it``, in [0, gamma_max].
@@ -251,6 +255,7 @@ class QuadraticState(ObjectiveState):
         Qx = self.Qx + gamma * self._Qd
         if it.synced:
             self.reset(it)
+            self.resyncs += 1
             self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - self.Qx))))
         else:
             self._set(it.x, Qx)

@@ -3,7 +3,7 @@
 Each feasible region is described by a ``PolytopeSpec``.  Solvers touch
 the region only through ``lmo`` (exact argmin of a linear function over
 the atom set, with deterministic tie-breaking) and, for small
-instances, ``enumerate_atoms``.
+instances, ``enumerate_atoms``.  ``lmo`` checks r and calls ``_lmo``, which solvers call directly.
 """
 
 from __future__ import annotations
@@ -26,22 +26,22 @@ class EnumerationError(ValueError):
     """Atom enumeration requested on a spec with too many atoms."""
 
 
-def _check_direction(r, dimension: int) -> np.ndarray:
-    arr = np.asarray(r, dtype=np.float64)
-    if arr.shape != (dimension,):
-        raise ValueError(f"direction has shape {arr.shape}, expected ({dimension},)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("direction entries must be finite")
-    return arr
-
-
 class PolytopeSpec:
     """Base class: a polytope given as the convex hull of its atoms."""
 
     dimension: int
 
     def lmo(self, r) -> Atom:
-        """Exact argmin of <r, x> over the atom set."""
+        """Exact argmin of <r, x> over the atom set; ``r`` must be finite and of shape (d,)."""
+        arr = np.asarray(r, dtype=np.float64)
+        if arr.shape != (self.dimension,):
+            raise ValueError(f"direction has shape {arr.shape}, expected ({self.dimension},)")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("direction entries must be finite")
+        return self._lmo(arr)
+
+    def _lmo(self, r: np.ndarray) -> Atom:
+        """``lmo`` on a direction already known to be a finite float64 array of shape (d,)."""
         raise NotImplementedError
 
     def enumerate_atoms(self) -> List[Atom]:
@@ -63,12 +63,11 @@ class Simplex(PolytopeSpec):
             raise ValueError("dimension must be positive")
         self.dimension = int(dimension)
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
-        i = int(np.argmin(r))  # argmin returns the lowest index on ties
+    def _lmo(self, r: np.ndarray) -> Atom:
+        i = r.argmin()  # the lowest index on ties
         point = np.zeros(self.dimension)
         point[i] = 1.0
-        return Atom(point)
+        return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
         return [Atom(row) for row in np.eye(self.dimension)]
@@ -86,19 +85,18 @@ class L1Ball(PolytopeSpec):
     def __init__(self, dimension: int, radius: float) -> None:
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < math.inf:  # its LMO wraps its points unchecked
+            raise ValueError("radius must be positive and finite")
         self.dimension = int(dimension)
         self.radius = float(radius)
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
-        i = int(np.argmax(np.abs(r)))
+    def _lmo(self, r: np.ndarray) -> Atom:
+        i = abs(r).argmax()
         point = np.zeros(self.dimension)
         # At r_i == 0 (only when r == 0) fall back to the first atom in
         # enumeration order, +radius * e_0.
         point[i] = self.radius if r[i] <= 0 else -self.radius
-        return Atom(point)
+        return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
         out = []
@@ -124,10 +122,9 @@ class Cube(PolytopeSpec):
             raise ValueError("dimension must be positive")
         self.dimension = int(dimension)
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
+    def _lmo(self, r: np.ndarray) -> Atom:
         # Per-coordinate rule; the tie at r_i == 0 is broken toward 0.
-        return Atom((r < 0).astype(np.float64))
+        return Atom._adopt((r < 0).astype(np.float64))
 
     def enumerate_atoms(self) -> List[Atom]:
         if self.atom_count() > ENUMERATION_CAP:
@@ -155,18 +152,16 @@ class VertexList(PolytopeSpec):
         mat = np.array(atoms, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise ValueError("atom matrix must be 2-d with at least one row")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("atom coordinates must be finite")
+        self._atoms = [Atom(row) for row in mat]  # raises on non-finite coordinates
+        mat.setflags(write=False)  # the LMO's argmin must index these atoms
         self.matrix = mat
         self.dimension = mat.shape[1]
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
-        i = int(np.argmin(self.matrix @ r))  # lowest row index wins ties
-        return Atom(self.matrix[i])
+    def _lmo(self, r: np.ndarray) -> Atom:
+        return self._atoms[(self.matrix @ r).argmin()]  # lowest row index wins ties
 
     def enumerate_atoms(self) -> List[Atom]:
-        return [Atom(row) for row in self.matrix]
+        return list(self._atoms)
 
     def atom_count(self) -> int:
         return self.matrix.shape[0]
@@ -297,8 +292,7 @@ class FlowDag(PolytopeSpec):
         if stranded:
             raise ValueError(f"nodes not on any source-sink path: {stranded}")
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
+    def _lmo(self, r: np.ndarray) -> Atom:
         cost = r[self._arc_order]
         dist = np.zeros(len(self._succ))
         for nodes, arcs, heads, starts in self._levels:
@@ -317,7 +311,7 @@ class FlowDag(PolytopeSpec):
                     break
             point[idx] = 1.0
             node = head
-        return Atom(point)
+        return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
         atoms: List[Atom] = []
@@ -384,9 +378,8 @@ class BasePolytope(PolytopeSpec):
             prev = cur
         return point
 
-    def lmo(self, r) -> Atom:
-        r = _check_direction(r, self.dimension)
-        order = np.argsort(r, kind="stable")
+    def _lmo(self, r: np.ndarray) -> Atom:
+        order = r.argsort(kind="stable")
         return Atom(self._greedy(order))
 
     def enumerate_atoms(self) -> List[Atom]:

@@ -22,9 +22,9 @@ by Q, and MNP's Gram matrix comes from the same images.  ``Qx`` is
 recomputed exactly whenever the iterate re-synthesizes x (every
 ``RESYNTH_PERIOD`` steps and on each drop or swap) and after each
 FCFW/MNP correction.  Besides the configuration and outcome, a trace's
-JSON header records ``inner_steps`` (summed over the corrections) and
-``qx_drift_max`` (the largest incremental ``Qx`` error corrected at a
-resync).
+JSON header records ``inner_steps`` (summed over the corrections),
+``lmo_calls``, ``resyncs`` and ``qx_drift_max`` (the largest incremental
+``Qx`` error corrected at a resync).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from polyfw.core import (
     apply_pairwise_step,
 )
 from polyfw.objectives import Objective, ObjectiveState, QuadraticState
-from polyfw.oracles import PolytopeSpec, lmo
+from polyfw.oracles import PolytopeSpec
 
 
 class CorrectionStallError(RuntimeError):
@@ -104,6 +104,11 @@ class CorrectionResult:
     correction_atoms: Dict[bytes, np.ndarray]
     inner_steps: int
     post_away_gap: float
+
+
+def lmo(spec: PolytopeSpec, r: np.ndarray) -> Atom:
+    """The solver's oracle call: ``spec._lmo(r)``, skipping ``spec.lmo``'s check of ``r``."""
+    return spec._lmo(r)
 
 
 def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
@@ -168,7 +173,7 @@ def fcfw_correction(
     for atom_id, point in it.atoms().items():
         pool.setdefault(atom_id, point)
     pool[s.id] = s.point
-    atoms = [Atom(p) for p in pool.values()]
+    atoms = [Atom._adopt(p) for p in pool.values()]  # pool points are atoms' points already
     matrix = np.stack([a.point for a in atoms])
     step_cap = 10 * max(2, len(correction_atoms)) ** 2
 
@@ -387,9 +392,9 @@ def solve(
     the configuration, the initial objective value, the exit status
     (``converged``, ``max_iter``, ``stall``, or an error tag), the final
     gap, the summed inner steps of the FCFW/MNP corrections
-    (``inner_steps``) and the largest incremental ``Qx`` error corrected
-    at a resync (``qx_drift_max``).  A caller-supplied ``x0`` iterate
-    that breaks an invariant raises ``ValueError``.
+    (``inner_steps``), ``lmo_calls``, ``resyncs`` and the largest ``Qx``
+    error corrected at a resync (``qx_drift_max``).  A non-finite gradient,
+    or an ``x0`` iterate that breaks an invariant, raises ``ValueError``.
     """
     start = time.perf_counter()
     it = _initial_iterate(spec, config, x0)
@@ -406,6 +411,8 @@ def solve(
         grad = state.grad
         s = lmo(spec, grad)
         g_fw = -float(grad @ (s.point - it.x))
+        if not abs(g_fw) < np.inf and not np.isfinite(grad).all():
+            raise ValueError("direction entries must be finite")
         final_gap = g_fw
         if g_fw <= config.epsilon:
             exit_status = "converged"
@@ -462,6 +469,8 @@ def solve(
         "exit_status": exit_status,
         "final_fw_gap": None if np.isnan(final_gap) else final_gap,
         "inner_steps": inner_steps,
+        "lmo_calls": int(x0 is None) + t + 1,  # _initial_iterate's, then one per iteration
+        "resyncs": state.resyncs,
         "qx_drift_max": state.drift_max,
     }
     return RunTrace(records=records, config_echo=echo, wall_time=wall, final_iterate=it)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles as ref
+from polyfw.core import Atom
 from polyfw.oracles import (
     BasePolytope,
     Cube,
@@ -17,6 +18,7 @@ from polyfw.oracles import (
     VertexList,
     cardinality_cap,
     enumerate_atoms,
+    lmo,
     spec_from_json,
     weighted_concave_cardinality,
 )
@@ -195,6 +197,48 @@ def test_lmo_rejects_nonfinite():
         Simplex(3).lmo([np.nan, 0.0, 1.0])
 
 
+def _one_spec_of_each_type():
+    return {
+        "simplex": Simplex(4),
+        "l1ball": L1Ball(4, 1.5),
+        "cube": Cube(4),
+        "vertices": VertexList(np.random.default_rng(112).standard_normal((6, 4))),
+        "flowdag": _diamond_dag(),
+        "basepoly": BasePolytope(4, cardinality_cap(2.0)),
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "shape"])
+@pytest.mark.parametrize("name", sorted(_one_spec_of_each_type()))
+def test_public_lmo_checks_its_direction(name, bad):
+    """``spec.lmo`` and ``oracles.lmo`` are the checked entries; only the solver skips the check."""
+    spec = _one_spec_of_each_type()[name]
+    r = np.zeros(spec.dimension + (bad == "shape"))
+    if bad != "shape":
+        r[1] = float(bad)
+    for call in (spec.lmo, lambda d: lmo(spec, d)):
+        with pytest.raises(ValueError, match="shape" if bad == "shape" else "finite"):
+            call(r)
+        with pytest.raises(ValueError):
+            call(r.tolist())
+
+
+def test_vertexlist_rejects_nonfinite_atoms():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            VertexList([[0.0, 1.0], [bad, 0.0]])
+
+
+def test_vertexlist_returns_its_prebuilt_atoms():
+    spec = VertexList([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -0.0, 1.0]])
+    first = spec.lmo([-1.0, 0.0, 0.0])
+    assert spec.lmo([-5.0, 1.0, 2.0]) is first
+    assert spec.enumerate_atoms()[0] is first
+    assert spec.lmo([0.0, 0.0, -1.0]).id == Atom([0.0, 0.0, 1.0]).id
+    with pytest.raises(ValueError):
+        spec.matrix[0, 0] = 2.0  # would leave the prebuilt atoms stale
+
+
 def test_lmo_scale_equivariant():
     rng = np.random.default_rng(107)
     for spec in (Simplex(6), Cube(5), L1Ball(4, 2.0), _diamond_dag()):
@@ -237,6 +281,12 @@ def test_simplex_requires_positive_dimension():
 def test_l1ball_requires_positive_radius():
     with pytest.raises(ValueError):
         L1Ball(3, 0.0)
+
+
+def test_l1ball_rejects_infinite_radius():
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            L1Ball(3, radius)
 
 
 def test_flowdag_lmo_rejects_overflowing_path_cost():
@@ -363,3 +413,33 @@ def test_simplex_cube_l1ball_lmos_match_scan_references(n, data):
     assert Simplex(n).lmo(r).point.tobytes() == ref.simplex_lmo(r).tobytes()
     assert Cube(n).lmo(r).point.tobytes() == ref.cube_lmo(r).tobytes()
     assert L1Ball(n, 2.5).lmo(r).point.tobytes() == ref.l1ball_lmo(r, 2.5).tobytes()
+
+
+@st.composite
+def _any_spec(draw):
+    """A spec of any of the six types; VertexList rows are small integers, so exact ties occur."""
+    kind = draw(st.sampled_from(["simplex", "l1ball", "cube", "vertices", "flowdag", "basepoly"]))
+    if kind == "flowdag":
+        return draw(_random_dags(max_width=3, max_layers=4))
+    n = draw(st.integers(1, 6))
+    if kind == "vertices":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return VertexList(rng.integers(-2, 3, size=(draw(st.integers(1, 8)), n)))
+    if kind == "basepoly":
+        return BasePolytope(n, cardinality_cap(draw(st.sampled_from([1.0, 2.0, 2.5]))))
+    return {"simplex": Simplex(n), "l1ball": L1Ball(n, 2.5), "cube": Cube(n)}[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unchecked_lmo_atoms_match_checked_atoms(data):
+    """The solver's path (``_lmo``) returns the public ``lmo``'s atom, canonical and read-only."""
+    spec = data.draw(_any_spec())
+    r = data.draw(_directions(spec.dimension))
+    atom = spec._lmo(r)
+    assert atom.id == Atom(atom.point).id
+    assert not atom.point.flags.writeable
+    public = spec.lmo(r)
+    assert public.id == atom.id and public.point.tobytes() == atom.point.tobytes()
+    if isinstance(spec, VertexList):
+        assert public is atom and spec._lmo(r.copy()) is atom

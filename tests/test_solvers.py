@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from polyfw.core import ActiveIterate, Atom, StepKind
-from polyfw.objectives import Objective, QuadraticObjective
+from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, StepKind
+from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, Simplex, VertexList, lmo
 from polyfw.solvers import (
     SolverConfig,
@@ -18,6 +18,7 @@ from polyfw.solvers import (
 )
 
 import oracles as ref
+from test_oracles import _one_spec_of_each_type
 
 ACTIVE_VARIANTS = (Variant.AFW, Variant.PFW, Variant.FCFW, Variant.MNP)
 
@@ -499,3 +500,125 @@ def test_sub_floor_pairwise_step_leaves_state_in_place():
         assert rec.kind is StepKind.PAIRWISE and rec.gamma == 0.0
         assert rec.fw_gap == trace.records[0].fw_gap > 0.0
     assert np.array_equal(trace.final_iterate.x, x0.x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_one_spec_of_each_type()))
+def test_nonfinite_gradient_raises_from_solve(name, bad):
+    """The solver's oracle skips the direction check; a bad gradient still raises ValueError."""
+    spec = _one_spec_of_each_type()[name]
+    rng = np.random.default_rng(413)
+    # the mean of a few atoms: an optimum no AFW run reaches in three steps
+    target = np.mean([spec.lmo(rng.standard_normal(4)).point for _ in range(6)], axis=0)
+    quad = QuadraticObjective.distance_to(target)
+
+    class TurnsNonfinite(Objective):
+        dimension = 4
+        calls = 0
+
+        def value(self, x):
+            return quad.value(x)
+
+        def gradient(self, x):
+            self.calls += 1
+            grad = quad.gradient(x)
+            if self.calls > 3:
+                grad[1] = bad
+            return grad
+
+    obj = TurnsNonfinite()
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="finite"):
+        solve(obj, spec, SolverConfig(Variant.AFW, epsilon=1e-14, max_iter=50))
+    assert obj.calls == 4
+
+
+@pytest.mark.parametrize("name", sorted(_one_spec_of_each_type()))
+def test_generic_objective_gradient_checked_where_it_enters(name):
+    """A plain ``Objective``'s gradient may be a list; a wrong shape raises ``ValueError``."""
+    spec = _one_spec_of_each_type()[name]
+    quad = QuadraticObjective.distance_to(np.array([0.1, 0.2, 0.3, 0.4]))
+
+    class Gradient(Objective):
+        dimension = 4
+
+        def __init__(self, form):
+            self.form = form
+
+        def value(self, x):
+            return quad.value(x)
+
+        def gradient(self, x):
+            return self.form(quad.gradient(x))
+
+    cfg = SolverConfig(Variant.AFW, epsilon=1e-6, max_iter=50)
+    as_list = solve(Gradient(lambda g: g.tolist()), spec, cfg)
+    assert as_list.to_csv() == solve(Gradient(lambda g: g), spec, cfg).to_csv()
+    assert as_list.config_echo["resyncs"] == 0  # the generic state recomputes every step
+    for form in (lambda g: g[:3], lambda g: g[None, :]):
+        with pytest.raises(ValueError, match="shape"):
+            solve(Gradient(form), spec, cfg)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_lmo_calls_in_header(variant, monkeypatch):
+    """``lmo_calls`` counts every oracle call of a solve, the initial one included."""
+    import polyfw.solvers as solvers
+
+    calls = []
+    original = solvers.lmo
+
+    def counting(spec, r):
+        calls.append(r)
+        return original(spec, r)
+
+    monkeypatch.setattr(solvers, "lmo", counting)
+    rng = np.random.default_rng(414)
+    A = rng.standard_normal((12, 8))
+    obj = QuadraticObjective.least_squares(A, rng.standard_normal(12))
+    for x0, max_iter in ((None, 400), (None, 3), (lmo(Simplex(8), np.ones(8)), 400)):
+        calls.clear()
+        trace = solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=max_iter), x0=x0)
+        echo = trace.config_echo
+        assert echo["lmo_calls"] == len(calls)
+        assert len(calls) == (x0 is None) + len(trace.records) + (echo["exit_status"] != "max_iter")
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AFW, Variant.PFW])
+def test_resyncs_in_header(variant, monkeypatch):
+    """``resyncs`` counts the state advances that hit a re-synthesized iterate."""
+    from polyfw.bench import gen_lasso
+
+    synced = []
+    advance = QuadraticState.advance
+
+    def counting(self, it, gamma):
+        synced.append(it.synced)
+        return advance(self, it, gamma)
+
+    monkeypatch.setattr(QuadraticState, "advance", counting)
+    obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8)
+    trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-8, max_iter=2000))
+    assert len(trace.records) > RESYNTH_PERIOD
+    assert trace.config_echo["resyncs"] == sum(synced) >= 1
+
+
+def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
+    """FCFW wraps its pool's points with ``Atom._adopt``; those atoms' ids are the pool keys."""
+    built = []
+    adopt = Atom._adopt.__func__
+
+    def recording(cls, point):
+        built.append(adopt(cls, point))
+        return built[-1]
+
+    monkeypatch.setattr(Atom, "_adopt", classmethod(recording))
+    a, b, c = (Atom(p) for p in ([1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 1.0]))
+    it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
+    pool = {c.id: c.point, **it.atoms()}
+    s = Atom([0.0, 0.0, 1.0])
+    obj = QuadraticObjective.distance_to(np.array([0.6, 0.1, 0.3]))
+    result = fcfw_correction(obj.start(it), it, pool, s, 1e-10)
+    assert [atom.id for atom in built] == list(pool)
+    assert all(atom.id == Atom(atom.point).id for atom in built)
+    assert set(result.iterate.ids) <= set(result.correction_atoms)
+    assert len(result.iterate) == 3
