@@ -23,14 +23,7 @@ import numpy as np
 from polyfw.core import ActiveIterate, RunTrace, StepKind
 from polyfw.objectives import Objective, QuadraticObjective
 from polyfw.oracles import L1Ball, PolytopeSpec, Simplex, VertexList, spec_from_json
-from polyfw.solvers import (
-    CorrectionPostconditionError,
-    CorrectionStallError,
-    DegenerateActiveSetError,
-    SolverConfig,
-    Variant,
-    solve,
-)
+from polyfw.solvers import SolverConfig, Variant, solve
 
 RATE_QUANTITIES = ("f_gap_to_opt", "fw_gap")
 CLEAN_EXITS = ("converged", "max_iter")
@@ -244,18 +237,14 @@ def reference_optimum(obj: Objective, spec: PolytopeSpec, max_iter: int = 20000)
 
     Drives the fully-corrective variant to a very small gap, falling
     back to a looser target and an away-step run if the correction
-    stalls at machine precision; returns the best value seen.
+    fails at machine precision; returns the best value seen.  A run that
+    ends with an ``error:`` status is skipped, its partial trace too.
     """
     best = math.inf
     attempts = [("FCFW", 1e-13), ("FCFW", 1e-12), ("AFW", 1e-12)]
     for variant, eps in attempts:
-        try:
-            trace = solve(
-                obj,
-                spec,
-                SolverConfig(variant=variant, epsilon=eps, max_iter=max_iter),
-            )
-        except (CorrectionStallError, CorrectionPostconditionError):
+        trace = solve(obj, spec, SolverConfig(variant=variant, epsilon=eps, max_iter=max_iter))
+        if trace.config_echo["exit_status"].startswith("error:"):
             continue
         best = min(best, float(trace.config_echo["f0"]))
         if trace.records:
@@ -288,30 +277,6 @@ def _run_record(
     }
 
 
-def _error_record(key: str, variant: str, exc: Exception) -> Dict:
-    return {
-        "key": key,
-        "variant": variant,
-        "trace_file": None,
-        "exit_status": f"error:{type(exc).__name__}",
-        "error": str(exc),
-        "iterations": None,
-        "final_fw_gap": None,
-        "final_f": None,
-        "step_counts": {},
-        "rate_fit": None,
-        "ratio": None,
-    }
-
-
-_SOLVER_ERRORS = (
-    CorrectionStallError,
-    CorrectionPostconditionError,
-    DegenerateActiveSetError,
-    FloatingPointError,
-)
-
-
 def _fit_floor(f_star: float) -> float:
     return 1e-12 * max(1.0, abs(f_star))
 
@@ -330,11 +295,7 @@ def _run_quadratic_family(
         cfg = SolverConfig(
             variant=variant, epsilon=config.epsilon, max_iter=config.max_iter
         )
-        try:
-            trace = solve(obj, spec, cfg)
-        except _SOLVER_ERRORS as exc:
-            runs.append(_error_record(key, variant, exc))
-            continue
+        trace = solve(obj, spec, cfg)
         fname = f"{config.name}_{key}.csv"
         trace.write_csv(out_dir / fname)
         fit = fit_rate(trace, "f_gap_to_opt", f_star=f_star, floor=_fit_floor(f_star))
@@ -375,13 +336,7 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
                 cfg = SolverConfig(
                     variant=variant, epsilon=config.epsilon, max_iter=config.max_iter
                 )
-                try:
-                    trace = solve(obj, spec, cfg, x0=x0)
-                except _SOLVER_ERRORS as exc:
-                    rec = _error_record(key, variant, exc)
-                    rec["theta"] = theta
-                    runs.append(rec)
-                    continue
+                trace = solve(obj, spec, cfg, x0=x0)
                 # A start whose very first step is a drop carries no rate
                 # information (the offending corner's mass is shed at once
                 # and the run collapses), so it is excluded but counted.
@@ -434,8 +389,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> Dict:
     """Run every (variant, start) of the configured experiment.
 
     Writes one trace CSV per run plus ``<name>_summary.json`` into
-    ``out_dir`` and returns the summary.  Solver errors are recorded in
-    the affected run's entry; the experiment continues.
+    ``out_dir`` and returns the summary.  A run that fails keeps its
+    trace, whose header holds the ``error:`` exit status and message,
+    and a record of the same shape as any other run's; the experiment
+    continues.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

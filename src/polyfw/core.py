@@ -512,9 +512,6 @@ class RunTrace:
     def f_values(self) -> np.ndarray:
         return np.array([r.f_value for r in self.records])
 
-    def fw_gaps(self) -> np.ndarray:
-        return np.array([r.fw_gap for r in self.records])
-
     def step_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for r in self.records:

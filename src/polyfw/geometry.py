@@ -176,6 +176,19 @@ def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
     return sorted(faces, key=lambda f: (-len(f), sorted(f)))
 
 
+def _cone_constraints(
+    face: np.ndarray, prefix_rows: np.ndarray, r: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Equalities (A_eq, b_eq) on (mu, nu): face^T mu - prefix^T nu = r, sum(mu) = sum(nu)."""
+    nb, d = face.shape
+    A_eq = np.zeros((d + 1, nb + prefix_rows.shape[0]))
+    A_eq[:d, :nb] = face.T
+    A_eq[:d, nb:] = -prefix_rows.T
+    A_eq[d, :nb] = 1.0
+    A_eq[d, nb:] = -1.0
+    return A_eq, np.concatenate([r, [0.0]])
+
+
 def _cone_prefix_lp(
     face: np.ndarray, prefix_rows: np.ndarray, r: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -186,17 +199,9 @@ def _cone_prefix_lp(
     sum(mu) linearizes the joint condition.  Returns the LP solution
     (mu, nu) or None.
     """
-    d = face.shape[1]
-    nb, na = face.shape[0], prefix_rows.shape[0]
-    A_eq = np.zeros((d + 1, nb + na))
-    A_eq[:d, :nb] = face.T
-    A_eq[:d, nb:] = -prefix_rows.T
-    A_eq[d, :nb] = 1.0
-    A_eq[d, nb:] = -1.0
-    b_eq = np.concatenate([r, [0.0]])
-    res = linprog(
-        np.zeros(nb + na), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * (nb + na), method="highs"
-    )
+    A_eq, b_eq = _cone_constraints(face, prefix_rows, r)
+    n = A_eq.shape[1]
+    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, method="highs")
     return res.x if res.status == 0 else None
 
 
@@ -209,15 +214,9 @@ def _witness_point(
     from the shorter prefix's hull, so re-evaluating pdirw at it finds
     the same prefix.
     """
-    d = face.shape[1]
     prefix_rows = face[order[:k]]
     nb, na = face.shape[0], k
-    A_eq = np.zeros((d + 1, nb + na))
-    A_eq[:d, :nb] = face.T
-    A_eq[:d, nb:] = -prefix_rows.T
-    A_eq[d, :nb] = 1.0
-    A_eq[d, nb:] = -1.0
-    b_eq = np.concatenate([r, [0.0]])
+    A_eq, b_eq = _cone_constraints(face, prefix_rows, r)
     A_ub = np.zeros((1, nb + na))
     A_ub[0, :nb] = 1.0
     cost = np.zeros(nb + na)

@@ -67,6 +67,10 @@ class DegenerateActiveSetError(RuntimeError):
     """Affine solve over the active set stayed singular after retries."""
 
 
+# A correction that breaks its contract ends the run: ``solve`` reports it as an exit status.
+CORRECTION_ERRORS = (CorrectionStallError, CorrectionPostconditionError, DegenerateActiveSetError)
+
+
 class Variant(str, Enum):
     FW = "FW"
     AFW = "AFW"
@@ -387,14 +391,19 @@ def solve(
 ) -> RunTrace:
     """Run the configured variant until the FW gap certifies epsilon-optimality.
 
-    Returns the full per-iteration trace; the final iterate rides along
-    on the ``final_iterate`` attribute.  The trace's JSON header records
-    the configuration, the initial objective value, the exit status
-    (``converged``, ``max_iter``, ``stall``, or an error tag), the final
-    gap, the summed inner steps of the FCFW/MNP corrections
+    Returns the per-iteration trace; the final iterate rides along on
+    the ``final_iterate`` attribute.  The trace's JSON header records the
+    configuration, the initial objective value, the exit status
+    (``converged``, ``max_iter``, ``stall`` or an ``error:`` tag), the
+    final gap, the summed inner steps of the FCFW/MNP corrections
     (``inner_steps``), ``lmo_calls``, ``resyncs`` and the largest ``Qx``
-    error corrected at a resync (``qx_drift_max``).  A non-finite gradient,
-    or an ``x0`` iterate that breaks an invariant, raises ``ValueError``.
+    error corrected at a resync (``qx_drift_max``).  A non-finite f ends
+    the run with ``error:nonfinite``; a correction that raises one of
+    ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
+    under ``error`` in the header, keeping the completed iterations and
+    ending at the last completed iterate and its gap.  A non-finite
+    gradient, or an ``x0`` iterate that breaks an invariant, raises
+    ``ValueError``.
     """
     start = time.perf_counter()
     it = _initial_iterate(spec, config, x0)
@@ -404,6 +413,7 @@ def solve(
     records: List[StepRecord] = []
     pool: Dict[bytes, np.ndarray] = it.atoms()
     exit_status = "max_iter"
+    error = None
     final_gap = np.nan
     inner_steps = 0
 
@@ -425,13 +435,16 @@ def solve(
                 break
             it, kind, gamma, gamma_max, away_record = step
         else:
-            if config.variant is Variant.FCFW:
-                result = fcfw_correction(state, it, pool, s, config.correction_epsilon)
-                kind = StepKind.CORRECTION
-            else:
-                pre_size = len(it)
-                result = mnp_correction(state, it, s)
-                kind = StepKind.DROP if len(result.iterate) < pre_size else StepKind.CORRECTION
+            try:
+                if config.variant is Variant.FCFW:
+                    result = fcfw_correction(state, it, pool, s, config.correction_epsilon)
+                else:
+                    result = mnp_correction(state, it, s)
+            except CORRECTION_ERRORS as exc:
+                exit_status, error = f"error:{type(exc).__name__}", str(exc)
+                break
+            dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
+            kind = StepKind.DROP if dropped else StepKind.CORRECTION
             it = result.iterate
             pool = result.correction_atoms
             inner_steps += result.inner_steps
@@ -473,4 +486,6 @@ def solve(
         "resyncs": state.resyncs,
         "qx_drift_max": state.drift_max,
     }
+    if error is not None:
+        echo["error"] = error
     return RunTrace(records=records, config_echo=echo, wall_time=wall, final_iterate=it)

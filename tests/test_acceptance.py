@@ -15,6 +15,7 @@ import pytest
 
 from polyfw import geometry
 from polyfw.bench import (
+    CLEAN_EXITS,
     ExperimentConfig,
     fit_rate,
     gen_lasso,
@@ -162,6 +163,7 @@ def test_c03_per_good_step_contraction():
 
 def test_c04_drop_step_accounting():
     rng = np.random.default_rng(940)
+    unclean = []
     for seed in range(4):
         A = rng.standard_normal((16, 9))
         y = rng.standard_normal(16)
@@ -169,8 +171,10 @@ def test_c04_drop_step_accounting():
         for spec in (Simplex(9), L1Ball(9, 2.0), Cube(9)):
             for variant in (Variant.AFW, Variant.MNP):
                 tag = f"c4_{type(spec).__name__}_{variant.value}_{seed}"
-                _note(tag, solve(obj, spec,
-                                 SolverConfig(variant, epsilon=1e-9, max_iter=400)))
+                trace = _note(tag, solve(obj, spec,
+                                         SolverConfig(variant, epsilon=1e-9, max_iter=400)))
+                if trace.config_echo["exit_status"] not in CLEAN_EXITS:
+                    unclean.append(tag)
     bad = []
     drops = 0
     for label, trace in AWAY_TRACES:
@@ -179,9 +183,9 @@ def test_c04_drop_step_accounting():
         init = trace.config_echo.get("init_active_size", 1)
         if not ref.drop_prefix_ok(kinds, initial_active_size=init):
             bad.append(label)
-    ok = not bad and len(AWAY_TRACES) >= 20
+    ok = not bad and not unclean and len(AWAY_TRACES) >= 20
     detail = (f"{len(AWAY_TRACES)} away/min-norm traces, {drops} drop steps, "
-              f"prefix bound violations: {bad or 'none'}")
+              f"prefix bound violations: {bad or 'none'}, unclean exits: {unclean or 'none'}")
     _report(4, ok, detail)
 
 
@@ -193,6 +197,7 @@ def test_c05_gap_bound_every_variant():
     obj_c, spec_c, f_star_c, lasso_traces = desk_lasso()
     worst = 0.0
     n_traces = 0
+    unclean = []
     for label, obj, spec, variants in (
         ("simplex5", obj_a, Simplex(5), list(Variant)),
         ("cube3", obj_b, Cube(3), list(Variant)),
@@ -203,11 +208,16 @@ def test_c05_gap_bound_every_variant():
                 obj, spec, SolverConfig(v, epsilon=1e-9, max_iter=2000)))
             worst = max(worst, theorem2_worst_ratio(trace, obj, spec, f_star))
             n_traces += 1
+            if trace.config_echo["exit_status"] not in CLEAN_EXITS:
+                unclean.append(f"{label}_{v.value}")
     for v, trace in lasso_traces.items():
         worst = max(worst, theorem2_worst_ratio(trace, obj_c, spec_c, f_star_c))
         n_traces += 1
-    ok = worst <= 1.0 + 1e-7
-    _report(5, ok, f"worst gap/bound ratio {worst:.6f} across {n_traces} traces")
+        if trace.config_echo["exit_status"] not in CLEAN_EXITS:
+            unclean.append(f"lasso_{v}")
+    ok = worst <= 1.0 + 1e-7 and not unclean
+    _report(5, ok, f"worst gap/bound ratio {worst:.6f} across {n_traces} traces, "
+                   f"unclean exits: {unclean or 'none'}")
 
 
 def test_c06_triangle_rate_tightness(tmp_path):
@@ -251,11 +261,13 @@ def test_c07_correction_postconditions():
     ceps = 1e-10
     worst_away = 0.0
     kinds_seen = set()
+    statuses = set()
     for d in (5, 6):
         A = rng.standard_normal((d + 4, d))
         obj = QuadraticObjective.least_squares(A, rng.standard_normal(d + 4))
         trace = solve(obj, Simplex(d), SolverConfig(
             Variant.FCFW, epsilon=1e-9, max_iter=300, correction_epsilon=ceps))
+        statuses.add(trace.config_echo["exit_status"])
         for rec in trace.records:
             worst_away = max(worst_away, rec.away_gap)
             kinds_seen.add(rec.kind)
@@ -288,13 +300,14 @@ def test_c07_correction_postconditions():
         A = r2.standard_normal((9, 5))
         obj = QuadraticObjective.least_squares(A, r2.standard_normal(9))
         trace = solve(obj, Simplex(5), SolverConfig(Variant.MNP, epsilon=1e-9, max_iter=200))
+        statuses.add(trace.config_echo["exit_status"])
         for rec in trace.records:
             mnp_worst = max(mnp_worst, rec.away_gap)
     ok = (worst_away <= ceps + 1e-12 and no_drop_swap
-          and progress_bad == 0 and mnp_worst <= 1e-9)
+          and progress_bad == 0 and mnp_worst <= 1e-9 and statuses == {"converged"})
     detail = (f"FCFW worst away gap {worst_away:.2e} (eps {ceps}), "
               f"drop/swap absent: {no_drop_swap}, progress violations {progress_bad}, "
-              f"MNP worst away gap {mnp_worst:.2e}")
+              f"MNP worst away gap {mnp_worst:.2e}, exits {sorted(statuses)}")
     _report(7, ok, detail)
 
 
@@ -374,6 +387,7 @@ def test_c10_rank_deficient_linear_decay():
 
 def test_c11_min_norm_points_match_face_inspection():
     worst = 0.0
+    statuses = set()
     for seed in range(10):
         rng = np.random.default_rng([1100, seed])
         n = 3 if seed % 2 == 0 else 4
@@ -384,7 +398,9 @@ def test_c11_min_norm_points_match_face_inspection():
         obj = QuadraticObjective.distance_to(np.zeros(d))
         trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-12, max_iter=200),
                       x0=spec.enumerate_atoms()[0])
+        statuses.add(trace.config_echo["exit_status"])
         expected, _ = ref.min_norm_point_by_faces(atoms)
         worst = max(worst, float(np.linalg.norm(trace.final_iterate.x - expected)))
-    ok = worst <= 1e-8
-    _report(11, ok, f"worst distance to face-inspection solution {worst:.2e} over 10 shapes")
+    ok = worst <= 1e-8 and statuses == {"converged"}
+    _report(11, ok, f"worst distance to face-inspection solution {worst:.2e} over 10 shapes, "
+                    f"exits {sorted(statuses)}")

@@ -21,7 +21,7 @@ from polyfw.bench import (
 from polyfw.core import RunTrace, StepKind, StepRecord
 from polyfw.objectives import QuadraticObjective
 from polyfw.oracles import Simplex
-from polyfw.solvers import SolverConfig, Variant, solve
+from polyfw.solvers import CorrectionStallError, SolverConfig, Variant, solve
 
 
 def synth_trace(h_values, variant="PFW", kinds=None):
@@ -203,6 +203,40 @@ def test_run_experiment_tallies_match_traces(tmp_path):
                 if not r["drop_start"] and not r["degenerate"]]
     assert agg["n_included"] == len(included)
     assert agg["n_drop_start"] == sum(r["drop_start"] for r in summary["runs"])
+
+
+def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
+    """A run whose correction fails gets a trace file and an ordinary run record."""
+    import polyfw.solvers as solvers
+
+    original = solvers.mnp_correction
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise CorrectionStallError("forced stall")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "mnp_correction", failing)
+    doc = {"name": "fails", "problem": {"kind": "rankdef", "d": 10, "rank": 4, "rng_seed": 3},
+           "variants": ["PFW", "MNP"], "epsilon": 1e-8, "max_iter": 300}
+    summary = run_experiment(ExperimentConfig.from_json(doc), tmp_path)
+    clean, failed = summary["runs"]
+    assert clean["exit_status"] == "converged"
+    assert failed["exit_status"] == "error:CorrectionStallError"
+    assert set(failed) == set(clean)
+    trace = RunTrace.read_csv(tmp_path / failed["trace_file"])
+    assert trace.config_echo["exit_status"] == failed["exit_status"]
+    assert trace.config_echo["error"] == "forced stall"
+    assert failed["iterations"] == len(trace.records) == 1
+    assert not all_runs_clean(summary)
+
+    calls.clear()
+    cfg_path = tmp_path / "fails.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(tmp_path / "cli")]) == 1
+    capsys.readouterr()
 
 
 def test_all_runs_clean():

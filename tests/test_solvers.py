@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, StepKind
+from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, Simplex, VertexList, lmo
 from polyfw.solvers import (
+    CorrectionPostconditionError,
+    CorrectionStallError,
+    DegenerateActiveSetError,
     SolverConfig,
     Variant,
     afw_choose_direction,
@@ -140,6 +143,7 @@ def test_certificate_gap_dominates_suboptimality():
     f_star = 0.0
     for variant in (Variant.FW,) + ACTIVE_VARIANTS:
         trace = solve(obj, Simplex(2), SolverConfig(variant, epsilon=1e-9, max_iter=300))
+        assert trace.config_echo["exit_status"] == "converged"
         hs = h_sequence(trace, obj, Simplex(2), f_star)
         for t, rec in enumerate(trace.records):
             assert rec.fw_gap >= hs[t] - 1e-9
@@ -151,6 +155,9 @@ def test_monotone_objective_every_variant():
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(12))
     for variant in (Variant.FW,) + ACTIVE_VARIANTS:
         trace = solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=400))
+        assert trace.config_echo["exit_status"] == (
+            "max_iter" if variant is Variant.FW else "converged"
+        )
         f_prev = trace.config_echo["f0"]
         for rec in trace.records:
             assert rec.f_value <= f_prev + 1e-12
@@ -175,6 +182,7 @@ def test_fcfw_away_gap_small_each_outer_iteration():
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(9))
     cfg = SolverConfig(Variant.FCFW, epsilon=1e-9, max_iter=200, correction_epsilon=1e-10)
     trace = solve(obj, Simplex(5), cfg)
+    assert trace.config_echo["exit_status"] == "converged"
     for rec in trace.records:
         assert rec.away_gap <= 1e-10 + 1e-12
 
@@ -224,6 +232,7 @@ def test_mnp_triangle_matches_face_inspection():
     obj = QuadraticObjective.distance_to(np.zeros(2))
     trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-12, max_iter=50),
                   x0=Atom(np.array([0.0, 2.0])))
+    assert trace.config_echo["exit_status"] == "converged"
     assert np.linalg.norm(trace.final_iterate.x - [0.0, 1.0]) <= 1e-10
     expect, _ = ref.min_norm_point_by_faces(tri)
     assert np.linalg.norm(trace.final_iterate.x - expect) <= 1e-8
@@ -234,6 +243,7 @@ def test_mnp_away_gap_zero_after_each_cycle():
     A = rng.standard_normal((8, 5))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(8))
     trace = solve(obj, Simplex(5), SolverConfig(Variant.MNP, epsilon=1e-9, max_iter=100))
+    assert trace.config_echo["exit_status"] == "converged"
     for rec in trace.records:
         assert rec.away_gap <= 1e-9
 
@@ -245,6 +255,7 @@ def test_afw_drop_prefix_bound():
         obj = QuadraticObjective.least_squares(A, rng.standard_normal(14))
         for variant in (Variant.AFW, Variant.MNP):
             trace = solve(obj, Simplex(9), SolverConfig(variant, epsilon=1e-9, max_iter=400))
+            assert trace.config_echo["exit_status"] == "converged"
             kinds = [r.kind.value for r in trace.records]
             init = trace.config_echo["init_active_size"]
             assert ref.drop_prefix_ok(kinds, initial_active_size=init)
@@ -354,6 +365,7 @@ def test_inner_steps_summed_into_header(variant, monkeypatch):
     A = rng.standard_normal((10, 6))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(10))
     trace = solve(obj, Simplex(6), SolverConfig(variant, epsilon=1e-9, max_iter=200))
+    assert trace.config_echo["exit_status"] == "converged"
     assert seen and trace.config_echo["inner_steps"] == sum(seen) > 0
     plain = solve(obj, Simplex(6), SolverConfig(Variant.AFW, epsilon=1e-9, max_iter=200))
     assert plain.config_echo["inner_steps"] == 0
@@ -430,7 +442,10 @@ def test_traced_entry_points_are_module_globals(monkeypatch):
     A = rng.standard_normal((12, 8))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(12))
     for variant in Variant:
-        solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=400))
+        trace = solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=400))
+        assert trace.config_echo["exit_status"] == (
+            "max_iter" if variant is Variant.FW else "converged"
+        )
     assert set(calls) == {"lmo", "away_atom", "apply_fw_step", "apply_away_step",
                           "apply_pairwise_step", "fcfw_correction", "mnp_correction"}
 
@@ -451,6 +466,7 @@ def test_corrections_make_no_dense_product_per_inner_step(variant, per_correctio
         monkeypatch.setattr(QuadraticObjective, name, counting)
     obj, spec = gen_lasso(30, 60, 6, 0.1, 11, 3.0)
     trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-8, max_iter=30))
+    assert trace.config_echo["exit_status"] == "converged"
     assert trace.records and trace.config_echo["inner_steps"] > len(trace.records)
     assert len(calls) <= per_correction * len(trace.records), sorted(set(calls))
 
@@ -461,8 +477,8 @@ def test_generic_objective_path_matches_quadratic():
     Epsilon is 1e-6 because the generic path cannot go much lower here:
     a line search on values alone cannot tell f apart near the optimum,
     so at 1e-9 FW/AFW/PFW run to ``max_iter``, and at 1e-7 or below the
-    first FCFW correction needs more than its 40-step inner cap and
-    raises ``CorrectionStallError``.
+    first FCFW correction needs more than its 40-step inner cap and the
+    run ends with ``error:CorrectionStallError``.
     """
     rng = np.random.default_rng(411)
     A = rng.standard_normal((8, 5))
@@ -579,6 +595,7 @@ def test_lmo_calls_in_header(variant, monkeypatch):
         calls.clear()
         trace = solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=max_iter), x0=x0)
         echo = trace.config_echo
+        assert echo["exit_status"] in ("converged", "max_iter")
         assert echo["lmo_calls"] == len(calls)
         assert len(calls) == (x0 is None) + len(trace.records) + (echo["exit_status"] != "max_iter")
 
@@ -622,3 +639,50 @@ def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
     assert all(atom.id == Atom(atom.point).id for atom in built)
     assert set(result.iterate.ids) <= set(result.correction_atoms)
     assert len(result.iterate) == 3
+
+
+@pytest.mark.parametrize(
+    "error", [CorrectionStallError, CorrectionPostconditionError, DegenerateActiveSetError]
+)
+@pytest.mark.parametrize("variant", [Variant.FCFW, Variant.MNP])
+def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatch):
+    """A correction that raises on its k-th call ends the run with ``error:<Type>``.
+
+    The trace keeps the k - 1 completed iterations, and the final iterate
+    is the one an unpatched run reaches in k - 1 iterations.
+    """
+    import polyfw.solvers as solvers
+
+    k = 3
+    rng = np.random.default_rng(402)
+    A = rng.standard_normal((12, 8))
+    obj = QuadraticObjective.least_squares(A, rng.standard_normal(12))
+    spec = Simplex(8)
+    shorter = solve(obj, spec, SolverConfig(variant, epsilon=1e-9, max_iter=k - 1))
+    longer = solve(obj, spec, SolverConfig(variant, epsilon=1e-9, max_iter=k))
+    assert longer.config_echo["exit_status"] == "max_iter"
+    assert "error" not in longer.config_echo
+
+    name = "fcfw_correction" if variant is Variant.FCFW else "mnp_correction"
+    original = getattr(solvers, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise error(f"forced failure on call {k}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, failing)
+    trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-9, max_iter=400))
+    echo = trace.config_echo
+    assert echo["exit_status"] == f"error:{error.__name__}"
+    assert echo["error"] == f"forced failure on call {k}"
+    assert echo["lmo_calls"] == 1 + k
+    assert len(calls) == k and len(trace.records) == k - 1
+    assert trace.records == shorter.records
+    trace.validate()
+    trace.final_iterate.check()
+    assert np.array_equal(trace.final_iterate.x, shorter.final_iterate.x)
+    assert echo["final_fw_gap"] == longer.records[k - 1].fw_gap
+    assert RunTrace.from_csv(trace.to_csv()).config_echo == echo
