@@ -12,7 +12,8 @@ the image ``Q a`` of each active atom (a scaled column of Q for a
 1-sparse atom, one product with Q otherwise), so a FW, away or pairwise
 step costs O(d): the direction's image is a difference of two cached
 vectors, and the gradient, the exact line search, the ``Qx`` update and
-f all follow from it.  MNP's Gram matrix comes from the same images.
+f all follow from it.  The FCFW/MNP corrections' Wolfe major cycle takes
+its Gram matrix and its new ``Qx`` from the same images (``move_to``).
 """
 
 from __future__ import annotations
@@ -228,9 +229,10 @@ class QuadraticState(ObjectiveState):
 
     def reset(self, it) -> None:
         self.images = {k: self.images[k] for k in it.ids if k in self.images}
-        self._set(it.x, self.Q @ it.x)
+        self.move_to(it.x, self.Q @ it.x)
 
-    def _set(self, x: np.ndarray, Qx: np.ndarray) -> None:
+    def move_to(self, x: np.ndarray, Qx: np.ndarray) -> None:
+        """Put the state at the point ``x`` whose image ``Q x`` is ``Qx``."""
         self.Qx = Qx
         self.grad = Qx + self.b
         self.value = float(0.5 * x @ Qx + self.b @ x + self.c)
@@ -258,7 +260,7 @@ class QuadraticState(ObjectiveState):
             self.resyncs += 1
             self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - self.Qx))))
         else:
-            self._set(it.x, Qx)
+            self.move_to(it.x, Qx)
 
 
 def line_search(obj: Objective, x, d, gamma_max: float) -> float:

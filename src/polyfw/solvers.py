@@ -10,15 +10,18 @@ They differ only in the move:
 * ``PFW``  pairwise steps move weight directly from the worst active
            atom onto the oracle atom (``pfw_step``);
 * ``FCFW`` each iteration re-optimizes over a pool of correction atoms
-           with AFW steps until the pool's internal gaps are small;
-* ``MNP``  each iteration runs the min-norm-point style minor cycle,
-           landing on the exact minimizer over its active set's hull.
+           until the pool's internal gaps are small: Wolfe major
+           cycles on a quadratic, AFW steps otherwise;
+* ``MNP``  each iteration runs one Wolfe major cycle (min-norm point),
+           landing on the exact minimizer over the hull of the atoms
+           its minor cycle keeps.
 
 The shared loop and both corrections run on the objective's per-solve
 state (``Objective.start``).  For a quadratic that state keeps ``Qx``
 and the cached image ``Q a`` of each active atom, so a FW, away or
-pairwise step (an FCFW inner step too) costs O(k + d) with no product
-by Q, and MNP's Gram matrix comes from the same images.  ``Qx`` is
+pairwise step costs O(k + d) with no product by Q, and the Wolfe major
+cycle (``_wolfe_step``) that both corrections share takes its Gram
+matrix and its new ``Qx`` from the same images.  ``Qx`` is
 recomputed exactly whenever the iterate re-synthesizes x (every
 ``RESYNTH_PERIOD`` steps and on each drop or swap) and after each
 FCFW/MNP correction.  Besides the configuration and outcome, a trace's
@@ -52,7 +55,7 @@ from polyfw.oracles import PolytopeSpec
 
 
 class CorrectionStallError(RuntimeError):
-    """Inner correction loop could not descend, or hit its step cap, short of its contract."""
+    """An inner correction step did not lower f short of the correction's contract."""
 
     def __init__(self, message: str, partial: Optional["CorrectionResult"] = None) -> None:
         super().__init__(message)
@@ -64,7 +67,7 @@ class CorrectionPostconditionError(RuntimeError):
 
 
 class DegenerateActiveSetError(RuntimeError):
-    """Affine solve over the active set stayed singular after retries."""
+    """The affine system of a Wolfe minor-cycle pass was singular or badly solved."""
 
 
 # A correction that breaks its contract ends the run: ``solve`` reports it as an exit status.
@@ -163,15 +166,18 @@ def fcfw_correction(
     s: Atom,
     eps: float,
 ) -> CorrectionResult:
-    """Approximate correction over the atom pool plus the new atom.
+    """Correction over the atom pool plus the new atom.
 
-    Runs AFW steps (``_line_search_step``) restricted to the pool, on the
-    solver's objective ``state`` at ``it``, until the pool's FW gap and
-    away gap both fall to ``eps`` and the objective is no worse than an
-    exact line search toward ``s`` from the incoming iterate.  A step
-    that cannot descend raises ``CorrectionStallError`` at once.
-    Zero-weight atoms are retained in the returned pool up to four times
-    the active-set size, evicting oldest-first.
+    From ``it``, on the solver's objective ``state``, repeats an inner
+    step toward the pool atom of least gradient value until the pool's
+    FW gap and away gap both fall to ``eps`` and the objective is no
+    worse than an exact line search toward ``s`` from ``it``.  On a
+    quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
+    otherwise an AFW step (``_line_search_step``); one that does not
+    lower f raises ``CorrectionStallError``.  ``inner_steps`` counts the
+    minor-cycle passes, or the AFW steps.  Zero-weight atoms are
+    retained in the returned pool up to four times the active-set size,
+    evicting oldest-first.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
     for atom_id, point in it.atoms().items():
@@ -179,7 +185,7 @@ def fcfw_correction(
     pool[s.id] = s.point
     atoms = [Atom._adopt(p) for p in pool.values()]  # pool points are atoms' points already
     matrix = np.stack([a.point for a in atoms])
-    step_cap = 10 * max(2, len(correction_atoms)) ** 2
+    wolfe = isinstance(state, QuadraticState)
 
     fw_dir = s.point - it.x
     if np.any(fw_dir):
@@ -199,16 +205,19 @@ def fcfw_correction(
         away = away_atom(z, grad)
         if g_fw <= eps and away[1] <= eps and state.value <= f_slack:
             break
-        step = None if inner >= step_cap else _line_search_step(
-            Variant.AFW, z, grad, atoms[i_s], state, away
-        )
-        if step is None:
+        f_before = state.value
+        if wolfe:
+            z_next, passes, _ = _wolfe_step(state, z, atoms[i_s])
+        else:
+            step = _line_search_step(Variant.AFW, z, grad, atoms[i_s], state, away)
+            z_next, passes = (None, 0) if step is None else (step[0], 1)
+        if z_next is None or not state.value < f_before:
             raise CorrectionStallError(
-                f"correction did not meet eps={eps} after {inner} inner steps",
+                f"correction stalled short of eps={eps} after {inner} inner steps",
                 partial=CorrectionResult(z, pool, inner, away[1]),
             )
-        z = step[0]
-        inner += 1
+        z = z_next
+        inner += passes
 
     f_final, grad_final = state.obj.value_and_gradient(z.x)
     _, post_away = away_atom(z, grad_final)
@@ -218,15 +227,9 @@ def fcfw_correction(
         raise CorrectionPostconditionError("correction ended with away gap above eps")
 
     active = set(z.ids)
-    cap = 4 * len(active)
     inactive = [atom_id for atom_id in pool if atom_id not in active]
-    room = max(cap - len(active), 0)
-    keep_inactive = set(inactive[len(inactive) - room :]) if room else set()
-    new_pool = {
-        atom_id: point
-        for atom_id, point in pool.items()
-        if atom_id in active or atom_id in keep_inactive
-    }
+    keep = active.union(inactive[-3 * len(active) :])
+    new_pool = {atom_id: point for atom_id, point in pool.items() if atom_id in keep}
     return CorrectionResult(z, new_pool, inner, post_away)
 
 
@@ -253,82 +256,69 @@ def _affine_minimizer(points: np.ndarray, images: np.ndarray, b: np.ndarray) -> 
 
 
 MNP_AWAY_GAP_LIMIT = 1e-9
-_MNP_INTERIOR_TOL = 1e-12
+_INTERIOR_TOL = 1e-12
 
 
-def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:
-    """Minor cycle: exact minimization over the hull of the active set + s.
+def _wolfe_step(
+    state: QuadraticState, it: ActiveIterate, atom: Atom
+) -> Tuple[ActiveIterate, int, float]:
+    """Wolfe's major cycle: add ``atom`` to the active set, then run the minor cycle.
 
-    Repeatedly minimizes f over the affine hull of the current atoms; a
-    minimizer interior to their convex hull is returned, otherwise the
-    segment toward it is followed to the boundary and the vanishing
-    atoms are dropped.  Quadratic objectives only (one linear solve per
-    pass, on a Gram matrix built from the ``state``'s cached atom
-    images).  The returned iterate has away gap 0 up to 1e-9.
+    Each pass minimizes f over the affine hull of the current atoms.  A
+    minimizer inside their convex hull ends the cycle; otherwise the
+    weights move toward it until some vanish, and those atoms leave, so
+    there is at most one pass per atom.  ``state`` moves to the result
+    through its cached atom images, with no product by Q.  Returns the
+    iterate, the number of passes and the iterate's away gap.
     """
-    if not isinstance(state, QuadraticState):
-        raise TypeError("the min-norm-point correction requires a quadratic objective")
     ids: List[bytes] = list(it.ids)
     beta = it.w.copy()
     matrix = it.matrix()
-    if it.index(s.id) is None:
-        ids.append(s.id)
-        matrix = np.vstack([matrix, s.point])
+    if it.index(atom.id) is None:
+        ids.append(atom.id)
+        matrix = np.vstack([matrix, atom.point])
         beta = np.concatenate([beta, [0.0]])
     images = np.array([state.image(i, p) for i, p in zip(ids, matrix)])
-    inner = 0
-    away_gap = np.inf
+    passes = 0
+    while True:
+        passes += 1
+        lam = _affine_minimizer(matrix, images, state.b)
+        if np.min(lam) > _INTERIOR_TOL:
+            break
+        negative = lam < 0
+        theta = float(np.min(beta[negative] / (beta[negative] - lam[negative]), initial=1.0))
+        beta = (1.0 - theta) * beta + theta * lam
+        beta = np.where(beta < 0, 0.0, beta)
+        keep = [i for i in range(len(ids)) if beta[i] > _INTERIOR_TOL]
+        if len(keep) == len(ids):
+            # theta reached 1 with coordinates in the zero range
+            keep = [i for i in range(len(ids)) if lam[i] > _INTERIOR_TOL]
+        ids = [ids[i] for i in keep]
+        beta = beta[keep] / beta[keep].sum()
+        matrix, images = matrix[keep], images[keep]
+    beta = lam / lam.sum()
+    x_new = beta @ matrix
+    state.move_to(x_new, beta @ images)
+    grad = state.grad
+    away_gap = float(np.max(matrix @ grad) - grad @ x_new)
+    return ActiveIterate(ids, matrix, beta, x_new), passes, away_gap
 
-    for _ in range(5):  # re-entries on a numerically failed away-gap check
-        for _ in range(len(ids) + 2):
-            inner += 1
-            while True:
-                try:
-                    lam = _affine_minimizer(matrix, images, state.b)
-                    break
-                except DegenerateActiveSetError:
-                    # Affine dependence from rounding: drop the most
-                    # recent atom (the newest is the likeliest culprit).
-                    if len(ids) == 1:
-                        raise
-                    keep = list(range(len(ids) - 1))
-                    total = beta[keep].sum()
-                    if total <= 0:
-                        raise
-                    ids = [ids[i] for i in keep]
-                    beta = beta[keep] / total
-                    matrix, images = matrix[keep], images[keep]
-            if np.min(lam) > _MNP_INTERIOR_TOL:
-                beta = lam
-                break
-            negative = lam < 0
-            if np.any(negative):
-                ratios = beta[negative] / (beta[negative] - lam[negative])
-                theta = min(1.0, float(np.min(ratios)))
-            else:
-                theta = 1.0
-            beta = (1.0 - theta) * beta + theta * lam
-            beta = np.where(beta < 0, 0.0, beta)
-            keep = [i for i in range(len(ids)) if beta[i] > _MNP_INTERIOR_TOL]
-            if len(keep) == len(ids):
-                # theta reached 1 with coordinates in the zero range
-                keep = [i for i in range(len(ids)) if lam[i] > _MNP_INTERIOR_TOL]
-            if not keep:
-                keep = [int(np.argmax(beta))]
-            ids = [ids[i] for i in keep]
-            beta = beta[keep]
-            beta = beta / beta.sum()
-            matrix, images = matrix[keep], images[keep]
-        beta = beta / beta.sum()
-        x_new = beta @ matrix
-        grad = beta @ images + state.b
-        away_gap = float(np.max(matrix @ grad) - grad @ x_new)
-        if away_gap <= MNP_AWAY_GAP_LIMIT:
-            out = ActiveIterate(ids, matrix, beta, x_new)
-            return CorrectionResult(out, out.atoms(), inner, away_gap)
-    raise CorrectionPostconditionError(
-        f"minor cycle away gap {away_gap} stayed above {MNP_AWAY_GAP_LIMIT}"
-    )
+
+def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:
+    """One Wolfe major cycle (``_wolfe_step``) from ``it`` with ``s``; quadratics only.
+
+    Lands on the minimizer of f over the affine hull of the atoms the
+    minor cycle keeps, inside their convex hull, so the away gap is 0 up
+    to 1e-9; a larger one raises ``CorrectionPostconditionError``.
+    """
+    if not isinstance(state, QuadraticState):
+        raise TypeError("the min-norm-point correction requires a quadratic objective")
+    out, passes, away_gap = _wolfe_step(state, it, s)
+    if away_gap > MNP_AWAY_GAP_LIMIT:
+        raise CorrectionPostconditionError(
+            f"minor cycle away gap {away_gap} stayed above {MNP_AWAY_GAP_LIMIT}"
+        )
+    return CorrectionResult(out, out.atoms(), passes, away_gap)
 
 
 def _initial_iterate(
@@ -395,15 +385,15 @@ def solve(
     the ``final_iterate`` attribute.  The trace's JSON header records the
     configuration, the initial objective value, the exit status
     (``converged``, ``max_iter``, ``stall`` or an ``error:`` tag), the
-    final gap, the summed inner steps of the FCFW/MNP corrections
-    (``inner_steps``), ``lmo_calls``, ``resyncs`` and the largest ``Qx``
-    error corrected at a resync (``qx_drift_max``).  A non-finite f ends
-    the run with ``error:nonfinite``; a correction that raises one of
-    ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
-    under ``error`` in the header, keeping the completed iterations and
-    ending at the last completed iterate and its gap.  A non-finite
-    gradient, or an ``x0`` iterate that breaks an invariant, raises
-    ``ValueError``.
+    final gap, the summed inner steps of the FCFW/MNP corrections, a
+    stalled one's included (``inner_steps``), ``lmo_calls``, ``resyncs``
+    and the largest ``Qx`` error corrected at a resync (``qx_drift_max``).
+    A non-finite f ends the run with ``error:nonfinite``; a correction
+    that raises one of ``CORRECTION_ERRORS`` ends it with
+    ``error:<Type>`` and the message under ``error`` in the header,
+    keeping the completed iterations and ending at the last completed
+    iterate and its gap.  A non-finite gradient, or an ``x0`` iterate
+    that breaks an invariant, raises ``ValueError``.
     """
     start = time.perf_counter()
     it = _initial_iterate(spec, config, x0)
@@ -442,6 +432,8 @@ def solve(
                     result = mnp_correction(state, it, s)
             except CORRECTION_ERRORS as exc:
                 exit_status, error = f"error:{type(exc).__name__}", str(exc)
+                partial = getattr(exc, "partial", None)
+                inner_steps += partial.inner_steps if partial is not None else 0
                 break
             dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
             kind = StepKind.DROP if dropped else StepKind.CORRECTION

@@ -8,6 +8,7 @@ from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, Simplex, VertexList, lmo
 from polyfw.solvers import (
     CorrectionPostconditionError,
+    CorrectionResult,
     CorrectionStallError,
     DegenerateActiveSetError,
     SolverConfig,
@@ -452,7 +453,15 @@ def test_traced_entry_points_are_module_globals(monkeypatch):
 
 @pytest.mark.parametrize("variant, per_correction", [(Variant.FCFW, 2), (Variant.MNP, 0)])
 def test_corrections_make_no_dense_product_per_inner_step(variant, per_correction, monkeypatch):
-    """FCFW calls the objective only for its target value and its postcondition; MNP never."""
+    """FCFW calls the objective only for its target value and its postcondition; MNP never.
+
+    Inside a correction no major cycle multiplies by Q or resets the
+    state: every product by Q (a dense one, or one inside an objective
+    call) and every ``QuadraticState.reset`` is counted while a
+    correction runs.  The lasso atoms are 1-sparse, so their images are
+    rows of Q.
+    """
+    import polyfw.solvers as solvers
     from polyfw.bench import gen_lasso
 
     calls = []
@@ -464,11 +473,44 @@ def test_corrections_make_no_dense_product_per_inner_step(variant, per_correctio
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(QuadraticObjective, name, counting)
+
+    inside, counts = [], {"products": 0, "resets": 0}
+
+    class CountingQ(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inside and any(
+                isinstance(a, CountingQ) and a.ndim == 2 for a in inputs
+            ):
+                counts["products"] += 1
+            inputs = tuple(np.asarray(a) if isinstance(a, CountingQ) else a for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    reset = QuadraticState.reset
+
+    def counting_reset(self, it):
+        counts["resets"] += bool(inside)
+        return reset(self, it)
+
+    name = "fcfw_correction" if variant is Variant.FCFW else "mnp_correction"
+    correction = getattr(solvers, name)
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return correction(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(QuadraticState, "reset", counting_reset)
+    monkeypatch.setattr(solvers, name, flagged)
     obj, spec = gen_lasso(30, 60, 6, 0.1, 11, 3.0)
+    obj.Q = obj.Q.view(CountingQ)
     trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-8, max_iter=30))
     assert trace.config_echo["exit_status"] == "converged"
     assert trace.records and trace.config_echo["inner_steps"] > len(trace.records)
     assert len(calls) <= per_correction * len(trace.records), sorted(set(calls))
+    assert counts["resets"] == 0
+    assert counts["products"] == per_correction * len(trace.records)
 
 
 def test_generic_objective_path_matches_quadratic():
@@ -477,8 +519,9 @@ def test_generic_objective_path_matches_quadratic():
     Epsilon is 1e-6 because the generic path cannot go much lower here:
     a line search on values alone cannot tell f apart near the optimum,
     so at 1e-9 FW/AFW/PFW run to ``max_iter``, and at 1e-7 or below the
-    first FCFW correction needs more than its 40-step inner cap and the
-    run ends with ``error:CorrectionStallError``.
+    golden-section search returns gamma = 0 inside the first FCFW
+    correction, whose AFW step then fails to lower f, and the run ends
+    with ``error:CorrectionStallError``.
     """
     rng = np.random.default_rng(411)
     A = rng.standard_normal((8, 5))
@@ -649,7 +692,8 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     """A correction that raises on its k-th call ends the run with ``error:<Type>``.
 
     The trace keeps the k - 1 completed iterations, and the final iterate
-    is the one an unpatched run reaches in k - 1 iterations.
+    is the one an unpatched run reaches in k - 1 iterations.  A stall's
+    ``partial.inner_steps`` counts in the header's ``inner_steps``.
     """
     import polyfw.solvers as solvers
 
@@ -670,6 +714,8 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == k:
+            if error is CorrectionStallError:
+                raise error(f"forced failure on call {k}", CorrectionResult(args[1], {}, 7, 0.0))
             raise error(f"forced failure on call {k}")
         return original(*args, **kwargs)
 
@@ -679,6 +725,8 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     assert echo["exit_status"] == f"error:{error.__name__}"
     assert echo["error"] == f"forced failure on call {k}"
     assert echo["lmo_calls"] == 1 + k
+    stalled = 7 if error is CorrectionStallError else 0
+    assert echo["inner_steps"] == shorter.config_echo["inner_steps"] + stalled
     assert len(calls) == k and len(trace.records) == k - 1
     assert trace.records == shorter.records
     trace.validate()
@@ -686,3 +734,81 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     assert np.array_equal(trace.final_iterate.x, shorter.final_iterate.x)
     assert echo["final_fw_gap"] == longer.records[k - 1].fw_gap
     assert RunTrace.from_csv(trace.to_csv()).config_echo == echo
+
+
+@pytest.mark.parametrize("case", ["lasso_desk", "rankdef"])
+def test_fcfw_converges_at_small_epsilon(case):
+    """FCFW reaches 1e-8 where a capped inner loop once stalled, and agrees with MNP."""
+    from polyfw.bench import gen_lasso, gen_rankdef
+
+    obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8) if case == "lasso_desk" else gen_rankdef(10, 4, 3)
+    traces = [solve(obj, spec, SolverConfig(v, epsilon=1e-8, max_iter=2000))
+              for v in (Variant.FCFW, Variant.MNP)]
+    for trace in traces:
+        assert trace.config_echo["exit_status"] == "converged"
+        trace.validate()
+    f_fcfw, f_mnp = (trace.records[-1].f_value for trace in traces)
+    assert abs(f_fcfw - f_mnp) <= 1e-8 + 1e-12 * abs(f_mnp)
+
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+@st.composite
+def _points_and_target(draw):
+    """2-6 distinct integer points in R^2 or R^3 and a half-integer target."""
+    d = draw(st.sampled_from([2, 3]))
+    coords = st.tuples(*[st.integers(-4, 4)] * d)
+    points = draw(st.lists(coords, min_size=2, max_size=6, unique=True))
+    target = draw(st.tuples(*[st.integers(-10, 10)] * d))
+    return np.array(points, dtype=np.float64), np.array(target, dtype=np.float64) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_points_and_target())
+def test_wolfe_corrections_project_onto_hull(problem):
+    """MNP (repeated, as ``solve`` runs it) and one FCFW call over the whole pool land on
+    the projection by face inspection, and no minor cycle passes more often than it has atoms.
+
+    With integer points and a half-integer target a nonzero FW gap is far
+    above 1e-12, so a gap of at most 1e-12 means the exact projection.
+    """
+    from unittest import mock
+
+    import polyfw.solvers as solvers
+
+    points, target = problem
+    expect, _ = ref.project_by_faces(points, target)
+    obj = QuadraticObjective.distance_to(target)
+    atoms = [Atom(p) for p in points]
+    pool = {a.id: a.point for a in atoms}
+    cycles = []
+    wolfe = solvers._wolfe_step
+
+    def recording(state, it, atom):
+        out = wolfe(state, it, atom)
+        cycles.append((out[1], len(it) + (it.index(atom.id) is None)))
+        return out
+
+    def oracle_atom(grad):
+        return min(atoms, key=lambda a: float(a.point @ grad))
+
+    with mock.patch.object(solvers, "_wolfe_step", recording):
+        it = ActiveIterate.from_atom(atoms[0])
+        state = obj.start(it)
+        for _ in range(50):
+            s = oracle_atom(state.grad)
+            if float(state.grad @ (it.x - s.point)) <= 1e-12:
+                break
+            it = mnp_correction(state, it, s).iterate
+            state.reset(it)
+        else:
+            pytest.fail("MNP did not reach a FW gap of 1e-12")
+        assert np.linalg.norm(it.x - expect) <= 1e-9
+
+        it = ActiveIterate.from_atom(atoms[0])
+        state = obj.start(it)
+        res = fcfw_correction(state, it, pool, oracle_atom(state.grad), 1e-12)
+        assert np.linalg.norm(res.iterate.x - expect) <= 1e-9
+    assert all(passes <= size for passes, size in cycles)
