@@ -42,7 +42,6 @@ from polyfw.objectives import (
     CurvatureEstimates,
     QuadraticObjective,
     exact_constants,
-    line_search,
 )
 from polyfw.oracles import (
     BasePolytope,
@@ -92,7 +91,6 @@ __all__ = [
     "gen_lasso",
     "gen_rankdef",
     "gen_triangle",
-    "line_search",
     "lmo",
     "pdirw",
     "pwidth",

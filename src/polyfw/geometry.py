@@ -77,12 +77,14 @@ def dirw(atoms, r) -> float:
     return float(np.max(dots) - np.min(dots))
 
 
-def _shortest_prefix(n: int, feasible: Callable[[int], bool]) -> int:
-    """Smallest k in [1, n] with ``feasible(k)``.
+def _shortest_prefix(n: int, feasible: Callable[[int], bool]) -> Optional[int]:
+    """Smallest k in [1, n] with ``feasible(k)``, or None when ``feasible(n)`` fails.
 
     Prefix feasibility is monotone in k, so a binary search needs only
-    log-many LPs.  The caller guarantees ``feasible(n)``.
+    log-many LPs after the one for the whole set.
     """
+    if not feasible(n):
+        return None
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -113,9 +115,9 @@ def pdirw(atoms, r, x) -> float:
         raise ValueError("direction must be nonzero")
     dots = mat @ (r / nrm)
     order = np.argsort(-dots, kind="stable")
-    if not _contains(mat, x):
-        raise ValueError("x is not in the convex hull of the atoms")
     k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
+    if k is None:
+        raise ValueError("x is not in the convex hull of the atoms")
     return float(dots[order[0]] - dots[order[k - 1]])
 
 
@@ -300,11 +302,11 @@ def _face_value(face: np.ndarray, r: np.ndarray) -> Optional[Tuple[float, np.nda
         return None
     dots = face @ r
     order = np.argsort(-dots, kind="stable")
-    if _cone_prefix_lp(face, face[order], r) is None:
-        return None
     k = _shortest_prefix(
         len(order), lambda j: _cone_prefix_lp(face, face[order[:j]], r) is not None
     )
+    if k is None:
+        return None
     return float(dots[order[0]] - dots[order[k - 1]]), order, k
 
 
@@ -443,10 +445,8 @@ def _away_value(mat: np.ndarray, grad: np.ndarray, x: np.ndarray) -> Optional[fl
     """
     dots = mat @ grad
     order = np.argsort(dots, kind="stable")
-    if not _contains(mat, x):
-        return None
     k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
-    return float(dots[order[k - 1]])
+    return None if k is None else float(dots[order[k - 1]])
 
 
 def estimate_affine_constants(

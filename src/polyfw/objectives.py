@@ -3,7 +3,8 @@
 The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
 and strong-convexity constants are eigenvalues.  A generic objective
-only needs value/gradient; it inherits a golden-section line search.
+only needs value/gradient; its line search bisects on the sign of the
+slope, so it resolves steps whose decrease is below the rounding of f.
 
 ``Objective.start(it)`` opens the per-solve state that the solver loop
 and its FCFW/MNP corrections run on.  The generic state re-evaluates
@@ -28,8 +29,6 @@ from polyfw import oracles
 
 LOGGER = logging.getLogger(__name__)
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 class Objective:
     """Interface: differentiable convex function on R^d."""
@@ -50,34 +49,39 @@ class Objective:
         return ObjectiveState(self, it)
 
     def line_search(self, x, d, gamma_max: float) -> float:
-        """Golden-section search for argmin of f(x + gamma d) on [0, gamma_max]."""
+        """argmin of f(x + gamma d) on [0, gamma_max], by bisection on the sign of the slope.
+
+        The slope <grad f(x + gamma d), d> of a convex f does not decrease.  If it is not
+        positive at gamma_max, that is the step; else the bracket is halved to one ulp of
+        gamma_max and its lower end, where the slope is still negative, is returned: the
+        step never raises f, which is never evaluated.  A non-finite slope raises ValueError.
+        """
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         _check_search_args(self, x, d, gamma_max)
+        def slope(gamma: float) -> float:
+            s = float(np.dot(self.gradient(x + gamma * d), d))
+            if not np.isfinite(s):
+                raise ValueError(f"slope at gamma={gamma} is not finite")
+            return s
         lo, hi = 0.0, float(gamma_max)
-        width_target = 1e-12 * gamma_max
-        a = hi - GOLDEN * (hi - lo)
-        b = lo + GOLDEN * (hi - lo)
-        fa, fb = self.value(x + a * d), self.value(x + b * d)
-        while hi - lo > width_target:
-            if fa <= fb:
-                hi, b, fb = b, a, fa
-                a = hi - GOLDEN * (hi - lo)
-                fa = self.value(x + a * d)
+        if slope(hi) <= 0.0:
+            return hi
+        ulp = np.spacing(hi)  # eps * gamma_max would round to 0 for a subnormal gamma_max
+        while hi - lo > ulp:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) < 0.0:
+                lo = mid
             else:
-                lo, a, fa = a, b, fb
-                b = lo + GOLDEN * (hi - lo)
-                fb = self.value(x + b * d)
-        candidates = [0.0, 0.5 * (lo + hi), gamma_max]
-        values = [self.value(x + g * d) for g in candidates]
-        return candidates[int(np.argmin(values))]
+                hi = mid
+        return lo
 
 
 def _check_search_args(obj: Objective, x: np.ndarray, d: np.ndarray, gamma_max: float) -> None:
     if x.shape != (obj.dimension,) or d.shape != (obj.dimension,):
         raise ValueError("x and d must match the objective dimension")
-    if not gamma_max > 0:
-        raise ValueError("gamma_max must be positive")
+    if not 0.0 < gamma_max < np.inf:
+        raise ValueError("gamma_max must be positive and finite")
     if not d.any():
         raise ValueError("search direction is zero")
 
@@ -86,8 +90,8 @@ class ObjectiveState:
     """Value and gradient at a solver's current iterate.
 
     This generic state re-evaluates the objective after each step and
-    line-searches with ``Objective.line_search``.  ``resyncs`` counts exact
-    recomputations of an incremental state, ``drift_max`` their largest fix (none here).
+    bisects on the slope's sign (``Objective.line_search``).  ``resyncs`` counts
+    exact recomputations of an incremental state, ``drift_max`` their largest fix (none here).
     """
 
     def __init__(self, obj: Objective, it) -> None:
@@ -261,10 +265,6 @@ class QuadraticState(ObjectiveState):
             self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - self.Qx))))
         else:
             self.move_to(it.x, Qx)
-
-
-def line_search(obj: Objective, x, d, gamma_max: float) -> float:
-    return obj.line_search(x, d, gamma_max)
 
 
 @dataclass

@@ -84,26 +84,56 @@ def test_line_search_local_optimality_probe():
             assert fg <= f.value(x + probe * d) + 1e-10
 
 
-def test_golden_section_matches_exact_on_quadratics():
+def test_slope_bisection_matches_exact_on_quadratics():
+    """The generic search uses gradients only and lands within rounding of the exact step."""
     rng = np.random.default_rng(303)
     quad = _random_quadratic(rng, 4)
 
     class Wrapped(Objective):
         dimension = 4
+        calls = {"value": 0, "gradient": 0}
+        poison = False
 
         def value(self, x):
+            self.calls["value"] += 1
             return quad.value(x)
 
         def gradient(self, x):
-            return quad.gradient(x)
+            self.calls["gradient"] += 1
+            grad = quad.gradient(x)
+            if self.poison:
+                grad[2] = np.nan
+            return grad
 
     wrapped = Wrapped()
     for _ in range(20):
         x = rng.standard_normal(4)
         d = rng.standard_normal(4)
         exact = quad.line_search(x, d, 1.0)
-        golden = wrapped.line_search(x, d, 1.0)
-        assert abs(golden - exact) < 1e-6
+        assert abs(wrapped.line_search(x, d, 1.0) - exact) <= 1e-14
+    assert wrapped.calls["value"] == 0 and wrapped.calls["gradient"] > 0
+    # the stopping width is one ulp of gamma_max, so a subnormal bound ends too
+    assert 0.0 <= wrapped.line_search(x, d, 5e-324) <= 5e-324
+    wrapped.poison = True
+    with pytest.raises(ValueError, match="finite"):
+        wrapped.line_search(x, d, 1.0)
+
+
+def test_line_search_rejects_infinite_gamma_max():
+    """An unbounded step is refused by both the exact and the generic search.
+
+    The function is linear along d, so the exact rule would return gamma_max.
+    """
+    f = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+    class Generic(Objective):
+        dimension = 2
+        value, gradient = f.value, f.gradient
+
+    for obj in (f, Generic()):
+        for bad in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="gamma_max"):
+                obj.line_search(np.zeros(2), np.array([-1.0, 0.0]), bad)
 
 
 def test_descent_lemma_and_strong_convexity():
