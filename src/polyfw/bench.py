@@ -198,12 +198,12 @@ def fit_rate(
     if quantity == "f_gap_to_opt":
         if f_star is None:
             raise ValueError("f_gap_to_opt requires f_star")
-        records = trace.records
+        f_values, kinds = trace.columns["f_value"], trace.columns["kind"]
         if trace.config_echo.get("variant") in ("AFW", "MNP"):
-            records = [r for r in records if r.kind is not StepKind.DROP]
-        raw = [r.f_value - f_star for r in records]
+            f_values = [f for f, kind in zip(f_values, kinds) if kind is not StepKind.DROP]
+        raw = [f - f_star for f in f_values]
     else:
-        raw = [r.fw_gap for r in trace.records]
+        raw = trace.columns["fw_gap"]
     logs: List[float] = []
     for v in raw:
         if not v > max(floor, 0.0):
@@ -246,9 +246,7 @@ def reference_optimum(obj: Objective, spec: PolytopeSpec, max_iter: int = 20000)
         trace = solve(obj, spec, SolverConfig(variant=variant, epsilon=eps, max_iter=max_iter))
         if trace.config_echo["exit_status"].startswith("error:"):
             continue
-        best = min(best, float(trace.config_echo["f0"]))
-        if trace.records:
-            best = min(best, float(trace.f_values().min()))
+        best = min(best, float(trace.config_echo["f0"]), *map(float, trace.columns["f_value"]))
         if trace.config_echo["exit_status"] == "converged":
             break
     if not math.isfinite(best):
@@ -259,7 +257,8 @@ def reference_optimum(obj: Objective, spec: PolytopeSpec, max_iter: int = 20000)
 def _run_record(
     key: str, variant: str, trace: RunTrace, trace_file: str, fit: Optional[RateFit]
 ) -> Dict:
-    last_f = trace.records[-1].f_value if trace.records else trace.config_echo.get("f0")
+    f_values = trace.columns["f_value"]
+    last_f = f_values[-1] if f_values else trace.config_echo.get("f0")
     ratio = None
     if fit is not None and fit.theoretical_rho:
         ratio = fit.rho_hat / fit.theoretical_rho
@@ -268,7 +267,7 @@ def _run_record(
         "variant": variant,
         "trace_file": trace_file,
         "exit_status": trace.config_echo["exit_status"],
-        "iterations": len(trace.records),
+        "iterations": len(f_values),
         "final_fw_gap": trace.config_echo["final_fw_gap"],
         "final_f": last_f,
         "step_counts": trace.step_counts(),
@@ -340,7 +339,7 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
                 # A start whose very first step is a drop carries no rate
                 # information (the offending corner's mass is shed at once
                 # and the run collapses), so it is excluded but counted.
-                drop_start = bool(trace.records) and trace.records[0].kind is StepKind.DROP
+                drop_start = trace.columns["kind"][:1] == [StepKind.DROP]
                 fname = f"{config.name}_{key}.csv"
                 trace.write_csv(out_dir / fname)
                 fit = None

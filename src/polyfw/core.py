@@ -18,9 +18,10 @@ state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -155,13 +156,6 @@ class ActiveIterate:
         self.x = self.synthesize() if x is None else np.asarray(x, dtype=np.float64)
 
     @classmethod
-    def _stepped(cls, ids, w, x, store, rows, steps: int) -> "ActiveIterate":
-        out = cls.__new__(cls)
-        out.ids, out.w, out.x = ids, w, x
-        out._store, out._rows, out._steps_since_sync, out._last = store, rows, steps, (None, None)
-        return out
-
-    @classmethod
     def from_atom(cls, atom: Atom) -> "ActiveIterate":
         return cls((atom.id,), atom.point[None, :], [1.0], atom.point.copy())
 
@@ -205,8 +199,8 @@ class ActiveIterate:
         row = self._store.row_of.get(atom_id)
         if row is None:
             return None
-        hit = (self._rows == row).nonzero()[0]
-        self._last = (atom_id, int(hit[0]) if hit.size else None)
+        rows = self._rows.tolist()
+        self._last = (atom_id, rows.index(row) if row in rows else None)
         return self._last[1]
 
     def atom_point(self, atom_id: bytes) -> np.ndarray:
@@ -270,14 +264,8 @@ class ActiveIterate:
 
 
 def _advance(
-    it: ActiveIterate,
-    ids: Tuple[bytes, ...],
-    w: np.ndarray,
-    rows: np.ndarray,
-    store: _AtomStore,
-    x_new: np.ndarray,
-    force_sync: bool = False,
-    clean: bool = True,
+    it: ActiveIterate, ids: Tuple[bytes, ...], w: np.ndarray, rows: np.ndarray, store: _AtomStore,
+    x_new: np.ndarray, force_sync: bool = False, clean: bool = True,
 ) -> ActiveIterate:
     """Package an updated state, re-synthesizing x on the usual cadence.
 
@@ -286,16 +274,17 @@ def _advance(
     the deficit proportionally.
     """
     if clean:
-        if np.minimum.reduce(w) <= WEIGHT_FLOOR:
+        if min(w.tolist()) <= WEIGHT_FLOOR:
             kept = (w > WEIGHT_FLOOR).nonzero()[0]
             if not kept.size:
                 raise AssertionError("all weights collapsed below the floor")
             ids = tuple(ids[i] for i in kept)
             w, rows = w[kept], rows[kept]
         w = w / np.add.reduce(w)
-    steps = it._steps_since_sync + 1
-    out = ActiveIterate._stepped(ids, w, x_new, store, rows, steps)
-    if force_sync or steps >= RESYNTH_PERIOD:
+    out = ActiveIterate.__new__(ActiveIterate)
+    out.ids, out.w, out.x, out._store, out._rows = ids, w, x_new, store, rows
+    out._steps_since_sync, out._last = it._steps_since_sync + 1, (None, None)
+    if force_sync or out._steps_since_sync >= RESYNTH_PERIOD:
         out.x = out.synthesize()
         out._steps_since_sync = 0
     return out
@@ -306,11 +295,14 @@ def _without(ids: Tuple[bytes, ...], w: np.ndarray, rows: np.ndarray, j: int):
     return ids[:j] + ids[j + 1 :], w[keep], rows[keep]
 
 
-def apply_fw_step(it: ActiveIterate, s: Atom, gamma: float) -> ActiveIterate:
+def apply_fw_step(
+    it: ActiveIterate, s: Atom, gamma: float, fw_dir: Optional[np.ndarray] = None
+) -> ActiveIterate:
     """Move toward atom ``s``: x <- x + gamma (s - x).
 
     All weights scale by (1 - gamma) and ``s`` picks up gamma.  At
-    gamma = 1 the active set collapses to {s} exactly.
+    gamma = 1 the active set collapses to {s} exactly.  ``fw_dir`` is
+    s - x when the caller has it already.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma {gamma} outside [0, 1]")
@@ -324,8 +316,9 @@ def apply_fw_step(it: ActiveIterate, s: Atom, gamma: float) -> ActiveIterate:
     else:
         ids, rows, store = it.ids, it._rows, it._store
         w[j] += gamma
-    x_new = it.x + gamma * (s.point - it.x)
-    return _advance(it, ids, w, rows, store, x_new)
+    if fw_dir is None:
+        fw_dir = s.point - it.x
+    return _advance(it, ids, w, rows, store, it.x + gamma * fw_dir)
 
 
 def apply_away_step(
@@ -416,7 +409,7 @@ class StepKind(str, Enum):
 
 @dataclass
 class StepRecord:
-    """One solver iteration.
+    """One solver iteration: a row of a ``RunTrace``.
 
     Gaps are measured at the pre-step iterate; ``f_value`` and
     ``active_size`` describe the post-step iterate, so a Drop record
@@ -434,58 +427,68 @@ class StepRecord:
     f_value: float
     active_size: int
 
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.iteration),
-                self.kind.value,
-                repr(float(self.gamma)),
-                repr(float(self.gamma_max)),
-                repr(float(self.fw_gap)),
-                repr(float(self.away_gap)),
-                repr(float(self.f_value)),
-                str(self.active_size),
-            ]
-        )
-
     @classmethod
     def from_csv_row(cls, row: str) -> "StepRecord":
         parts = row.strip().split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed step record: {row!r}")
-        return cls(
-            iteration=int(parts[0]),
-            kind=StepKind(parts[1]),
-            gamma=float(parts[2]),
-            gamma_max=float(parts[3]),
-            fw_gap=float(parts[4]),
-            away_gap=float(parts[5]),
-            f_value=float(parts[6]),
-            active_size=int(parts[7]),
-        )
+        return cls(int(parts[0]), StepKind(parts[1]), *map(float, parts[2:7]), int(parts[7]))
 
 
+FIELDS = tuple(f.name for f in fields(StepRecord))
 CSV_COLUMNS = "iter,kind,gamma,gamma_max,fw_gap,away_gap,f_value,active_size"
 
 
-@dataclass
+@dataclass(eq=False)
+class _Records(Sequence):
+    """A trace's rows as ``StepRecord``s, each built when it is read."""
+
+    columns: Dict[str, list]
+
+    def __len__(self) -> int:
+        return len(self.columns["iteration"])
+
+    def __getitem__(self, i):
+        cells = [col[i] for col in self.columns.values()]
+        return list(map(StepRecord, *cells)) if isinstance(i, slice) else StepRecord(*cells)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 class RunTrace:
     """Everything one solver run produced.
 
-    ``config_echo`` carries the solver configuration plus run outcome
-    (initial objective value, exit status, final gap); ``wall_time`` is
-    kept out of the CSV so identical configurations serialize to
-    byte-identical files.
+    ``columns`` holds one list per ``StepRecord`` field, which ``append``
+    extends by a row; ``records`` builds each ``StepRecord`` only when it
+    is read.  ``config_echo`` carries the solver configuration plus run
+    outcome (initial objective value, exit status, final gap);
+    ``wall_time`` is kept out of the CSV so identical configurations
+    serialize to byte-identical files.
     """
 
-    records: List[StepRecord] = field(default_factory=list)
-    config_echo: Dict = field(default_factory=dict)
-    wall_time: float = 0.0
-    final_iterate: Optional[ActiveIterate] = None
+    def __init__(self, records: Iterable[StepRecord] = (), config_echo: Optional[Dict] = None,
+                 wall_time: float = 0.0, final_iterate: Optional[ActiveIterate] = None) -> None:
+        self.columns: Dict[str, list] = {name: [] for name in FIELDS}
+        self.records: Sequence[StepRecord] = _Records(self.columns)
+        self.config_echo = {} if config_echo is None else config_echo
+        self.wall_time, self.final_iterate = wall_time, final_iterate
+        for rec in records:
+            self.append(*vars(rec).values())
+
+    def append(self, *row) -> None:
+        """Add one iteration's row, its fields in ``StepRecord`` order."""
+        for col, value in zip(self.columns.values(), row):
+            col.append(value)
 
     def to_csv(self) -> str:
+        """JSON header, column names, then one row per iteration, floats as ``repr``."""
+        iteration, kind, *floats, size = self.columns.values()
+        # A StepKind is a str whose text is its value, so join writes it as is.
+        floats = (map(repr, map(float, col)) for col in floats)
+        cells = [map(str, iteration), kind, *floats, map(str, size)]
         lines = ["# " + json.dumps(self.config_echo, sort_keys=True), CSV_COLUMNS]
-        lines.extend(r.to_csv_row() for r in self.records)
+        lines.extend(map(",".join, zip(*cells)))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -497,12 +500,10 @@ class RunTrace:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
             raise ValueError("trace is missing its JSON header line")
-        config_echo = json.loads(lines[0][1:].strip())
         body = lines[1:]
         if body and body[0].replace(" ", "") == CSV_COLUMNS:
             body = body[1:]
-        records = [StepRecord.from_csv_row(ln) for ln in body]
-        return cls(records=records, config_echo=config_echo)
+        return cls(map(StepRecord.from_csv_row, body), json.loads(lines[0][1:].strip()))
 
     @classmethod
     def read_csv(cls, path) -> "RunTrace":
@@ -510,29 +511,25 @@ class RunTrace:
             return cls.from_csv(fh.read())
 
     def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
+        return np.array(self.columns["f_value"], dtype=np.float64)
 
     def step_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            counts[r.kind.value] = counts.get(r.kind.value, 0) + 1
-        return counts
+        return {k.value: n for k in StepKind if (n := self.columns["kind"].count(k))}
 
     def validate(self, initial_active_size: int = 1) -> None:
         """Check the trace-level bookkeeping invariants."""
-        prev_f = None
-        prev_size = initial_active_size
-        drops = 0
-        for t, rec in enumerate(self.records, start=1):
-            if prev_f is not None and rec.f_value > prev_f + 1e-12 * max(1.0, abs(prev_f)):
-                raise AssertionError(f"objective increased at iteration {rec.iteration}")
-            if rec.kind is StepKind.DROP:
+        c = self.columns
+        prev_f, prev_size, drops = None, initial_active_size, 0
+        rows = zip(c["iteration"], c["kind"], c["f_value"], c["active_size"])
+        for t, (iteration, kind, f_value, size) in enumerate(rows, start=1):
+            if prev_f is not None and f_value > prev_f + 1e-12 * max(1.0, abs(prev_f)):
+                raise AssertionError(f"objective increased at iteration {iteration}")
+            if kind is StepKind.DROP:
                 drops += 1
-                if rec.active_size >= prev_size:
+                if size >= prev_size:
                     raise AssertionError("drop step did not shrink the active set")
-            if rec.kind is StepKind.SWAP and rec.active_size != prev_size:
+            if kind is StepKind.SWAP and size != prev_size:
                 raise AssertionError("swap step changed the active-set size")
             if drops > t / 2.0 + initial_active_size / 2.0:
                 raise AssertionError(f"too many drop steps in prefix of length {t}")
-            prev_f = rec.f_value
-            prev_size = rec.active_size
+            prev_f, prev_size = f_value, size

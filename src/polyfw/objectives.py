@@ -13,8 +13,10 @@ the image ``Q a`` of each active atom (a scaled column of Q for a
 1-sparse atom, one product with Q otherwise), so a FW, away or pairwise
 step costs O(d): the direction's image is a difference of two cached
 vectors, and the gradient, the exact line search, the ``Qx`` update and
-f all follow from it.  The FCFW/MNP corrections' Wolfe major cycle takes
-its Gram matrix and its new ``Qx`` from the same images (``move_to``).
+f all follow from it.  The solver hands the line search its descent
+<-grad, d>, so a step computes it once; f is evaluated afresh at each
+point.  The FCFW/MNP corrections' Wolfe major cycle takes its Gram
+matrix and its new ``Qx`` from the same images (``move_to``).
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ class ObjectiveState:
         if self.grad.shape != it.x.shape:
             raise ValueError(f"gradient has shape {self.grad.shape}, expected {it.x.shape}")
 
-    def line_search(self, it, direction: np.ndarray, gamma_max: float, head=None, tail=None) -> float:
+    def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Step size along ``direction`` = head - tail from ``it``, in [0, gamma_max].
 
-        ``head`` is the atom the direction points to and ``tail`` the id
-        of the active atom it points away from; None stands for ``it.x``.
+        ``descent`` is the caller's <-grad, direction>.  ``head`` is the
+        atom the direction points to and ``tail`` the id of the active
+        atom it points away from; None stands for ``it.x``.
         """
         return self.obj.line_search(it.x, direction, gamma_max)
 
@@ -250,12 +253,12 @@ class QuadraticState(ObjectiveState):
             self.images[atom_id] = img
         return img
 
-    def line_search(self, it, direction: np.ndarray, gamma_max: float, head=None, tail=None) -> float:
+    def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Exact minimizer on [0, gamma_max], as ``QuadraticObjective.line_search``."""
         Qd = self.Qx if head is None else self.image(head.id, head.point)
         Qd = Qd - (self.Qx if tail is None else self.image(tail, it.atom_point(tail)))
         self._Qd = Qd
-        return _exact_step(-float(self.grad @ direction), float(direction @ Qd), gamma_max)
+        return _exact_step(descent, float(direction @ Qd), gamma_max)
 
     def advance(self, it, gamma: float) -> None:
         Qx = self.Qx + gamma * self._Qd

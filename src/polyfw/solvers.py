@@ -16,22 +16,27 @@ They differ only in the move:
            landing on the exact minimizer over the hull of the atoms
            its minor cycle keeps.
 
-The shared loop and both corrections run on the objective's per-solve
-state (``Objective.start``).  For a quadratic that state keeps ``Qx``
-and the cached image ``Q a`` of each active atom, so a FW, away or
-pairwise step costs O(k + d) with no product by Q, and the Wolfe major
-cycle (``_wolfe_step``) that both corrections share takes its Gram
-matrix and its new ``Qx`` from the same images.  ``Qx`` is
-recomputed exactly whenever the iterate re-synthesizes x (every
-``RESYNTH_PERIOD`` steps and on each drop or swap) and after each
-FCFW/MNP correction.  Besides the configuration and outcome, a trace's
-JSON header records ``inner_steps`` (summed over the corrections),
-``lmo_calls``, ``resyncs`` and ``qx_drift_max`` (the largest incremental
-``Qx`` error corrected at a resync).
+A FW, AFW or PFW iteration forms the FW direction s - x, its gap
+<-grad, s - x> and the away pair (``away_atom``) once; the AFW choice,
+the descent test, the line search and the FW step reuse them, and the
+row goes straight into the trace's columns.  The shared loop and both
+corrections run on the objective's per-solve state
+(``Objective.start``).  For a quadratic that state keeps ``Qx`` and the
+cached image ``Q a`` of each active atom, so a FW, away or pairwise step
+costs O(k + d) with no product by Q, and the Wolfe major cycle
+(``_wolfe_step``) that both corrections share takes its Gram matrix and
+its new ``Qx`` from the same images.  ``Qx`` is recomputed exactly
+whenever the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps
+and on each drop or swap) and after each FCFW/MNP correction.  Besides
+the configuration and outcome, a trace's JSON header records
+``inner_steps`` (summed over the corrections), ``lmo_calls``,
+``resyncs`` and ``qx_drift_max`` (the largest incremental ``Qx`` error
+corrected at a resync).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +50,6 @@ from polyfw.core import (
     Atom,
     RunTrace,
     StepKind,
-    StepRecord,
     apply_away_step,
     apply_fw_step,
     apply_pairwise_step,
@@ -124,38 +128,35 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
     Ties on the gradient value go to the larger weight, then to the
     atom id, so the choice is deterministic.
     """
-    dots = it.atom_dots(grad)
-    i = int(dots.argmax())
-    best = dots[i]
-    ties = (dots == best).nonzero()[0]
-    if ties.size > 1:
-        i = max(ties.tolist(), key=lambda j: (it.w[j], it.ids[j]))
-    return it.ids[i], float(best) - float(grad @ it.x)
+    dots = it.atom_dots(grad).tolist()
+    best = max(dots)
+    i = dots.index(best)
+    if dots.count(best) > 1:
+        ties = [j for j, dot in enumerate(dots) if dot == best]
+        i = max(ties, key=lambda j: (it.w[j], it.ids[j]))
+    return it.ids[i], best - float(grad @ it.x)
 
 
 def afw_choose_direction(
-    it: ActiveIterate, grad: np.ndarray, s: Atom, away: Optional[Tuple[bytes, float]] = None
+    it: ActiveIterate, away: Tuple[bytes, float], fw_dir: np.ndarray, g_fw: float
 ) -> Tuple[StepKind, np.ndarray, float, Optional[bytes]]:
     """Pick the better of the FW and away directions (ties favor FW).
 
-    ``away`` is ``away_atom(it, grad)`` when the caller already has it.
+    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x for the
+    oracle atom s and ``g_fw`` its gap <-grad, fw_dir>.
     """
-    v_id, away_gap = away_atom(it, grad) if away is None else away
-    fw_dir = s.point - it.x
-    if -float(grad @ fw_dir) >= away_gap or len(it) == 1:
+    v_id, away_gap = away
+    if g_fw >= away_gap or len(it) == 1:
         return StepKind.FW, fw_dir, 1.0, None
     alpha = float(it.w[it.index(v_id)])
     return StepKind.AWAY, it.x - it.atom_point(v_id), alpha / (1.0 - alpha), v_id
 
 
 def pfw_step(
-    it: ActiveIterate, grad: np.ndarray, s: Atom, away: Optional[Tuple[bytes, float]] = None
+    it: ActiveIterate, s: Atom, away: Tuple[bytes, float]
 ) -> Tuple[np.ndarray, float, bytes]:
-    """Pairwise direction s - v and its maximum step alpha_v.
-
-    ``away`` is ``away_atom(it, grad)`` when the caller already has it.
-    """
-    v_id, _ = away_atom(it, grad) if away is None else away
+    """Pairwise direction s - v and its maximum step alpha_v, for ``away = away_atom(it, grad)``."""
+    v_id = away[0]
     return s.point - it.atom_point(v_id), float(it.w[it.index(v_id)]), v_id
 
 
@@ -189,7 +190,7 @@ def fcfw_correction(
 
     fw_dir = s.point - it.x
     if np.any(fw_dir):
-        gamma_fw = state.line_search(it, fw_dir, 1.0, s)
+        gamma_fw = state.line_search(it, fw_dir, 1.0, -float(state.grad @ fw_dir), s)
         f_target = state.obj.value(it.x + gamma_fw * fw_dir)
     else:
         f_target = state.value
@@ -209,7 +210,10 @@ def fcfw_correction(
         if wolfe:
             z_next, passes, _ = _wolfe_step(state, z, atoms[i_s])
         else:
-            step = _line_search_step(Variant.AFW, z, grad, atoms[i_s], state, away)
+            to_s = atoms[i_s].point - z.x
+            step = _line_search_step(
+                Variant.AFW, z, grad, atoms[i_s], state, away, to_s, -float(grad @ to_s)
+            )
             z_next, passes = (None, 0) if step is None else (step[0], 1)
         if z_next is None or not state.value < f_before:
             raise CorrectionStallError(
@@ -342,26 +346,29 @@ def _initial_iterate(
 
 
 def _line_search_step(
-    variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState, away
+    variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState,
+    away: Tuple[bytes, float], fw_dir: np.ndarray, g_fw: float,
 ) -> Optional[Tuple[ActiveIterate, StepKind, float, float, float]]:
     """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max, away gap).
 
-    ``away`` is ``away_atom(it, grad)``; the step moves ``state`` along.
-    None when the chosen direction does not descend (a stall).
+    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x and ``g_fw``
+    is <-grad, fw_dir>; the step moves ``state`` along.  None when the
+    chosen direction does not descend (a stall).
     """
-    if variant is Variant.FW:
-        kind, direction, gamma_max, v_id = StepKind.FW, s.point - it.x, 1.0, None
-    elif variant is Variant.AFW:
-        kind, direction, gamma_max, v_id = afw_choose_direction(it, grad, s, away)
-    else:
-        direction, gamma_max, v_id = pfw_step(it, grad, s, away)
+    if variant is Variant.AFW:
+        kind, direction, gamma_max, v_id = afw_choose_direction(it, away, fw_dir, g_fw)
+    elif variant is Variant.PFW:
+        direction, gamma_max, v_id = pfw_step(it, s, away)
         kind = StepKind.PAIRWISE
-    if -float(grad @ direction) <= 0.0:
+    else:
+        kind, direction, gamma_max, v_id = StepKind.FW, fw_dir, 1.0, None
+    descent = g_fw if direction is fw_dir else -float(grad @ direction)
+    if descent <= 0.0:
         return None
     head = None if kind is StepKind.AWAY else s
-    gamma = state.line_search(it, direction, gamma_max, head, v_id)
+    gamma = state.line_search(it, direction, gamma_max, descent, head, v_id)
     if kind is StepKind.FW:
-        it = apply_fw_step(it, s, gamma)
+        it = apply_fw_step(it, s, gamma, fw_dir)
     elif kind is StepKind.AWAY:
         it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
         kind = StepKind.DROP if dropped else StepKind.AWAY
@@ -400,7 +407,8 @@ def solve(
     init_size = len(it)
     state = obj.start(it)
     f0 = state.value
-    records: List[StepRecord] = []
+    trace = RunTrace()
+    by_line_search = config.variant in (Variant.FW, Variant.AFW, Variant.PFW)
     pool: Dict[bytes, np.ndarray] = it.atoms()
     exit_status = "max_iter"
     error = None
@@ -410,16 +418,18 @@ def solve(
     for t in range(config.max_iter):
         grad = state.grad
         s = lmo(spec, grad)
-        g_fw = -float(grad @ (s.point - it.x))
-        if not abs(g_fw) < np.inf and not np.isfinite(grad).all():
+        fw_dir = s.point - it.x
+        g_fw = -float(grad @ fw_dir)
+        if not abs(g_fw) < math.inf and not np.isfinite(grad).all():
             raise ValueError("direction entries must be finite")
         final_gap = g_fw
         if g_fw <= config.epsilon:
             exit_status = "converged"
             break
 
-        if config.variant in (Variant.FW, Variant.AFW, Variant.PFW):
-            step = _line_search_step(config.variant, it, grad, s, state, away_atom(it, grad))
+        if by_line_search:
+            away = away_atom(it, grad)  # every variant records the away gap
+            step = _line_search_step(config.variant, it, grad, s, state, away, fw_dir, g_fw)
             if step is None:
                 exit_status = "stall"
                 break
@@ -445,21 +455,10 @@ def solve(
             state.reset(it)
 
         f_new = state.value
-        if not np.isfinite(f_new):
+        if not math.isfinite(f_new):
             exit_status = "error:nonfinite"
             break
-        records.append(
-            StepRecord(
-                iteration=t,
-                kind=kind,
-                gamma=float(gamma),
-                gamma_max=float(gamma_max),
-                fw_gap=g_fw,
-                away_gap=float(away_record),
-                f_value=f_new,
-                active_size=len(it),
-            )
-        )
+        trace.append(t, kind, gamma, gamma_max, g_fw, away_record, f_new, len(it))
 
     wall = time.perf_counter() - start
     echo = {
@@ -480,4 +479,5 @@ def solve(
     }
     if error is not None:
         echo["error"] = error
-    return RunTrace(records=records, config_echo=echo, wall_time=wall, final_iterate=it)
+    trace.config_echo, trace.wall_time, trace.final_iterate = echo, wall, it
+    return trace

@@ -236,6 +236,56 @@ def drop_prefix_ok(kinds, initial_active_size=1):
     return True
 
 
+# -- record-by-record trace reference ------------------------------------------
+#
+# ``RunTrace`` keeps its rows as columns; these are the per-record
+# definitions it replaced, kept to hold the columnar code to them.
+
+
+def step_record_csv_row(rec):
+    """One ``StepRecord`` as a CSV row: ints by ``str``, the kind's value, floats by ``repr``."""
+    return ",".join(
+        [
+            str(rec.iteration),
+            rec.kind.value,
+            repr(float(rec.gamma)),
+            repr(float(rec.gamma_max)),
+            repr(float(rec.fw_gap)),
+            repr(float(rec.away_gap)),
+            repr(float(rec.f_value)),
+            str(rec.active_size),
+        ]
+    )
+
+
+def trace_step_counts(records):
+    """{kind value: count} over the records."""
+    counts = {}
+    for r in records:
+        counts[r.kind.value] = counts.get(r.kind.value, 0) + 1
+    return counts
+
+
+def trace_validate(records, initial_active_size=1):
+    """``RunTrace.validate`` walked record by record: raises AssertionError on the first breach."""
+    prev_f = None
+    prev_size = initial_active_size
+    drops = 0
+    for t, rec in enumerate(records, start=1):
+        if prev_f is not None and rec.f_value > prev_f + 1e-12 * max(1.0, abs(prev_f)):
+            raise AssertionError(f"objective increased at iteration {rec.iteration}")
+        if rec.kind.value == "DROP":
+            drops += 1
+            if rec.active_size >= prev_size:
+                raise AssertionError("drop step did not shrink the active set")
+        if rec.kind.value == "SWAP" and rec.active_size != prev_size:
+            raise AssertionError("swap step changed the active-set size")
+        if drops > t / 2.0 + initial_active_size / 2.0:
+            raise AssertionError(f"too many drop steps in prefix of length {t}")
+        prev_f = rec.f_value
+        prev_size = rec.active_size
+
+
 # -- active-set reference model ------------------------------------------------
 #
 # Weights live in a plain {atom id: weight} dict.  The policy constants

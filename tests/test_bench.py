@@ -205,6 +205,32 @@ def test_run_experiment_tallies_match_traces(tmp_path):
     assert agg["n_drop_start"] == sum(r["drop_start"] for r in summary["runs"])
 
 
+def test_run_experiment_builds_no_step_records(tmp_path, monkeypatch):
+    """Solves, fits, run records and CSV writes read the trace's columns, never its records."""
+    built = []
+    original = StepRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StepRecord, "__init__", counting)
+    lasso = ExperimentConfig.from_json(
+        {"name": "lazy_lasso", "problem": {"kind": "lasso", "m": 10, "n": 16, "k": 3,
+                                           "noise": 0.1, "rng_seed": 4, "radius": 1.5},
+         "variants": [v.value for v in Variant], "epsilon": 1e-8, "max_iter": 300}
+    )
+    triangle = triangle_config("lazy_triangle", variants=["FW", "AFW", "PFW", "MNP"])
+    for cfg in (lasso, triangle):
+        summary = run_experiment(cfg, tmp_path)
+        assert sum(run["iterations"] for run in summary["runs"]) > 0
+    assert built == []
+    trace = RunTrace.read_csv(tmp_path / summary["runs"][0]["trace_file"])
+    built.clear()
+    assert len(trace.records) > 1 and built == []
+    assert trace.records[-1].active_size >= 1 and len(built) == 1
+
+
 def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
     """A run whose correction fails gets a trace file and an ordinary run record."""
     import polyfw.solvers as solvers

@@ -1,5 +1,6 @@
 """Active-set bookkeeping: step operations, classification, trace IO."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_step_record_csv_roundtrip():
         f_value=0.1234567890123456789,
         active_size=3,
     )
-    back = StepRecord.from_csv_row(rec.to_csv_row())
+    back = StepRecord.from_csv_row(ref.step_record_csv_row(rec))
     assert back == rec
 
 
@@ -301,3 +302,69 @@ def test_step_primitives_match_reference_model(start, ops):
             untouched = set(before) - {v, s.id}
             assert all(it.weights[k] == before[k] for k in untouched)  # bit for bit
         _assert_matches(it, expected)
+
+
+# -- the columnar trace against the record-by-record reference ----------------
+
+from hypothesis import example  # noqa: E402
+
+from polyfw.core import CSV_COLUMNS  # noqa: E402
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300, 1.0 / 3.0)
+CELL_FLOATS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(EDGE_FLOATS))
+CELL_INTS = st.integers(0, 10**6)
+RECORD = st.builds(
+    StepRecord,
+    st.one_of(CELL_INTS, CELL_INTS.map(np.int64)),
+    st.sampled_from(list(StepKind)),
+    *[st.one_of(CELL_FLOATS, CELL_FLOATS.map(np.float64)) for _ in range(5)],
+    st.one_of(st.integers(1, 5), st.integers(1, 5).map(np.int64)),
+)
+EVERY_KIND = [
+    StepRecord(np.int64(t), kind, -0.0, 5e-324, np.float64(1e300), -1e300, 1e-310, np.int64(2))
+    for t, kind in enumerate(StepKind)
+]
+
+# One FW step grows the set to 5, then drops shrink it: the prefix bound breaks at t = 4.
+DROP_RUN = [StepRecord(0, StepKind.FW, 0.5, 1.0, 1.0, 0.0, 4.0, 5)] + [
+    StepRecord(t, StepKind.DROP, 0.5, 0.5, 1.0, 1.0, 4.0 - t, 5 - t) for t in range(1, 5)
+]
+
+
+def _outcome(check, *args):
+    """The message ``check(*args)`` raises with, or None when it passes."""
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@example(records=EVERY_KIND, descending=True, init_size=3)
+@example(records=DROP_RUN, descending=True, init_size=1)
+@given(records=st.lists(RECORD, max_size=12), descending=st.booleans(), init_size=st.integers(1, 4))
+def test_columnar_trace_matches_record_reference(records, descending, init_size):
+    """CSV text, CSV round trip, step counts, f values and validate agree with per-record code.
+
+    ``descending`` sorts the f values downward, so validate also runs
+    past the first row and reaches its drop and swap checks.
+    """
+    if descending:
+        fs = sorted((r.f_value for r in records), reverse=True)
+        records = [dataclasses.replace(r, f_value=f) for r, f in zip(records, fs)]
+    echo = {"variant": "PFW", "f0": 1.0}
+    trace = RunTrace(records=records, config_echo=echo)
+    text = trace.to_csv()
+    rows = [ref.step_record_csv_row(r) for r in records]
+    assert text == "\n".join(["# " + json.dumps(echo, sort_keys=True), CSV_COLUMNS, *rows]) + "\n"
+    assert trace.records == records and len(trace.records) == len(records)
+
+    back = RunTrace.from_csv(text)
+    assert back.config_echo == echo
+    assert back.records == records
+    assert back.to_csv() == text
+    for t in (trace, back):
+        assert t.step_counts() == ref.trace_step_counts(records)
+        assert t.f_values().tolist() == [float(r.f_value) for r in records]
+        assert _outcome(t.validate, init_size) == _outcome(ref.trace_validate, records, init_size)

@@ -59,7 +59,11 @@ def test_afw_single_atom_forces_fw_branch():
     v1 = Atom(np.array([0.0, 0.0]))
     it = ActiveIterate.from_atom(v1)
     s = Atom(np.array([1.0, 1.0]))
-    kind, d, gmax, away_id = afw_choose_direction(it, np.array([-1.0, -1.0]), s)
+    grad = np.array([-1.0, -1.0])
+    fw_dir = s.point - it.x
+    kind, d, gmax, away_id = afw_choose_direction(
+        it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
+    )
     assert kind is StepKind.FW
     assert np.allclose(d, [1.0, 1.0])
     assert gmax == 1.0
@@ -71,7 +75,10 @@ def test_afw_away_branch_gamma_max():
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.8, b: 0.2})
     grad = np.array([1.0, 0.0])
-    kind, d, gmax, away_id = afw_choose_direction(it, grad, a)
+    fw_dir = a.point - it.x
+    kind, d, gmax, away_id = afw_choose_direction(
+        it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
+    )
     assert kind is not StepKind.FW
     assert away_id == b.id
     assert gmax == pytest.approx(0.25)
@@ -95,7 +102,10 @@ def test_afw_direction_covers_half_pairwise_gap():
         vid, _ = away_atom(it, grad)
         v = it.atom_point(vid)
         g_pfw = float(-grad @ (s.point - v))
-        kind, d, gmax, _ = afw_choose_direction(it, grad, s)
+        fw_dir = s.point - it.x
+        kind, d, gmax, _ = afw_choose_direction(
+            it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
+        )
         assert float(-grad @ d) >= 0.5 * g_pfw - 1e-12
 
 
@@ -105,7 +115,7 @@ def test_pfw_step_uses_away_weight_as_cap():
     it = ActiveIterate.from_weights({a: 0.7, b: 0.3})
     grad = np.array([1.0, 0.0])
     s = Atom(np.array([-1.0, 0.0]))
-    d, gmax, vid = pfw_step(it, grad, s)
+    d, gmax, vid = pfw_step(it, s, away_atom(it, grad))
     assert gmax == pytest.approx(0.3)
     assert vid == b.id
     assert np.allclose(d, s.point - b.point)
