@@ -311,6 +311,10 @@ def _triangle_theoretical(variant: str, delta: float, diameter: float) -> Option
     return None
 
 
+def _median(values: List[float]) -> Optional[float]:
+    return float(np.median(values)) if values else None
+
+
 def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], List[Dict]]:
     p = config.problem
     n_starts = int(p["n_starts"])
@@ -326,7 +330,7 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
         starts = [rng.dirichlet(np.ones(len(atoms))) for _ in range(n_starts)]
         for variant in config.variants:
             theoretical = _triangle_theoretical(variant, delta, diameter)
-            ratios = []
+            mine: List[Dict] = []
             for si, w in enumerate(starts):
                 key = f"triangle_t{ti}_{variant.lower()}_s{si:02d}"
                 x0 = ActiveIterate.from_weights(
@@ -361,24 +365,25 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
                 rec["start"] = si
                 rec["drop_start"] = drop_start
                 rec["degenerate"] = degenerate
-                runs.append(rec)
-                if rec["ratio"] is not None:
-                    ratios.append(rec["ratio"])
-            mine = [
-                r
-                for r in runs
-                if r.get("theta") == theta and r["variant"] == variant
-            ]
+                mine.append(rec)
+            runs.extend(mine)
+            included = [r for r in mine if r["ratio"] is not None]
+            ratios = [r["ratio"] for r in included]
+            fits = [r["rate_fit"] for r in included]
             aggregates.append(
                 {
                     "theta": theta,
                     "variant": variant,
                     "theoretical_rho": theoretical,
                     "n_included": len(ratios),
-                    "n_drop_start": sum(1 for r in mine if r.get("drop_start")),
-                    "n_degenerate": sum(1 for r in mine if r.get("degenerate")),
-                    "median_ratio": float(np.median(ratios)) if ratios else None,
+                    "n_drop_start": sum(1 for r in mine if r["drop_start"]),
+                    "n_degenerate": sum(1 for r in mine if r["degenerate"]),
+                    "median_ratio": _median(ratios),
                     "min_ratio": min(ratios) if ratios else None,
+                    # what the included ratios rest on
+                    "median_records": _median([r["iterations"] for r in included]),
+                    "median_fit_window": _median([f["window"][1] - f["window"][0] for f in fits]),
+                    "median_r_squared": _median([f["r_squared"] for f in fits]),
                 }
             )
     return runs, aggregates

@@ -7,8 +7,9 @@ directional widths exactly, per-direction pyramidal widths exactly (via
 a sorted-prefix argument that avoids enumerating active sets), and the
 global pyramidal width exactly as the facial distance: the smallest
 distance between a proper face and the hull of the remaining atoms
-(Pena and Rodriguez, Math. Oper. Res. 2019).  It also estimates the
-affine-invariant curvature constants by sampling.
+(Pena and Rodriguez, Math. Oper. Res. 2019), one min-norm-point solve
+per proper face and no LP.  Its witness is the closest facial pair.  It
+also estimates the affine-invariant curvature constants by sampling.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from polyfw.objectives import (
 )
 
 PDIRW_ATOM_CAP = 16
-VALUE_FLOOR = 1e-12  # per-direction values at rounding scale are discarded
-SPAN_RTOL = 1e-9  # r farther than this (relative) from a face's span cannot point along it
+VALUE_FLOOR = 1e-12  # a facial distance at rounding scale means a degenerate atom set
 
 
 def _atom_matrix(atoms) -> np.ndarray:
@@ -46,15 +46,16 @@ def _atom_matrix(atoms) -> np.ndarray:
     return mat
 
 
-def _dedupe(mat: np.ndarray) -> np.ndarray:
+def _dedupe(mat: np.ndarray) -> List[int]:
+    """Indices of the first occurrence of each distinct row, in order."""
     seen = set()
-    rows = []
-    for row in mat:
+    keep = []
+    for i, row in enumerate(mat):
         key = atom_key(row)
         if key not in seen:
             seen.add(key)
-            rows.append(row)
-    return np.stack(rows)
+            keep.append(i)
+    return keep
 
 
 def _contains(points: np.ndarray, x: np.ndarray) -> bool:
@@ -178,75 +179,16 @@ def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
     return sorted(faces, key=lambda f: (-len(f), sorted(f)))
 
 
-def _cone_constraints(
-    face: np.ndarray, prefix_rows: np.ndarray, r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Equalities (A_eq, b_eq) on (mu, nu): face^T mu - prefix^T nu = r, sum(mu) = sum(nu)."""
-    nb, d = face.shape
-    A_eq = np.zeros((d + 1, nb + prefix_rows.shape[0]))
-    A_eq[:d, :nb] = face.T
-    A_eq[:d, nb:] = -prefix_rows.T
-    A_eq[d, :nb] = 1.0
-    A_eq[d, nb:] = -1.0
-    return A_eq, np.concatenate([r, [0.0]])
-
-
-def _cone_prefix_lp(
-    face: np.ndarray, prefix_rows: np.ndarray, r: np.ndarray
-) -> Optional[np.ndarray]:
-    """Feasibility of: exists x in conv(prefix) with r in cone(face - x).
-
-    Writing the cone coefficients as mu >= 0 and tau * x as a
-    nonnegative combination nu of the prefix atoms with sum(nu) =
-    sum(mu) linearizes the joint condition.  Returns the LP solution
-    (mu, nu) or None.
-    """
-    A_eq, b_eq = _cone_constraints(face, prefix_rows, r)
-    n = A_eq.shape[1]
-    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, method="highs")
-    return res.x if res.status == 0 else None
-
-
-def _witness_point(
-    face: np.ndarray, order: np.ndarray, k: int, r: np.ndarray, tau_hint: float
-) -> Optional[np.ndarray]:
-    """Feasible base point for (r, prefix k), pushed onto the critical atom.
-
-    Maximizing the weight of the k-th sorted atom keeps the point away
-    from the shorter prefix's hull, so re-evaluating pdirw at it finds
-    the same prefix.
-    """
-    prefix_rows = face[order[:k]]
-    nb, na = face.shape[0], k
-    A_eq, b_eq = _cone_constraints(face, prefix_rows, r)
-    A_ub = np.zeros((1, nb + na))
-    A_ub[0, :nb] = 1.0
-    cost = np.zeros(nb + na)
-    cost[nb + na - 1] = -1.0  # maximize the critical atom's weight
-    res = linprog(
-        cost,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        A_ub=A_ub,
-        b_ub=[2.0 * tau_hint + 1.0],
-        bounds=[(0.0, None)] * (nb + na),
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    nu = res.x[nb:]
-    tau = float(nu.sum())
-    if tau <= 0:
-        return None
-    return (nu @ prefix_rows) / tau
-
-
 @dataclass
 class WidthReport:
-    """Pyramidal width plus the witness that attains it.
+    """Pyramidal width plus the closest facial pair that attains it.
 
-    ``directions_sampled`` keeps its historical name; it counts the
-    facial-distance problems solved, one per proper face.
+    ``witness`` holds the face (``face_indices`` into the deduplicated
+    atoms, and ``face_atoms``), the closest points ``face_point`` in the
+    face's hull and ``other_point`` in the hull of the other atoms, and
+    the unit ``direction`` from the second to the first; the width is
+    their distance.  ``directions_sampled`` keeps its historical name;
+    it counts the facial-distance problems solved, one per proper face.
     """
 
     pwidth_estimate: float
@@ -263,17 +205,20 @@ class WidthReport:
         }
 
 
-def _facial_gap(mat: np.ndarray, face_idx: frozenset) -> np.ndarray:
-    """Shortest vector a - b with a in conv(face), b in conv(other atoms).
+def _facial_pair(mat: np.ndarray, face: frozenset) -> Tuple[np.ndarray, np.ndarray]:
+    """Closest points a in conv(face), b in conv(other atoms).
 
-    It is the min-norm point of the Minkowski difference of the two
-    atom sets, which the MNP solver finds exactly.
+    a - b is the min-norm point of the Minkowski difference of the two
+    atom sets, which the MNP solver finds exactly; its weights on the
+    difference rows mat[i] - mat[j] give a and b.
     """
-    inside = sorted(face_idx)
-    diffs = mat[inside][:, None, :] - np.delete(mat, inside, axis=0)[None, :, :]
-    diffs = _dedupe(diffs.reshape(-1, mat.shape[1]))
+    others = [j for j in range(mat.shape[0]) if j not in face]
+    pairs = np.array([(i, j) for i in sorted(face) for j in others])
+    diffs = mat[pairs[:, 0]] - mat[pairs[:, 1]]
+    keep = _dedupe(diffs)
+    diffs, pairs = diffs[keep], pairs[keep]
     # MNP ends on the exact minimizer of its final active set, so its FW
-    # gap reaches rounding scale; this bound keeps |z| exact to ~1e-12.
+    # gap reaches rounding scale; this bound keeps |a - b| exact to ~1e-12.
     scale = float(np.max(np.einsum("ij,ij->i", diffs, diffs)))
     config = solvers.SolverConfig(solvers.Variant.MNP, epsilon=1e-14 * scale)
     trace = solvers.solve(
@@ -283,90 +228,45 @@ def _facial_gap(mat: np.ndarray, face_idx: frozenset) -> np.ndarray:
     )
     status = trace.config_echo["exit_status"]
     if status != "converged":
-        raise RuntimeError(f"facial distance of face {inside} ended with {status}")
-    return trace.final_iterate.x
-
-
-def _face_value(face: np.ndarray, r: np.ndarray) -> Optional[Tuple[float, np.ndarray, int]]:
-    """Pyramidal directional width of unit r on a face, minimized over base points.
-
-    Returns (value, atom order by decreasing projection, prefix size),
-    or None when r points out of the face from every base point.  The
-    cone LP can only be feasible when r lies in the span of the face's
-    edge directions, so a least-squares residual above ``SPAN_RTOL``
-    relative answers None without any LP.
-    """
-    span = (face[1:] - face[0]).T
-    coef = np.linalg.lstsq(span, r, rcond=None)[0]
-    if np.linalg.norm(span @ coef - r) > SPAN_RTOL * np.linalg.norm(r):
-        return None
-    dots = face @ r
-    order = np.argsort(-dots, kind="stable")
-    k = _shortest_prefix(
-        len(order), lambda j: _cone_prefix_lp(face, face[order[:j]], r) is not None
-    )
-    if k is None:
-        return None
-    return float(dots[order[0]] - dots[order[k - 1]]), order, k
+        raise RuntimeError(f"facial distance of face {sorted(face)} ended with {status}")
+    it = trace.final_iterate
+    row_of = {atom_key(row): k for k, row in enumerate(diffs)}
+    used = pairs[[row_of[atom_id] for atom_id in it.ids]]
+    return it.w @ mat[used[:, 0]], it.w @ mat[used[:, 1]]
 
 
 def pwidth(atoms) -> WidthReport:
-    """Exact pyramidal width of an atom set, via the facial distance.
+    """Exact pyramidal width of an atom set: its facial distance.
 
     The pyramidal width equals the smallest distance between a proper
     face and the hull of the atoms off it (Pena and Rodriguez, Math.
-    Oper. Res. 2019); each such distance is one min-norm-point problem.
-    The direction of the shortest gap is then evaluated exactly, on
-    every face and with both signs, by the prefix LPs; the smallest
-    value is reported with a witness that reproduces it, and it must
-    agree with the distance to 1e-9 relative.
+    Oper. Res. 2019); each such distance is one min-norm-point problem,
+    and the closest pair over all proper faces is the witness.
     """
-    mat = _dedupe(_atom_matrix(atoms))
+    mat = _atom_matrix(atoms)
+    mat = mat[_dedupe(mat)]
     n = mat.shape[0]
     if n > PDIRW_ATOM_CAP:
         raise ValueError(f"pwidth is limited to {PDIRW_ATOM_CAP} atoms")
     if n == 1:
         raise ValueError("pyramidal width is undefined for a single point")
     faces = enumerate_faces(mat)
-    everything = frozenset(range(n))
-    gaps = [_facial_gap(mat, f) for f in faces if f != everything]
-    z = min(gaps, key=np.linalg.norm)
-    distance = float(np.linalg.norm(z))
+    solved = [(face,) + _facial_pair(mat, face) for face in faces if len(face) < n]
+    face, a, b = min(solved, key=lambda c: np.linalg.norm(c[1] - c[2]))
+    distance = float(np.linalg.norm(a - b))
     if distance <= VALUE_FLOOR:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
-
-    candidates = []
-    for face_idx in faces:
-        idx = sorted(face_idx)
-        if len(idx) == 1:
-            continue
-        face = mat[idx]
-        for r in (z / distance, -z / distance):
-            found = _face_value(face, r)
-            if found is not None and found[0] > VALUE_FLOOR:
-                candidates.append((found[0], idx, face, r) + found[1:])
-    if not candidates:
-        raise RuntimeError("the facial-distance direction is feasible on no face")
-    value, idx, face, r, order, k = min(candidates, key=lambda c: c[0])
-    if abs(value - distance) > 1e-9 * distance:
-        raise RuntimeError(f"pyramidal width {value} disagrees with facial distance {distance}")
-
-    tau = float(_cone_prefix_lp(face, face[order[:k]], r)[: face.shape[0]].sum())
-    x = _witness_point(face, order, k, r, tau)
-    witness: Dict = {
-        "face_atoms": face.tolist(),
-        "face_indices": list(idx),
-        "direction": r.tolist(),
-        "prefix_size": int(k),
-        "fw_atom": face[order[0]].tolist(),
-        "away_atom": face[order[k - 1]].tolist(),
+    idx = sorted(face)
+    witness = {
+        "face_indices": idx,
+        "face_atoms": mat[idx].tolist(),
+        "face_point": a.tolist(),
+        "other_point": b.tolist(),
+        "direction": ((a - b) / distance).tolist(),
     }
-    if x is not None:
-        witness["base_point"] = x.tolist()
-        witness["active_set"] = face[order[:k]].tolist()
     return WidthReport(
-        pwidth_estimate=value,
-        directions_sampled=len(gaps),
+        pwidth_estimate=distance,
+        directions_sampled=len(solved),
         faces_enumerated=len(faces),
         witness=witness,
     )

@@ -352,8 +352,10 @@ def _line_search_step(
     """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max, away gap).
 
     ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x and ``g_fw``
-    is <-grad, fw_dir>; the step moves ``state`` along.  None when the
-    chosen direction does not descend (a stall).
+    is <-grad, fw_dir>; the step moves ``state`` along.  None (a stall)
+    when the chosen direction does not descend, or when a pairwise step
+    of gamma at most ``WEIGHT_FLOOR`` leaves the ids and weights as they
+    were, so the next iteration would repeat it.
     """
     if variant is Variant.AFW:
         kind, direction, gamma_max, v_id = afw_choose_direction(it, away, fw_dir, g_fw)
@@ -373,11 +375,18 @@ def _line_search_step(
         it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
+        before = it
         it, kind = apply_pairwise_step(it, v_id, s, gamma)
-        if gamma <= WEIGHT_FLOOR:  # a no-op, or a snapped drop, which resyncs state
-            gamma = 0.0
+        if gamma <= WEIGHT_FLOOR:
+            if kind is StepKind.PAIRWISE and _same_weights(it, before):
+                return None  # a no-op: the next iteration would repeat it
+            gamma = 0.0  # a snapped drop, which resyncs state
     state.advance(it, gamma)
     return it, kind, gamma, gamma_max, away[1]
+
+
+def _same_weights(a: ActiveIterate, b: ActiveIterate) -> bool:
+    return a.ids == b.ids and np.array_equal(a.w, b.w)
 
 
 def solve(
@@ -395,12 +404,16 @@ def solve(
     final gap, the summed inner steps of the FCFW/MNP corrections, a
     stalled one's included (``inner_steps``), ``lmo_calls``, ``resyncs``
     and the largest ``Qx`` error corrected at a resync (``qx_drift_max``).
-    A non-finite f ends the run with ``error:nonfinite``; a correction
-    that raises one of ``CORRECTION_ERRORS`` ends it with
-    ``error:<Type>`` and the message under ``error`` in the header,
-    keeping the completed iterations and ending at the last completed
-    iterate and its gap.  A non-finite gradient, or an ``x0`` iterate
-    that breaks an invariant, raises ``ValueError``.
+    A step that cannot descend, or that leaves the active set and its
+    weights unchanged (a PFW step of gamma at most ``WEIGHT_FLOOR``, or a
+    correction that does not lower f), ends the run with ``stall`` and
+    the gap it reached.  A non-finite f ends the run with
+    ``error:nonfinite``; a correction that raises one of
+    ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
+    under ``error`` in the header, keeping the completed iterations and
+    ending at the last completed iterate and its gap.  A non-finite
+    gradient, or an ``x0`` iterate that breaks an invariant, raises
+    ``ValueError``.
     """
     start = time.perf_counter()
     it = _initial_iterate(spec, config, x0)
@@ -435,6 +448,7 @@ def solve(
                 break
             it, kind, gamma, gamma_max, away_record = step
         else:
+            f_before = state.value
             try:
                 if config.variant is Variant.FCFW:
                     result = fcfw_correction(state, it, pool, s, config.correction_epsilon)
@@ -446,6 +460,7 @@ def solve(
                 inner_steps += partial.inner_steps if partial is not None else 0
                 break
             dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
+            unchanged = _same_weights(result.iterate, it)
             kind = StepKind.DROP if dropped else StepKind.CORRECTION
             it = result.iterate
             pool = result.correction_atoms
@@ -453,6 +468,9 @@ def solve(
             gamma = gamma_max = 0.0
             away_record = result.post_away_gap
             state.reset(it)
+            if unchanged and not state.value < f_before:
+                exit_status = "stall"
+                break
 
         f_new = state.value
         if not math.isfinite(f_new):

@@ -2,11 +2,13 @@
 
 Everything in this module is written from the defining formulas, not
 from the library code: argmin-by-scan linear oracles, sort-based
-projections, an exhaustive face-inspection quadratic program, and a
-subset-enumeration pyramidal directional width.  Slow is fine here;
-these only run at test sizes.  One exception: ``flowdag_lmo_reference``
-keeps the former dict-based FlowDag oracle, so the compiled one can be
-held to it bit for bit.
+projections, an exhaustive face-inspection quadratic program, a
+subset-enumeration pyramidal directional width, and a cone-LP pyramidal
+width with a base point that reproduces it (it takes its faces from
+``geometry.enumerate_faces``, which is tested on its own).  Slow is
+fine here; these only run at test sizes.  One exception:
+``flowdag_lmo_reference`` keeps the former dict-based FlowDag oracle,
+so the compiled one can be held to it bit for bit.
 """
 
 import itertools
@@ -223,6 +225,78 @@ def pdirw_bruteforce(atoms, r, x):
             best = min(best, width)
     assert math.isfinite(best), "x not in the convex hull of the atoms"
     return best
+
+
+def _cone_lp(face, prefix, r, cost=None, A_ub=None, b_ub=None):
+    """(mu, nu) >= 0 with face^T mu - prefix^T nu = r and sum(mu) = sum(nu), or None.
+
+    Feasible exactly when some x in conv(prefix) has r in cone(face - x):
+    writing the cone coefficients as mu and tau * x as the combination
+    nu of the prefix atoms, with tau = sum(mu), linearizes the condition.
+    """
+    nb, d = face.shape
+    A_eq = np.zeros((d + 1, nb + len(prefix)))
+    A_eq[:d, :nb] = face.T
+    A_eq[:d, nb:] = -prefix.T
+    A_eq[d, :nb] = 1.0
+    A_eq[d, nb:] = -1.0
+    n = A_eq.shape[1]
+    res = linprog(
+        np.zeros(n) if cost is None else cost,
+        A_eq=A_eq,
+        b_eq=np.concatenate([r, [0.0]]),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, None)] * n,
+        method="highs",
+    )
+    return res.x if res.status == 0 else None
+
+
+def pwidth_lp_witness(atoms, direction):
+    """Pyramidal width along +-direction by cone LPs on every face, with a base point.
+
+    On each face of two or more atoms (``geometry.enumerate_faces``) and
+    for each sign of the unit direction r, the face's atoms are sorted by
+    decreasing <r, .>; the shortest prefix from whose hull r can point
+    into the face (found by a linear scan) gives the value <r, first> -
+    <r, last of the prefix>.  Values at rounding scale are skipped.  The
+    smallest value wins, and its base point is the prefix combination
+    that puts the most weight on the prefix's last atom, which keeps it
+    off the shorter prefixes' hulls, so ``pdirw`` there finds the same
+    prefix.  Returns (value, face atoms, r, base point).
+    """
+    from polyfw.geometry import enumerate_faces
+
+    mat = np.asarray(atoms, dtype=np.float64)
+    unit = np.asarray(direction, dtype=np.float64)
+    unit = unit / np.linalg.norm(unit)
+    best = None
+    for face_idx in enumerate_faces(mat):
+        if len(face_idx) < 2:
+            continue
+        face = mat[sorted(face_idx)]
+        for r in (unit, -unit):
+            dots = face @ r
+            order = np.argsort(-dots, kind="stable")
+            if _cone_lp(face, face, r) is None:
+                continue
+            k = next(j for j in range(1, len(order) + 1)
+                     if _cone_lp(face, face[order[:j]], r) is not None)
+            value = float(dots[order[0]] - dots[order[k - 1]])
+            if value > 1e-12 and (best is None or value < best[0]):
+                best = (value, face, r, face[order[:k]])
+    assert best is not None, "the direction points along no face"
+    value, face, r, prefix = best
+    nb, k = face.shape[0], prefix.shape[0]
+    tau = float(_cone_lp(face, prefix, r)[:nb].sum())
+    cost = np.zeros(nb + k)
+    cost[-1] = -1.0  # maximize the last prefix atom's weight
+    A_ub = np.zeros((1, nb + k))
+    A_ub[0, :nb] = 1.0
+    sol = _cone_lp(face, prefix, r, cost, A_ub, [2.0 * tau + 1.0])
+    nu = sol[nb:]
+    return value, face, r, (nu @ prefix) / nu.sum()
 
 
 def drop_prefix_ok(kinds, initial_active_size=1):

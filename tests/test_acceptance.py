@@ -241,7 +241,9 @@ def test_c06_triangle_rate_tightness(tmp_path):
             f"theta={agg['theta']:.4f} {agg['variant']}: "
             f"median ratio {agg['median_ratio']}, min {agg['min_ratio']}, "
             f"included {agg['n_included']}, drop starts {agg['n_drop_start']}, "
-            f"degenerate {agg['n_degenerate']}")
+            f"degenerate {agg['n_degenerate']}; medians over included: "
+            f"records {agg['median_records']}, fit window {agg['median_fit_window']}, "
+            f"r2 {agg['median_r_squared']}")
         if agg["min_ratio"] is not None and agg["min_ratio"] < 1.0:
             ratio_floor_bad.append((agg["theta"], agg["variant"], agg["min_ratio"]))
         if agg["variant"] == "PFW":

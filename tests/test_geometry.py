@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polyfw.geometry import (
+    _contains,
     analytic_pwidth,
     dirw,
     eccentricity,
@@ -115,7 +116,6 @@ def test_pwidth_matches_analytic_small_cases():
 
 
 def test_pwidth_exact_on_analytic_families():
-    # Simplex(7) lies beyond the dimension cap of the sampled estimator
     specs = [Cube(2), Cube(3), Cube(4)] + [Simplex(d) for d in range(2, 8)]
     for spec in specs:
         expected = analytic_pwidth(spec)
@@ -123,23 +123,50 @@ def test_pwidth_exact_on_analytic_families():
         assert abs(got - expected) <= 1e-9 * expected, (spec.to_json(), got, expected)
 
 
-def test_pwidth_witness_reproduces_estimate():
+def witness_inputs():
     rng = np.random.default_rng(504)
     hull = rng.standard_normal((6, 3))
     interior = hull[:4].mean(axis=0)  # strictly inside, on no face
     theta = np.pi / 16
-    inputs = [
+    return [
         points_of(Cube(2)),
         points_of(Cube(3)),
         points_of(Simplex(4)),
         [np.zeros(2), np.array([1.0, 0.0]), np.array([np.cos(theta), np.sin(theta)])],
         list(hull) + [interior],
     ]
-    for atoms in inputs:
+
+
+def test_pwidth_witness_reproduces_estimate():
+    # the cone-LP reference along the witness direction, and pdirw at its base point
+    for atoms in witness_inputs():
+        rep = pwidth(atoms)
+        value, face, r, base = ref.pwidth_lp_witness(atoms, rep.witness["direction"])
+        assert abs(value - rep.pwidth_estimate) <= 1e-12
+        assert abs(pdirw(face, r, base) - rep.pwidth_estimate) <= 1e-12
+
+
+def test_pwidth_witness_is_a_facial_pair_at_the_width():
+    for atoms in witness_inputs():
         rep = pwidth(atoms)
         w = rep.witness
-        again = pdirw(w["face_atoms"], w["direction"], w["base_point"])
-        assert abs(again - rep.pwidth_estimate) <= 1e-12
+        mat = np.array(atoms)
+        a, b = np.array(w["face_point"]), np.array(w["other_point"])
+        assert np.array_equal(mat[w["face_indices"]], np.array(w["face_atoms"]))
+        assert _contains(np.array(w["face_atoms"]), a)
+        assert _contains(np.delete(mat, w["face_indices"], axis=0), b)
+        assert abs(np.linalg.norm(a - b) - rep.pwidth_estimate) <= 1e-12
+        assert np.allclose(np.array(w["direction"]) * rep.pwidth_estimate, a - b, atol=1e-15)
+
+
+def test_pwidth_runs_no_lp(monkeypatch):
+    from polyfw import geometry
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("pwidth called linprog")
+
+    monkeypatch.setattr(geometry, "linprog", no_lp)
+    assert pwidth(points_of(Cube(3))).pwidth_estimate == pytest.approx(ref.PWIDTH_CUBE[3])
 
 
 def test_pwidth_scale_covariant():
@@ -219,27 +246,3 @@ def test_vertex_addition_spot_check_logged():
         c = pwidth(points_of(Cube(d))).pwidth_estimate
         print(f"d={d}: simplex pwidth {s:.6f}, cube pwidth {c:.6f}")
         assert s > 0 and c > 0
-
-
-def test_face_span_test_skips_infeasible_lps(monkeypatch):
-    """r off a face's span cannot point along the face: no LP is run for it."""
-    import json
-
-    from polyfw import geometry
-
-    calls = []
-    original = geometry.linprog
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "linprog", counting)
-    pts = points_of(Cube(3))
-    fast = json.dumps(pwidth(pts).to_json(), sort_keys=True)
-    fast_lps = len(calls)
-    calls.clear()
-    monkeypatch.setattr(geometry, "SPAN_RTOL", np.inf)  # every face goes to the LP
-    full = json.dumps(pwidth(pts).to_json(), sort_keys=True)
-    assert fast == full
-    assert fast_lps < len(calls)

@@ -593,17 +593,38 @@ def test_away_and_pairwise_certify_small_gaps_on_non_quadratic(variant):
 
 
 def test_sub_floor_pairwise_step_leaves_state_in_place():
-    """A PFW step whose exact gamma is below ``WEIGHT_FLOOR`` moves neither x nor the state."""
+    """A PFW step whose exact gamma is below ``WEIGHT_FLOOR`` moves neither x nor the state.
+
+    The next iteration would repeat it, so the run ends there as a stall.
+    """
     obj = QuadraticObjective.distance_to(np.array([0.5 + 1e-15, 0.5 - 1e-15]))
     e1 = Atom(np.array([1.0, 0.0]))
     e2 = Atom(np.array([0.0, 1.0]))
     x0 = ActiveIterate.from_weights({e1: 0.5, e2: 0.5})
     trace = solve(obj, Simplex(2), SolverConfig(Variant.PFW, epsilon=1e-20, max_iter=3), x0=x0)
-    assert len(trace.records) == 3
-    for rec in trace.records:
-        assert rec.kind is StepKind.PAIRWISE and rec.gamma == 0.0
-        assert rec.fw_gap == trace.records[0].fw_gap > 0.0
+    assert trace.config_echo["exit_status"] == "stall"
+    assert len(trace.records) == 0
+    assert trace.config_echo["final_fw_gap"] > 0.0
     assert np.array_equal(trace.final_iterate.x, x0.x)
+
+
+@pytest.mark.parametrize("variant, stalls_at", [(Variant.PFW, 190), (Variant.MNP, 16)])
+def test_no_op_step_ends_run_as_stall_on_lasso_desk(variant, stalls_at):
+    """At eps=1e-13, below their precision floor, PFW and MNP stop at their first no-op.
+
+    PFW's no-op is a pairwise step of gamma at most ``WEIGHT_FLOOR``; MNP's
+    is a correction that returns the same active set and weights.  Both
+    once repeated it up to ``max_iter``.
+    """
+    from polyfw.bench import gen_lasso
+
+    obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8)
+    trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-13, max_iter=3000))
+    echo = trace.config_echo
+    assert echo["exit_status"] == "stall"
+    assert abs(len(trace.records) - stalls_at) <= 5
+    assert 1e-13 < echo["final_fw_gap"] < 1e-10
+    trace.validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
