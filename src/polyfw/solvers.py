@@ -10,8 +10,9 @@ They differ only in the move:
 * ``PFW``  pairwise steps move weight directly from the worst active
            atom onto the oracle atom (``pfw_step``);
 * ``FCFW`` each iteration re-optimizes over a pool of correction atoms
-           until the pool's internal gaps are small: Wolfe major
-           cycles on a quadratic, AFW steps otherwise;
+           until the pool's internal gaps are small, or no inner step
+           lowers f: Wolfe major cycles on a quadratic, AFW steps
+           otherwise;
 * ``MNP``  each iteration runs one Wolfe major cycle (min-norm point),
            landing on the exact minimizer over the hull of the atoms
            its minor cycle keeps.
@@ -58,14 +59,6 @@ from polyfw.objectives import Objective, ObjectiveState, QuadraticState
 from polyfw.oracles import PolytopeSpec
 
 
-class CorrectionStallError(RuntimeError):
-    """An inner correction step did not lower f short of the correction's contract."""
-
-    def __init__(self, message: str, partial: Optional["CorrectionResult"] = None) -> None:
-        super().__init__(message)
-        self.partial = partial
-
-
 class CorrectionPostconditionError(RuntimeError):
     """A correction returned without satisfying its advertised guarantees."""
 
@@ -75,7 +68,7 @@ class DegenerateActiveSetError(RuntimeError):
 
 
 # A correction that breaks its contract ends the run: ``solve`` reports it as an exit status.
-CORRECTION_ERRORS = (CorrectionStallError, CorrectionPostconditionError, DegenerateActiveSetError)
+CORRECTION_ERRORS = (CorrectionPostconditionError, DegenerateActiveSetError)
 
 
 class Variant(str, Enum):
@@ -174,11 +167,17 @@ def fcfw_correction(
     FW gap and away gap both fall to ``eps`` and the objective is no
     worse than an exact line search toward ``s`` from ``it``.  On a
     quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
-    otherwise an AFW step (``_line_search_step``); one that does not
-    lower f raises ``CorrectionStallError``.  ``inner_steps`` counts the
-    minor-cycle passes, or the AFW steps.  Zero-weight atoms are
-    retained in the returned pool up to four times the active-set size,
-    evicting oldest-first.
+    otherwise an AFW step (``_line_search_step``).  An inner step that
+    cannot descend, or does not lower f strictly, ends the correction
+    at the iterate it started from.  Either way the returned iterate's
+    ``post_away_gap`` comes from one exact gradient.  Below the rounding
+    floor that gap can stay above ``eps`` although the incremental one
+    passed; no correction meets the contract there, so the iterate is
+    returned as it is, and ``solve`` ends the run as ``stall`` once a
+    correction changes nothing.  ``inner_steps`` counts the minor-cycle
+    passes, or the AFW steps.  Zero-weight atoms are retained in the
+    returned pool up to four times the active-set size, evicting
+    oldest-first.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
     for atom_id, point in it.atoms().items():
@@ -216,19 +215,13 @@ def fcfw_correction(
             )
             z_next, passes = (None, 0) if step is None else (step[0], 1)
         if z_next is None or not state.value < f_before:
-            raise CorrectionStallError(
-                f"correction stalled short of eps={eps} after {inner} inner steps",
-                partial=CorrectionResult(z, pool, inner, away[1]),
-            )
+            break  # a stall: return the iterate the failed step started from
         z = z_next
         inner += passes
 
-    f_final, grad_final = state.obj.value_and_gradient(z.x)
-    _, post_away = away_atom(z, grad_final)
-    if f_final > f_slack:
-        raise CorrectionPostconditionError("correction ended above the FW line-search value")
-    if post_away > eps:
-        raise CorrectionPostconditionError("correction ended with away gap above eps")
+    # z stands even if this exact gap exceeds eps: re-entering the loop can
+    # cycle, as cached and exact f differ by rounding
+    _, post_away = away_atom(z, state.obj.gradient(z.x))
 
     active = set(z.ids)
     inactive = [atom_id for atom_id in pool if atom_id not in active]
@@ -401,13 +394,14 @@ def solve(
     the ``final_iterate`` attribute.  The trace's JSON header records the
     configuration, the initial objective value, the exit status
     (``converged``, ``max_iter``, ``stall`` or an ``error:`` tag), the
-    final gap, the summed inner steps of the FCFW/MNP corrections, a
-    stalled one's included (``inner_steps``), ``lmo_calls``, ``resyncs``
-    and the largest ``Qx`` error corrected at a resync (``qx_drift_max``).
-    A step that cannot descend, or that leaves the active set and its
+    final gap, the summed inner steps of the completed FCFW/MNP
+    corrections (``inner_steps``), ``lmo_calls``, ``resyncs`` and the
+    largest ``Qx`` error corrected at a resync (``qx_drift_max``).  A
+    step that cannot descend, or that leaves the active set and its
     weights unchanged (a PFW step of gamma at most ``WEIGHT_FLOOR``, or a
     correction that does not lower f), ends the run with ``stall`` and
-    the gap it reached.  A non-finite f ends the run with
+    the gap it reached: this is how every variant stops at the rounding
+    floor of its gap.  A non-finite f ends the run with
     ``error:nonfinite``; a correction that raises one of
     ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
     under ``error`` in the header, keeping the completed iterations and
@@ -456,8 +450,6 @@ def solve(
                     result = mnp_correction(state, it, s)
             except CORRECTION_ERRORS as exc:
                 exit_status, error = f"error:{type(exc).__name__}", str(exc)
-                partial = getattr(exc, "partial", None)
-                inner_steps += partial.inner_steps if partial is not None else 0
                 break
             dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
             unchanged = _same_weights(result.iterate, it)

@@ -21,7 +21,7 @@ from polyfw.bench import (
 from polyfw.core import RunTrace, StepKind, StepRecord
 from polyfw.objectives import QuadraticObjective
 from polyfw.oracles import Simplex
-from polyfw.solvers import CorrectionStallError, SolverConfig, Variant, solve
+from polyfw.solvers import CorrectionPostconditionError, SolverConfig, Variant, solve
 
 
 def synth_trace(h_values, variant="PFW", kinds=None):
@@ -177,6 +177,52 @@ def test_reference_optimum_interior_point():
     assert reference_optimum(obj, Simplex(2)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_reference_optimum_is_one_fcfw_run(monkeypatch):
+    import polyfw.bench as bench
+
+    configs = []
+
+    def recording(obj, spec, config, x0=None):
+        configs.append(config)
+        return solve(obj, spec, config, x0)
+
+    monkeypatch.setattr(bench, "solve", recording)
+    obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8)
+    reference_optimum(obj, spec)
+    assert [(c.variant, c.epsilon) for c in configs] == [(Variant.FCFW, 1e-13)]
+
+
+def test_reference_optimum_raises_on_error_exit(monkeypatch):
+    import polyfw.solvers as solvers
+
+    def failing(*args, **kwargs):
+        raise CorrectionPostconditionError("forced failure")
+
+    monkeypatch.setattr(solvers, "fcfw_correction", failing)
+    obj, spec = gen_lasso(20, 40, 5, 0.1, 7, 2.0)
+    with pytest.raises(RuntimeError, match="error:CorrectionPostconditionError: forced failure"):
+        reference_optimum(obj, spec)
+
+
+@pytest.mark.parametrize(
+    "problem, f_star",
+    [
+        ("lasso_desk", 177.75407992918895),
+        (math.pi / 4, 0.2683058261758408),
+        (math.pi / 8, 0.39005655425459385),
+        (math.pi / 16, 0.44762465957157366),
+    ],
+    ids=["lasso_desk", "triangle_pi_4", "triangle_pi_8", "triangle_pi_16"],
+)
+def test_reference_optimum_pinned(problem, f_star):
+    """f* pinned bit for bit: the floor rule that ends the reference run must not move it."""
+    if problem == "lasso_desk":
+        obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8)
+    else:
+        obj, spec = gen_triangle(problem)[:2]
+    assert reference_optimum(obj, spec) == f_star
+
+
 def test_run_experiment_reproducible(tmp_path):
     cfg = triangle_config("repro")
     a = tmp_path / "a"
@@ -241,7 +287,7 @@ def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            raise CorrectionStallError("forced stall")
+            raise CorrectionPostconditionError("forced failure")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "mnp_correction", failing)
@@ -250,11 +296,11 @@ def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
     summary = run_experiment(ExperimentConfig.from_json(doc), tmp_path)
     clean, failed = summary["runs"]
     assert clean["exit_status"] == "converged"
-    assert failed["exit_status"] == "error:CorrectionStallError"
+    assert failed["exit_status"] == "error:CorrectionPostconditionError"
     assert set(failed) == set(clean)
     trace = RunTrace.read_csv(tmp_path / failed["trace_file"])
     assert trace.config_echo["exit_status"] == failed["exit_status"]
-    assert trace.config_echo["error"] == "forced stall"
+    assert trace.config_echo["error"] == "forced failure"
     assert failed["iterations"] == len(trace.records) == 1
     assert not all_runs_clean(summary)
 

@@ -8,8 +8,6 @@ from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, Simplex, VertexList, lmo
 from polyfw.solvers import (
     CorrectionPostconditionError,
-    CorrectionResult,
-    CorrectionStallError,
     DegenerateActiveSetError,
     SolverConfig,
     Variant,
@@ -527,9 +525,9 @@ def test_generic_objective_path_matches_quadratic():
     """Every variant but MNP runs on a plain ``Objective`` (slope-bisection steps).
 
     FW, AFW and PFW certify a 1e-9 gap, as on the exact quadratic path.
-    FCFW keeps epsilon at 1e-6: its inner stall rule compares values of
-    f, which cannot tell iterates apart near the optimum, so at 1e-7 or
-    below its first correction ends with ``error:CorrectionStallError``.
+    FCFW certifies 1e-6.  Its inner stall rule compares values of f, which
+    cannot tell iterates apart near the optimum, so at 1e-8 its run stops
+    at that floor: ``converged`` or ``stall``, never ``error:``.
     """
     rng = np.random.default_rng(411)
     A = rng.standard_normal((8, 5))
@@ -552,6 +550,9 @@ def test_generic_objective_path_matches_quadratic():
         generic.validate()
         assert generic.config_echo["exit_status"] == "converged"
         assert abs(generic.records[-1].f_value - exact.records[-1].f_value) <= eps
+    floor = solve(Wrapped(), Simplex(5), SolverConfig(Variant.FCFW, epsilon=1e-8, max_iter=300))
+    floor.validate()
+    assert floor.config_echo["exit_status"] in ("converged", "stall")
     with pytest.raises(TypeError):
         solve(Wrapped(), Simplex(5), SolverConfig(Variant.MNP, epsilon=1e-6, max_iter=10))
 
@@ -608,13 +609,15 @@ def test_sub_floor_pairwise_step_leaves_state_in_place():
     assert np.array_equal(trace.final_iterate.x, x0.x)
 
 
-@pytest.mark.parametrize("variant, stalls_at", [(Variant.PFW, 190), (Variant.MNP, 16)])
+@pytest.mark.parametrize(
+    "variant, stalls_at", [(Variant.PFW, 190), (Variant.MNP, 16), (Variant.FCFW, 16)]
+)
 def test_no_op_step_ends_run_as_stall_on_lasso_desk(variant, stalls_at):
-    """At eps=1e-13, below their precision floor, PFW and MNP stop at their first no-op.
+    """At eps=1e-13, below their precision floor, PFW, MNP and FCFW stop at their first no-op.
 
     PFW's no-op is a pairwise step of gamma at most ``WEIGHT_FLOOR``; MNP's
-    is a correction that returns the same active set and weights.  Both
-    once repeated it up to ``max_iter``.
+    and FCFW's is a correction that returns the same active set and
+    weights.  Neither repeats it up to ``max_iter`` or ends ``error:``.
     """
     from polyfw.bench import gen_lasso
 
@@ -624,6 +627,19 @@ def test_no_op_step_ends_run_as_stall_on_lasso_desk(variant, stalls_at):
     assert echo["exit_status"] == "stall"
     assert abs(len(trace.records) - stalls_at) <= 5
     assert 1e-13 < echo["final_fw_gap"] < 1e-10
+    trace.validate()
+
+
+def test_fcfw_stalls_at_mnp_floor_on_lasso_full():
+    """FCFW at eps=1e-12 on lasso_full stops where MNP does (61 records), not at iteration 0."""
+    from polyfw.bench import gen_lasso
+
+    obj, spec = gen_lasso(200, 500, 50, 0.1, 42, 20.0)
+    trace = solve(obj, spec, SolverConfig(Variant.FCFW, epsilon=1e-12, max_iter=3000))
+    echo = trace.config_echo
+    assert echo["exit_status"] == "stall"
+    assert abs(len(trace.records) - 61) <= 5
+    assert 1e-12 < echo["final_fw_gap"] < 1e-10
     trace.validate()
 
 
@@ -750,16 +766,14 @@ def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
     assert len(result.iterate) == 3
 
 
-@pytest.mark.parametrize(
-    "error", [CorrectionStallError, CorrectionPostconditionError, DegenerateActiveSetError]
-)
+@pytest.mark.parametrize("error", [CorrectionPostconditionError, DegenerateActiveSetError])
 @pytest.mark.parametrize("variant", [Variant.FCFW, Variant.MNP])
 def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatch):
     """A correction that raises on its k-th call ends the run with ``error:<Type>``.
 
     The trace keeps the k - 1 completed iterations, and the final iterate
-    is the one an unpatched run reaches in k - 1 iterations.  A stall's
-    ``partial.inner_steps`` counts in the header's ``inner_steps``.
+    is the one an unpatched run reaches in k - 1 iterations.  The header's
+    ``inner_steps`` counts the completed corrections only.
     """
     import polyfw.solvers as solvers
 
@@ -780,8 +794,6 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == k:
-            if error is CorrectionStallError:
-                raise error(f"forced failure on call {k}", CorrectionResult(args[1], {}, 7, 0.0))
             raise error(f"forced failure on call {k}")
         return original(*args, **kwargs)
 
@@ -791,8 +803,7 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     assert echo["exit_status"] == f"error:{error.__name__}"
     assert echo["error"] == f"forced failure on call {k}"
     assert echo["lmo_calls"] == 1 + k
-    stalled = 7 if error is CorrectionStallError else 0
-    assert echo["inner_steps"] == shorter.config_echo["inner_steps"] + stalled
+    assert echo["inner_steps"] == shorter.config_echo["inner_steps"]
     assert len(calls) == k and len(trace.records) == k - 1
     assert trace.records == shorter.records
     trace.validate()
