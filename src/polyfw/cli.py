@@ -68,10 +68,10 @@ def _cmd_pwidth(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    trace = RunTrace.read_csv(args.trace_csv)
     if args.quantity == "f_gap_to_opt" and args.f_star is None:
         print("error: --f-star is required for f_gap_to_opt", file=sys.stderr)
         return 2
+    trace = RunTrace.read_csv(args.trace_csv)
     fit = bench.fit_rate(
         trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor
     )

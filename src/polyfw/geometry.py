@@ -10,6 +10,7 @@ distance between a proper face and the hull of the remaining atoms
 (Pena and Rodriguez, Math. Oper. Res. 2019), one min-norm-point solve
 per proper face and no LP.  Its witness is the closest facial pair.  It
 also estimates the affine-invariant curvature constants by sampling.
+scipy loads only on the first LP or face enumeration, not with the module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from polyfw import oracles, solvers
 from polyfw.core import Atom, atom_key
@@ -56,6 +56,13 @@ def _dedupe(mat: np.ndarray) -> List[int]:
             seen.add(key)
             keep.append(i)
     return keep
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP rather than with the module."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _contains(points: np.ndarray, x: np.ndarray) -> bool:

@@ -375,6 +375,8 @@ def test_cli_rate(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "rho_hat" in doc
     assert cli.main(["rate", str(path), "--quantity", "f_gap_to_opt"]) == 2
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main(["rate", missing, "--quantity", "f_gap_to_opt"]) == 2
 
 
 def test_cli_run(tmp_path, capsys):

@@ -238,6 +238,55 @@ def test_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def run_fresh(code, *args):
+    """Run code in a fresh interpreter that imports polyfw from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True)
+
+
+def test_solve_run_and_rate_leave_scipy_unloaded(tmp_path):
+    code = """
+import sys
+from pathlib import Path
+import polyfw
+from polyfw import cli
+obj, spec = polyfw.gen_lasso(20, 40, 5, 0.1, 7, 2.0)
+for variant in polyfw.Variant:
+    polyfw.solve(obj, spec, polyfw.SolverConfig(variant, epsilon=1e-6, max_iter=50))
+config = polyfw.ExperimentConfig.from_json({
+    "name": "tri",
+    "problem": {"kind": "triangle", "thetas": [0.5], "n_starts": 1, "rng_seed": 3},
+    "variants": ["PFW"],
+    "max_iter": 100,
+})
+out = Path(sys.argv[1])
+polyfw.run_experiment(config, out)
+assert cli.main(["rate", str(sorted(out.glob("*.csv"))[0])]) == 0
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    run_fresh(code, tmp_path / "runs")
+
+
+def test_scipy_optimize_loads_on_first_lp():
+    assert pdirw(points_of(Simplex(3)), np.eye(3)[0], np.full(3, 1 / 3)) == 1.0
+    code = """
+import sys
+import numpy as np
+from polyfw import geometry
+from polyfw.oracles import Cube, Simplex
+assert "scipy.optimize" not in sys.modules
+geometry.pwidth([a.point for a in Cube(3).enumerate_atoms()])
+assert "scipy.optimize" not in sys.modules
+atoms = [a.point for a in Simplex(3).enumerate_atoms()]
+assert geometry.pdirw(atoms, np.eye(3)[0], np.full(3, 1 / 3)) == 1.0
+assert "scipy.optimize" in sys.modules
+"""
+    run_fresh(code)
+
+
 def test_vertex_addition_spot_check_logged():
     # conjecture only: adding vertices should not increase the width;
     # printed for inspection, deliberately not asserted
