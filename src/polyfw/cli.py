@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -48,13 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = bench.ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        config.problem["rng_seed"] = args.seed
-    if args.max_iter is not None:
-        config.max_iter = args.max_iter
-    if args.epsilon is not None:
-        config.epsilon = args.epsilon
+    given = {"max_iter": args.max_iter, "epsilon": args.epsilon}
+    try:  # replace runs __post_init__ again, which checks the overrides
+        config = bench.ExperimentConfig.from_json(args.config)
+        if args.seed is not None:
+            config.problem["rng_seed"] = args.seed
+        config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = bench.run_experiment(config, args.out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if bench.all_runs_clean(summary) else 1

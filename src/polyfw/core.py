@@ -13,6 +13,8 @@ is re-synthesized from the expansion every ``RESYNTH_PERIOD`` steps, on
 each drop or swap, and after an away step longer than 1, so incremental
 updates cannot drift.  ``ActiveIterate.synced`` tells the objective
 state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
+Step-path products (FW/AFW/PFW) use ``ndarray.dot``: the bits of ``@``
+without its ufunc dispatch.  Products by Q keep ``@``, seen by ``__array_ufunc__``.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ class ActiveIterate:
     def atom_dots(self, vec: np.ndarray) -> np.ndarray:
         """<a_i, vec> for each active atom, in ``ids`` order (one product)."""
         store = self._store
-        return (store.rows[: store.size] @ vec)[self._rows]
+        return store.rows[: store.size].dot(vec)[self._rows]
 
     def synthesize(self) -> np.ndarray:
         store = self._store
@@ -270,8 +272,8 @@ def _advance(
     """Package an updated state, re-synthesizing x on the usual cadence.
 
     With ``clean``, weights at or below ``WEIGHT_FLOOR`` are dropped and
-    the rest renormalized: dividing by the surviving total redistributes
-    the deficit proportionally.
+    the rest renormalized in place (``w`` is the caller's fresh array):
+    dividing by the surviving total redistributes the deficit proportionally.
     """
     if clean:
         if min(w.tolist()) <= WEIGHT_FLOOR:
@@ -280,7 +282,7 @@ def _advance(
                 raise AssertionError("all weights collapsed below the floor")
             ids = tuple(ids[i] for i in kept)
             w, rows = w[kept], rows[kept]
-        w = w / np.add.reduce(w)
+        w /= np.add.reduce(w)
     out = ActiveIterate.__new__(ActiveIterate)
     out.ids, out.w, out.x, out._store, out._rows = ids, w, x_new, store, rows
     out._steps_since_sync, out._last = it._steps_since_sync + 1, (None, None)
@@ -316,9 +318,9 @@ def apply_fw_step(
     else:
         ids, rows, store = it.ids, it._rows, it._store
         w[j] += gamma
-    if fw_dir is None:
-        fw_dir = s.point - it.x
-    return _advance(it, ids, w, rows, store, it.x + gamma * fw_dir)
+    x_new = gamma * (s.point - it.x if fw_dir is None else fw_dir)
+    x_new += it.x
+    return _advance(it, ids, w, rows, store, x_new)
 
 
 def apply_away_step(

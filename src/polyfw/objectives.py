@@ -242,7 +242,7 @@ class QuadraticState(ObjectiveState):
         """Put the state at the point ``x`` whose image ``Q x`` is ``Qx``."""
         self.Qx = Qx
         self.grad = Qx + self.b
-        self.value = float(0.5 * x @ Qx + self.b @ x + self.c)
+        self.value = float((0.5 * x).dot(Qx)) + float(self.b.dot(x)) + self.c
 
     def image(self, atom_id: bytes, point: np.ndarray) -> np.ndarray:
         """Q times an atom, cached by id."""
@@ -256,12 +256,12 @@ class QuadraticState(ObjectiveState):
     def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Exact minimizer on [0, gamma_max], as ``QuadraticObjective.line_search``."""
         Qd = self.Qx if head is None else self.image(head.id, head.point)
-        Qd = Qd - (self.Qx if tail is None else self.image(tail, it.atom_point(tail)))
-        self._Qd = Qd
-        return _exact_step(descent, float(direction @ Qd), gamma_max)
+        self._Qd = Qd = Qd - (self.Qx if tail is None else self.image(tail, it.atom_point(tail)))
+        return _exact_step(descent, float(direction.dot(Qd)), gamma_max)
 
     def advance(self, it, gamma: float) -> None:
-        Qx = self.Qx + gamma * self._Qd
+        Qx = gamma * self._Qd
+        Qx += self.Qx
         if it.synced:
             self.reset(it)
             self.resyncs += 1

@@ -158,7 +158,7 @@ class VertexList(PolytopeSpec):
         self.dimension = mat.shape[1]
 
     def _lmo(self, r: np.ndarray) -> Atom:
-        return self._atoms[(self.matrix @ r).argmin()]  # lowest row index wins ties
+        return self._atoms[self.matrix.dot(r).argmin()]  # lowest row index wins ties
 
     def enumerate_atoms(self) -> List[Atom]:
         return list(self._atoms)

@@ -28,7 +28,7 @@ costs O(k + d) with no product by Q, and the Wolfe major cycle
 (``_wolfe_step``) that both corrections share takes its Gram matrix and
 its new ``Qx`` from the same images.  ``Qx`` is recomputed exactly
 whenever the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps
-and on each drop or swap) and after each FCFW/MNP correction.  Besides
+and on each drop or swap) and as each FCFW/MNP correction ends.  Besides
 the configuration and outcome, a trace's JSON header records
 ``inner_steps`` (summed over the corrections), ``lmo_calls``,
 ``resyncs`` and ``qx_drift_max`` (the largest incremental ``Qx`` error
@@ -102,7 +102,7 @@ class SolverConfig:
 
 @dataclass
 class CorrectionResult:
-    """Outcome of one FCFW/MNP correction call."""
+    """Outcome of one FCFW/MNP correction call, which leaves the state exact at ``iterate``."""
 
     iterate: ActiveIterate
     correction_atoms: Dict[bytes, np.ndarray]
@@ -127,7 +127,7 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
     if dots.count(best) > 1:
         ties = [j for j, dot in enumerate(dots) if dot == best]
         i = max(ties, key=lambda j: (it.w[j], it.ids[j]))
-    return it.ids[i], best - float(grad @ it.x)
+    return it.ids[i], best - float(grad.dot(it.x))
 
 
 def afw_choose_direction(
@@ -169,15 +169,14 @@ def fcfw_correction(
     quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
     otherwise an AFW step (``_line_search_step``).  An inner step that
     cannot descend, or does not lower f strictly, ends the correction
-    at the iterate it started from.  Either way the returned iterate's
-    ``post_away_gap`` comes from one exact gradient.  Below the rounding
-    floor that gap can stay above ``eps`` although the incremental one
-    passed; no correction meets the contract there, so the iterate is
-    returned as it is, and ``solve`` ends the run as ``stall`` once a
-    correction changes nothing.  ``inner_steps`` counts the minor-cycle
-    passes, or the AFW steps.  Zero-weight atoms are retained in the
-    returned pool up to four times the active-set size, evicting
-    oldest-first.
+    at the iterate it started from.  Either way ``post_away_gap`` comes
+    from the exact gradient there.  Below the rounding floor that gap can
+    stay above ``eps`` although the incremental one passed; no correction
+    meets the contract there, so the iterate is returned as it is, and
+    ``solve`` ends the run as ``stall`` once a correction changes nothing.
+    ``inner_steps`` counts the minor-cycle passes, or the AFW steps.
+    Zero-weight atoms are retained in the returned pool up to four times
+    the active-set size, evicting oldest-first.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
     for atom_id, point in it.atoms().items():
@@ -221,7 +220,8 @@ def fcfw_correction(
 
     # z stands even if this exact gap exceeds eps: re-entering the loop can
     # cycle, as cached and exact f differ by rounding
-    _, post_away = away_atom(z, state.obj.gradient(z.x))
+    state.reset(z)
+    _, post_away = away_atom(z, state.grad)
 
     active = set(z.ids)
     inactive = [atom_id for atom_id in pool if atom_id not in active]
@@ -315,6 +315,7 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
         raise CorrectionPostconditionError(
             f"minor cycle away gap {away_gap} stayed above {MNP_AWAY_GAP_LIMIT}"
         )
+    state.reset(out)
     return CorrectionResult(out, out.atoms(), passes, away_gap)
 
 
@@ -357,7 +358,7 @@ def _line_search_step(
         kind = StepKind.PAIRWISE
     else:
         kind, direction, gamma_max, v_id = StepKind.FW, fw_dir, 1.0, None
-    descent = g_fw if direction is fw_dir else -float(grad @ direction)
+    descent = g_fw if direction is fw_dir else -float(grad.dot(direction))
     if descent <= 0.0:
         return None
     head = None if kind is StepKind.AWAY else s
@@ -426,7 +427,7 @@ def solve(
         grad = state.grad
         s = lmo(spec, grad)
         fw_dir = s.point - it.x
-        g_fw = -float(grad @ fw_dir)
+        g_fw = -float(grad.dot(fw_dir))
         if not abs(g_fw) < math.inf and not np.isfinite(grad).all():
             raise ValueError("direction entries must be finite")
         final_gap = g_fw
@@ -459,7 +460,6 @@ def solve(
             inner_steps += result.inner_steps
             gamma = gamma_max = 0.0
             away_record = result.post_away_gap
-            state.reset(it)
             if unchanged and not state.value < f_before:
                 exit_status = "stall"
                 break

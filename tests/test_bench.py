@@ -395,3 +395,22 @@ def test_cli_run(tmp_path, capsys):
     doc = json.loads((out / "cli_tri_summary.json").read_text())
     assert doc["runs"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("in_file, flags", [
+    ({}, ["--max-iter", "0"]), ({}, ["--epsilon", "-1"]), ({"max_iter": 0}, []),
+])
+def test_cli_run_rejects_invalid_settings(tmp_path, capsys, in_file, flags):
+    """A setting from the file or a flag is checked before anything runs or is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "cli_tri",
+        "problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1,
+                    "rng_seed": 3},
+        "variants": ["FW"],
+        **in_file,
+    }))
+    out = tmp_path / "runs"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

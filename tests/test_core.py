@@ -368,3 +368,60 @@ def test_columnar_trace_matches_record_reference(records, descending, init_size)
         assert t.step_counts() == ref.trace_step_counts(records)
         assert t.f_values().tolist() == [float(r.f_value) for r in records]
         assert _outcome(t.validate, init_size) == _outcome(ref.trace_validate, records, init_size)
+
+
+# -- the step path's products: ndarray.dot in place of @ ----------------------
+
+import ast  # noqa: E402
+import inspect  # noqa: E402
+import textwrap  # noqa: E402
+
+from polyfw import solvers  # noqa: E402
+from polyfw.core import _advance, _AtomStore  # noqa: E402
+from polyfw.objectives import QuadraticState  # noqa: E402
+from polyfw.oracles import VertexList  # noqa: E402
+
+
+def _operands(seed, shape, scale):
+    return np.random.default_rng(seed).standard_normal(shape) * 2.0 ** scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), scale=st.integers(-30, 30))
+def test_vector_dot_is_matmul_bit_for_bit(n, seed, scale):
+    """The step path's premise: on 1-D float64 pairs ``a.dot(b)`` returns ``a @ b``'s bits.
+
+    If a numpy or BLAS upgrade breaks this, recorded traces move.
+    """
+    a, b = _operands(seed, (2, n), scale)
+    assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 130), d=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+       scale=st.integers(-30, 30))
+def test_store_rows_dot_is_matmul_bit_for_bit(k, d, seed, scale):
+    """``atom_dots``' product: a row slice of an ``_AtomStore`` times a vector, as ``@`` gives it."""
+    points = _operands(seed, (k + 1, d), scale)
+    store = _AtomStore([bytes([i % 256, i // 256]) for i in range(k)], points[:k])
+    rows, vec = store.rows[: store.size], points[k]
+    assert rows.dot(vec).tobytes() == (rows @ vec).tobytes()
+
+
+STEP_PATH = [
+    solvers.solve, solvers.away_atom, solvers._line_search_step, QuadraticState.move_to,
+    QuadraticState.line_search, QuadraticState.advance, ActiveIterate.atom_dots, apply_fw_step,
+    _advance, VertexList._lmo,
+]
+
+
+@pytest.mark.parametrize("func", STEP_PATH, ids=lambda f: f.__qualname__)
+def test_step_path_makes_no_matmul(func):
+    """Keeps ``@`` and its ``np.matmul`` dispatch off the FW/AFW/PFW step path."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    matmuls = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not matmuls, (
+        f"{func.__module__}.{func.__qualname__} uses @ (lines {matmuls} of its source): "
+        "products on the step path use ndarray.dot, see the polyfw.core module docstring"
+    )

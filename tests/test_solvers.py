@@ -459,15 +459,21 @@ def test_traced_entry_points_are_module_globals(monkeypatch):
                           "apply_pairwise_step", "fcfw_correction", "mnp_correction"}
 
 
-@pytest.mark.parametrize("variant, per_correction", [(Variant.FCFW, 2), (Variant.MNP, 0)])
-def test_corrections_make_no_dense_product_per_inner_step(variant, per_correction, monkeypatch):
-    """FCFW calls the objective only for its target value and its postcondition; MNP never.
+@pytest.mark.parametrize(
+    "variant, calls_per, products_per", [(Variant.FCFW, 1, 2), (Variant.MNP, 0, 1)]
+)
+def test_corrections_make_no_dense_product_per_inner_step(
+    variant, calls_per, products_per, monkeypatch
+):
+    """Products by Q in a whole solve: two per FCFW iteration, one per MNP iteration.
 
-    Inside a correction no major cycle multiplies by Q or resets the
-    state: every product by Q (a dense one, or one inside an objective
-    call) and every ``QuadraticState.reset`` is counted while a
-    correction runs.  The lasso atoms are 1-sparse, so their images are
-    rows of Q.
+    FCFW calls the objective once per correction, for its target value;
+    MNP never.  Each correction ends with one ``QuadraticState.reset``,
+    the other product, and no major cycle multiplies by Q, so neither
+    count grows with the inner steps.  Every product by Q (a dense one,
+    or one inside an objective call) is counted, plus the one that opens
+    the solve's state.  The lasso atoms are 1-sparse, so their images
+    are rows of Q.
     """
     import polyfw.solvers as solvers
     from polyfw.bench import gen_lasso
@@ -486,7 +492,7 @@ def test_corrections_make_no_dense_product_per_inner_step(variant, per_correctio
 
     class CountingQ(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul and inside and any(
+            if ufunc is np.matmul and any(
                 isinstance(a, CountingQ) and a.ndim == 2 for a in inputs
             ):
                 counts["products"] += 1
@@ -515,10 +521,11 @@ def test_corrections_make_no_dense_product_per_inner_step(variant, per_correctio
     obj.Q = obj.Q.view(CountingQ)
     trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-8, max_iter=30))
     assert trace.config_echo["exit_status"] == "converged"
-    assert trace.records and trace.config_echo["inner_steps"] > len(trace.records)
-    assert len(calls) <= per_correction * len(trace.records), sorted(set(calls))
-    assert counts["resets"] == 0
-    assert counts["products"] == per_correction * len(trace.records)
+    iterations = len(trace.records)
+    assert iterations and trace.config_echo["inner_steps"] > iterations
+    assert len(calls) <= calls_per * iterations, sorted(set(calls))
+    assert counts["resets"] == iterations
+    assert counts["products"] == products_per * iterations + 1
 
 
 def test_generic_objective_path_matches_quadratic():
