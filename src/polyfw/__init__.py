@@ -33,16 +33,11 @@ from polyfw.geometry import (
     dirw,
     eccentricity,
     enumerate_faces,
-    estimate_affine_constants,
     pdirw,
     pwidth,
     rate_constant,
 )
-from polyfw.objectives import (
-    CurvatureEstimates,
-    QuadraticObjective,
-    exact_constants,
-)
+from polyfw.objectives import QuadraticObjective, exact_constants
 from polyfw.oracles import (
     BasePolytope,
     Cube,
@@ -61,7 +56,6 @@ __all__ = [
     "Atom",
     "BasePolytope",
     "Cube",
-    "CurvatureEstimates",
     "ExperimentConfig",
     "FlowDag",
     "L1Ball",
@@ -85,7 +79,6 @@ __all__ = [
     "eccentricity",
     "enumerate_atoms",
     "enumerate_faces",
-    "estimate_affine_constants",
     "exact_constants",
     "fit_rate",
     "gen_lasso",

@@ -1,13 +1,15 @@
 """Benchmark harness: seeded problem generators, rate fits, trace files.
 
-Three experiment families exercise the solvers where the rate theory
-makes checkable predictions: an l1-constrained least-squares problem
-(linear vs sublinear separation between active-set variants and plain
-FW), a thin-triangle sweep (empirical contraction rate against the
-tan^2(theta/2) prediction over random starts) and a rank-deficient
-quadratic over the simplex (linear decay despite zero strong
-convexity).  Runs are deterministic given the config: identical configs
-serialize to byte-identical trace CSVs.
+Four problem kinds.  Three seeded families exercise the solvers where
+the rate theory makes checkable predictions: an l1-constrained
+least-squares problem (linear vs sublinear separation between
+active-set variants and plain FW), a thin-triangle sweep (empirical
+contraction rate against Theorem 1's ``geometry.linear_rate`` over
+random starts) and a rank-deficient quadratic over the simplex (linear
+decay despite zero strong convexity).  ``custom`` reads a least-squares
+problem from CSV files and a polytope spec.  Runs are deterministic
+given the config: identical configs serialize to byte-identical trace
+CSVs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from polyfw.core import ActiveIterate, RunTrace, StepKind
+from polyfw.geometry import linear_rate
 from polyfw.objectives import Objective, QuadraticObjective
 from polyfw.oracles import L1Ball, PolytopeSpec, Simplex, VertexList, spec_from_json
 from polyfw.solvers import SolverConfig, Variant, solve
@@ -96,6 +99,8 @@ class ExperimentConfig:
                     raise ValueError(f"custom problem is missing {key!r}")
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
+        if kind != "custom" and "rng_seed" not in self.problem:
+            raise ValueError(f"{kind} problem needs an rng_seed")
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
@@ -252,7 +257,7 @@ def reference_optimum(obj: Objective, spec: PolytopeSpec) -> float:
         raise RuntimeError(
             f"reference run ended {echo['exit_status']}: {echo.get('error', 'non-finite f')}"
         )
-    return min(float(echo["f0"]), *map(float, trace.columns["f_value"]))
+    return min([float(echo["f0"]), *map(float, trace.columns["f_value"])])
 
 
 def _run_record(
@@ -303,15 +308,6 @@ def _run_quadratic_family(
     return runs
 
 
-def _triangle_theoretical(variant: str, delta: float, diameter: float) -> Optional[float]:
-    base = delta ** 2 / diameter ** 2  # mu = L = 1 for the half squared distance
-    if variant in ("AFW", "FCFW"):
-        return base / 4.0
-    if variant in ("PFW", "MNP"):
-        return min(0.5, base)
-    return None
-
-
 def _median(values: List[float]) -> Optional[float]:
     return float(np.median(values)) if values else None
 
@@ -330,7 +326,7 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
         rng = np.random.default_rng([seed, ti])
         starts = [rng.dirichlet(np.ones(len(atoms))) for _ in range(n_starts)]
         for variant in config.variants:
-            theoretical = _triangle_theoretical(variant, delta, diameter)
+            theoretical = linear_rate(variant, 1.0, 1.0, delta, diameter)  # mu = L = 1
             mine: List[Dict] = []
             for si, w in enumerate(starts):
                 key = f"triangle_t{ti}_{variant.lower()}_s{si:02d}"

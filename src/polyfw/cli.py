@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from polyfw import bench, geometry
@@ -48,33 +48,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    given = {"max_iter": args.max_iter, "epsilon": args.epsilon}
-    try:  # replace runs __post_init__ again, which checks the overrides
-        config = bench.ExperimentConfig.from_json(args.config)
+    try:  # the overrides join the file's settings before the config checks them
+        doc = json.loads(Path(args.config).read_text())
         if args.seed is not None:
-            config.problem["rng_seed"] = args.seed
-        config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            doc["problem"]["rng_seed"] = args.seed
+        for key, value in (("max_iter", args.max_iter), ("epsilon", args.epsilon)):
+            if value is not None:
+                doc[key] = value
+        config = bench.ExperimentConfig.from_json(doc)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     summary = bench.run_experiment(config, args.out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if bench.all_runs_clean(summary) else 1
 
 
 def _cmd_pwidth(args: argparse.Namespace) -> int:
-    spec = VertexList.read_csv(args.vertices_csv)
-    report = geometry.pwidth(spec.matrix)
+    try:
+        report = geometry.pwidth(VertexList.read_csv(args.vertices_csv).matrix)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     if args.quantity == "f_gap_to_opt" and args.f_star is None:
-        print("error: --f-star is required for f_gap_to_opt", file=sys.stderr)
-        return 2
-    trace = RunTrace.read_csv(args.trace_csv)
+        return _error("--f-star is required for f_gap_to_opt")
+    try:
+        trace = RunTrace.read_csv(args.trace_csv)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     fit = bench.fit_rate(
         trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor
     )

@@ -8,9 +8,11 @@ a sorted-prefix argument that avoids enumerating active sets), and the
 global pyramidal width exactly as the facial distance: the smallest
 distance between a proper face and the hull of the remaining atoms
 (Pena and Rodriguez, Math. Oper. Res. 2019), one min-norm-point solve
-per proper face and no LP.  Its witness is the closest facial pair.  It
-also estimates the affine-invariant curvature constants by sampling.
-scipy loads only on the first LP or face enumeration, not with the module.
+per proper face and no LP.  Its witness is the closest facial pair.
+``linear_rate`` is Theorem 1's contraction factor for each solver
+variant, and ``rate_constant`` evaluates it for a quadratic over a
+polytope.  scipy loads only on the first LP or face enumeration, not
+with the module.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ import numpy as np
 
 from polyfw import oracles, solvers
 from polyfw.core import Atom, atom_key
-from polyfw.objectives import (
-    CurvatureEstimates,
-    Objective,
-    QuadraticObjective,
-    polytope_diameter,
-)
+from polyfw.objectives import Objective, QuadraticObjective, exact_constants, polytope_diameter
 
 PDIRW_ATOM_CAP = 16
 VALUE_FLOOR = 1e-12  # a facial distance at rounding scale means a degenerate atom set
@@ -308,12 +305,26 @@ def eccentricity(spec: oracles.PolytopeSpec) -> float:
     return float((M / delta) ** 2)
 
 
+def linear_rate(variant, mu: float, L: float, delta: float, M: float) -> Optional[float]:
+    """Theorem 1's contraction factor rho: h_{t+1} <= (1 - rho) h_t on a good step.
+
+    With base = mu delta^2 / (L M^2), AFW and FCFW contract by base / 4,
+    and so does MNP, an FCFW whose correction is Wolfe's cycle; PFW by
+    min(1/2, base).  Plain FW has no linear rate (None).
+    """
+    variant = solvers.Variant(variant)
+    if variant is solvers.Variant.FW:
+        return None
+    base = mu * delta ** 2 / (L * M ** 2)
+    return min(0.5, base) if variant is solvers.Variant.PFW else base / 4.0
+
+
 @dataclass
 class RateConstants:
-    """Geometric linear-rate constants for the solver variants."""
+    """Theorem 1's constants for a quadratic over a polytope (see ``linear_rate``)."""
 
-    afw: float   # also the FCFW guarantee: mu delta^2 / (4 L M^2)
-    pfw: float   # min(1/2, mu delta^2 / (L M^2))
+    afw: float   # rho of AFW, FCFW and MNP: mu delta^2 / (4 L M^2)
+    pfw: float   # rho of PFW: min(1/2, mu delta^2 / (L M^2))
     mu: float
     L: float
     delta: float
@@ -322,152 +333,13 @@ class RateConstants:
 
 def rate_constant(obj: Objective, spec: oracles.PolytopeSpec) -> RateConstants:
     """Theoretical contraction factors from (mu, L) and (delta, M)."""
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("rate constants need exact (mu, L), available for quadratics")
-    L = obj.smoothness
-    mu = obj.strong_convexity
-    M = polytope_diameter(spec)
+    L, mu, M = exact_constants(obj, spec)
     delta = _spec_pwidth(spec)
-    base = mu * delta ** 2 / (L * M ** 2)
     return RateConstants(
-        afw=base / 4.0,
-        pfw=min(0.5, base),
+        afw=linear_rate(solvers.Variant.AFW, mu, L, delta, M),
+        pfw=linear_rate(solvers.Variant.PFW, mu, L, delta, M),
         mu=mu,
         L=L,
         delta=delta,
         diameter=M,
     )
-
-
-def _fw_index(mat: np.ndarray, grad: np.ndarray) -> int:
-    return int(np.argmin(mat @ grad))
-
-
-def _away_value(mat: np.ndarray, grad: np.ndarray, x: np.ndarray) -> Optional[float]:
-    """<grad, v_f(x)> for the worst-case away atom over all active sets.
-
-    Sorting atoms by increasing gradient value, the minimal prefix whose
-    hull contains x bounds every admissible active set from below, and
-    its last atom's value is attained.
-    """
-    dots = mat @ grad
-    order = np.argsort(dots, kind="stable")
-    k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
-    return None if k is None else float(dots[order[k - 1]])
-
-
-def estimate_affine_constants(
-    obj: Objective,
-    spec: oracles.PolytopeSpec,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> CurvatureEstimates:
-    """Sampled affine-invariant curvature constants over a small atom set.
-
-    The two curvatures are maxima of their defining quotients over
-    sampled (point, atom, step) tuples, the away curvature is a minimum
-    over sampled descent pairs, so the estimates bracket the true
-    constants from the safe side.  Every vertex contributes the
-    structured pair (vertex, its oracle atom), which has unit affine
-    step size; injecting it into all three sample sets enforces the
-    ordering away-curvature <= curvature <= pairwise-curvature on the
-    shared samples.
-    """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    atoms = oracles.enumerate_atoms(spec)
-    if len(atoms) > PDIRW_ATOM_CAP:
-        raise ValueError(f"estimation needs at most {PDIRW_ATOM_CAP} atoms")
-    mat = np.stack([a.point for a in atoms])
-    m, d = mat.shape
-    rng = np.random.default_rng(seed)
-
-    if isinstance(obj, QuadraticObjective):
-        L, mu = obj.smoothness, obj.strong_convexity
-    else:
-        raise TypeError("constant estimation is implemented for quadratics")
-
-    def sample_point() -> np.ndarray:
-        if m > 1 and rng.random() < 0.5:
-            size = int(rng.integers(1, min(m, d + 1) + 1))
-            subset = rng.choice(m, size=size, replace=False)
-            w = rng.dirichlet(np.ones(size))
-            return w @ mat[subset]
-        w = rng.dirichlet(np.ones(m))
-        return w @ mat
-
-    def curvature_quotient(x, y, grad_x, f_x, gamma) -> float:
-        return 2.0 / gamma ** 2 * (obj.value(y) - f_x - float(grad_x @ (y - x)))
-
-    C_f = -np.inf
-    C_fA = -np.inf
-    mu_fA = np.inf
-
-    for _ in range(n_samples):
-        x = sample_point()
-        f_x, grad_x = obj.value_and_gradient(x)
-        gamma = float(rng.uniform(0.25, 1.0))
-        s = mat[int(rng.integers(m))]
-        C_f = max(C_f, curvature_quotient(x, x + gamma * (s - x), grad_x, f_x, gamma))
-        # Evaluating the pairwise quotient at every atom v dominates the
-        # plain quotient at (x, s, gamma), keeping the sampled ordering.
-        for v in mat:
-            C_fA = max(
-                C_fA, curvature_quotient(x, x + gamma * (s - v), grad_x, f_x, gamma)
-            )
-
-    count = 0
-    attempts = 0
-    while count < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        x = sample_point()
-        x_star = sample_point()
-        q = _mu_quotient(obj, mat, x, x_star)
-        if q is None:
-            continue
-        mu_fA = min(mu_fA, q)
-        count += 1
-
-    # Structured vertex pairs: gamma^A = 1 exactly, so the same quotient
-    # feeds all three estimates.
-    for i in range(m):
-        a = mat[i]
-        others = np.delete(mat, i, axis=0)
-        if others.shape[0] and _contains(others, a):
-            continue  # not a vertex of the hull
-        f_a, grad_a = obj.value_and_gradient(a)
-        s = mat[_fw_index(mat, grad_a)]
-        if float(grad_a @ (s - a)) >= 0.0:
-            continue
-        q = curvature_quotient(a, s, grad_a, f_a, 1.0)
-        C_f = max(C_f, q)
-        C_fA = max(C_fA, q)
-        mu_fA = min(mu_fA, q)
-
-    return CurvatureEstimates(L=L, mu=mu, C_f_hat=float(C_f), C_fA_hat=float(C_fA), mu_fA_hat=float(mu_fA))
-
-
-def _mu_quotient(
-    obj: Objective, mat: np.ndarray, x: np.ndarray, x_star: np.ndarray
-) -> Optional[float]:
-    """Away-curvature quotient for one (x, x*) pair, or None if inadmissible.
-
-    Pairs with descent at rounding scale are rejected: their true
-    quotient blows up (it cannot lower the minimum) while the computed
-    numerator cancels catastrophically.
-    """
-    f_x, grad_x = obj.value_and_gradient(x)
-    descent = float(grad_x @ (x_star - x))
-    if descent >= -1e-9 * max(1.0, abs(f_x)):
-        return None
-    s = mat[_fw_index(mat, grad_x)]
-    away = _away_value(mat, grad_x, x)
-    if away is None:
-        return None
-    denom = away - float(grad_x @ s)
-    if denom <= 1e-14 * max(1.0, float(np.max(np.abs(mat @ grad_x)))):
-        return None
-    gamma_a = -descent / denom
-    if gamma_a <= 0.0:
-        return None
-    return 2.0 / gamma_a ** 2 * (obj.value(x_star) - f_x - descent)

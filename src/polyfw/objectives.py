@@ -22,7 +22,6 @@ matrix and its new ``Qx`` from the same images (``move_to``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -268,22 +267,6 @@ class QuadraticState(ObjectiveState):
             self.drift_max = max(self.drift_max, float(np.max(np.abs(Qx - self.Qx))))
         else:
             self.move_to(it.x, Qx)
-
-
-@dataclass
-class CurvatureEstimates:
-    """Exact eigenvalue constants plus sampled affine-invariant estimates.
-
-    The sampled curvatures are maxima over samples, hence lower bounds
-    of the true suprema; the sampled away curvature is a minimum, hence
-    an upper bound of the true infimum.
-    """
-
-    L: float
-    mu: float
-    C_f_hat: float
-    C_fA_hat: float
-    mu_fA_hat: float
 
 
 def analytic_diameter(spec: oracles.PolytopeSpec) -> Optional[float]:

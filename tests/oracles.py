@@ -5,7 +5,8 @@ from the library code: argmin-by-scan linear oracles, sort-based
 projections, an exhaustive face-inspection quadratic program, a
 subset-enumeration pyramidal directional width, and a cone-LP pyramidal
 width with a base point that reproduces it (it takes its faces from
-``geometry.enumerate_faces``, which is tested on its own).  Slow is
+``geometry.enumerate_faces``, which is tested on its own), and a
+sampled estimator of the affine-invariant curvature constants.  Slow is
 fine here; these only run at test sizes.  One exception:
 ``flowdag_lmo_reference`` keeps the former dict-based FlowDag oracle,
 so the compiled one can be held to it bit for bit.
@@ -463,3 +464,168 @@ def dense_fw_reference(Q, b, c, atoms, variant, x0, max_iter, epsilon):
         x = sum(w * points[k] for k, w in weights.items())
         out.append((kind, gamma, fw_gap, float(0.5 * x @ (Q @ x) + b @ x + c)))
     return out
+
+
+# -- sampled affine-invariant constants ----------------------------------------
+#
+# The paper's curvature constants C_f, C_f^A and its geometric strong
+# convexity mu_f^A, estimated by sampling their defining quotients.  This
+# is a measuring instrument for criterion 9, not library code: the
+# linear rates polyfw reports come from the exact (mu, L, delta, M).
+
+from dataclasses import dataclass  # noqa: E402
+from typing import Optional  # noqa: E402
+
+from polyfw import oracles  # noqa: E402
+from polyfw.geometry import PDIRW_ATOM_CAP, _contains, _shortest_prefix  # noqa: E402
+from polyfw.objectives import Objective, QuadraticObjective  # noqa: E402
+
+
+@dataclass
+class CurvatureEstimates:
+    """Exact eigenvalue constants plus sampled affine-invariant estimates.
+
+    The sampled curvatures are maxima over samples, hence lower bounds
+    of the true suprema; the sampled away curvature is a minimum, hence
+    an upper bound of the true infimum.
+    """
+
+    L: float
+    mu: float
+    C_f_hat: float
+    C_fA_hat: float
+    mu_fA_hat: float
+
+
+def _fw_index(mat: np.ndarray, grad: np.ndarray) -> int:
+    return int(np.argmin(mat @ grad))
+
+
+def _away_value(mat: np.ndarray, grad: np.ndarray, x: np.ndarray) -> Optional[float]:
+    """<grad, v_f(x)> for the worst-case away atom over all active sets.
+
+    Sorting atoms by increasing gradient value, the minimal prefix whose
+    hull contains x bounds every admissible active set from below, and
+    its last atom's value is attained.
+    """
+    dots = mat @ grad
+    order = np.argsort(dots, kind="stable")
+    k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
+    return None if k is None else float(dots[order[k - 1]])
+
+
+def estimate_affine_constants(
+    obj: Objective,
+    spec: oracles.PolytopeSpec,
+    n_samples: int = 200,
+    seed: int = 0,
+) -> CurvatureEstimates:
+    """Sampled affine-invariant curvature constants over a small atom set.
+
+    The two curvatures are maxima of their defining quotients over
+    sampled (point, atom, step) tuples, the away curvature is a minimum
+    over sampled descent pairs, so the estimates bracket the true
+    constants from the safe side.  Every vertex contributes the
+    structured pair (vertex, its oracle atom), which has unit affine
+    step size; injecting it into all three sample sets enforces the
+    ordering away-curvature <= curvature <= pairwise-curvature on the
+    shared samples.
+    """
+    if n_samples < 100:
+        raise ValueError("n_samples must be at least 100")
+    atoms = oracles.enumerate_atoms(spec)
+    if len(atoms) > PDIRW_ATOM_CAP:
+        raise ValueError(f"estimation needs at most {PDIRW_ATOM_CAP} atoms")
+    mat = np.stack([a.point for a in atoms])
+    m, d = mat.shape
+    rng = np.random.default_rng(seed)
+
+    if isinstance(obj, QuadraticObjective):
+        L, mu = obj.smoothness, obj.strong_convexity
+    else:
+        raise TypeError("constant estimation is implemented for quadratics")
+
+    def sample_point() -> np.ndarray:
+        if m > 1 and rng.random() < 0.5:
+            size = int(rng.integers(1, min(m, d + 1) + 1))
+            subset = rng.choice(m, size=size, replace=False)
+            w = rng.dirichlet(np.ones(size))
+            return w @ mat[subset]
+        w = rng.dirichlet(np.ones(m))
+        return w @ mat
+
+    def curvature_quotient(x, y, grad_x, f_x, gamma) -> float:
+        return 2.0 / gamma ** 2 * (obj.value(y) - f_x - float(grad_x @ (y - x)))
+
+    C_f = -np.inf
+    C_fA = -np.inf
+    mu_fA = np.inf
+
+    for _ in range(n_samples):
+        x = sample_point()
+        f_x, grad_x = obj.value_and_gradient(x)
+        gamma = float(rng.uniform(0.25, 1.0))
+        s = mat[int(rng.integers(m))]
+        C_f = max(C_f, curvature_quotient(x, x + gamma * (s - x), grad_x, f_x, gamma))
+        # Evaluating the pairwise quotient at every atom v dominates the
+        # plain quotient at (x, s, gamma), keeping the sampled ordering.
+        for v in mat:
+            C_fA = max(
+                C_fA, curvature_quotient(x, x + gamma * (s - v), grad_x, f_x, gamma)
+            )
+
+    count = 0
+    attempts = 0
+    while count < n_samples and attempts < 50 * n_samples:
+        attempts += 1
+        x = sample_point()
+        x_star = sample_point()
+        q = _mu_quotient(obj, mat, x, x_star)
+        if q is None:
+            continue
+        mu_fA = min(mu_fA, q)
+        count += 1
+
+    # Structured vertex pairs: gamma^A = 1 exactly, so the same quotient
+    # feeds all three estimates.
+    for i in range(m):
+        a = mat[i]
+        others = np.delete(mat, i, axis=0)
+        if others.shape[0] and _contains(others, a):
+            continue  # not a vertex of the hull
+        f_a, grad_a = obj.value_and_gradient(a)
+        s = mat[_fw_index(mat, grad_a)]
+        if float(grad_a @ (s - a)) >= 0.0:
+            continue
+        q = curvature_quotient(a, s, grad_a, f_a, 1.0)
+        C_f = max(C_f, q)
+        C_fA = max(C_fA, q)
+        mu_fA = min(mu_fA, q)
+
+    return CurvatureEstimates(L=L, mu=mu, C_f_hat=float(C_f), C_fA_hat=float(C_fA), mu_fA_hat=float(mu_fA))
+
+
+def _mu_quotient(
+    obj: Objective, mat: np.ndarray, x: np.ndarray, x_star: np.ndarray
+) -> Optional[float]:
+    """Away-curvature quotient for one (x, x*) pair, or None if inadmissible.
+
+    Pairs with descent at rounding scale are rejected: their true
+    quotient blows up (it cannot lower the minimum) while the computed
+    numerator cancels catastrophically.
+    """
+    f_x, grad_x = obj.value_and_gradient(x)
+    descent = float(grad_x @ (x_star - x))
+    if descent >= -1e-9 * max(1.0, abs(f_x)):
+        return None
+    s = mat[_fw_index(mat, grad_x)]
+    away = _away_value(mat, grad_x, x)
+    if away is None:
+        return None
+    denom = away - float(grad_x @ s)
+    if denom <= 1e-14 * max(1.0, float(np.max(np.abs(mat @ grad_x)))):
+        return None
+    gamma_a = -descent / denom
+    if gamma_a <= 0.0:
+        return None
+    return 2.0 / gamma_a ** 2 * (obj.value(x_star) - f_x - descent)

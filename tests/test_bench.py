@@ -177,6 +177,12 @@ def test_reference_optimum_interior_point():
     assert reference_optimum(obj, Simplex(2)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_reference_optimum_when_the_start_is_optimal():
+    """A run that stops before its first step records no row; f* is then f0."""
+    obj = QuadraticObjective.distance_to(np.array([5.0, -5.0]))
+    assert reference_optimum(obj, Simplex(2)) == obj.value(np.array([1.0, 0.0])) == 20.5
+
+
 def test_reference_optimum_is_one_fcfw_run(monkeypatch):
     import polyfw.bench as bench
 
@@ -311,6 +317,50 @@ def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_triangle_theoretical_rho_is_linear_rate(tmp_path):
+    """Every variant's theoretical rho in the sweep is Theorem 1's, with mu = L = 1."""
+    config = ExperimentConfig(
+        "tri_rho", {"kind": "triangle", "thetas": [math.pi / 4, math.pi / 8], "n_starts": 2,
+                    "rng_seed": 3}, [v.value for v in Variant], 1e-10, 200)
+    summary = run_experiment(config, tmp_path)
+    assert len(summary["aggregates"]) == 2 * len(Variant)
+    for agg in summary["aggregates"]:
+        _, _, delta, diameter = gen_triangle(agg["theta"])
+        assert agg["theoretical_rho"] == geometry.linear_rate(
+            agg["variant"], 1.0, 1.0, delta, diameter)
+    rho = {(a["theta"], a["variant"]): a["theoretical_rho"] for a in summary["aggregates"]}
+    for theta in config.problem["thetas"]:
+        assert rho[(theta, "FW")] is None
+        assert rho[(theta, "MNP")] == rho[(theta, "FCFW")] == rho[(theta, "AFW")]
+        assert rho[(theta, "PFW")] == 4.0 * rho[(theta, "AFW")]  # base < 1/2 on these angles
+
+
+def test_run_experiment_custom_problem(tmp_path):
+    """A least-squares problem read from CSV files, over a spec given as JSON."""
+    rng = np.random.default_rng(16)
+    A = rng.standard_normal((8, 4))
+    y = rng.standard_normal(8)
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    config = ExperimentConfig(
+        "mine", {"kind": "custom", "A_csv": str(tmp_path / "A.csv"),
+                 "y_csv": str(tmp_path / "y.csv"), "spec": {"variant": "simplex", "dimension": 4}},
+        ["FW", "AFW", "PFW", "FCFW", "MNP"], 1e-8, 500)
+    out = tmp_path / "runs"
+    summary = run_experiment(config, out)
+    obj = QuadraticObjective.least_squares(
+        np.loadtxt(tmp_path / "A.csv", delimiter=",", ndmin=2),
+        np.loadtxt(tmp_path / "y.csv", delimiter=","))
+    assert summary["f_star"] == reference_optimum(obj, Simplex(4))
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        f"mine_custom_{v.lower()}.csv" for v in config.variants)
+    assert [r["trace_file"] for r in summary["runs"]] == [
+        f"mine_custom_{v.lower()}.csv" for v in config.variants]
+    assert all_runs_clean(summary)
+    for run in summary["runs"]:
+        assert run["final_f"] >= summary["f_star"] - 1e-12
+
+
 def test_all_runs_clean():
     assert all_runs_clean({"runs": [{"exit_status": "converged"},
                                     {"exit_status": "max_iter"}]})
@@ -338,10 +388,11 @@ def test_config_validation_errors():
 
 
 def test_config_variant_names_normalized():
-    cfg = ExperimentConfig("x", {"kind": "rankdef", "d": 5, "rank": 2}, ["afw", "Pfw"])
+    problem = {"kind": "rankdef", "d": 5, "rank": 2, "rng_seed": 1}
+    cfg = ExperimentConfig("x", problem, ["afw", "Pfw"])
     assert cfg.variants == ["AFW", "PFW"]
     with pytest.raises(ValueError):
-        ExperimentConfig("x", {"kind": "rankdef", "d": 5, "rank": 2}, ["AFWX"])
+        ExperimentConfig("x", problem, ["AFWX"])
 
 
 def test_config_from_json_forms(tmp_path):
@@ -364,6 +415,12 @@ def test_cli_pwidth(tmp_path, capsys):
     assert cli.main(["pwidth", str(csv)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pwidth_estimate"] == pytest.approx(1 / math.sqrt(2), rel=0.02)
+    one = tmp_path / "one.csv"
+    one.write_text("1.0,2.0\n")
+    for path in (one, tmp_path / "missing.csv"):
+        assert cli.main(["pwidth", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_cli_rate(tmp_path, capsys):
@@ -377,6 +434,10 @@ def test_cli_rate(tmp_path, capsys):
     assert cli.main(["rate", str(path), "--quantity", "f_gap_to_opt"]) == 2
     missing = str(tmp_path / "missing.csv")
     assert cli.main(["rate", missing, "--quantity", "f_gap_to_opt"]) == 2
+    capsys.readouterr()
+    assert cli.main(["rate", missing, "--quantity", "fw_gap"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_cli_run(tmp_path, capsys):
@@ -397,8 +458,27 @@ def test_cli_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_seed_flag_supplies_a_missing_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "cli_tri",
+        "problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1},
+        "variants": ["PFW"],
+        "max_iter": 50,
+    }))
+    out = tmp_path / "runs"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out), "--seed", "3"]) == 0
+    doc = json.loads((out / "cli_tri_summary.json").read_text())
+    assert doc["problem"]["rng_seed"] == 3
+    capsys.readouterr()
+
+
+NO_SEED = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1}}
+
+
 @pytest.mark.parametrize("in_file, flags", [
     ({}, ["--max-iter", "0"]), ({}, ["--epsilon", "-1"]), ({"max_iter": 0}, []),
+    (NO_SEED, []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written."""

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,16 @@ from polyfw.geometry import (
     dirw,
     eccentricity,
     enumerate_faces,
-    estimate_affine_constants,
+    linear_rate,
     pdirw,
     pwidth,
     rate_constant,
 )
-from polyfw.objectives import QuadraticObjective
+from polyfw.bench import reference_optimum
+from polyfw.core import StepKind
+from polyfw.objectives import QuadraticObjective, polytope_diameter
 from polyfw.oracles import Cube, Simplex, VertexList
+from polyfw.solvers import SolverConfig, Variant, solve
 
 import oracles as ref
 
@@ -215,8 +219,57 @@ def test_rate_constant_identity_cube3():
     assert rc.pfw == pytest.approx(min(0.5, 1.0 / 9.0))
 
 
+def test_linear_rate_table():
+    mu, L, delta, M = 0.5, 2.0, 0.75, 1.5
+    base = mu * delta ** 2 / (L * M ** 2)
+    assert linear_rate("FW", mu, L, delta, M) is None
+    for variant in ("AFW", "FCFW", "MNP"):
+        assert linear_rate(variant, mu, L, delta, M) == base / 4.0
+    assert linear_rate(Variant.PFW, mu, L, delta, M) == base
+    assert linear_rate(Variant.PFW, 1.0, 1.0, 3.0, 1.0) == 0.5
+    rc = rate_constant(identity_obj(3), Cube(3))
+    assert rc.afw == linear_rate("AFW", rc.mu, rc.L, rc.delta, rc.diameter)
+    assert rc.pfw == linear_rate("PFW", rc.mu, rc.L, rc.delta, rc.diameter)
+
+
+@lru_cache(maxsize=None)
+def theorem1_instances():
+    """60 seeded point sets (d 2-4, d+1 to 8 points), each with 1/2 ||x - t||^2: mu = L = 1."""
+    out = []
+    for seed in range(60):
+        rng = np.random.default_rng([1600, seed])
+        d = int(rng.integers(2, 5))
+        points = rng.standard_normal((int(rng.integers(d + 1, 9)), d))
+        obj = QuadraticObjective.distance_to(1.5 * rng.standard_normal(d))
+        spec = VertexList(points)
+        delta = pwidth(points).pwidth_estimate
+        out.append((obj, spec, delta, polytope_diameter(spec), reference_optimum(obj, spec)))
+    return out
+
+
+@pytest.mark.parametrize("variant", [Variant.AFW, Variant.PFW, Variant.FCFW, Variant.MNP])
+def test_linear_rate_bounds_every_good_step(variant):
+    """Theorem 1: h_{t+1} <= (1 - rho) h_t on each step that is neither a drop nor a swap."""
+    good = 0
+    violations = []
+    for k, (obj, spec, delta, M, f_star) in enumerate(theorem1_instances()):
+        rho = linear_rate(variant, 1.0, 1.0, delta, M)
+        trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-12, max_iter=1000))
+        assert trace.config_echo["exit_status"] == "converged"
+        h_prev = trace.config_echo["f0"] - f_star
+        for t, (kind, f) in enumerate(zip(trace.columns["kind"], trace.columns["f_value"])):
+            h = f - f_star
+            if kind not in (StepKind.DROP, StepKind.SWAP) and h_prev > 1e-10:
+                good += 1
+                if not h <= (1.0 - rho) * h_prev + 1e-12:
+                    violations.append((k, t, h_prev, h, rho))
+            h_prev = h
+    assert not violations
+    assert good >= 100
+
+
 def test_affine_constant_sandwich_simplex2():
-    est = estimate_affine_constants(identity_obj(2), Simplex(2), n_samples=200, seed=0)
+    est = ref.estimate_affine_constants(identity_obj(2), Simplex(2), n_samples=200, seed=0)
     # sampled upper bound of the geometric strong convexity constant
     assert est.mu_fA_hat >= 1.0 * 2.0 - 1e-9
     # sampled lower bound of the curvature constant, itself at most L * diam^2
@@ -227,7 +280,7 @@ def test_affine_constant_sandwich_simplex2():
 
 def test_affine_constants_require_min_samples():
     with pytest.raises(ValueError):
-        estimate_affine_constants(identity_obj(2), Simplex(2), n_samples=50)
+        ref.estimate_affine_constants(identity_obj(2), Simplex(2), n_samples=50)
 
 
 def test_import_leaves_scipy_stats_unloaded():
