@@ -75,6 +75,17 @@ class ExperimentConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         kind = self.problem.get("kind")
+        required = {
+            "lasso": ("m", "n", "k", "rng_seed"),
+            "rankdef": ("d", "rank", "rng_seed"),
+            "triangle": ("thetas", "n_starts", "rng_seed"),
+            "custom": ("A_csv", "y_csv", "spec"),
+        }
+        if kind not in required:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        missing = [key for key in required[kind] if key not in self.problem]
+        if missing:
+            raise ValueError(f"{kind} problem is missing {', '.join(missing)}")
         if kind == "lasso":
             m, n, k = (int(self.problem[key]) for key in ("m", "n", "k"))
             if m < 1 or n < 1:
@@ -82,37 +93,35 @@ class ExperimentConfig:
             if k > n:
                 raise ValueError("lasso sparsity k cannot exceed n")
         elif kind == "triangle":
-            thetas = self.problem.get("thetas", [])
-            if not thetas:
+            if not self.problem["thetas"]:
                 raise ValueError("triangle experiment needs at least one theta")
-            for theta in thetas:
+            for theta in self.problem["thetas"]:
                 if not 0.0 < float(theta) <= math.pi / 2:
                     raise ValueError("theta must lie in (0, pi/2]")
-            if int(self.problem.get("n_starts", 0)) < 1:
+            if int(self.problem["n_starts"]) < 1:
                 raise ValueError("triangle experiment needs n_starts >= 1")
         elif kind == "rankdef":
             if not int(self.problem["rank"]) < int(self.problem["d"]):
                 raise ValueError("rankdef needs rank < d")
-        elif kind == "custom":
-            for key in ("A_csv", "y_csv", "spec"):
-                if key not in self.problem:
-                    raise ValueError(f"custom problem is missing {key!r}")
-        else:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        if kind != "custom" and "rng_seed" not in self.problem:
-            raise ValueError(f"{kind} problem needs an rng_seed")
+
+    @staticmethod
+    def document(source) -> Dict:
+        """A config's JSON object, from a JSON string, a path to a JSON file or a loaded document."""
+        doc = source
+        if isinstance(source, (str, Path)):
+            text = str(source)
+            doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
+        if not isinstance(doc, dict) or not isinstance(doc.get("problem"), dict):
+            raise ValueError("an experiment config must be a JSON object with a problem object")
+        missing = [key for key in ("name", "variants") if key not in doc]
+        if missing:
+            raise ValueError(f"experiment config is missing {', '.join(missing)}")
+        return doc
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
-        """Build from a dict, a JSON string, or a path to a JSON file."""
-        if isinstance(source, dict):
-            doc = source
-        else:
-            text = str(source)
-            if text.lstrip().startswith("{"):
-                doc = json.loads(text)
-            else:
-                doc = json.loads(Path(text).read_text())
+        """Build from a dict, a JSON string, or a path to a JSON file (see ``document``)."""
+        doc = cls.document(source)
         return cls(
             name=doc["name"],
             problem=dict(doc["problem"]),

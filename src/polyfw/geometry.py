@@ -7,8 +7,9 @@ directional widths exactly, per-direction pyramidal widths exactly (via
 a sorted-prefix argument that avoids enumerating active sets), and the
 global pyramidal width exactly as the facial distance: the smallest
 distance between a proper face and the hull of the remaining atoms
-(Pena and Rodriguez, Math. Oper. Res. 2019), one min-norm-point solve
-per proper face and no LP.  Its witness is the closest facial pair.
+(Pena and Rodriguez, Math. Oper. Res. 2019), by min-norm-point solves
+and no LP.  A slab bound from the facet normals skips every face that
+cannot hold the minimum.  Its witness is the closest facial pair.
 ``linear_rate`` is Theorem 1's contraction factor for each solver
 variant, and ``rate_constant`` evaluates it for a quadratic over a
 polytope.  scipy loads only on the first LP or face enumeration, not
@@ -126,50 +127,45 @@ def pdirw(atoms, r, x) -> float:
     return float(dots[order[0]] - dots[order[k - 1]])
 
 
-def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
-    """All faces of conv(points) as frozensets of point indices.
-
-    Includes the polytope itself; proper faces are obtained as the
-    nonempty intersections of facet incidence sets, after projecting
-    onto the affine hull so degenerate (flat) inputs work too.
+def _face_lattice(points: np.ndarray, tol: float = 1e-9):
+    """``(faces, proj, facets, normals)``: ``enumerate_faces``' result, the points
+    projected onto their affine hull, and each facet's incidence set and unit
+    outward normal there (a rank-1 input's facets are its end points, normals -1, +1).
     """
     from scipy.spatial import ConvexHull
 
     mat = np.asarray(points, dtype=np.float64)
     n = mat.shape[0]
-    everything = frozenset(range(n))
-    if n == 1:
-        return [everything]
-    center = mat.mean(axis=0)
-    centered = mat - center
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-    rank = int(np.sum(svals > tol * scale))
-    if rank == 0:
-        return [everything]
-    proj = centered @ vt[:rank].T
+    proj, facet_sets, normals = np.zeros((n, 0)), [], []
+    if n > 1:
+        centered = mat - mat.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
+        proj = centered @ vt[: int(np.sum(svals > tol * scale))].T
+    rank = proj.shape[1]
     if rank == 1:
         t = proj[:, 0]
         spread = max(np.max(t) - np.min(t), 1.0)
-        low = frozenset(np.nonzero(t <= np.min(t) + tol * spread)[0].tolist())
-        high = frozenset(np.nonzero(t >= np.max(t) - tol * spread)[0].tolist())
-        return sorted({everything, low, high}, key=lambda f: (-len(f), sorted(f)))
-    hull = ConvexHull(proj)
-    seen_eq = set()
-    facet_sets: List[frozenset] = []
-    coord_scale = max(1.0, float(np.max(np.abs(proj))))
-    for eq in hull.equations:
-        key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
-        if key in seen_eq:
-            continue
-        seen_eq.add(key)
-        normal, offset = eq[:rank], eq[rank]
-        dist = proj @ normal + offset
-        members = frozenset(np.nonzero(np.abs(dist) <= tol * coord_scale)[0].tolist())
-        if members:
-            facet_sets.append(members)
+        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + tol * spread)[0].tolist()),
+                      frozenset(np.nonzero(t >= np.max(t) - tol * spread)[0].tolist())]
+        normals = [[-1.0], [1.0]]
+    elif rank > 1:
+        hull = ConvexHull(proj)
+        seen_eq = set()
+        coord_scale = max(1.0, float(np.max(np.abs(proj))))
+        for eq in hull.equations:
+            key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
+            if key in seen_eq:
+                continue
+            seen_eq.add(key)
+            normal, offset = eq[:rank], eq[rank]
+            dist = proj @ normal + offset
+            members = frozenset(np.nonzero(np.abs(dist) <= tol * coord_scale)[0].tolist())
+            if members:
+                facet_sets.append(members)
+                normals.append(normal / np.linalg.norm(normal))
     faces = set(facet_sets)
-    frontier = list(facet_sets)
+    frontier = list(facet_sets) if rank > 1 else []  # the end points are the proper faces
     while frontier:
         fresh = []
         for f in frontier:
@@ -179,8 +175,18 @@ def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
                     faces.add(h)
                     fresh.append(h)
         frontier = fresh
-    faces.add(everything)
-    return sorted(faces, key=lambda f: (-len(f), sorted(f)))
+    faces.add(frozenset(range(n)))
+    return sorted(faces, key=lambda f: (-len(f), sorted(f))), proj, facet_sets, np.array(normals)
+
+
+def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
+    """All faces of conv(points) as frozensets of point indices.
+
+    Includes the polytope itself; proper faces are obtained as the
+    nonempty intersections of facet incidence sets, after projecting
+    onto the affine hull so degenerate (flat) inputs work too.
+    """
+    return _face_lattice(points, tol)[0]
 
 
 @dataclass
@@ -192,7 +198,8 @@ class WidthReport:
     face's hull and ``other_point`` in the hull of the other atoms, and
     the unit ``direction`` from the second to the first; the width is
     their distance.  ``directions_sampled`` keeps its historical name;
-    it counts the facial-distance problems solved, one per proper face.
+    it counts the facial-distance problems solved, the proper faces that
+    the slab bounds did not rule out.
     """
 
     pwidth_estimate: float
@@ -239,13 +246,34 @@ def _facial_pair(mat: np.ndarray, face: frozenset) -> Tuple[np.ndarray, np.ndarr
     return it.w @ mat[used[:, 0]], it.w @ mat[used[:, 1]]
 
 
+def _slab_bounds(faces, proj, facets, normals) -> List[Tuple[float, int]]:
+    """(lower bound on the facial distance, index in ``faces``) of each proper face F.
+
+    With n the sum of the normals of the facets that contain F,
+    (min_{i in F} <n, p_i> - max_{j not in F} <n, p_j>) / ||n|| is the
+    width of a slab between conv(F) and the hull of the other points.
+    """
+    inside = np.array([[i in f for i in range(len(proj))] for f in faces])
+    proper = np.flatnonzero(~inside.all(axis=1))
+    inside = inside[proper]
+    outside = np.array([[i not in f for i in range(len(proj))] for f in facets])
+    sums = ~(inside @ outside.T) @ normals  # F lies in a facet that no point of F is off
+    dots = proj @ sums.T
+    low = np.where(inside.T, dots, np.inf).min(axis=0)
+    high = np.where(inside.T, -np.inf, dots).max(axis=0)
+    return list(zip(((low - high) / np.linalg.norm(sums, axis=1)).tolist(), proper.tolist()))
+
+
 def pwidth(atoms) -> WidthReport:
     """Exact pyramidal width of an atom set: its facial distance.
 
     The pyramidal width equals the smallest distance between a proper
     face and the hull of the atoms off it (Pena and Rodriguez, Math.
-    Oper. Res. 2019); each such distance is one min-norm-point problem,
-    and the closest pair over all proper faces is the witness.
+    Oper. Res. 2019); each such distance is one min-norm-point problem.
+    Faces are solved in increasing order of their slab bounds, until a
+    bound exceeds the best distance, so every face that ties the minimum
+    is solved; the closest pair, first in ``enumerate_faces`` order among
+    ties, is the witness.
     """
     mat = _atom_matrix(atoms)
     mat = mat[_dedupe(mat)]
@@ -254,13 +282,17 @@ def pwidth(atoms) -> WidthReport:
         raise ValueError(f"pwidth is limited to {PDIRW_ATOM_CAP} atoms")
     if n == 1:
         raise ValueError("pyramidal width is undefined for a single point")
-    faces = enumerate_faces(mat)
-    solved = [(face,) + _facial_pair(mat, face) for face in faces if len(face) < n]
-    face, a, b = min(solved, key=lambda c: np.linalg.norm(c[1] - c[2]))
-    distance = float(np.linalg.norm(a - b))
-    if distance <= VALUE_FLOOR:
+    faces, proj, facets, normals = _face_lattice(mat)
+    best, solved = (np.inf, -1, None, None), 0
+    for bound, index in sorted(_slab_bounds(faces, proj, facets, normals)):
+        if bound > best[0] * (1.0 + 1e-9):
+            break
+        a, b = _facial_pair(mat, faces[index])
+        best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
+    distance, index, a, b = best
+    if not VALUE_FLOOR < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
-    idx = sorted(face)
+    idx = sorted(faces[index])
     witness = {
         "face_indices": idx,
         "face_atoms": mat[idx].tolist(),
@@ -270,7 +302,7 @@ def pwidth(atoms) -> WidthReport:
     }
     return WidthReport(
         pwidth_estimate=distance,
-        directions_sampled=len(solved),
+        directions_sampled=solved,
         faces_enumerated=len(faces),
         witness=witness,
     )

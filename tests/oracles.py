@@ -7,9 +7,10 @@ subset-enumeration pyramidal directional width, and a cone-LP pyramidal
 width with a base point that reproduces it (it takes its faces from
 ``geometry.enumerate_faces``, which is tested on its own), and a
 sampled estimator of the affine-invariant curvature constants.  Slow is
-fine here; these only run at test sizes.  One exception:
-``flowdag_lmo_reference`` keeps the former dict-based FlowDag oracle,
-so the compiled one can be held to it bit for bit.
+fine here; these only run at test sizes.  Two exceptions keep former
+library code, so the current code can be held to it bit for bit:
+``flowdag_lmo_reference`` (the dict-based FlowDag oracle) and
+``pwidth_all_faces`` (the facial distance solved on every proper face).
 """
 
 import itertools
@@ -298,6 +299,31 @@ def pwidth_lp_witness(atoms, direction):
     sol = _cone_lp(face, prefix, r, cost, A_ub, [2.0 * tau + 1.0])
     nu = sol[nb:]
     return value, face, r, (nu @ prefix) / nu.sum()
+
+
+def pwidth_all_faces(atoms):
+    """Facial distance by one min-norm-point problem on every proper face (no pruning).
+
+    The exhaustive loop ``geometry.pwidth`` ran before it pruned faces by
+    their slab bounds.  Returns a dict with ``pwidth_estimate``,
+    ``face_indices``, ``face_point`` and ``other_point`` of the closest
+    facial pair (the first in ``enumerate_faces`` order among ties), and
+    ``distances``, each proper face's distance keyed by the face.
+    """
+    from polyfw.geometry import _atom_matrix, _dedupe, _facial_pair, enumerate_faces
+
+    mat = _atom_matrix(atoms)
+    mat = mat[_dedupe(mat)]
+    faces = enumerate_faces(mat)
+    solved = [(face,) + _facial_pair(mat, face) for face in faces if len(face) < mat.shape[0]]
+    face, a, b = min(solved, key=lambda c: np.linalg.norm(c[1] - c[2]))
+    return {
+        "pwidth_estimate": float(np.linalg.norm(a - b)),
+        "face_indices": sorted(face),
+        "face_point": a.tolist(),
+        "other_point": b.tolist(),
+        "distances": {f: float(np.linalg.norm(fa - fb)) for f, fa, fb in solved},
+    }
 
 
 def drop_prefix_ok(kinds, initial_active_size=1):

@@ -474,22 +474,36 @@ def test_cli_run_seed_flag_supplies_a_missing_seed(tmp_path, capsys):
 
 
 NO_SEED = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1}}
+NO_K = {"problem": {"kind": "lasso", "m": 5, "n": 10, "rng_seed": 1}}
+NO_RANK = {"problem": {"kind": "rankdef", "d": 5, "rng_seed": 1}}
+NO_STARTS = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "rng_seed": 3}}
+SCALAR_THETAS = {"problem": {"kind": "triangle", "thetas": 0.5, "n_starts": 1, "rng_seed": 3}}
 
 
 @pytest.mark.parametrize("in_file, flags", [
     ({}, ["--max-iter", "0"]), ({}, ["--epsilon", "-1"]), ({"max_iter": 0}, []),
-    (NO_SEED, []),
+    (NO_SEED, []), ({"name": None}, []), (NO_K, []), (NO_RANK, []), (NO_STARTS, []),
+    ({"problem": None}, ["--seed", "3"]), ({"problem": [1]}, ["--seed", "3"]),
+    ({"variants": None}, []), (["cli_tri"], ["--seed", "3"]), (SCALAR_THETAS, []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, in_file, flags):
-    """A setting from the file or a flag is checked before anything runs or is written."""
+    """A setting from the file or a flag is checked before anything runs or is written.
+
+    ``in_file`` overrides keys of a valid config (None drops the key), or
+    is a list that replaces the whole document.
+    """
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
+    doc = {
         "name": "cli_tri",
         "problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1,
                     "rng_seed": 3},
         "variants": ["FW"],
-        **in_file,
-    }))
+    }
+    if isinstance(in_file, list):
+        doc = in_file
+    else:
+        doc = {key: value for key, value in {**doc, **in_file}.items() if value is not None}
+    cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "runs"
     assert cli.main(["run", str(cfg_path), "--out-dir", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -11,6 +11,8 @@ import pytest
 
 from polyfw.geometry import (
     _contains,
+    _face_lattice,
+    _slab_bounds,
     analytic_pwidth,
     dirw,
     eccentricity,
@@ -161,6 +163,56 @@ def test_pwidth_witness_is_a_facial_pair_at_the_width():
         assert _contains(np.delete(mat, w["face_indices"], axis=0), b)
         assert abs(np.linalg.norm(a - b) - rep.pwidth_estimate) <= 1e-12
         assert np.allclose(np.array(w["direction"]) * rep.pwidth_estimate, a - b, atol=1e-15)
+
+
+@lru_cache(maxsize=None)
+def pruning_inputs():
+    """Inputs the face pruning is checked on.
+
+    Cube(2-4), Simplex(2-8), 24 seeded random sets (d 2-6, n <= 12), a
+    collinear set, a square with a point inside an edge, and ``witness_inputs()``.
+    """
+    out = [points_of(Cube(d)) for d in (2, 3, 4)] + [points_of(Simplex(d)) for d in range(2, 9)]
+    for seed in range(24):
+        rng = np.random.default_rng([1700, seed])
+        d = int(rng.integers(2, 7))
+        out.append(list(rng.standard_normal((int(rng.integers(d + 1, 13)), d))))
+    out.append([np.array([t, t]) for t in (0.0, 1.0, 3.0, 2.0)])
+    out.append([np.array(p) for p in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0])])
+    return out + witness_inputs()
+
+
+@lru_cache(maxsize=None)
+def all_faces_reference(k):
+    return ref.pwidth_all_faces(pruning_inputs()[k])
+
+
+def test_pwidth_matches_the_all_faces_reference_bit_for_bit():
+    for k, atoms in enumerate(pruning_inputs()):
+        rep, want = pwidth(atoms), all_faces_reference(k)
+        assert rep.pwidth_estimate == want["pwidth_estimate"], k
+        for key in ("face_indices", "face_point", "other_point"):
+            assert rep.witness[key] == want[key], (k, key)
+        assert rep.faces_enumerated == len(want["distances"]) + 1
+        assert rep.directions_sampled <= rep.faces_enumerated - 1
+
+
+def test_slab_bounds_never_exceed_the_facial_distance():
+    for k, atoms in enumerate(pruning_inputs()):
+        faces, proj, facets, normals = _face_lattice(np.array(atoms))
+        distances = all_faces_reference(k)["distances"]
+        bounds = _slab_bounds(faces, proj, facets, normals)
+        assert len(bounds) == len(distances)
+        for bound, index in bounds:
+            assert bound <= distances[faces[index]] * (1.0 + 1e-12), (k, sorted(faces[index]))
+
+
+def test_pwidth_solves_only_the_faces_its_bounds_cannot_rule_out():
+    # a timing-free guard on the pruning; atoms in enumerate_atoms order
+    for spec, solved, faces in ((Cube(3), 8, 27), (Simplex(5), 20, 31),
+                                (Cube(4), 16, 81), (Simplex(8), 70, 255)):
+        rep = pwidth(points_of(spec))
+        assert (rep.directions_sampled, rep.faces_enumerated) == (solved, faces), spec.to_json()
 
 
 def test_pwidth_runs_no_lp(monkeypatch):
