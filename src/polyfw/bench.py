@@ -76,9 +76,9 @@ class ExperimentConfig:
             raise ValueError("max_iter must be at least 1")
         kind = self.problem.get("kind")
         required = {
-            "lasso": ("m", "n", "k", "rng_seed"),
-            "rankdef": ("d", "rank", "rng_seed"),
-            "triangle": ("thetas", "n_starts", "rng_seed"),
+            "lasso": ("m", "n", "k"),
+            "rankdef": ("d", "rank"),
+            "triangle": ("thetas", "n_starts"),
             "custom": ("A_csv", "y_csv", "spec"),
         }
         if kind not in required:
@@ -87,48 +87,72 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"{kind} problem is missing {', '.join(missing)}")
         if kind == "lasso":
-            m, n, k = (int(self.problem[key]) for key in ("m", "n", "k"))
+            m, n, k = (_json_value(int, self.problem[key], key) for key in ("m", "n", "k"))
             if m < 1 or n < 1:
                 raise ValueError("lasso dimensions must be positive")
             if k > n:
                 raise ValueError("lasso sparsity k cannot exceed n")
         elif kind == "triangle":
-            if not self.problem["thetas"]:
-                raise ValueError("triangle experiment needs at least one theta")
-            for theta in self.problem["thetas"]:
-                if not 0.0 < float(theta) <= math.pi / 2:
+            thetas = self.problem["thetas"]
+            if not isinstance(thetas, (list, tuple)) or not thetas:
+                raise ValueError("triangle experiment needs a list of at least one theta")
+            for theta in thetas:
+                if not 0.0 < _json_value(float, theta, "theta") <= math.pi / 2:
                     raise ValueError("theta must lie in (0, pi/2]")
-            if int(self.problem["n_starts"]) < 1:
+            if _json_value(int, self.problem["n_starts"], "n_starts") < 1:
                 raise ValueError("triangle experiment needs n_starts >= 1")
         elif kind == "rankdef":
-            if not int(self.problem["rank"]) < int(self.problem["d"]):
+            rank, d = (_json_value(int, self.problem[key], key) for key in ("rank", "d"))
+            if not rank < d:
                 raise ValueError("rankdef needs rank < d")
+        if kind != "custom" and "rng_seed" not in self.problem:
+            raise ValueError(f"{kind} problem needs an rng_seed")
 
-    @staticmethod
-    def document(source) -> Dict:
-        """A config's JSON object, from a JSON string, a path to a JSON file or a loaded document."""
+    @classmethod
+    def from_json(
+        cls,
+        source,
+        seed: Optional[int] = None,
+        max_iter: Optional[int] = None,
+        epsilon: Optional[float] = None,
+    ) -> "ExperimentConfig":
+        """Build from a dict, a JSON string, or a path to a JSON file.
+
+        ``seed``, ``max_iter`` and ``epsilon`` replace the document's
+        problem ``rng_seed`` and settings before the config checks them;
+        None keeps the document's value.
+        """
         doc = source
-        if isinstance(source, (str, Path)):
+        if not isinstance(source, dict):
             text = str(source)
-            doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
+            if isinstance(source, Path) or not text.lstrip().startswith("{"):
+                text = Path(text).read_text()
+            doc = json.loads(text)
         if not isinstance(doc, dict) or not isinstance(doc.get("problem"), dict):
             raise ValueError("an experiment config must be a JSON object with a problem object")
         missing = [key for key in ("name", "variants") if key not in doc]
         if missing:
             raise ValueError(f"experiment config is missing {', '.join(missing)}")
-        return doc
-
-    @classmethod
-    def from_json(cls, source) -> "ExperimentConfig":
-        """Build from a dict, a JSON string, or a path to a JSON file (see ``document``)."""
-        doc = cls.document(source)
+        problem = dict(doc["problem"])
+        if seed is not None:
+            problem["rng_seed"] = seed
         return cls(
             name=doc["name"],
-            problem=dict(doc["problem"]),
-            variants=list(doc["variants"]),
-            epsilon=float(doc.get("epsilon", 1e-8)),
-            max_iter=int(doc.get("max_iter", 2000)),
+            problem=problem,
+            variants=_json_value(list, doc["variants"], "variants"),
+            epsilon=_json_value(float, doc.get("epsilon", 1e-8) if epsilon is None else epsilon,
+                                "epsilon"),
+            max_iter=_json_value(int, doc.get("max_iter", 2000) if max_iter is None else max_iter,
+                                 "max_iter"),
         )
+
+
+def _json_value(convert, value, key: str):
+    """``convert(value)``, with a config value of the wrong JSON type reported as a ValueError."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"{key} has the wrong type: {value!r}") from None
 
 
 def gen_lasso(

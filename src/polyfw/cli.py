@@ -54,15 +54,11 @@ def _error(message: object) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:  # the overrides join the file's settings before the config checks them
-        doc = bench.ExperimentConfig.document(json.loads(Path(args.config).read_text()))
-        if args.seed is not None:
-            doc["problem"]["rng_seed"] = args.seed
-        for key, value in (("max_iter", args.max_iter), ("epsilon", args.epsilon)):
-            if value is not None:
-                doc[key] = value
-        config = bench.ExperimentConfig.from_json(doc)
-    except (OSError, TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON type
+    try:
+        config = bench.ExperimentConfig.from_json(
+            Path(args.config), seed=args.seed, max_iter=args.max_iter, epsilon=args.epsilon
+        )
+    except (OSError, ValueError) as exc:
         return _error(exc)
     summary = bench.run_experiment(config, args.out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -370,21 +370,30 @@ def test_all_runs_clean():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown problem kind"):
         ExperimentConfig("x", {"kind": "nope"}, ["AFW"])
-    with pytest.raises(ValueError):
-        ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 4, "k": 9}, ["AFW"])
-    with pytest.raises(ValueError):
-        ExperimentConfig("x", {"kind": "triangle", "thetas": [], "n_starts": 5}, ["AFW"])
-    with pytest.raises(ValueError):
-        ExperimentConfig("x", {"kind": "triangle", "thetas": [2.0], "n_starts": 5}, ["AFW"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot exceed"):
+        ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 4, "k": 9, "rng_seed": 1}, ["AFW"])
+    with pytest.raises(ValueError, match="at least one theta"):
+        ExperimentConfig("x", {"kind": "triangle", "thetas": [], "n_starts": 5, "rng_seed": 1},
+                         ["AFW"])
+    with pytest.raises(ValueError, match="pi/2"):
+        ExperimentConfig("x", {"kind": "triangle", "thetas": [2.0], "n_starts": 5,
+                               "rng_seed": 1}, ["AFW"])
+    with pytest.raises(ValueError, match="variants"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["AFW"],
                          epsilon=-1.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 4}, ["AFW"])
+    with pytest.raises(ValueError, match="rank < d"):
+        ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 4, "rng_seed": 1}, ["AFW"])
+    with pytest.raises(ValueError, match="missing k"):
+        ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "rng_seed": 1}, ["AFW"])
+    with pytest.raises(ValueError, match="needs an rng_seed"):
+        ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 2}, ["AFW"])
+    with pytest.raises(ValueError, match="wrong type"):
+        ExperimentConfig("x", {"kind": "lasso", "m": [5], "n": 9, "k": 2, "rng_seed": 1},
+                         ["AFW"])
 
 
 def test_config_variant_names_normalized():
@@ -485,6 +494,7 @@ SCALAR_THETAS = {"problem": {"kind": "triangle", "thetas": 0.5, "n_starts": 1, "
     (NO_SEED, []), ({"name": None}, []), (NO_K, []), (NO_RANK, []), (NO_STARTS, []),
     ({"problem": None}, ["--seed", "3"]), ({"problem": [1]}, ["--seed", "3"]),
     ({"variants": None}, []), (["cli_tri"], ["--seed", "3"]), (SCALAR_THETAS, []),
+    ({"max_iter": [5]}, []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.
