@@ -14,7 +14,9 @@ each drop or swap, and after an away step longer than 1, so incremental
 updates cannot drift.  ``ActiveIterate.synced`` tells the objective
 state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
 Step-path products (FW/AFW/PFW) use ``ndarray.dot``: the bits of ``@``
-without its ufunc dispatch.  Products by Q keep ``@``, seen by ``__array_ufunc__``.
+without its ufunc dispatch.  Dense products by Q keep ``@``, seen by
+``__array_ufunc__``; a sparse atom's image from its support rows of Q uses
+``ndarray.dot``, which that hook does not see.
 """
 
 from __future__ import annotations

@@ -131,6 +131,8 @@ def _face_lattice(points: np.ndarray, tol: float = 1e-9):
     """``(faces, proj, facets, normals)``: ``enumerate_faces``' result, the points
     projected onto their affine hull, and each facet's incidence set and unit
     outward normal there (a rank-1 input's facets are its end points, normals -1, +1).
+    A point is on a facet within ``tol`` times the largest projected coordinate
+    (the spread, at rank 1), so scaling the points does not change the lattice.
     """
     from scipy.spatial import ConvexHull
 
@@ -145,14 +147,14 @@ def _face_lattice(points: np.ndarray, tol: float = 1e-9):
     rank = proj.shape[1]
     if rank == 1:
         t = proj[:, 0]
-        spread = max(np.max(t) - np.min(t), 1.0)
+        spread = np.max(t) - np.min(t)
         facet_sets = [frozenset(np.nonzero(t <= np.min(t) + tol * spread)[0].tolist()),
                       frozenset(np.nonzero(t >= np.max(t) - tol * spread)[0].tolist())]
         normals = [[-1.0], [1.0]]
     elif rank > 1:
         hull = ConvexHull(proj)
         seen_eq = set()
-        coord_scale = max(1.0, float(np.max(np.abs(proj))))
+        coord_scale = float(np.max(np.abs(proj)))
         for eq in hull.equations:
             key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
             if key in seen_eq:

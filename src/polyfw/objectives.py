@@ -9,14 +9,15 @@ slope, so it resolves steps whose decrease is below the rounding of f.
 ``Objective.start(it)`` opens the per-solve state that the solver loop
 and its FCFW/MNP corrections run on.  The generic state re-evaluates
 the objective after every step.  The quadratic state keeps ``Qx`` and
-the image ``Q a`` of each active atom (a scaled column of Q for a
-1-sparse atom, one product with Q otherwise), so a FW, away or pairwise
-step costs O(d): the direction's image is a difference of two cached
-vectors, and the gradient, the exact line search, the ``Qx`` update and
-f all follow from it.  The solver hands the line search its descent
-<-grad, d>, so a step computes it once; f is evaluated afresh at each
-point.  The FCFW/MNP corrections' Wolfe major cycle takes its Gram
-matrix and its new ``Qx`` from the same images (``move_to``).
+the image ``Q a`` of each active atom (from the rows of Q on the atom's
+support when it has at most d/4 nonzeros, one product with Q otherwise),
+so a FW, away or pairwise step costs O(d): the direction's image is a
+difference of two cached vectors, and the gradient, the exact line
+search, the ``Qx`` update and f all follow from it.  The solver hands
+the line search its descent <-grad, d>, so a step computes it once; f
+is evaluated afresh at each point.  The FCFW/MNP corrections' Wolfe
+major cycle takes its Gram matrix and its new ``Qx`` from the same
+images (``move_to``).
 """
 
 from __future__ import annotations
@@ -220,11 +221,13 @@ class QuadraticState(ObjectiveState):
     A step along d = head - tail updates ``Qx`` by gamma times
     ``Q head - Q tail``, where ``Q x`` is ``Qx`` itself and an atom's
     image is computed once, when the atom is first seen, and kept while
-    it stays active, across corrections.  At each ``reset`` and whenever
-    the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps and on
-    each drop or swap), ``Qx`` is recomputed exactly and the images of
-    inactive atoms are released; a resync folds the incremental error
-    into ``drift_max``.
+    it stays active, across corrections.  An atom with at most d/4
+    nonzeros a_S gets a_S . Q[S], the rows of the symmetric Q on its
+    support S; a denser one gets ``Q @ a``, which is faster from there
+    on.  At each ``reset`` and whenever the iterate re-synthesizes x
+    (every ``RESYNTH_PERIOD`` steps and on each drop or swap), ``Qx`` is
+    recomputed exactly and the images of inactive atoms are released; a
+    resync folds the incremental error into ``drift_max``.
     """
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
@@ -244,11 +247,11 @@ class QuadraticState(ObjectiveState):
         self.value = float((0.5 * x).dot(Qx)) + float(self.b.dot(x)) + self.c
 
     def image(self, atom_id: bytes, point: np.ndarray) -> np.ndarray:
-        """Q times an atom, cached by id."""
+        """Q times an atom, cached by id: its support rows of Q if it is sparse enough."""
         img = self.images.get(atom_id)
         if img is None:
             nz = point.nonzero()[0]
-            img = self.Q[nz[0]] * point[nz[0]] if nz.size == 1 else self.Q @ point
+            img = point[nz].dot(self.Q[nz]) if 4 * nz.size <= point.size else self.Q @ point
             self.images[atom_id] = img
         return img
 

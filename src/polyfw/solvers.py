@@ -252,7 +252,7 @@ def _affine_minimizer(points: np.ndarray, images: np.ndarray, b: np.ndarray) -> 
     return sol[:m]
 
 
-MNP_AWAY_GAP_LIMIT = 1e-9
+MNP_AWAY_GAP_LIMIT = 1e-9  # times the scale of the gap's terms, floored at 1
 _INTERIOR_TOL = 1e-12
 
 
@@ -306,15 +306,21 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
 
     Lands on the minimizer of f over the affine hull of the atoms the
     minor cycle keeps, inside their convex hull, so the away gap is 0 up
-    to 1e-9; a larger one raises ``CorrectionPostconditionError``.
+    to rounding.  Each term a_ij * grad_j of the gap's products is at most
+    max|a_ij| * max_j (|(Qx)_j| + |b_j|); a gap above 1e-9 * max(1, that
+    bound) raises ``CorrectionPostconditionError``, so the check does not
+    depend on the units of the problem.
     """
     if not isinstance(state, QuadraticState):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
     out, passes, away_gap = _wolfe_step(state, it, s)
-    if away_gap > MNP_AWAY_GAP_LIMIT:
-        raise CorrectionPostconditionError(
-            f"minor cycle away gap {away_gap} stayed above {MNP_AWAY_GAP_LIMIT}"
-        )
+    if away_gap > MNP_AWAY_GAP_LIMIT:  # the bound is only formed for a gap above its floor
+        grad_terms = float(np.max(np.abs(state.Qx) + np.abs(state.b)))
+        limit = MNP_AWAY_GAP_LIMIT * max(1.0, float(np.max(np.abs(out.matrix()))) * grad_terms)
+        if away_gap > limit:
+            raise CorrectionPostconditionError(
+                f"minor cycle away gap {away_gap} stayed above {limit}"
+            )
     state.reset(out)
     return CorrectionResult(out, out.atoms(), passes, away_gap)
 

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from polyfw.core import ActiveIterate, Atom, atom_key
 from polyfw.objectives import (
     Objective,
     QuadraticObjective,
+    QuadraticState,
     analytic_diameter,
     exact_constants,
     polytope_diameter,
 )
-from polyfw.oracles import Cube, L1Ball, Simplex, VertexList
+from polyfw.oracles import Cube, FlowDag, L1Ball, Simplex, VertexList
+from polyfw.solvers import SolverConfig, Variant, solve
 
 
 def _random_quadratic(rng, d):
@@ -192,3 +195,71 @@ def test_distance_to_objective():
 def test_quadratic_validates_symmetry():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+
+# -- atom images: support rows of Q for a sparse atom, Q @ a otherwise -------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from test_oracles import _layered_arcs  # noqa: E402
+
+
+def _image(Q, point):
+    """``QuadraticState.image`` of ``point`` in a fresh state of f(x) = x^T Q x / 2."""
+    state = QuadraticObjective(Q, np.zeros(len(point))).start(
+        ActiveIterate.from_atom(Atom(np.ones(len(point))))
+    )
+    return state.image(atom_key(point), point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 48),
+    support=st.sampled_from(["zero", "one", "few", "quarter", "quarter+1", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_image_matches_the_dense_product(d, support, seed):
+    """Every support size gives Q @ a to 1e-12 relative, on both sides of the d/4 crossover;
+    a 1-sparse atom's image is Q @ a bit for bit, and so is a 0/1 atom's when Q = I."""
+    rng = np.random.default_rng(seed)
+    k = {"zero": 0, "one": 1, "few": min(3, d), "quarter": d // 4,
+         "quarter+1": min(d // 4 + 1, d), "all": d}[support]
+    point = np.zeros(d)
+    nz = rng.choice(d, size=k, replace=False)
+    point[nz] = rng.standard_normal(k)
+    A = rng.standard_normal((d, d))
+    Q = A + A.T
+    dense = Q @ point
+    img = _image(Q, point)
+    assert np.all(np.abs(img - dense) <= 1e-12 * (np.abs(Q) @ np.abs(point)))
+    if k == 1:
+        assert img.tobytes() == dense.tobytes()
+    point[nz] = 1.0
+    assert _image(np.eye(d), point).tobytes() == (np.eye(d) @ point).tobytes()
+
+
+def test_flowdag_traces_match_dense_images(monkeypatch):
+    """A distance solve over a path polytope writes the same CSV with every image forced to
+    Q @ a: Q = I and 0/1 paths leave each image entry at most one nonzero term."""
+    dag = FlowDag(_layered_arcs(4, 8))  # 120 arcs, 9 per path: the support-row images
+    rng = np.random.default_rng(181)
+    paths = np.stack([dag.lmo(rng.standard_normal(dag.dimension)).point for _ in range(6)])
+    obj = QuadraticObjective.distance_to(rng.dirichlet(np.ones(6)) @ paths)
+
+    def csvs():
+        return [
+            solve(obj, dag, SolverConfig(v, epsilon=1e-10, max_iter=60)).to_csv()
+            for v in Variant
+        ]
+
+    rows = csvs()
+
+    def dense_image(self, atom_id, point):
+        img = self.images.get(atom_id)
+        if img is None:
+            img = self.images[atom_id] = self.Q @ point
+        return img
+
+    monkeypatch.setattr(QuadraticState, "image", dense_image)
+    assert csvs() == rows

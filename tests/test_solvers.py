@@ -235,6 +235,43 @@ def test_mnp_correction_clipped_projection_drops_atom():
     assert set(res.iterate.weights) == {b.id}
 
 
+def _scaled_lasso(scale):
+    from polyfw.bench import gen_lasso
+
+    obj, spec = gen_lasso(30, 60, 6, 0.1, 11, 3.0)
+    return QuadraticObjective(scale * obj.Q, scale * obj.b, scale * obj.c), spec
+
+
+def test_mnp_postcondition_does_not_depend_on_the_units_of_f():
+    """Scaling Q, b and c by 1e4 puts the lasso gradient near 1e6; the away gap's rounding
+    grows with it, so an absolute 1e-9 bound failed the first correction."""
+    records = []
+    for scale in (1.0, 1e4):
+        obj, spec = _scaled_lasso(scale)
+        trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-8, max_iter=30))
+        assert trace.config_echo["exit_status"] == "converged", scale
+        records.append(len(trace.records))
+    assert records == [7, 7]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_mnp_postcondition_still_catches_a_point_off_the_affine_minimizer(scale, monkeypatch):
+    """The relative bound is loose only by rounding: a cycle that ends a tenth of the way
+    from its affine minimizer to the centroid of its atoms fails, at unit scale and at 1e4."""
+    import polyfw.solvers as solvers
+
+    minimizer = solvers._affine_minimizer
+
+    def off(points, images, b):
+        lam = minimizer(points, images, b)
+        return 0.9 * lam + 0.1 / len(lam)
+
+    monkeypatch.setattr(solvers, "_affine_minimizer", off)
+    obj, spec = _scaled_lasso(scale)
+    trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-8, max_iter=30))
+    assert trace.config_echo["exit_status"] == "error:CorrectionPostconditionError"
+
+
 def test_mnp_triangle_matches_face_inspection():
     tri = [np.array([-1.0, 1.0]), np.array([1.0, 1.0]), np.array([0.0, 2.0])]
     spec = VertexList([p.tolist() for p in tri])
@@ -473,7 +510,8 @@ def test_corrections_make_no_dense_product_per_inner_step(
     count grows with the inner steps.  Every product by Q (a dense one,
     or one inside an objective call) is counted, plus the one that opens
     the solve's state.  The lasso atoms are 1-sparse, so their images
-    are rows of Q.
+    are support rows of Q, formed with ``ndarray.dot``, which does not
+    pass through ``__array_ufunc__`` and is not counted.
     """
     import polyfw.solvers as solvers
     from polyfw.bench import gen_lasso
