@@ -7,18 +7,20 @@ active-set variants and plain FW), a thin-triangle sweep (empirical
 contraction rate against Theorem 1's ``geometry.linear_rate`` over
 random starts) and a rank-deficient quadratic over the simplex (linear
 decay despite zero strong convexity).  ``custom`` reads a least-squares
-problem from CSV files and a polytope spec.  Runs are deterministic
-given the config: identical configs serialize to byte-identical trace
-CSVs.
+problem from CSV files and a polytope spec.  ``PROBLEMS`` holds each
+kind's required keys and its builder; ``ExperimentConfig`` builds its
+problem once, and ``run_experiment`` solves each run on that build with
+``_run``.  Runs are deterministic given the config: identical configs
+serialize to byte-identical trace CSVs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,17 +58,28 @@ class RateFit:
 
 @dataclass
 class ExperimentConfig:
-    """One benchmark request: a problem recipe plus solver settings."""
+    """One benchmark request: a problem recipe plus solver settings.
+
+    Construction checks the settings, the problem's kind, its required
+    keys (``PROBLEMS``) and its ``rng_seed``, then builds the problem
+    once with the kind's builder, which with its generator checks the
+    values.  ``built`` holds what the runs need, so a bad input fails
+    here, before ``run_experiment`` writes anything.
+    """
 
     name: str
     problem: Dict
     variants: List[str]
     epsilon: float = 1e-8
     max_iter: int = 2000
+    built: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
+        name = str(self.name)
+        if not self.name or not name.strip():
             raise ValueError("experiment name must be nonempty")
+        if Path(name).name != name or name == "..":
+            raise ValueError(f"experiment name must be a single path component, not {name!r}")
         if not self.variants:
             raise ValueError("variants list must be nonempty")
         self.variants = [Variant(str(v).upper()).value for v in self.variants]
@@ -75,38 +88,15 @@ class ExperimentConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         kind = self.problem.get("kind")
-        required = {
-            "lasso": ("m", "n", "k"),
-            "rankdef": ("d", "rank"),
-            "triangle": ("thetas", "n_starts"),
-            "custom": ("A_csv", "y_csv", "spec"),
-        }
-        if kind not in required:
+        if not isinstance(kind, str) or kind not in PROBLEMS:
             raise ValueError(f"unknown problem kind {kind!r}")
-        missing = [key for key in required[kind] if key not in self.problem]
+        keys, build, seeded = PROBLEMS[kind]
+        missing = [key for key in keys if key not in self.problem]
         if missing:
             raise ValueError(f"{kind} problem is missing {', '.join(missing)}")
-        if kind == "lasso":
-            m, n, k = (_json_value(int, self.problem[key], key) for key in ("m", "n", "k"))
-            if m < 1 or n < 1:
-                raise ValueError("lasso dimensions must be positive")
-            if k > n:
-                raise ValueError("lasso sparsity k cannot exceed n")
-        elif kind == "triangle":
-            thetas = self.problem["thetas"]
-            if not isinstance(thetas, (list, tuple)) or not thetas:
-                raise ValueError("triangle experiment needs a list of at least one theta")
-            for theta in thetas:
-                if not 0.0 < _json_value(float, theta, "theta") <= math.pi / 2:
-                    raise ValueError("theta must lie in (0, pi/2]")
-            if _json_value(int, self.problem["n_starts"], "n_starts") < 1:
-                raise ValueError("triangle experiment needs n_starts >= 1")
-        elif kind == "rankdef":
-            rank, d = (_json_value(int, self.problem[key], key) for key in ("rank", "d"))
-            if not rank < d:
-                raise ValueError("rankdef needs rank < d")
-        if kind != "custom" and "rng_seed" not in self.problem:
-            raise ValueError(f"{kind} problem needs an rng_seed")
+        if seeded and not _json_value(int, self.problem.get("rng_seed", -1), "rng_seed") >= 0:
+            raise ValueError(f"{kind} problem needs an rng_seed >= 0")
+        self.built = build(self.problem)
 
     @classmethod
     def from_json(
@@ -207,11 +197,56 @@ def gen_rankdef(d: int, rank: int, seed: int) -> Tuple[QuadraticObjective, Simpl
     contract in practice.
     """
     if not rank < d:
-        raise ValueError("rank must be strictly below d")
+        raise ValueError("rankdef needs rank < d")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rank, d))
     x0 = rng.dirichlet(np.ones(d))
     return QuadraticObjective.least_squares(A, A @ x0), Simplex(d)
+
+
+def _lasso(p: Dict):
+    m, n, k, seed = (_json_value(int, p[key], key) for key in ("m", "n", "k", "rng_seed"))
+    noise, radius = (_json_value(float, p.get(key, default), key)
+                     for key, default in (("noise", 0.1), ("radius", 20.0)))
+    return (*gen_lasso(m, n, k, noise, seed, radius), {})
+
+
+def _triangle(p: Dict):
+    thetas = p["thetas"]
+    if not isinstance(thetas, (list, tuple)) or not thetas:
+        raise ValueError("triangle experiment needs a list of at least one theta")
+    if _json_value(int, p["n_starts"], "n_starts") < 1:
+        raise ValueError("triangle experiment needs n_starts >= 1")
+    return [gen_triangle(_json_value(float, theta, "theta")) for theta in thetas]
+
+
+def _rankdef(p: Dict):
+    d, rank, seed = (_json_value(int, p[key], key) for key in ("d", "rank", "rng_seed"))
+    obj, spec = gen_rankdef(d, rank, seed)
+    return obj, spec, {"mu": obj.strong_convexity, "f_star": 0.0}  # b = A x0 is consistent
+
+
+def _custom(p: Dict):
+    A = np.loadtxt(p["A_csv"], delimiter=",", ndmin=2)
+    y = np.loadtxt(p["y_csv"], delimiter=",", ndmin=1)
+    spec = spec_from_json(p["spec"])
+    if A.shape[1] != spec.dimension:
+        raise ValueError(f"A has {A.shape[1]} columns but the spec has dimension {spec.dimension}")
+    if y.shape != (A.shape[0],):
+        raise ValueError(f"y has shape {y.shape} but A has {A.shape[0]} rows")
+    return QuadraticObjective.least_squares(A, y), spec, {}
+
+
+# kind: (the keys its config must give, its builder, whether it also needs an rng_seed).
+# A builder converts the values and calls the generator, which checks them, and returns
+# what the runs need: gen_triangle's tuple for each theta, or (obj, spec, known), known
+# holding the summary entries known by construction.
+PROBLEMS: Dict[str, Tuple[Tuple[str, ...], Callable[[Dict], Any], bool]] = {
+    "lasso": (("m", "n", "k"), _lasso, True),
+    "triangle": (("thetas", "n_starts"), _triangle, True),
+    "rankdef": (("d", "rank"), _rankdef, True),
+    "custom": (("A_csv", "y_csv", "spec"), _custom, False),
+}
 
 
 def fit_rate(
@@ -315,30 +350,18 @@ def _run_record(
     }
 
 
-def _fit_floor(f_star: float) -> float:
-    return 1e-12 * max(1.0, abs(f_star))
+def _fit(trace: RunTrace, f_star: float) -> RateFit:
+    return fit_rate(trace, "f_gap_to_opt", f_star=f_star, floor=1e-12 * max(1.0, abs(f_star)))
 
 
-def _run_quadratic_family(
-    config: ExperimentConfig,
-    out_dir: Path,
-    tag: str,
-    obj: QuadraticObjective,
-    spec: PolytopeSpec,
-    f_star: float,
-) -> List[Dict]:
-    runs = []
-    for variant in config.variants:
-        key = f"{tag}_{variant.lower()}"
-        cfg = SolverConfig(
-            variant=variant, epsilon=config.epsilon, max_iter=config.max_iter
-        )
-        trace = solve(obj, spec, cfg)
-        fname = f"{config.name}_{key}.csv"
-        trace.write_csv(out_dir / fname)
-        fit = fit_rate(trace, "f_gap_to_opt", f_star=f_star, floor=_fit_floor(f_star))
-        runs.append(_run_record(key, variant, trace, fname, fit))
-    return runs
+def _run(config: ExperimentConfig, out_dir: Path, key: str, variant: str, obj: Objective,
+         spec: PolytopeSpec, x0: Optional[ActiveIterate] = None) -> Tuple[RunTrace, str]:
+    """Solve one run and write its trace; returns the trace and the file's name."""
+    cfg = SolverConfig(variant=variant, epsilon=config.epsilon, max_iter=config.max_iter)
+    trace = solve(obj, spec, cfg, x0=x0)
+    fname = f"{config.name}_{key}.csv"
+    trace.write_csv(out_dir / fname)
+    return trace, fname
 
 
 def _median(values: List[float]) -> Optional[float]:
@@ -351,9 +374,8 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
     seed = int(p["rng_seed"])
     runs: List[Dict] = []
     aggregates: List[Dict] = []
-    for ti, theta in enumerate(p["thetas"]):
+    for ti, (theta, (obj, spec, delta, diameter)) in enumerate(zip(p["thetas"], config.built)):
         theta = float(theta)
-        obj, spec, delta, diameter = gen_triangle(theta)
         atoms = spec.enumerate_atoms()
         f_star = reference_optimum(obj, spec)
         rng = np.random.default_rng([seed, ti])
@@ -363,25 +385,16 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
             mine: List[Dict] = []
             for si, w in enumerate(starts):
                 key = f"triangle_t{ti}_{variant.lower()}_s{si:02d}"
-                x0 = ActiveIterate.from_weights(
-                    {atoms[i]: float(w[i]) for i in range(len(atoms))}
-                )
-                cfg = SolverConfig(
-                    variant=variant, epsilon=config.epsilon, max_iter=config.max_iter
-                )
-                trace = solve(obj, spec, cfg, x0=x0)
+                x0 = ActiveIterate.from_weights({atoms[i]: float(w[i]) for i in range(len(atoms))})
+                trace, fname = _run(config, out_dir, key, variant, obj, spec, x0)
                 # A start whose very first step is a drop carries no rate
                 # information (the offending corner's mass is shed at once
                 # and the run collapses), so it is excluded but counted.
                 drop_start = trace.columns["kind"][:1] == [StepKind.DROP]
-                fname = f"{config.name}_{key}.csv"
-                trace.write_csv(out_dir / fname)
                 fit = None
                 degenerate = False
                 if not drop_start:
-                    fit = fit_rate(
-                        trace, "f_gap_to_opt", f_star=f_star, floor=_fit_floor(f_star)
-                    )
+                    fit = _fit(trace, f_star)
                     fit.theoretical_rho = theoretical
                     # Runs that land on the optimum before three positive
                     # suboptimality values accrue have no fittable decay;
@@ -390,12 +403,8 @@ def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], 
                     if fit.rho_hat <= 0.0 and fit.window[1] - fit.window[0] < 3:
                         degenerate = True
                         fit = None
-                rec = _run_record(key, variant, trace, fname, fit)
-                rec["theta"] = theta
-                rec["start"] = si
-                rec["drop_start"] = drop_start
-                rec["degenerate"] = degenerate
-                mine.append(rec)
+                mine.append({**_run_record(key, variant, trace, fname, fit), "theta": theta,
+                             "start": si, "drop_start": drop_start, "degenerate": degenerate})
             runs.extend(mine)
             included = [r for r in mine if r["ratio"] is not None]
             ratios = [r["ratio"] for r in included]
@@ -438,40 +447,18 @@ def run_experiment(config: ExperimentConfig, out_dir) -> Dict:
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
     }
-    if kind == "lasso":
-        p = config.problem
-        obj, spec = gen_lasso(
-            int(p["m"]),
-            int(p["n"]),
-            int(p["k"]),
-            float(p.get("noise", 0.1)),
-            int(p["rng_seed"]),
-            float(p.get("radius", 20.0)),
-        )
-        f_star = reference_optimum(obj, spec)
-        summary["f_star"] = f_star
-        summary["runs"] = _run_quadratic_family(config, out, "lasso", obj, spec, f_star)
-    elif kind == "triangle":
-        runs, aggregates = _run_triangle(config, out)
-        summary["runs"] = runs
-        summary["aggregates"] = aggregates
-    elif kind == "rankdef":
-        p = config.problem
-        obj, spec = gen_rankdef(int(p["d"]), int(p["rank"]), int(p["rng_seed"]))
-        summary["mu"] = obj.strong_convexity
-        summary["f_star"] = 0.0  # b = A x0 is consistent by construction
-        summary["runs"] = _run_quadratic_family(config, out, "rankdef", obj, spec, 0.0)
-    elif kind == "custom":
-        p = config.problem
-        A = np.loadtxt(p["A_csv"], delimiter=",", ndmin=2)
-        y = np.loadtxt(p["y_csv"], delimiter=",")
-        obj = QuadraticObjective.least_squares(A, y)
-        spec = spec_from_json(p["spec"])
-        f_star = reference_optimum(obj, spec)
-        summary["f_star"] = f_star
-        summary["runs"] = _run_quadratic_family(config, out, "custom", obj, spec, f_star)
-    else:  # unreachable given config validation
-        raise ValueError(f"unknown problem kind {kind!r}")
+    if kind == "triangle":
+        summary["runs"], summary["aggregates"] = _run_triangle(config, out)
+    else:
+        obj, spec, known = config.built
+        summary.update(known)
+        if "f_star" not in summary:
+            summary["f_star"] = reference_optimum(obj, spec)
+        f_star, summary["runs"] = summary["f_star"], []
+        for variant in config.variants:
+            key = f"{kind}_{variant.lower()}"
+            trace, fname = _run(config, out, key, variant, obj, spec)
+            summary["runs"].append(_run_record(key, variant, trace, fname, _fit(trace, f_star)))
     (out / f"{config.name}_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

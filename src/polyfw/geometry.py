@@ -28,7 +28,8 @@ from polyfw.core import Atom, atom_key
 from polyfw.objectives import Objective, QuadraticObjective, exact_constants, polytope_diameter
 
 PDIRW_ATOM_CAP = 16
-VALUE_FLOOR = 1e-12  # a facial distance at rounding scale means a degenerate atom set
+FACET_TOL = 1e-9  # on a facet: within this times the points' largest projected coordinate
+VALUE_FLOOR = 1e-12  # a facial distance below this times the diameter means a degenerate set
 
 
 def _atom_matrix(atoms) -> np.ndarray:
@@ -127,11 +128,11 @@ def pdirw(atoms, r, x) -> float:
     return float(dots[order[0]] - dots[order[k - 1]])
 
 
-def _face_lattice(points: np.ndarray, tol: float = 1e-9):
+def _face_lattice(points: np.ndarray):
     """``(faces, proj, facets, normals)``: ``enumerate_faces``' result, the points
     projected onto their affine hull, and each facet's incidence set and unit
     outward normal there (a rank-1 input's facets are its end points, normals -1, +1).
-    A point is on a facet within ``tol`` times the largest projected coordinate
+    A point is on a facet within ``FACET_TOL`` times the largest projected coordinate
     (the spread, at rank 1), so scaling the points does not change the lattice.
     """
     from scipy.spatial import ConvexHull
@@ -143,13 +144,13 @@ def _face_lattice(points: np.ndarray, tol: float = 1e-9):
         centered = mat - mat.mean(axis=0)
         _, svals, vt = np.linalg.svd(centered, full_matrices=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        proj = centered @ vt[: int(np.sum(svals > tol * scale))].T
+        proj = centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
     rank = proj.shape[1]
     if rank == 1:
         t = proj[:, 0]
         spread = np.max(t) - np.min(t)
-        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + tol * spread)[0].tolist()),
-                      frozenset(np.nonzero(t >= np.max(t) - tol * spread)[0].tolist())]
+        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + FACET_TOL * spread)[0].tolist()),
+                      frozenset(np.nonzero(t >= np.max(t) - FACET_TOL * spread)[0].tolist())]
         normals = [[-1.0], [1.0]]
     elif rank > 1:
         hull = ConvexHull(proj)
@@ -162,7 +163,7 @@ def _face_lattice(points: np.ndarray, tol: float = 1e-9):
             seen_eq.add(key)
             normal, offset = eq[:rank], eq[rank]
             dist = proj @ normal + offset
-            members = frozenset(np.nonzero(np.abs(dist) <= tol * coord_scale)[0].tolist())
+            members = frozenset(np.nonzero(np.abs(dist) <= FACET_TOL * coord_scale)[0].tolist())
             if members:
                 facet_sets.append(members)
                 normals.append(normal / np.linalg.norm(normal))
@@ -181,14 +182,14 @@ def _face_lattice(points: np.ndarray, tol: float = 1e-9):
     return sorted(faces, key=lambda f: (-len(f), sorted(f))), proj, facet_sets, np.array(normals)
 
 
-def enumerate_faces(points: np.ndarray, tol: float = 1e-9) -> List[frozenset]:
+def enumerate_faces(points: np.ndarray) -> List[frozenset]:
     """All faces of conv(points) as frozensets of point indices.
 
     Includes the polytope itself; proper faces are obtained as the
     nonempty intersections of facet incidence sets, after projecting
     onto the affine hull so degenerate (flat) inputs work too.
     """
-    return _face_lattice(points, tol)[0]
+    return _face_lattice(points)[0]
 
 
 @dataclass
@@ -292,7 +293,8 @@ def pwidth(atoms) -> WidthReport:
         a, b = _facial_pair(mat, faces[index])
         best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
     distance, index, a, b = best
-    if not VALUE_FLOOR < distance < np.inf:
+    diameter = float(np.max(np.linalg.norm(mat[:, None] - mat[None], axis=-1)))
+    if not VALUE_FLOOR * diameter < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
     idx = sorted(faces[index])
     witness = {

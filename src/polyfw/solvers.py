@@ -175,8 +175,8 @@ def fcfw_correction(
     meets the contract there, so the iterate is returned as it is, and
     ``solve`` ends the run as ``stall`` once a correction changes nothing.
     ``inner_steps`` counts the minor-cycle passes, or the AFW steps.
-    Zero-weight atoms are retained in the returned pool up to four times
-    the active-set size, evicting oldest-first.
+    The returned pool keeps at most three zero-weight atoms per active
+    one, the newest, so it holds at most four times the active-set size.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
     for atom_id, point in it.atoms().items():

@@ -487,6 +487,13 @@ NO_K = {"problem": {"kind": "lasso", "m": 5, "n": 10, "rng_seed": 1}}
 NO_RANK = {"problem": {"kind": "rankdef", "d": 5, "rng_seed": 1}}
 NO_STARTS = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "rng_seed": 3}}
 SCALAR_THETAS = {"problem": {"kind": "triangle", "thetas": 0.5, "n_starts": 1, "rng_seed": 3}}
+LIST_NOISE = {"problem": {"kind": "lasso", "m": 5, "n": 10, "k": 2, "noise": [1], "rng_seed": 1}}
+
+
+def custom(A_csv="A.csv", y_csv="y.csv", **spec):
+    """A custom problem on the 8 x 3 A.csv and 8-row y.csv that the test writes."""
+    spec = {"variant": "simplex", "dimension": 3, **spec}
+    return {"problem": {"kind": "custom", "A_csv": A_csv, "y_csv": y_csv, "spec": spec}}
 
 
 @pytest.mark.parametrize("in_file, flags", [
@@ -494,14 +501,22 @@ SCALAR_THETAS = {"problem": {"kind": "triangle", "thetas": 0.5, "n_starts": 1, "
     (NO_SEED, []), ({"name": None}, []), (NO_K, []), (NO_RANK, []), (NO_STARTS, []),
     ({"problem": None}, ["--seed", "3"]), ({"problem": [1]}, ["--seed", "3"]),
     ({"variants": None}, []), (["cli_tri"], ["--seed", "3"]), (SCALAR_THETAS, []),
-    ({"max_iter": [5]}, []),
+    ({"max_iter": [5]}, []), ({"name": "sub/dir"}, []), ({"name": ".."}, []),
+    (custom(A_csv="missing.csv"), []), (custom(variant="nope"), []), (custom(dimension=4), []),
+    (custom(y_csv="short.csv"), []), (LIST_NOISE, []),
 ])
-def test_cli_run_rejects_invalid_settings(tmp_path, capsys, in_file, flags):
+def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.
 
     ``in_file`` overrides keys of a valid config (None drops the key), or
-    is a list that replaces the whole document.
+    is a list that replaces the whole document.  Custom problems read
+    their CSVs from the test's directory.
     """
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    np.savetxt("A.csv", rng.standard_normal((8, 3)), delimiter=",")
+    np.savetxt("y.csv", rng.standard_normal(8), delimiter=",")
+    np.savetxt("short.csv", rng.standard_normal(7), delimiter=",")
     cfg_path = tmp_path / "cfg.json"
     doc = {
         "name": "cli_tri",

@@ -237,11 +237,12 @@ def test_pwidth_scale_covariant():
     ids=["cube2", "cube3", "simplex3", "simplex5"],
 )
 def test_faces_and_pwidth_keep_their_scale_from_1e_minus_11_to_1e6(spec):
-    """Facet membership is relative to the points' spread and MNP's postcondition to the
-    size of its terms, so neither a tiny nor a large copy of a set loses faces or fails."""
+    """Facet membership is relative to the points' spread, MNP's postcondition to the size
+    of its terms and the degenerate-set floor to the diameter, so neither a tiny (down to
+    1e-20) nor a large copy of a set loses faces or fails."""
     atoms = np.array(points_of(spec))
     faces, expected = len(enumerate_faces(atoms)), analytic_pwidth(spec)
-    for scale in 10.0 ** np.array([-11, -9, -6, -3, 0, 3, 6]):
+    for scale in 10.0 ** np.array([-20, -14, -11, -9, -6, -3, 0, 3, 6]):
         assert len(enumerate_faces(scale * atoms)) == faces, scale
         got = pwidth(scale * atoms).pwidth_estimate
         assert abs(got / (scale * expected) - 1.0) <= 1e-15, (scale, got)

@@ -496,6 +496,31 @@ def test_traced_entry_points_are_module_globals(monkeypatch):
                           "apply_pairwise_step", "fcfw_correction", "mnp_correction"}
 
 
+@pytest.mark.parametrize("problem, runs", [
+    ({"kind": "lasso", "m": 8, "n": 12, "k": 2, "rng_seed": 1, "radius": 1.5}, 1),
+    ({"kind": "triangle", "thetas": [0.7], "n_starts": 3, "rng_seed": 4}, 3),  # a drop start
+])
+def test_run_experiment_reaches_the_traced_bench_names(problem, runs, monkeypatch, tmp_path):
+    """An experiment's solves, fits, reference run and CSV writes all pass through the
+    names that the per-layer benchmark wraps, so its bench counters keep counting."""
+    import polyfw.bench as bench
+
+    calls = {}
+    for owner, name in ((bench, "solve"), (bench, "fit_rate"), (bench, "reference_optimum"),
+                        (RunTrace, "write_csv")):
+        def counting(*args, _name=name, _original=vars(owner)[name], **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    config = bench.ExperimentConfig("traced", problem, ["PFW"], 1e-8, 100)
+    summary = bench.run_experiment(config, tmp_path)
+    fits = sum(not run.get("drop_start") for run in summary["runs"])
+    assert 1 <= fits and any(run["rate_fit"] for run in summary["runs"])
+    assert calls == {"reference_optimum": 1, "solve": 1 + runs, "write_csv": runs,
+                     "fit_rate": fits}
+
+
 @pytest.mark.parametrize(
     "variant, calls_per, products_per", [(Variant.FCFW, 1, 2), (Variant.MNP, 0, 1)]
 )
