@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +71,8 @@ class Simplex(PolytopeSpec):
         return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
+        if self.atom_count() > ENUMERATION_CAP:
+            raise EnumerationError(f"simplex with {self.dimension} atoms is not enumerable")
         return [Atom(row) for row in np.eye(self.dimension)]
 
     def atom_count(self) -> int:
@@ -99,6 +102,8 @@ class L1Ball(PolytopeSpec):
         return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
+        if self.atom_count() > ENUMERATION_CAP:
+            raise EnumerationError(f"l1 ball with {self.atom_count()} atoms is not enumerable")
         out = []
         for i in range(self.dimension):
             for sign in (1.0, -1.0):
@@ -189,11 +194,11 @@ class FlowDag(PolytopeSpec):
 
     Coordinates are indexed by arcs; atoms are indicator vectors of
     source-to-sink paths.  The constructor compiles the DAG into depth
-    levels (a node's depth is its longest arc count to the sink), so the
-    oracle's shortest-path dynamic program is one vectorised min per
-    level.  Ties go to the lexicographically smallest arc-index sequence.
-    A direction whose shortest path cost is not finite (it overflows)
-    raises ``ValueError``.
+    levels (a node's depth is its longest arc count to the sink), the only
+    form of the graph it keeps, so the oracle's shortest-path dynamic
+    program is one vectorised min per level.  Ties go to the
+    lexicographically smallest arc-index sequence.  A direction whose
+    shortest path cost is not finite (it overflows) raises ``ValueError``.
     """
 
     def __init__(
@@ -206,91 +211,68 @@ class FlowDag(PolytopeSpec):
         if not self.arcs:
             raise ValueError("arc list is empty")
         self.dimension = len(self.arcs)
-        nodes = []
-        seen = set()
-        for u, v in self.arcs:
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    nodes.append(w)
-        self.nodes = nodes
-        heads = {v for _, v in self.arcs}
-        tails = {u for u, _ in self.arcs}
+        out: Dict[str, List[int]] = {}  # out-arcs per node, nodes in order of first appearance
+        for idx, (u, v) in enumerate(self.arcs):
+            out.setdefault(u, []).append(idx)
+            out.setdefault(v, [])
         if source is None:
-            candidates = [n for n in nodes if n not in heads]
+            heads = {v for _, v in self.arcs}
+            candidates = [n for n in out if n not in heads]
             if len(candidates) != 1:
                 raise ValueError("source is ambiguous; pass it explicitly")
             source = candidates[0]
         if sink is None:
-            candidates = [n for n in nodes if n not in tails]
+            candidates = [n for n in out if not out[n]]
             if len(candidates) != 1:
                 raise ValueError("sink is ambiguous; pass it explicitly")
             sink = candidates[0]
-        if source not in seen or sink not in seen:
+        if source not in out or sink not in out:
             raise ValueError("source/sink must appear in the arc list")
         self.source = source
         self.sink = sink
-        self._out: Dict[str, List[int]] = {n: [] for n in nodes}
-        self._in: Dict[str, List[int]] = {n: [] for n in nodes}
-        for idx, (u, v) in enumerate(self.arcs):
-            self._out[u].append(idx)
-            self._in[v].append(idx)
-        self._topo = self._topological_order()
-        self._validate_connectivity()
-        self._compile_levels()
+        self._compile_levels(out)
 
-    def _compile_levels(self) -> None:
+    def _compile_levels(self, out: Dict[str, List[int]]) -> None:
         """Number the nodes by depth (sink 0, source last) and list their arcs in that order.
 
+        Depths come from peeling the DAG from the sink: a node gets one once
+        all its heads have one.  Nodes left without a depth (on a cycle, or
+        with an arc that cannot reach the sink), or else the nodes that a
+        sweep from the source in decreasing depth misses, raise ``ValueError``.
         Each level holds its node slice, its slice of ``_arc_order``, those
         arcs' heads and each node's offset into it for ``np.minimum.reduceat``.
         """
-        depth = {self.sink: 0}
-        for n in reversed(self._topo):
-            if n != self.sink:
-                depth[n] = 1 + max(depth[self.arcs[idx][1]] for idx in self._out[n])
-        order = sorted(self.nodes, key=lambda n: depth[n])  # stable: first appearance
+        pred: Dict[str, List[str]] = {n: [] for n in out}
+        for u, v in self.arcs:
+            pred[v].append(u)
+        left = {n: len(idxs) for n, idxs in out.items()}
+        depth: Dict[str, int] = {}
+        ready = [] if out[self.sink] else [self.sink]
+        while ready:
+            n = ready.pop()
+            depth[n] = max((1 + depth[self.arcs[idx][1]] for idx in out[n]), default=0)
+            for u in pred[n]:
+                left[u] -= 1
+                if not left[u]:
+                    ready.append(u)
+        reached = {self.source}
+        for n in sorted(depth, key=depth.get, reverse=True):  # every arc goes down in depth
+            if n in reached:
+                reached.update(self.arcs[idx][1] for idx in out[n])
+        stranded = [n for n in out if n not in depth] or [n for n in out if n not in reached]
+        if stranded:
+            raise ValueError(f"nodes on a cycle or on an arc of no source-sink path: {stranded}")
+        order = sorted(out, key=depth.get)  # stable: first appearance
         pos = {n: i for i, n in enumerate(order)}
-        self._succ = [[(idx, pos[self.arcs[idx][1]]) for idx in self._out[n]] for n in order]
-        self._arc_order = np.array([idx for out in self._succ for idx, _ in out], dtype=np.intp)
-        heads = np.array([v for out in self._succ for _, v in out], dtype=np.intp)
-        starts = np.cumsum([0] + [len(out) for out in self._succ])
+        self._succ = [[(idx, pos[self.arcs[idx][1]]) for idx in out[n]] for n in order]
+        self._arc_order = np.array([idx for succ in self._succ for idx, _ in succ], dtype=np.intp)
+        heads = np.array([v for succ in self._succ for _, v in succ], dtype=np.intp)
+        starts = np.cumsum([0] + [len(succ) for succ in self._succ])
         bounds = np.searchsorted([depth[n] for n in order], np.arange(depth[self.source] + 2))
         self._levels = []
         for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
             arcs = slice(starts[lo], starts[hi])
             self._levels.append((slice(lo, hi), arcs, heads[arcs], starts[lo:hi] - starts[lo]))
-
-    def _topological_order(self) -> List[str]:
-        indeg = {n: len(self._in[n]) for n in self.nodes}
-        frontier = [n for n in self.nodes if indeg[n] == 0]
-        order: List[str] = []
-        while frontier:
-            n = frontier.pop()
-            order.append(n)
-            for idx in self._out[n]:
-                v = self.arcs[idx][1]
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    frontier.append(v)
-        if len(order) != len(self.nodes):
-            raise ValueError("arc list contains a cycle")
-        return order
-
-    def _validate_connectivity(self) -> None:
-        reach = {self.source}
-        for n in self._topo:
-            if n in reach:
-                for idx in self._out[n]:
-                    reach.add(self.arcs[idx][1])
-        coreach = {self.sink}
-        for n in reversed(self._topo):
-            if n in coreach:
-                for idx in self._in[n]:
-                    coreach.add(self.arcs[idx][0])
-        stranded = [n for n in self.nodes if n not in reach or n not in coreach]
-        if stranded:
-            raise ValueError(f"nodes not on any source-sink path: {stranded}")
 
     def _lmo(self, r: np.ndarray) -> Atom:
         cost = r[self._arc_order]
@@ -314,25 +296,18 @@ class FlowDag(PolytopeSpec):
         return Atom._adopt(point)
 
     def enumerate_atoms(self) -> List[Atom]:
-        atoms: List[Atom] = []
-        stack: List[int] = []
-
-        def expand(node: str) -> None:
-            if len(atoms) > ENUMERATION_CAP:
-                raise EnumerationError("path count exceeds the enumeration cap")
-            if node == self.sink:
-                point = np.zeros(self.dimension)
-                point[stack] = 1.0
-                atoms.append(Atom(point))
-                return
-            for idx in self._out[node]:
-                stack.append(idx)
-                expand(self.arcs[idx][1])
-                stack.pop()
-
-        expand(self.source)
-        if len(atoms) > ENUMERATION_CAP:
+        if self.atom_count() > ENUMERATION_CAP:
             raise EnumerationError("path count exceeds the enumeration cap")
+        atoms: List[Atom] = []
+        stack: List[Tuple[int, List[int]]] = [(len(self._succ) - 1, [])]  # (node, arcs to it)
+        while stack:  # depth first from the source, out-arcs in arc-list order
+            node, path = stack.pop()
+            if node:
+                stack.extend((head, path + [idx]) for idx, head in reversed(self._succ[node]))
+                continue
+            point = np.zeros(self.dimension)
+            point[path] = 1.0
+            atoms.append(Atom(point))
         return atoms
 
     def atom_count(self) -> int:
@@ -443,39 +418,41 @@ def enumerate_atoms(spec: PolytopeSpec) -> List[Atom]:
 
 
 def spec_from_json(doc) -> PolytopeSpec:
-    """Parse a PolytopeSpec from a JSON document (dict or string)."""
+    """Parse a PolytopeSpec from a JSON dict or string; a missing or mistyped key is a ValueError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ValueError("spec document must be an object with a 'variant' key")
     variant = doc["variant"]
+
+    def get(key: str, kind, within: Dict = doc):
+        if key not in within:
+            raise ValueError(f"{variant} spec is missing {key!r}")
+        if not isinstance(within[key], kind) or isinstance(within[key], bool):
+            raise ValueError(f"{variant} spec has {key!r} of the wrong type: {within[key]!r}")
+        return within[key]
+
     if variant == "simplex":
-        return Simplex(doc["dimension"])
+        return Simplex(get("dimension", numbers.Integral))
     if variant == "l1ball":
-        return L1Ball(doc["dimension"], doc["radius"])
+        return L1Ball(get("dimension", numbers.Integral), get("radius", numbers.Real))
     if variant == "cube":
-        return Cube(doc["dimension"])
+        return Cube(get("dimension", numbers.Integral))
     if variant == "vertices":
         if "csv" in doc:
-            return VertexList.read_csv(doc["csv"])
-        return VertexList(doc["atoms"])
+            return VertexList.read_csv(get("csv", str))
+        return VertexList(get("atoms", list))
     if variant == "flowdag":
-        arcs = []
-        for arc in doc["arcs"]:
-            if isinstance(arc, str):
-                u, v = arc.split()
-            else:
-                u, v = arc
-            arcs.append((u, v))
+        arcs = [arc.split() if isinstance(arc, str) else arc for arc in get("arcs", list)]
         return FlowDag(arcs, source=doc.get("source"), sink=doc.get("sink"))
     if variant == "basepoly":
-        fdoc = doc["function"]
-        kind = fdoc["kind"]
+        fdoc = get("function", dict)
+        kind = get("kind", str, fdoc)
         if kind == "cardinality_cap":
-            fn = cardinality_cap(fdoc["cap"])
+            fn = cardinality_cap(get("cap", numbers.Real, fdoc))
         elif kind == "concave_cardinality":
-            fn = weighted_concave_cardinality(fdoc["values"])
+            fn = weighted_concave_cardinality(get("values", list, fdoc))
         else:
             raise ValueError(f"unknown submodular family {kind!r}")
-        return BasePolytope(doc["n"], fn)
+        return BasePolytope(get("n", numbers.Integral), fn)
     raise ValueError(f"unknown polytope variant {variant!r}")

@@ -9,7 +9,8 @@ width with a base point that reproduces it (it takes its faces from
 sampled estimator of the affine-invariant curvature constants.  Slow is
 fine here; these only run at test sizes.  Two exceptions keep former
 library code, so the current code can be held to it bit for bit:
-``flowdag_lmo_reference`` (the dict-based FlowDag oracle) and
+``flowdag_lmo_reference`` (the dict-based FlowDag oracle, on a graph
+built from the spec's arc list, source and sink alone) and
 ``pwidth_all_faces`` (the facial distance solved on every proper face).
 """
 
@@ -53,20 +54,42 @@ def l1ball_lmo(r, radius):
     return out
 
 
+def _flowdag_out_arcs(spec):
+    """Out-arc index lists per tail node, from ``spec.arcs`` alone."""
+    out = {}
+    for idx, (u, _) in enumerate(spec.arcs):
+        out.setdefault(u, []).append(idx)
+    return out
+
+
 def flowdag_lmo_reference(spec, r):
     """Shortest path by a dict-based DP over a topological order (the former library oracle).
 
-    Nodes whose best cost is not finite are left out of ``dist``; the
-    walk from the source takes the smallest arc index that attains the
-    optimum.  Returns the path's indicator vector.
+    The out-arc lists and the order (a depth-first post-order from the
+    source, so every node comes after all its heads) are built from
+    ``spec.arcs``, ``spec.source`` and ``spec.sink`` alone.  Nodes whose
+    best cost is not finite are left out of ``dist``; the walk from the
+    source takes the smallest arc index that attains the optimum.
+    Returns the path's indicator vector.
     """
     r = np.asarray(r, dtype=np.float64)
+    out = _flowdag_out_arcs(spec)
+    post, seen = [], set()
+
+    def visit(node):
+        seen.add(node)
+        for idx in out.get(node, []):
+            if spec.arcs[idx][1] not in seen:
+                visit(spec.arcs[idx][1])
+        post.append(node)
+
+    visit(spec.source)
     dist = {spec.sink: 0.0}
-    for n in reversed(spec._topo):
+    for n in post:
         if n == spec.sink:
             continue
         best = np.inf
-        for idx in spec._out[n]:
+        for idx in out[n]:
             v = spec.arcs[idx][1]
             if v in dist:
                 best = min(best, r[idx] + dist[v])
@@ -78,14 +101,14 @@ def flowdag_lmo_reference(spec, r):
     node = spec.source
     while node != spec.sink:
         chosen = None
-        for idx in spec._out[node]:
+        for idx in out[node]:
             v = spec.arcs[idx][1]
             if v in dist and r[idx] + dist[v] == dist[node]:
                 chosen = idx
                 break
         if chosen is None:  # guard against rounding surprises
             chosen = min(
-                (idx for idx in spec._out[node] if spec.arcs[idx][1] in dist),
+                (idx for idx in out[node] if spec.arcs[idx][1] in dist),
                 key=lambda idx: (r[idx] + dist[spec.arcs[idx][1]], idx),
             )
         point[chosen] = 1.0
@@ -93,17 +116,12 @@ def flowdag_lmo_reference(spec, r):
     return point
 
 
-def flowdag_scan_lmo(spec, r):
-    """Indicator of the path minimising (exact cost, arc-index sequence) over all paths.
+def flowdag_paths(spec):
+    """Every source-sink path as a tuple of arc indices, depth first with out-arcs in list order.
 
-    Paths are enumerated from ``spec.arcs``, ``spec.source`` and
-    ``spec.sink`` alone, and costs are summed as exact rationals.  On
-    integer-valued directions the library's float sums are exact too, so
-    the two must pick the same path.
+    Built from ``spec.arcs``, ``spec.source`` and ``spec.sink`` alone.
     """
-    out = {}
-    for idx, (u, _) in enumerate(spec.arcs):
-        out.setdefault(u, []).append(idx)
+    out = _flowdag_out_arcs(spec)
     paths = []
 
     def extend(node, seq):
@@ -114,8 +132,18 @@ def flowdag_scan_lmo(spec, r):
             extend(spec.arcs[idx][1], seq + [idx])
 
     extend(spec.source, [])
+    return paths
+
+
+def flowdag_scan_lmo(spec, r):
+    """Indicator of the path minimising (exact cost, arc-index sequence) over all paths.
+
+    Paths come from ``flowdag_paths`` and costs are summed as exact
+    rationals.  On integer-valued directions the library's float sums are
+    exact too, so the two must pick the same path.
+    """
     r = [Fraction(float(v)) for v in r]
-    best = min(paths, key=lambda seq: (sum(r[i] for i in seq), seq))
+    best = min(flowdag_paths(spec), key=lambda seq: (sum(r[i] for i in seq), seq))
     point = np.zeros(len(spec.arcs))
     point[list(best)] = 1.0
     return point

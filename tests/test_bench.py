@@ -492,7 +492,8 @@ LIST_NOISE = {"problem": {"kind": "lasso", "m": 5, "n": 10, "k": 2, "noise": [1]
 
 def custom(A_csv="A.csv", y_csv="y.csv", **spec):
     """A custom problem on the 8 x 3 A.csv and 8-row y.csv that the test writes."""
-    spec = {"variant": "simplex", "dimension": 3, **spec}
+    spec = {key: value for key, value in {"variant": "simplex", "dimension": 3, **spec}.items()
+            if value is not None}  # None drops the key
     return {"problem": {"kind": "custom", "A_csv": A_csv, "y_csv": y_csv, "spec": spec}}
 
 
@@ -503,7 +504,8 @@ def custom(A_csv="A.csv", y_csv="y.csv", **spec):
     ({"variants": None}, []), (["cli_tri"], ["--seed", "3"]), (SCALAR_THETAS, []),
     ({"max_iter": [5]}, []), ({"name": "sub/dir"}, []), ({"name": ".."}, []),
     (custom(A_csv="missing.csv"), []), (custom(variant="nope"), []), (custom(dimension=4), []),
-    (custom(y_csv="short.csv"), []), (LIST_NOISE, []),
+    (custom(y_csv="short.csv"), []), (LIST_NOISE, []), (custom(dimension=None), []),
+    (custom(dimension="3"), []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.

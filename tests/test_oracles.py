@@ -11,6 +11,7 @@ from polyfw.core import Atom
 from polyfw.oracles import (
     BasePolytope,
     Cube,
+    ENUMERATION_CAP,
     EnumerationError,
     FlowDag,
     L1Ball,
@@ -185,6 +186,14 @@ def test_enumeration_cap_enforced():
         Cube(15).enumerate_atoms()
 
 
+def test_direct_enumeration_checks_the_cap_before_building_atoms():
+    """Called directly, the closed-form specs refuse at once instead of building 20,001+ atoms."""
+    for spec in (Simplex(20_001), L1Ball(10_001, 1.0), FlowDag(_layered_arcs(5, 7))):
+        assert spec.atom_count() > ENUMERATION_CAP
+        with pytest.raises(EnumerationError):
+            spec.enumerate_atoms()
+
+
 def test_lmo_zero_direction_returns_valid_atom():
     for spec in (Simplex(4), Cube(3), L1Ball(3, 1.0)):
         atom = spec.lmo(np.zeros(spec.dimension))
@@ -271,6 +280,35 @@ def test_spec_json_roundtrip():
         for _ in range(10):
             r = rng.standard_normal(spec.dimension)
             assert np.array_equal(back.lmo(r).point, spec.lmo(r).point)
+
+
+_REQUIRED_SPEC_KEYS = [
+    ({"variant": "simplex", "dimension": 3}, [("dimension",)]),
+    ({"variant": "l1ball", "dimension": 3, "radius": 2.0}, [("dimension",), ("radius",)]),
+    ({"variant": "cube", "dimension": 3}, [("dimension",)]),
+    ({"variant": "vertices", "atoms": [[0.0, 1.0]]}, [("atoms",)]),
+    ({"variant": "flowdag", "arcs": ["s t"]}, [("arcs",)]),
+    ({"variant": "basepoly", "n": 3, "function": {"kind": "cardinality_cap", "cap": 2}},
+     [("n",), ("function",), ("function", "kind"), ("function", "cap")]),
+    ({"variant": "basepoly", "n": 3, "function": {"kind": "concave_cardinality",
+                                                   "values": [0, 1, 1.5, 1.8]}},
+     [("function", "values")]),
+]
+
+
+@pytest.mark.parametrize("doc, paths", _REQUIRED_SPEC_KEYS)
+def test_spec_from_json_names_a_missing_or_mistyped_key(doc, paths):
+    spec_from_json(json.dumps(doc))  # the full document parses
+    for path in paths:
+        for bad in (None, True, 3 if path[-1] == "kind" else "3"):  # None drops the key
+            broken = json.loads(json.dumps(doc))
+            parent = broken if len(path) == 1 else broken[path[0]]
+            if bad is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = bad
+            with pytest.raises(ValueError, match=f"{doc['variant']} spec .*'{path[-1]}'"):
+                spec_from_json(broken)
 
 
 def test_simplex_requires_positive_dimension():
@@ -404,6 +442,28 @@ def test_flowdag_lmo_matches_path_scan_on_integer_directions(data):
     if data.draw(st.booleans()):
         r = np.where(r == 0, -0.0, r)
     assert spec.lmo(r).point.tobytes() == ref.flowdag_scan_lmo(spec, r).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flowdag_enumerates_the_reference_paths_in_order(data):
+    """The compiled walk yields the arc-list DFS order, which ``pwidth`` witnesses index into."""
+    spec = data.draw(_random_dags(max_width=3, max_layers=5))
+    paths = ref.flowdag_paths(spec)
+    atoms = spec.enumerate_atoms()
+    assert spec.atom_count() == len(atoms) == len(paths)
+    for atom, path in zip(atoms, paths):
+        assert np.flatnonzero(atom.point).tolist() == sorted(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flowdag_rejects_a_cycle_a_dead_end_and_an_unreached_node(data):
+    spec = data.draw(_random_dags(max_width=3, max_layers=5))
+    u, v = spec.arcs[data.draw(st.integers(0, spec.dimension - 1))]
+    for extra in ((v, u), (u, "dead_end"), ("unreached", v)):
+        with pytest.raises(ValueError, match="no source-sink path"):
+            FlowDag([*spec.arcs, extra], source="s", sink="t")
 
 
 @settings(max_examples=100, deadline=None)
