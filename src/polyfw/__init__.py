@@ -46,8 +46,6 @@ from polyfw.oracles import (
     PolytopeSpec,
     Simplex,
     VertexList,
-    enumerate_atoms,
-    lmo,
 )
 from polyfw.solvers import SolverConfig, Variant, solve
 
@@ -77,14 +75,12 @@ __all__ = [
     "apply_pairwise_step",
     "dirw",
     "eccentricity",
-    "enumerate_atoms",
     "enumerate_faces",
     "exact_constants",
     "fit_rate",
     "gen_lasso",
     "gen_rankdef",
     "gen_triangle",
-    "lmo",
     "pdirw",
     "pwidth",
     "rate_constant",

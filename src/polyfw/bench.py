@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,12 +48,7 @@ class RateFit:
     theoretical_rho: Optional[float] = None
 
     def to_json(self) -> Dict:
-        return {
-            "rho_hat": self.rho_hat,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "theoretical_rho": self.theoretical_rho,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -106,18 +101,13 @@ class ExperimentConfig:
         max_iter: Optional[int] = None,
         epsilon: Optional[float] = None,
     ) -> "ExperimentConfig":
-        """Build from a dict, a JSON string, or a path to a JSON file.
+        """Build from a dict or from the path of a JSON file.
 
         ``seed``, ``max_iter`` and ``epsilon`` replace the document's
         problem ``rng_seed`` and settings before the config checks them;
         None keeps the document's value.
         """
-        doc = source
-        if not isinstance(source, dict):
-            text = str(source)
-            if isinstance(source, Path) or not text.lstrip().startswith("{"):
-                text = Path(text).read_text()
-            doc = json.loads(text)
+        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
         if not isinstance(doc, dict) or not isinstance(doc.get("problem"), dict):
             raise ValueError("an experiment config must be a JSON object with a problem object")
         missing = [key for key in ("name", "variants") if key not in doc]
@@ -252,7 +242,6 @@ PROBLEMS: Dict[str, Tuple[Tuple[str, ...], Callable[[Dict], Any], bool]] = {
 def fit_rate(
     trace: RunTrace,
     quantity: str = "f_gap_to_opt",
-    window: Optional[Tuple[int, int]] = None,
     f_star: Optional[float] = None,
     floor: float = 0.0,
 ) -> RateFit:
@@ -263,8 +252,9 @@ def fit_rate(
     contraction theory promises progress only on the non-drop steps of
     those variants; every other trace (and ``fw_gap``) uses every
     record.  The series is truncated at its first value at or below
-    ``floor`` (or nonpositive value), and the fit runs over ``window``
-    in truncated indices, defaulting to the middle 60%.
+    ``floor`` (or nonpositive value), and the fit runs over the middle
+    60% of the truncated series, or all of it when that leaves fewer than
+    10 points; the result's ``window`` is that range in truncated indices.
     """
     if quantity not in RATE_QUANTITIES:
         raise ValueError(f"quantity must be one of {RATE_QUANTITIES}")
@@ -285,16 +275,10 @@ def fit_rate(
     n = len(logs)
     if n < 3:
         return RateFit(rho_hat=0.0, r_squared=0.0, window=(0, n))
-    if window is None:
-        start = int(math.floor(0.2 * n))
-        end = int(math.ceil(0.8 * n))
-        if end - start < min(10, n):
-            start, end = 0, n
-    else:
-        start = max(0, int(window[0]))
-        end = min(n, int(window[1]))
-        if end - start < 2:
-            raise ValueError("fit window must contain at least two points")
+    start = int(math.floor(0.2 * n))
+    end = int(math.ceil(0.8 * n))
+    if end - start < min(10, n):
+        start, end = 0, n
     xs = np.arange(start, end, dtype=np.float64)
     ys = np.array(logs[start:end])
     slope, intercept = np.polyfit(xs, ys, 1)

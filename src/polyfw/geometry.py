@@ -18,7 +18,7 @@ with the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -211,12 +211,7 @@ class WidthReport:
     witness: Dict
 
     def to_json(self) -> Dict:
-        return {
-            "pwidth_estimate": self.pwidth_estimate,
-            "directions_sampled": self.directions_sampled,
-            "faces_enumerated": self.faces_enumerated,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _facial_pair(mat: np.ndarray, face: frozenset) -> Tuple[np.ndarray, np.ndarray]:
@@ -330,7 +325,7 @@ def _spec_pwidth(spec: oracles.PolytopeSpec) -> float:
     value = analytic_pwidth(spec)
     if value is not None:
         return value
-    atoms = oracles.enumerate_atoms(spec)
+    atoms = spec.enumerate_atoms()
     return pwidth([a.point for a in atoms]).pwidth_estimate
 
 

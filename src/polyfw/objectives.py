@@ -284,15 +284,15 @@ def analytic_diameter(spec: oracles.PolytopeSpec) -> Optional[float]:
 
 
 def polytope_diameter(spec: oracles.PolytopeSpec) -> float:
-    """Diameter: analytic where known, else max pairwise atom distance."""
+    """Diameter: analytic where known, else max pairwise atom distance.
+
+    The latter enumerates the atoms, so a spec above ``ENUMERATION_CAP``
+    raises ``EnumerationError``, a ``ValueError``.
+    """
     analytic = analytic_diameter(spec)
     if analytic is not None:
         return analytic
-    try:
-        atoms = oracles.enumerate_atoms(spec)
-    except oracles.EnumerationError as exc:
-        raise ValueError("diameter unavailable for this spec") from exc
-    mat = np.stack([a.point for a in atoms])
+    mat = np.stack([a.point for a in spec.enumerate_atoms()])
     best = 0.0
     block = 512
     for lo in range(0, mat.shape[0], block):

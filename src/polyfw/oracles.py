@@ -27,8 +27,20 @@ class EnumerationError(ValueError):
     """Atom enumeration requested on a spec with too many atoms."""
 
 
+def _intern(atoms: Iterable[Atom]) -> List[Atom]:
+    """The first atom of each id, in order."""
+    first: Dict[bytes, Atom] = {}
+    for atom in atoms:
+        first.setdefault(atom.id, atom)
+    return list(first.values())
+
+
 class PolytopeSpec:
-    """Base class: a polytope given as the convex hull of its atoms."""
+    """Base class: a polytope given as the convex hull of its atoms.
+
+    A spec implements ``_lmo``, ``_atoms``, ``atom_count`` and ``to_json``;
+    ``lmo`` and ``enumerate_atoms`` are the checked entries built on them.
+    """
 
     dimension: int
 
@@ -46,10 +58,22 @@ class PolytopeSpec:
         raise NotImplementedError
 
     def enumerate_atoms(self) -> List[Atom]:
+        """Every atom once, in the spec's order: the first ``Atom`` built for each id.
+
+        A spec of more than ``ENUMERATION_CAP`` atoms raises ``EnumerationError``
+        before any atom is built.
+        """
+        count = self.atom_count()
+        if count > ENUMERATION_CAP:
+            raise EnumerationError(f"spec has {count} atoms, above the {ENUMERATION_CAP} cap")
+        return _intern(self._atoms())
+
+    def _atoms(self) -> Iterable[Atom]:
+        """The atoms in enumeration order, repeats allowed; only called under the cap."""
         raise NotImplementedError
 
     def atom_count(self) -> int:
-        """Number of atoms enumeration would yield (before interning)."""
+        """Number of atoms ``_atoms`` yields (before interning)."""
         raise NotImplementedError
 
     def to_json(self) -> Dict:
@@ -70,9 +94,7 @@ class Simplex(PolytopeSpec):
         point[i] = 1.0
         return Atom._adopt(point)
 
-    def enumerate_atoms(self) -> List[Atom]:
-        if self.atom_count() > ENUMERATION_CAP:
-            raise EnumerationError(f"simplex with {self.dimension} atoms is not enumerable")
+    def _atoms(self) -> List[Atom]:
         return [Atom(row) for row in np.eye(self.dimension)]
 
     def atom_count(self) -> int:
@@ -101,9 +123,7 @@ class L1Ball(PolytopeSpec):
         point[i] = self.radius if r[i] <= 0 else -self.radius
         return Atom._adopt(point)
 
-    def enumerate_atoms(self) -> List[Atom]:
-        if self.atom_count() > ENUMERATION_CAP:
-            raise EnumerationError(f"l1 ball with {self.atom_count()} atoms is not enumerable")
+    def _atoms(self) -> List[Atom]:
         out = []
         for i in range(self.dimension):
             for sign in (1.0, -1.0):
@@ -131,9 +151,7 @@ class Cube(PolytopeSpec):
         # Per-coordinate rule; the tie at r_i == 0 is broken toward 0.
         return Atom._adopt((r < 0).astype(np.float64))
 
-    def enumerate_atoms(self) -> List[Atom]:
-        if self.atom_count() > ENUMERATION_CAP:
-            raise EnumerationError(f"cube with 2^{self.dimension} atoms is not enumerable")
+    def _atoms(self) -> List[Atom]:
         return [
             Atom(np.array(bits, dtype=np.float64))
             for bits in itertools.product((0.0, 1.0), repeat=self.dimension)
@@ -157,16 +175,16 @@ class VertexList(PolytopeSpec):
         mat = np.array(atoms, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise ValueError("atom matrix must be 2-d with at least one row")
-        self._atoms = [Atom(row) for row in mat]  # raises on non-finite coordinates
+        self._prebuilt = [Atom(row) for row in mat]  # raises on non-finite coordinates
         mat.setflags(write=False)  # the LMO's argmin must index these atoms
         self.matrix = mat
         self.dimension = mat.shape[1]
 
     def _lmo(self, r: np.ndarray) -> Atom:
-        return self._atoms[self.matrix.dot(r).argmin()]  # lowest row index wins ties
+        return self._prebuilt[self.matrix.dot(r).argmin()]  # lowest row index wins ties
 
-    def enumerate_atoms(self) -> List[Atom]:
-        return list(self._atoms)
+    def _atoms(self) -> List[Atom]:
+        return self._prebuilt
 
     def atom_count(self) -> int:
         return self.matrix.shape[0]
@@ -295,9 +313,7 @@ class FlowDag(PolytopeSpec):
             node = head
         return Atom._adopt(point)
 
-    def enumerate_atoms(self) -> List[Atom]:
-        if self.atom_count() > ENUMERATION_CAP:
-            raise EnumerationError("path count exceeds the enumeration cap")
+    def _atoms(self) -> List[Atom]:
         atoms: List[Atom] = []
         stack: List[Tuple[int, List[int]]] = [(len(self._succ) - 1, [])]  # (node, arcs to it)
         while stack:  # depth first from the source, out-arcs in arc-list order
@@ -340,7 +356,7 @@ class BasePolytope(PolytopeSpec):
         self.function = function
         if abs(float(function(frozenset()))) > 1e-12:
             raise ValueError("submodular function must have F(empty) = 0")
-        self._atoms: Optional[List[Atom]] = None  # n! greedy passes; run them once
+        self._enumerated: Optional[List[Atom]] = None  # n! greedy passes; run them once
 
     def _greedy(self, order: Sequence[int]) -> np.ndarray:
         point = np.zeros(self.dimension)
@@ -358,18 +374,16 @@ class BasePolytope(PolytopeSpec):
         return Atom(self._greedy(order))
 
     def enumerate_atoms(self) -> List[Atom]:
-        if self._atoms is None:
+        """As ``PolytopeSpec.enumerate_atoms``, cached, with the cap on the n! orderings."""
+        if self._enumerated is None:
             if math.factorial(self.dimension) > ENUMERATION_CAP:
                 raise EnumerationError("too many greedy orderings to enumerate")
-            out: List[Atom] = []
-            seen = set()
-            for order in itertools.permutations(range(self.dimension)):
-                atom = Atom(self._greedy(order))
-                if atom.id not in seen:
-                    seen.add(atom.id)
-                    out.append(atom)
-            self._atoms = out
-        return list(self._atoms)
+            self._enumerated = _intern(self._atoms())
+        return list(self._enumerated)
+
+    def _atoms(self) -> Iterable[Atom]:
+        orders = itertools.permutations(range(self.dimension))
+        return (Atom(self._greedy(order)) for order in orders)
 
     def atom_count(self) -> int:
         # distinct greedy vertices, not orderings; requires enumeration
@@ -397,28 +411,19 @@ def weighted_concave_cardinality(values: Sequence[float]) -> Callable[[FrozenSet
     return lambda s: table[len(s)]
 
 
-def lmo(spec: PolytopeSpec, r) -> Atom:
-    """Linear minimization oracle: argmin over atoms of <r, x>."""
-    return spec.lmo(r)
-
-
-def enumerate_atoms(spec: PolytopeSpec) -> List[Atom]:
-    """All atoms of a small spec, interned and deduplicated."""
-    count = spec.atom_count()
-    if count > ENUMERATION_CAP:
-        raise EnumerationError(f"spec has {count} atoms, above the {ENUMERATION_CAP} cap")
-    atoms = spec.enumerate_atoms()
-    seen = set()
-    out = []
-    for atom in atoms:
-        if atom.id not in seen:
-            seen.add(atom.id)
-            out.append(atom)
-    return out
+def _is_a(value, kind) -> bool:
+    """``isinstance`` for JSON values, where a bool is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def spec_from_json(doc) -> PolytopeSpec:
-    """Parse a PolytopeSpec from a JSON dict or string; a missing or mistyped key is a ValueError."""
+    """Parse a PolytopeSpec from a JSON dict or string.
+
+    A missing or mistyped key, or a malformed entry of ``arcs`` or
+    ``values``, is a ValueError that names the variant and the key.  Arcs
+    are [tail, head] pairs or "tail head" strings; a concave_cardinality
+    function gives n + 1 numbers.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "variant" not in doc:
@@ -428,7 +433,7 @@ def spec_from_json(doc) -> PolytopeSpec:
     def get(key: str, kind, within: Dict = doc):
         if key not in within:
             raise ValueError(f"{variant} spec is missing {key!r}")
-        if not isinstance(within[key], kind) or isinstance(within[key], bool):
+        if not _is_a(within[key], kind):
             raise ValueError(f"{variant} spec has {key!r} of the wrong type: {within[key]!r}")
         return within[key]
 
@@ -443,16 +448,28 @@ def spec_from_json(doc) -> PolytopeSpec:
             return VertexList.read_csv(get("csv", str))
         return VertexList(get("atoms", list))
     if variant == "flowdag":
-        arcs = [arc.split() if isinstance(arc, str) else arc for arc in get("arcs", list)]
+        arcs = []
+        for arc in get("arcs", list):
+            pair = arc.split() if isinstance(arc, str) else arc
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(_is_a(end, (str, numbers.Integral)) for end in pair)):
+                raise ValueError(f"flowdag spec has an entry of 'arcs' that is not a "
+                                 f"[tail, head] pair or a 'tail head' string: {arc!r}")
+            arcs.append(pair)
         return FlowDag(arcs, source=doc.get("source"), sink=doc.get("sink"))
     if variant == "basepoly":
+        n = get("n", numbers.Integral)
         fdoc = get("function", dict)
         kind = get("kind", str, fdoc)
         if kind == "cardinality_cap":
             fn = cardinality_cap(get("cap", numbers.Real, fdoc))
         elif kind == "concave_cardinality":
-            fn = weighted_concave_cardinality(get("values", list, fdoc))
+            values = get("values", list, fdoc)
+            if len(values) != n + 1 or not all(_is_a(v, numbers.Real) for v in values):
+                raise ValueError(f"basepoly spec needs 'values' to be n + 1 = {n + 1} numbers, "
+                                 f"not {values!r}")
+            fn = weighted_concave_cardinality(values)
         else:
             raise ValueError(f"unknown submodular family {kind!r}")
-        return BasePolytope(get("n", numbers.Integral), fn)
+        return BasePolytope(n, fn)
     raise ValueError(f"unknown polytope variant {variant!r}")

@@ -85,7 +85,6 @@ class SolverConfig:
     epsilon: float = 1e-8
     max_iter: int = 1000
     correction_epsilon: Optional[float] = None
-    rng_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.variant, Variant):
@@ -105,7 +104,7 @@ class CorrectionResult:
     """Outcome of one FCFW/MNP correction call, which leaves the state exact at ``iterate``."""
 
     iterate: ActiveIterate
-    correction_atoms: Dict[bytes, np.ndarray]
+    correction_atoms: Optional[Dict[bytes, np.ndarray]]  # FCFW's next pool; MNP keeps none
     inner_steps: int
     post_away_gap: float
 
@@ -322,12 +321,11 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
                 f"minor cycle away gap {away_gap} stayed above {limit}"
             )
     state.reset(out)
-    return CorrectionResult(out, out.atoms(), passes, away_gap)
+    return CorrectionResult(out, None, passes, away_gap)
 
 
-def _initial_iterate(
-    spec: PolytopeSpec, config: SolverConfig, x0: Union[Atom, ActiveIterate, None]
-) -> ActiveIterate:
+def _initial_iterate(spec: PolytopeSpec, x0: Union[Atom, ActiveIterate, None]) -> ActiveIterate:
+    """``x0`` checked, or by default the oracle's atom for the all-ones direction."""
     if isinstance(x0, ActiveIterate):
         try:
             x0.check()
@@ -338,11 +336,7 @@ def _initial_iterate(
         return ActiveIterate.from_atom(x0)
     if x0 is not None:
         raise TypeError("x0 must be an Atom, an ActiveIterate, or None")
-    if config.rng_seed is None:
-        u = np.ones(spec.dimension)
-    else:
-        u = np.random.default_rng(config.rng_seed).standard_normal(spec.dimension)
-    return ActiveIterate.from_atom(lmo(spec, u))
+    return ActiveIterate.from_atom(lmo(spec, np.ones(spec.dimension)))
 
 
 def _line_search_step(
@@ -375,10 +369,10 @@ def _line_search_step(
         it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
-        before = it
         it, kind = apply_pairwise_step(it, v_id, s, gamma)
         if gamma <= WEIGHT_FLOOR:
-            if kind is StepKind.PAIRWISE and _same_weights(it, before):
+            # apply_pairwise_step zeroed gamma unless it snapped the step to a drop
+            if kind is StepKind.PAIRWISE:
                 return None  # a no-op: the next iteration would repeat it
             gamma = 0.0  # a snapped drop, which resyncs state
     state.advance(it, gamma)
@@ -412,18 +406,19 @@ def solve(
     ``error:nonfinite``; a correction that raises one of
     ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
     under ``error`` in the header, keeping the completed iterations and
-    ending at the last completed iterate and its gap.  A non-finite
-    gradient, or an ``x0`` iterate that breaks an invariant, raises
-    ``ValueError``.
+    ending at the last completed iterate and its gap.  Without ``x0`` the
+    run starts at the oracle's atom for the all-ones direction.  A
+    non-finite gradient, or an ``x0`` iterate that breaks an invariant,
+    raises ``ValueError``.
     """
     start = time.perf_counter()
-    it = _initial_iterate(spec, config, x0)
+    it = _initial_iterate(spec, x0)
     init_size = len(it)
     state = obj.start(it)
     f0 = state.value
     trace = RunTrace()
     by_line_search = config.variant in (Variant.FW, Variant.AFW, Variant.PFW)
-    pool: Dict[bytes, np.ndarray] = it.atoms()
+    pool: Optional[Dict[bytes, np.ndarray]] = it.atoms()
     exit_status = "max_iter"
     error = None
     final_gap = np.nan
@@ -482,7 +477,6 @@ def solve(
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
         "correction_epsilon": config.correction_epsilon,
-        "rng_seed": config.rng_seed,
         "dimension": spec.dimension,
         "init_active_size": init_size,
         "f0": f0,

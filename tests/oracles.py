@@ -587,7 +587,7 @@ def estimate_affine_constants(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    atoms = oracles.enumerate_atoms(spec)
+    atoms = spec.enumerate_atoms()
     if len(atoms) > PDIRW_ATOM_CAP:
         raise ValueError(f"estimation needs at most {PDIRW_ATOM_CAP} atoms")
     mat = np.stack([a.point for a in atoms])

@@ -34,7 +34,6 @@ from polyfw.oracles import (
     Simplex,
     VertexList,
     cardinality_cap,
-    lmo,
     weighted_concave_cardinality,
 )
 from polyfw.solvers import SolverConfig, Variant, fcfw_correction, solve
@@ -286,7 +285,7 @@ def test_c07_correction_postconditions():
         it = ActiveIterate.from_weights(
             {atoms[i]: float(w[j]) for j, i in enumerate(picks)})
         grad = obj.gradient(it.x)
-        s = lmo(spec, grad)
+        s = spec.lmo(grad)
         res = fcfw_correction(obj.start(it), it,
                               {a.id: a.point for a in (atoms[i] for i in picks)},
                               s, ceps)

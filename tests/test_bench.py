@@ -162,8 +162,6 @@ def test_fit_rate_argument_validation():
         fit_rate(trace, "f_gap_to_opt")  # f_star missing
     with pytest.raises(ValueError):
         fit_rate(trace, "no_such_series")
-    with pytest.raises(ValueError):
-        fit_rate(trace, "fw_gap", window=(5, 6))
 
 
 def test_fit_rate_short_series_reports_zero():
@@ -408,11 +406,9 @@ def test_config_from_json_forms(tmp_path):
     doc = {"name": "j", "problem": {"kind": "rankdef", "d": 5, "rank": 2,
                                     "rng_seed": 1}, "variants": ["AFW"]}
     from_dict = ExperimentConfig.from_json(doc)
-    from_str = ExperimentConfig.from_json(json.dumps(doc))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    from_path = ExperimentConfig.from_json(path)
-    for cfg in (from_dict, from_str, from_path):
+    for cfg in (from_dict, ExperimentConfig.from_json(path), ExperimentConfig.from_json(str(path))):
         assert cfg.name == "j"
         assert cfg.variants == ["AFW"]
         assert cfg.max_iter == 2000
@@ -497,6 +493,12 @@ def custom(A_csv="A.csv", y_csv="y.csv", **spec):
     return {"problem": {"kind": "custom", "A_csv": A_csv, "y_csv": y_csv, "spec": spec}}
 
 
+def concave(n, values):
+    """A custom problem over a base polytope with a concave cardinality function."""
+    return custom(variant="basepoly", dimension=None, n=n,
+                  function={"kind": "concave_cardinality", "values": values})
+
+
 @pytest.mark.parametrize("in_file, flags", [
     ({}, ["--max-iter", "0"]), ({}, ["--epsilon", "-1"]), ({"max_iter": 0}, []),
     (NO_SEED, []), ({"name": None}, []), (NO_K, []), (NO_RANK, []), (NO_STARTS, []),
@@ -505,7 +507,9 @@ def custom(A_csv="A.csv", y_csv="y.csv", **spec):
     ({"max_iter": [5]}, []), ({"name": "sub/dir"}, []), ({"name": ".."}, []),
     (custom(A_csv="missing.csv"), []), (custom(variant="nope"), []), (custom(dimension=4), []),
     (custom(y_csv="short.csv"), []), (LIST_NOISE, []), (custom(dimension=None), []),
-    (custom(dimension="3"), []),
+    (custom(dimension="3"), []), (custom(variant="flowdag", dimension=None, arcs=[1]), []),
+    (custom(variant="flowdag", dimension=None, arcs=[["s", "a", "b"]]), []),
+    (concave(3, [[0], [1], [1], [1]]), []), (concave(3, []), []), (concave(3, [0, 1, 2]), []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.

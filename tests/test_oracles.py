@@ -8,6 +8,7 @@ import pytest
 
 import oracles as ref
 from polyfw.core import Atom
+from polyfw.objectives import polytope_diameter
 from polyfw.oracles import (
     BasePolytope,
     Cube,
@@ -18,8 +19,6 @@ from polyfw.oracles import (
     Simplex,
     VertexList,
     cardinality_cap,
-    enumerate_atoms,
-    lmo,
     spec_from_json,
     weighted_concave_cardinality,
 )
@@ -176,7 +175,7 @@ def test_base_polytope_enumerated_once():
 
     spec = BasePolytope(4, counted)
     calls.clear()
-    atoms = enumerate_atoms(spec)
+    atoms = spec.enumerate_atoms()
     assert len(atoms) == spec.atom_count()
     assert len(calls) == 24 * 4  # one greedy pass per ordering
 
@@ -192,6 +191,23 @@ def test_direct_enumeration_checks_the_cap_before_building_atoms():
         assert spec.atom_count() > ENUMERATION_CAP
         with pytest.raises(EnumerationError):
             spec.enumerate_atoms()
+
+
+def test_polytope_diameter_above_the_cap_raises_enumeration_error():
+    with pytest.raises(EnumerationError):
+        polytope_diameter(FlowDag(_layered_arcs(5, 7)))
+
+
+def test_enumeration_interns_atoms_keeping_the_first():
+    """A repeated row and a -0.0 copy share one id; the first atom built for it is returned."""
+    one, minus_zero = [1.0, 0.0], [1.0, -0.0]
+    for rows in ([one, [0.0, 1.0], one, minus_zero], [minus_zero, [0.0, 1.0], one, one]):
+        spec = VertexList(rows)
+        atoms = spec.enumerate_atoms()
+        assert spec.atom_count() == 4
+        assert [a.id for a in atoms] == [Atom(one).id, Atom([0.0, 1.0]).id]
+        assert atoms[0] is spec.lmo([-1.0, 0.0])  # row 0's prebuilt atom
+        assert atoms[0].point.tobytes() == np.array(rows[0]).tobytes()
 
 
 def test_lmo_zero_direction_returns_valid_atom():
@@ -220,16 +236,15 @@ def _one_spec_of_each_type():
 @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "shape"])
 @pytest.mark.parametrize("name", sorted(_one_spec_of_each_type()))
 def test_public_lmo_checks_its_direction(name, bad):
-    """``spec.lmo`` and ``oracles.lmo`` are the checked entries; only the solver skips the check."""
+    """``spec.lmo`` is the checked entry; only the solver skips the check."""
     spec = _one_spec_of_each_type()[name]
     r = np.zeros(spec.dimension + (bad == "shape"))
     if bad != "shape":
         r[1] = float(bad)
-    for call in (spec.lmo, lambda d: lmo(spec, d)):
-        with pytest.raises(ValueError, match="shape" if bad == "shape" else "finite"):
-            call(r)
-        with pytest.raises(ValueError):
-            call(r.tolist())
+    with pytest.raises(ValueError, match="shape" if bad == "shape" else "finite"):
+        spec.lmo(r)
+    with pytest.raises(ValueError):
+        spec.lmo(r.tolist())
 
 
 def test_vertexlist_rejects_nonfinite_atoms():
@@ -309,6 +324,25 @@ def test_spec_from_json_names_a_missing_or_mistyped_key(doc, paths):
                 parent[path[-1]] = bad
             with pytest.raises(ValueError, match=f"{doc['variant']} spec .*'{path[-1]}'"):
                 spec_from_json(broken)
+
+
+def _concave(n, values):
+    return {"variant": "basepoly", "n": n,
+            "function": {"kind": "concave_cardinality", "values": values}}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"variant": "flowdag", "arcs": [1]}, "arcs"),
+    ({"variant": "flowdag", "arcs": [["s", "a", "b"]]}, "arcs"),
+    ({"variant": "flowdag", "arcs": ["s t", "t u v"]}, "arcs"),
+    (_concave(1, [[0], [1]]), "values"),
+    (_concave(3, []), "values"),
+    (_concave(5, [0, 1, 2]), "values"),
+])
+def test_spec_from_json_checks_list_entries(doc, key):
+    """Arcs are [tail, head] pairs or "tail head" strings; values are n + 1 numbers."""
+    with pytest.raises(ValueError, match=f"{doc['variant']} spec .*'{key}'"):
+        spec_from_json(doc)
 
 
 def test_simplex_requires_positive_dimension():

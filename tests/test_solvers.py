@@ -5,7 +5,7 @@ import pytest
 
 from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
-from polyfw.oracles import Cube, Simplex, VertexList, lmo
+from polyfw.oracles import Cube, Simplex, VertexList
 from polyfw.solvers import (
     CorrectionPostconditionError,
     DegenerateActiveSetError,
@@ -96,7 +96,7 @@ def test_afw_direction_covers_half_pairwise_gap():
             atoms[Atom(p)] = float(w[i])
         it = ActiveIterate.from_weights(atoms)
         grad = rng.standard_normal(5)
-        s = lmo(spec, grad)
+        s = spec.lmo(grad)
         vid, _ = away_atom(it, grad)
         v = it.atom_point(vid)
         g_pfw = float(-grad @ (s.point - v))
@@ -332,9 +332,10 @@ def test_default_init_deterministic():
     rng = np.random.default_rng(408)
     A = rng.standard_normal((10, 6))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(10))
-    cfg = SolverConfig(Variant.PFW, epsilon=1e-9, max_iter=200, rng_seed=11)
-    a = solve(obj, Simplex(6), cfg)
-    b = solve(obj, Simplex(6), cfg)
+    cfg = SolverConfig(Variant.PFW, epsilon=1e-9, max_iter=200)
+    x0 = Simplex(6).lmo(np.random.default_rng(11).standard_normal(6))
+    a = solve(obj, Simplex(6), cfg, x0=x0)
+    b = solve(obj, Simplex(6), cfg, x0=x0)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.f_value == rb.f_value
@@ -440,7 +441,7 @@ def test_fast_path_matches_dense_reference(case, variant):
     the next atom.
     """
     obj, spec = case()
-    x0 = lmo(spec, np.ones(spec.dimension))
+    x0 = spec.lmo(np.ones(spec.dimension))
     atoms = np.stack([a.point for a in spec.enumerate_atoms()])
     grad0 = obj.gradient(x0.point)
     first_gap = float(grad0 @ x0.point) - float(np.min(atoms @ grad0))
@@ -786,7 +787,7 @@ def test_lmo_calls_in_header(variant, monkeypatch):
     rng = np.random.default_rng(414)
     A = rng.standard_normal((12, 8))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(12))
-    for x0, max_iter in ((None, 400), (None, 3), (lmo(Simplex(8), np.ones(8)), 400)):
+    for x0, max_iter in ((None, 400), (None, 3), (Simplex(8).lmo(np.ones(8)), 400)):
         calls.clear()
         trace = solve(obj, Simplex(8), SolverConfig(variant, epsilon=1e-9, max_iter=max_iter), x0=x0)
         echo = trace.config_echo
