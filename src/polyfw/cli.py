@@ -48,9 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: object) -> int:
+def _error(message: object, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -70,6 +70,8 @@ def _cmd_pwidth(args: argparse.Namespace) -> int:
         report = geometry.pwidth(VertexList.read_csv(args.vertices_csv).matrix)
     except (OSError, ValueError) as exc:
         return _error(exc)
+    except RuntimeError as exc:  # a facial problem did not converge
+        return _error(exc, 1)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 

@@ -52,7 +52,7 @@ def atom_key(point: np.ndarray) -> bytes:
     re-discovered by a later oracle call is interned to the same id.
     """
     arr = np.ascontiguousarray(point, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("atom coordinates must be finite")
     return (arr + 0.0).tobytes()
 

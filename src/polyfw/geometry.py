@@ -9,7 +9,8 @@ global pyramidal width exactly as the facial distance: the smallest
 distance between a proper face and the hull of the remaining atoms
 (Pena and Rodriguez, Math. Oper. Res. 2019), by min-norm-point solves
 and no LP.  A slab bound from the facet normals skips every face that
-cannot hold the minimum.  Its witness is the closest facial pair.
+cannot hold the minimum.  Its witness is the closest facial pair.  A face
+is a uint64 bitmask of its atoms: up to 64 atoms and 2^16 faces.
 ``linear_rate`` is Theorem 1's contraction factor for each solver
 variant, and ``rate_constant`` evaluates it for a quadratic over a
 polytope.  scipy loads only on the first LP or face enumeration, not
@@ -18,16 +19,20 @@ with the module.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from polyfw import oracles, solvers
-from polyfw.core import Atom, atom_key
+from polyfw.core import Atom
 from polyfw.objectives import Objective, QuadraticObjective, exact_constants, polytope_diameter
 
 PDIRW_ATOM_CAP = 16
+MASK_ATOMS = 64  # a face is a uint64 mask of its atoms, one bit each
+FACE_CAP = 2 ** 16
+_BITS = np.left_shift(np.uint64(1), np.arange(MASK_ATOMS, dtype=np.uint64))
 FACET_TOL = 1e-9  # on a facet: within this times the points' largest projected coordinate
 VALUE_FLOOR = 1e-12  # a facial distance below this times the diameter means a degenerate set
 
@@ -45,16 +50,13 @@ def _atom_matrix(atoms) -> np.ndarray:
     return mat
 
 
-def _dedupe(mat: np.ndarray) -> List[int]:
-    """Indices of the first occurrence of each distinct row, in order."""
-    seen = set()
-    keep = []
-    for i, row in enumerate(mat):
-        key = atom_key(row)
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return keep
+def _distinct(rows: np.ndarray) -> Dict[bytes, Tuple[Atom, int]]:
+    """Each atom id among ``rows`` (keyed once), with the ``Atom`` and index of its first row."""
+    first: Dict[bytes, Tuple[Atom, int]] = {}
+    for k, row in enumerate(rows):
+        atom = Atom(row)
+        first.setdefault(atom.id, (atom, k))
+    return first
 
 
 def linprog(*args, **kwargs):
@@ -90,16 +92,7 @@ def _shortest_prefix(n: int, feasible: Callable[[int], bool]) -> Optional[int]:
     Prefix feasibility is monotone in k, so a binary search needs only
     log-many LPs after the one for the whole set.
     """
-    if not feasible(n):
-        return None
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect.bisect_left(range(1, n), True, key=feasible) + 1 if feasible(n) else None
 
 
 def pdirw(atoms, r, x) -> float:
@@ -128,68 +121,84 @@ def pdirw(atoms, r, x) -> float:
     return float(dots[order[0]] - dots[order[k - 1]])
 
 
-def _face_lattice(points: np.ndarray):
-    """``(faces, proj, facets, normals)``: ``enumerate_faces``' result, the points
-    projected onto their affine hull, and each facet's incidence set and unit
-    outward normal there (a rank-1 input's facets are its end points, normals -1, +1).
-    A point is on a facet within ``FACET_TOL`` times the largest projected coordinate
-    (the spread, at rank 1), so scaling the points does not change the lattice.
-    """
-    from scipy.spatial import ConvexHull
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Boolean matrix whose row k flags which of ``n`` points the mask ``masks[k]`` holds."""
+    return (masks[:, None] & _BITS[:n]) != 0
 
+
+def _members(mask) -> List[int]:
+    """The sorted point indices of one face mask."""
+    return np.flatnonzero(mask & _BITS).tolist()
+
+
+def _face_lattice(points: np.ndarray):
+    """``(faces, proj, facets, normals)``: ``enumerate_faces``' result as uint64 masks
+    (bit i for point i), the points projected onto their affine hull, and each facet's
+    mask and unit outward normal there (a rank-1 input's facets are its end points,
+    normals -1, +1).  A point is on a facet within ``FACET_TOL`` times the largest
+    projected coordinate (the spread, at rank 1), so scaling the points does not change
+    the lattice.  Faces are closed one round of ``&`` with the facet masks at a time.
+    More than ``MASK_ATOMS`` points (before any hull) or ``FACE_CAP`` faces raise.
+    """
     mat = np.asarray(points, dtype=np.float64)
     n = mat.shape[0]
-    proj, facet_sets, normals = np.zeros((n, 0)), [], []
+    if n > MASK_ATOMS:
+        raise ValueError(f"face lattices are limited to {MASK_ATOMS} atoms, got {n}")
+    proj = np.zeros((n, 0))
     if n > 1:
         centered = mat - mat.mean(axis=0)
         _, svals, vt = np.linalg.svd(centered, full_matrices=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         proj = centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
     rank = proj.shape[1]
+    member, normals = np.zeros((0, n), dtype=bool), np.zeros((0, rank))
     if rank == 1:
-        t = proj[:, 0]
-        spread = np.max(t) - np.min(t)
-        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + FACET_TOL * spread)[0].tolist()),
-                      frozenset(np.nonzero(t >= np.max(t) - FACET_TOL * spread)[0].tolist())]
-        normals = [[-1.0], [1.0]]
+        t, tol = proj[:, 0], FACET_TOL * np.ptp(proj)
+        member = np.array([t <= t.min() + tol, t >= t.max() - tol])
+        normals = np.array([[-1.0], [1.0]])
     elif rank > 1:
-        hull = ConvexHull(proj)
-        seen_eq = set()
-        coord_scale = float(np.max(np.abs(proj)))
-        for eq in hull.equations:
-            key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
-            if key in seen_eq:
-                continue
-            seen_eq.add(key)
-            normal, offset = eq[:rank], eq[rank]
-            dist = proj @ normal + offset
-            members = frozenset(np.nonzero(np.abs(dist) <= FACET_TOL * coord_scale)[0].tolist())
-            if members:
-                facet_sets.append(members)
-                normals.append(normal / np.linalg.norm(normal))
-    faces = set(facet_sets)
-    frontier = list(facet_sets) if rank > 1 else []  # the end points are the proper faces
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in faces:
-                    faces.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    faces.add(frozenset(range(n)))
-    return sorted(faces, key=lambda f: (-len(f), sorted(f))), proj, facet_sets, np.array(normals)
+        from scipy.spatial import ConvexHull
+
+        eqs = ConvexHull(proj).equations
+        member = (np.abs(proj @ eqs[:, :rank].T + eqs[:, rank]) <= FACET_TOL * np.abs(proj).max()).T
+        normals = eqs[:, :rank]
+    facets = (member * _BITS[:n]).sum(axis=1, dtype=np.uint64)
+    first = {mask: k for k, mask in reversed(list(enumerate(facets.tolist())))}
+    first = sorted(k for mask, k in first.items() if mask)  # each facet's first equation
+    facets = facets[first]
+    normals = np.array([v / np.linalg.norm(v) for v in normals[first]]).reshape(len(first), rank)
+    known = set(facets.tolist())
+    frontier = facets if rank > 1 else facets[:0]  # the end points are the proper faces
+    step = 2 ** 20 // max(facets.size, 1) + 1  # frontier rows per block of meets
+    while frontier.size and len(known) < FACE_CAP:
+        fresh = set()
+        for block in np.split(frontier, range(step, frontier.size, step)):
+            meet = np.sort(block[:, None] & facets, axis=None)  # keep one of each run
+            fresh.update(meet[:1].tolist(), meet[1:][meet[1:] != meet[:-1]].tolist())
+            if len(fresh) > FACE_CAP + len(known):  # FACE_CAP new faces at least
+                break
+        fresh -= known | {0}
+        known |= fresh
+        frontier = np.fromiter(fresh, np.uint64, len(fresh))
+    if len(known) >= FACE_CAP:
+        raise ValueError(f"conv(points) has more than {FACE_CAP} faces")
+    known.add(int(_BITS[:n].sum(dtype=np.uint64)))
+    faces = np.fromiter(known, np.uint64, len(known))
+    inside = _bits(faces, n)
+    # largest first, then by sorted indices: the lowest differing bit decides
+    reversed_bits = (inside * _BITS[::-1][:n]).sum(axis=1, dtype=np.uint64)
+    return faces[np.lexsort((~reversed_bits, -inside.sum(axis=1)))], proj, facets, normals
 
 
 def enumerate_faces(points: np.ndarray) -> List[frozenset]:
-    """All faces of conv(points) as frozensets of point indices.
+    """All faces of conv(points), itself included, as frozensets of point indices,
+    largest first and then in order of their sorted indices.
 
-    Includes the polytope itself; proper faces are obtained as the
-    nonempty intersections of facet incidence sets, after projecting
-    onto the affine hull so degenerate (flat) inputs work too.
+    Proper faces are the nonempty intersections of facet incidence sets, after
+    projecting onto the affine hull so degenerate (flat) inputs work too.  Up to
+    ``MASK_ATOMS`` points and ``FACE_CAP`` faces (``_face_lattice``).
     """
-    return _face_lattice(points)[0]
+    return [frozenset(_members(mask)) for mask in _face_lattice(points)[0]]
 
 
 @dataclass
@@ -214,48 +223,43 @@ class WidthReport:
         return asdict(self)
 
 
-def _facial_pair(mat: np.ndarray, face: frozenset) -> Tuple[np.ndarray, np.ndarray]:
-    """Closest points a in conv(face), b in conv(other atoms).
+def _facial_pair(mat, face: List[int], obj: QuadraticObjective) -> Tuple[np.ndarray, np.ndarray]:
+    """Closest points a in conv(mat[face]), b in conv(other atoms); ``face`` is sorted.
 
     a - b is the min-norm point of the Minkowski difference of the two
-    atom sets, which the MNP solver finds exactly; its weights on the
-    difference rows mat[i] - mat[j] give a and b.
+    atom sets, which the MNP solver finds exactly on ``obj``, the caller's
+    1/2 ||x||^2; its weights on the difference rows mat[i] - mat[j] give
+    a and b.  A repeated difference row enters once, for its first pair.
     """
-    others = [j for j in range(mat.shape[0]) if j not in face]
-    pairs = np.array([(i, j) for i in sorted(face) for j in others])
-    diffs = mat[pairs[:, 0]] - mat[pairs[:, 1]]
-    keep = _dedupe(diffs)
-    diffs, pairs = diffs[keep], pairs[keep]
+    inside = set(face)
+    others = [j for j in range(mat.shape[0]) if j not in inside]
+    first = _distinct((mat[face, None] - mat[others]).reshape(-1, mat.shape[1]))
+    spec = oracles.VertexList._of_atoms([atom for atom, _ in first.values()])
     # MNP ends on the exact minimizer of its final active set, so its FW
     # gap reaches rounding scale; this bound keeps |a - b| exact to ~1e-12.
-    scale = float(np.max(np.einsum("ij,ij->i", diffs, diffs)))
+    scale = float(np.einsum("ij,ij->i", spec.matrix, spec.matrix).max())
     config = solvers.SolverConfig(solvers.Variant.MNP, epsilon=1e-14 * scale)
-    trace = solvers.solve(
-        QuadraticObjective.distance_to(np.zeros(mat.shape[1])),
-        oracles.VertexList(diffs),
-        config,
-    )
+    trace = solvers.solve(obj, spec, config)
     status = trace.config_echo["exit_status"]
     if status != "converged":
-        raise RuntimeError(f"facial distance of face {sorted(face)} ended with {status}")
+        raise RuntimeError(f"facial distance of face {face} ended with {status}")
     it = trace.final_iterate
-    row_of = {atom_key(row): k for k, row in enumerate(diffs)}
-    used = pairs[[row_of[atom_id] for atom_id in it.ids]]
-    return it.w @ mat[used[:, 0]], it.w @ mat[used[:, 1]]
+    i, j = np.divmod([first[atom_id][1] for atom_id in it.ids], len(others))  # row i * |others| + j
+    return it.w @ mat[face][i], it.w @ mat[others][j]
 
 
 def _slab_bounds(faces, proj, facets, normals) -> List[Tuple[float, int]]:
     """(lower bound on the facial distance, index in ``faces``) of each proper face F.
 
-    With n the sum of the normals of the facets that contain F,
+    ``faces`` and ``facets`` are ``_face_lattice``'s masks.  With n the sum
+    of the normals of the facets that contain F,
     (min_{i in F} <n, p_i> - max_{j not in F} <n, p_j>) / ||n|| is the
     width of a slab between conv(F) and the hull of the other points.
     """
-    inside = np.array([[i in f for i in range(len(proj))] for f in faces])
+    inside = _bits(faces, len(proj))
     proper = np.flatnonzero(~inside.all(axis=1))
     inside = inside[proper]
-    outside = np.array([[i not in f for i in range(len(proj))] for f in facets])
-    sums = ~(inside @ outside.T) @ normals  # F lies in a facet that no point of F is off
+    sums = ((faces[proper, None] & ~facets) == 0) @ normals  # the facets that hold all of F
     dots = proj @ sums.T
     low = np.where(inside.T, dots, np.inf).min(axis=0)
     high = np.where(inside.T, -np.inf, dots).max(axis=0)
@@ -271,27 +275,27 @@ def pwidth(atoms) -> WidthReport:
     Faces are solved in increasing order of their slab bounds, until a
     bound exceeds the best distance, so every face that ties the minimum
     is solved; the closest pair, first in ``enumerate_faces`` order among
-    ties, is the witness.
+    ties, is the witness.  Up to ``MASK_ATOMS`` distinct atoms and
+    ``FACE_CAP`` faces (``ValueError`` past either); a facial problem
+    that does not converge raises ``RuntimeError``.
     """
     mat = _atom_matrix(atoms)
-    mat = mat[_dedupe(mat)]
-    n = mat.shape[0]
-    if n > PDIRW_ATOM_CAP:
-        raise ValueError(f"pwidth is limited to {PDIRW_ATOM_CAP} atoms")
-    if n == 1:
+    mat = mat[[k for _, k in _distinct(mat).values()]]
+    if mat.shape[0] == 1:
         raise ValueError("pyramidal width is undefined for a single point")
     faces, proj, facets, normals = _face_lattice(mat)
+    obj = QuadraticObjective.distance_to(np.zeros(mat.shape[1]))
     best, solved = (np.inf, -1, None, None), 0
     for bound, index in sorted(_slab_bounds(faces, proj, facets, normals)):
         if bound > best[0] * (1.0 + 1e-9):
             break
-        a, b = _facial_pair(mat, faces[index])
+        a, b = _facial_pair(mat, _members(faces[index]), obj)
         best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
     distance, index, a, b = best
     diameter = float(np.max(np.linalg.norm(mat[:, None] - mat[None], axis=-1)))
     if not VALUE_FLOOR * diameter < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
-    idx = sorted(faces[index])
+    idx = _members(faces[index])
     witness = {
         "face_indices": idx,
         "face_atoms": mat[idx].tolist(),
@@ -299,12 +303,7 @@ def pwidth(atoms) -> WidthReport:
         "other_point": b.tolist(),
         "direction": ((a - b) / distance).tolist(),
     }
-    return WidthReport(
-        pwidth_estimate=distance,
-        directions_sampled=solved,
-        faces_enumerated=len(faces),
-        witness=witness,
-    )
+    return WidthReport(distance, solved, len(faces), witness)
 
 
 def analytic_pwidth(spec: oracles.PolytopeSpec) -> Optional[float]:
@@ -323,17 +322,14 @@ def analytic_pwidth(spec: oracles.PolytopeSpec) -> Optional[float]:
 
 def _spec_pwidth(spec: oracles.PolytopeSpec) -> float:
     value = analytic_pwidth(spec)
-    if value is not None:
-        return value
-    atoms = spec.enumerate_atoms()
-    return pwidth([a.point for a in atoms]).pwidth_estimate
+    if value is None:
+        value = pwidth([a.point for a in spec.enumerate_atoms()]).pwidth_estimate
+    return value
 
 
 def eccentricity(spec: oracles.PolytopeSpec) -> float:
     """(diameter / pyramidal width)^2 of the domain."""
-    M = polytope_diameter(spec)
-    delta = _spec_pwidth(spec)
-    return float((M / delta) ** 2)
+    return float((polytope_diameter(spec) / _spec_pwidth(spec)) ** 2)
 
 
 def linear_rate(variant, mu: float, L: float, delta: float, M: float) -> Optional[float]:
@@ -366,11 +362,5 @@ def rate_constant(obj: Objective, spec: oracles.PolytopeSpec) -> RateConstants:
     """Theoretical contraction factors from (mu, L) and (delta, M)."""
     L, mu, M = exact_constants(obj, spec)
     delta = _spec_pwidth(spec)
-    return RateConstants(
-        afw=linear_rate(solvers.Variant.AFW, mu, L, delta, M),
-        pfw=linear_rate(solvers.Variant.PFW, mu, L, delta, M),
-        mu=mu,
-        L=L,
-        delta=delta,
-        diameter=M,
-    )
+    afw, pfw = (linear_rate(variant, mu, L, delta, M) for variant in ("AFW", "PFW"))
+    return RateConstants(afw=afw, pfw=pfw, mu=mu, L=L, delta=delta, diameter=M)

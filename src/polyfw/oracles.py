@@ -177,8 +177,16 @@ class VertexList(PolytopeSpec):
             raise ValueError("atom matrix must be 2-d with at least one row")
         self._prebuilt = [Atom(row) for row in mat]  # raises on non-finite coordinates
         mat.setflags(write=False)  # the LMO's argmin must index these atoms
-        self.matrix = mat
-        self.dimension = mat.shape[1]
+        self.matrix, self.dimension = mat, mat.shape[1]
+
+    @classmethod
+    def _of_atoms(cls, atoms: List[Atom]) -> "VertexList":
+        """A VertexList whose rows are ``atoms``, distinct and built already, not keyed again."""
+        spec = cls.__new__(cls)
+        spec._prebuilt, spec.matrix = atoms, np.stack([a.point for a in atoms])
+        spec.matrix.setflags(write=False)
+        spec.dimension = spec.matrix.shape[1]
+        return spec
 
     def _lmo(self, r: np.ndarray) -> Atom:
         return self._prebuilt[self.matrix.dot(r).argmin()]  # lowest row index wins ties

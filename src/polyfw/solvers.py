@@ -245,8 +245,8 @@ def _affine_minimizer(points: np.ndarray, images: np.ndarray, b: np.ndarray) -> 
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSetError("singular affine system") from exc
-    scale = max(1.0, float(np.max(np.abs(K))), float(np.max(np.abs(sol))))
-    if not np.all(np.isfinite(sol)) or np.max(np.abs(K @ sol - rhs)) > 1e-7 * scale:
+    scale = max(1.0, float(np.abs(K).max()), float(np.abs(sol).max()))
+    if not np.isfinite(sol).all() or np.abs(K @ sol - rhs).max() > 1e-7 * scale:
         raise DegenerateActiveSetError("affine system solved with a large residual")
     return sol[:m]
 
@@ -279,10 +279,10 @@ def _wolfe_step(
     while True:
         passes += 1
         lam = _affine_minimizer(matrix, images, state.b)
-        if np.min(lam) > _INTERIOR_TOL:
+        if lam.min() > _INTERIOR_TOL:
             break
         negative = lam < 0
-        theta = float(np.min(beta[negative] / (beta[negative] - lam[negative]), initial=1.0))
+        theta = float((beta[negative] / (beta[negative] - lam[negative])).min(initial=1.0))
         beta = (1.0 - theta) * beta + theta * lam
         beta = np.where(beta < 0, 0.0, beta)
         keep = [i for i in range(len(ids)) if beta[i] > _INTERIOR_TOL]
@@ -296,7 +296,7 @@ def _wolfe_step(
     x_new = beta @ matrix
     state.move_to(x_new, beta @ images)
     grad = state.grad
-    away_gap = float(np.max(matrix @ grad) - grad @ x_new)
+    away_gap = float((matrix @ grad).max() - grad @ x_new)
     return ActiveIterate(ids, matrix, beta, x_new), passes, away_gap
 
 

@@ -7,11 +7,13 @@ subset-enumeration pyramidal directional width, and a cone-LP pyramidal
 width with a base point that reproduces it (it takes its faces from
 ``geometry.enumerate_faces``, which is tested on its own), and a
 sampled estimator of the affine-invariant curvature constants.  Slow is
-fine here; these only run at test sizes.  Two exceptions keep former
+fine here; these only run at test sizes.  Three exceptions keep former
 library code, so the current code can be held to it bit for bit:
 ``flowdag_lmo_reference`` (the dict-based FlowDag oracle, on a graph
-built from the spec's arc list, source and sink alone) and
-``pwidth_all_faces`` (the facial distance solved on every proper face).
+built from the spec's arc list, source and sink alone),
+``face_lattice_reference`` (the face lattice closed by frozenset
+intersections) and ``pwidth_all_faces`` (the facial distance solved on
+every proper face).
 """
 
 import itertools
@@ -329,6 +331,65 @@ def pwidth_lp_witness(atoms, direction):
     return value, face, r, (nu @ prefix) / nu.sum()
 
 
+def face_lattice_reference(points):
+    """``geometry._face_lattice`` as it was with frozensets, for the equivalence tests.
+
+    Returns ``(faces, proj, facets, normals)``: every face of conv(points)
+    as a frozenset of point indices, sorted largest first and then by its
+    sorted indices; the points projected onto their affine hull; each
+    facet's incidence set; and its unit outward normal.  Facets are
+    deduplicated by their rounded hull equations, and faces closed by
+    intersecting every new face with every facet.
+    """
+    from scipy.spatial import ConvexHull
+
+    from polyfw.geometry import FACET_TOL
+
+    mat = np.asarray(points, dtype=np.float64)
+    n = mat.shape[0]
+    proj, facet_sets, normals = np.zeros((n, 0)), [], []
+    if n > 1:
+        centered = mat - mat.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
+        proj = centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
+    rank = proj.shape[1]
+    if rank == 1:
+        t = proj[:, 0]
+        spread = np.max(t) - np.min(t)
+        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + FACET_TOL * spread)[0].tolist()),
+                      frozenset(np.nonzero(t >= np.max(t) - FACET_TOL * spread)[0].tolist())]
+        normals = [[-1.0], [1.0]]
+    elif rank > 1:
+        hull = ConvexHull(proj)
+        seen_eq = set()
+        coord_scale = float(np.max(np.abs(proj)))
+        for eq in hull.equations:
+            key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
+            if key in seen_eq:
+                continue
+            seen_eq.add(key)
+            normal, offset = eq[:rank], eq[rank]
+            dist = proj @ normal + offset
+            members = frozenset(np.nonzero(np.abs(dist) <= FACET_TOL * coord_scale)[0].tolist())
+            if members:
+                facet_sets.append(members)
+                normals.append(normal / np.linalg.norm(normal))
+    faces = set(facet_sets)
+    frontier = list(facet_sets) if rank > 1 else []  # the end points are the proper faces
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for g in facet_sets:
+                h = f & g
+                if h and h not in faces:
+                    faces.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    faces.add(frozenset(range(n)))
+    return sorted(faces, key=lambda f: (-len(f), sorted(f))), proj, facet_sets, np.array(normals)
+
+
 def pwidth_all_faces(atoms):
     """Facial distance by one min-norm-point problem on every proper face (no pruning).
 
@@ -338,12 +399,14 @@ def pwidth_all_faces(atoms):
     facial pair (the first in ``enumerate_faces`` order among ties), and
     ``distances``, each proper face's distance keyed by the face.
     """
-    from polyfw.geometry import _atom_matrix, _dedupe, _facial_pair, enumerate_faces
+    from polyfw.geometry import _atom_matrix, _distinct, _facial_pair, enumerate_faces
 
     mat = _atom_matrix(atoms)
-    mat = mat[_dedupe(mat)]
+    mat = mat[[k for _, k in _distinct(mat).values()]]
     faces = enumerate_faces(mat)
-    solved = [(face,) + _facial_pair(mat, face) for face in faces if len(face) < mat.shape[0]]
+    obj = QuadraticObjective.distance_to(np.zeros(mat.shape[1]))
+    solved = [(face,) + _facial_pair(mat, sorted(face), obj)
+              for face in faces if len(face) < mat.shape[0]]
     face, a, b = min(solved, key=lambda c: np.linalg.norm(c[1] - c[2]))
     return {
         "pwidth_estimate": float(np.linalg.norm(a - b)),

@@ -422,10 +422,31 @@ def test_cli_pwidth(tmp_path, capsys):
     assert doc["pwidth_estimate"] == pytest.approx(1 / math.sqrt(2), rel=0.02)
     one = tmp_path / "one.csv"
     one.write_text("1.0,2.0\n")
-    for path in (one, tmp_path / "missing.csv"):
+    many = tmp_path / "many.csv"  # 65 distinct atoms: one more than a face mask holds
+    many.write_text("".join(f"{i}.0,{i * i}.0\n" for i in range(65)))
+    for path in (one, many, tmp_path / "missing.csv"):
         assert cli.main(["pwidth", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_cli_pwidth_reports_a_facial_problem_that_did_not_converge(tmp_path, capsys, monkeypatch):
+    from polyfw import solvers
+
+    real_solve = solvers.solve
+
+    def stalling(obj, spec, config, x0=None):
+        trace = real_solve(obj, spec, config, x0)
+        trace.config_echo["exit_status"] = "stall"
+        return trace
+
+    monkeypatch.setattr(solvers, "solve", stalling)
+    csv = tmp_path / "verts.csv"
+    csv.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+    assert cli.main(["pwidth", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "ended with stall" in captured.err
+    assert not captured.out
 
 
 def test_cli_rate(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polyfw.geometry import (
+    _bits,
     _contains,
     _face_lattice,
     _slab_bounds,
@@ -25,7 +26,7 @@ from polyfw.geometry import (
 from polyfw.bench import reference_optimum
 from polyfw.core import StepKind
 from polyfw.objectives import QuadraticObjective, polytope_diameter
-from polyfw.oracles import Cube, Simplex, VertexList
+from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
 from polyfw.solvers import SolverConfig, Variant, solve
 
 import oracles as ref
@@ -122,7 +123,7 @@ def test_pwidth_matches_analytic_small_cases():
 
 
 def test_pwidth_exact_on_analytic_families():
-    specs = [Cube(2), Cube(3), Cube(4)] + [Simplex(d) for d in range(2, 8)]
+    specs = [Cube(d) for d in range(2, 7)] + [Simplex(d) for d in range(2, 8)]
     for spec in specs:
         expected = analytic_pwidth(spec)
         got = pwidth(points_of(spec)).pwidth_estimate
@@ -200,11 +201,63 @@ def test_pwidth_matches_the_all_faces_reference_bit_for_bit():
 def test_slab_bounds_never_exceed_the_facial_distance():
     for k, atoms in enumerate(pruning_inputs()):
         faces, proj, facets, normals = _face_lattice(np.array(atoms))
-        distances = all_faces_reference(k)["distances"]
+        sets, distances = enumerate_faces(np.array(atoms)), all_faces_reference(k)["distances"]
         bounds = _slab_bounds(faces, proj, facets, normals)
         assert len(bounds) == len(distances)
         for bound, index in bounds:
-            assert bound <= distances[faces[index]] * (1.0 + 1e-12), (k, sorted(faces[index]))
+            assert bound <= distances[sets[index]] * (1.0 + 1e-12), (k, sorted(sets[index]))
+
+
+def test_face_masks_match_the_frozenset_reference():
+    """Same faces in the same order, same facets and bit-identical normals, on every
+    pruning input and on 16 Gaussian atoms in R^8 (7,969 faces)."""
+    gauss = np.random.default_rng(0).standard_normal((16, 8))
+    for k, atoms in enumerate([*pruning_inputs(), gauss]):
+        faces, proj, facet_sets, normals = ref.face_lattice_reference(np.array(atoms))
+        _, _, facets, got_normals = _face_lattice(np.array(atoms))
+        assert enumerate_faces(np.array(atoms)) == faces, k
+        assert [frozenset(np.flatnonzero(row)) for row in _bits(facets, len(proj))] == facet_sets, k
+        assert np.array_equal(got_normals, normals), k
+    assert len(faces) == 7969
+
+
+def test_face_lattice_limits(monkeypatch):
+    import scipy.spatial
+
+    from polyfw import geometry
+
+    def no_hull(*args, **kwargs):
+        raise AssertionError("ConvexHull ran")
+
+    atoms = np.random.default_rng(65).standard_normal((65, 3))
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.spatial, "ConvexHull", no_hull)
+        for call in (pwidth, enumerate_faces):
+            with pytest.raises(ValueError, match="limited to 64 atoms"):
+                call(atoms)
+    monkeypatch.setattr(geometry, "FACE_CAP", 26)  # Cube(3) has 27 faces
+    with pytest.raises(ValueError, match="more than 26 faces"):
+        pwidth(points_of(Cube(3)))
+    monkeypatch.setattr(geometry, "FACE_CAP", 27)
+    assert pwidth(points_of(Cube(3))).faces_enumerated == 27
+
+
+def layered_flow_dag(width, layers):
+    """Source, ``layers`` full bipartite layers of ``width`` nodes, sink: width^layers paths."""
+    arcs = [("s", f"0_{j}") for j in range(width)]
+    for layer in range(layers - 1):
+        arcs += [(f"{layer}_{i}", f"{layer + 1}_{j}") for i in range(width) for j in range(width)]
+    return FlowDag(arcs + [(f"{layers - 1}_{j}", "t") for j in range(width)])
+
+
+def test_pwidth_pins_on_layered_flow_dags():
+    """Pinned (faces solved, faces) and widths; with at most 16 paths each, the
+    frozenset lattice gave the same values."""
+    for (width, layers), counts, expected in (((3, 2), (12, 511), 0.7071067811865476),
+                                              ((2, 4), (8, 711), 0.5773502691896257)):
+        rep = pwidth(points_of(layered_flow_dag(width, layers)))
+        assert (rep.directions_sampled, rep.faces_enumerated) == counts, (width, layers)
+        assert rep.pwidth_estimate == expected, (width, layers)
 
 
 def test_pwidth_solves_only_the_faces_its_bounds_cannot_rule_out():
