@@ -7,17 +7,19 @@ active-set variants and plain FW), a thin-triangle sweep (empirical
 contraction rate against Theorem 1's ``geometry.linear_rate`` over
 random starts) and a rank-deficient quadratic over the simplex (linear
 decay despite zero strong convexity).  ``custom`` reads a least-squares
-problem from CSV files and a polytope spec.  ``PROBLEMS`` holds each
-kind's required keys and its builder; ``ExperimentConfig`` builds its
-problem once, and ``run_experiment`` solves each run on that build with
-``_run``.  Runs are deterministic given the config: identical configs
-serialize to byte-identical trace CSVs.
+problem from CSV files and a polytope spec.  ``PROBLEMS`` maps each
+kind to its builder, which reads every key with ``oracles.json_field``;
+``ExperimentConfig`` builds its problem once, and ``run_experiment``
+solves each run on that build with ``_run``.  Runs are deterministic
+given the config: identical configs serialize to byte-identical trace
+CSVs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -27,7 +29,7 @@ import numpy as np
 from polyfw.core import ActiveIterate, RunTrace, StepKind
 from polyfw.geometry import linear_rate
 from polyfw.objectives import Objective, QuadraticObjective
-from polyfw.oracles import L1Ball, PolytopeSpec, Simplex, VertexList, spec_from_json
+from polyfw.oracles import L1Ball, PolytopeSpec, Simplex, VertexList, json_field, spec_from_json
 from polyfw.solvers import SolverConfig, Variant, solve
 
 RATE_QUANTITIES = ("f_gap_to_opt", "fw_gap")
@@ -55,11 +57,11 @@ class RateFit:
 class ExperimentConfig:
     """One benchmark request: a problem recipe plus solver settings.
 
-    Construction checks the settings, the problem's kind, its required
-    keys (``PROBLEMS``) and its ``rng_seed``, then builds the problem
-    once with the kind's builder, which with its generator checks the
-    values.  ``built`` holds what the runs need, so a bad input fails
-    here, before ``run_experiment`` writes anything.
+    Construction checks the settings and the problem's kind, then builds
+    the problem once with the kind's builder (``PROBLEMS``), which reads
+    and type-checks each key and, with its generator, checks the values.
+    ``built`` holds what the runs need, so a bad input fails here, before
+    ``run_experiment`` writes anything.
     """
 
     name: str
@@ -70,11 +72,10 @@ class ExperimentConfig:
     built: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        name = str(self.name)
-        if not self.name or not name.strip():
+        if not self.name.strip():
             raise ValueError("experiment name must be nonempty")
-        if Path(name).name != name or name == "..":
-            raise ValueError(f"experiment name must be a single path component, not {name!r}")
+        if Path(self.name).name != self.name or self.name == "..":
+            raise ValueError(f"experiment name must be a single path component, not {self.name!r}")
         if not self.variants:
             raise ValueError("variants list must be nonempty")
         self.variants = [Variant(str(v).upper()).value for v in self.variants]
@@ -82,16 +83,10 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        kind = self.problem.get("kind")
-        if not isinstance(kind, str) or kind not in PROBLEMS:
+        kind = json_field(self.problem, "kind", str, "problem")
+        if kind not in PROBLEMS:
             raise ValueError(f"unknown problem kind {kind!r}")
-        keys, build, seeded = PROBLEMS[kind]
-        missing = [key for key in keys if key not in self.problem]
-        if missing:
-            raise ValueError(f"{kind} problem is missing {', '.join(missing)}")
-        if seeded and not _json_value(int, self.problem.get("rng_seed", -1), "rng_seed") >= 0:
-            raise ValueError(f"{kind} problem needs an rng_seed >= 0")
-        self.built = build(self.problem)
+        self.built = PROBLEMS[kind](self.problem)
 
     @classmethod
     def from_json(
@@ -101,38 +96,26 @@ class ExperimentConfig:
         max_iter: Optional[int] = None,
         epsilon: Optional[float] = None,
     ) -> "ExperimentConfig":
-        """Build from a dict or from the path of a JSON file.
+        """Build from a dict or from the path of a JSON file, reading each key with ``json_field``.
 
         ``seed``, ``max_iter`` and ``epsilon`` replace the document's
         problem ``rng_seed`` and settings before the config checks them;
         None keeps the document's value.
         """
         doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
-        if not isinstance(doc, dict) or not isinstance(doc.get("problem"), dict):
-            raise ValueError("an experiment config must be a JSON object with a problem object")
-        missing = [key for key in ("name", "variants") if key not in doc]
-        if missing:
-            raise ValueError(f"experiment config is missing {', '.join(missing)}")
-        problem = dict(doc["problem"])
+        owner = "experiment config"
+        problem = dict(json_field(doc, "problem", dict, owner))
         if seed is not None:
             problem["rng_seed"] = seed
         return cls(
-            name=doc["name"],
+            name=json_field(doc, "name", str, owner),
             problem=problem,
-            variants=_json_value(list, doc["variants"], "variants"),
-            epsilon=_json_value(float, doc.get("epsilon", 1e-8) if epsilon is None else epsilon,
-                                "epsilon"),
-            max_iter=_json_value(int, doc.get("max_iter", 2000) if max_iter is None else max_iter,
-                                 "max_iter"),
+            variants=json_field(doc, "variants", list, owner),
+            epsilon=float(json_field(doc, "epsilon", numbers.Real, owner, 1e-8)
+                          if epsilon is None else epsilon),
+            max_iter=(json_field(doc, "max_iter", numbers.Integral, owner, 2000)
+                      if max_iter is None else max_iter),
         )
-
-
-def _json_value(convert, value, key: str):
-    """``convert(value)``, with a config value of the wrong JSON type reported as a ValueError."""
-    try:
-        return convert(value)
-    except TypeError:
-        raise ValueError(f"{key} has the wrong type: {value!r}") from None
 
 
 def gen_lasso(
@@ -194,32 +177,43 @@ def gen_rankdef(d: int, rank: int, seed: int) -> Tuple[QuadraticObjective, Simpl
     return QuadraticObjective.least_squares(A, A @ x0), Simplex(d)
 
 
+def _seed(p: Dict, owner: str) -> int:
+    seed = json_field(p, "rng_seed", numbers.Integral, owner, -1)
+    if seed < 0:
+        raise ValueError(f"{owner} needs an rng_seed >= 0")
+    return seed
+
+
 def _lasso(p: Dict):
-    m, n, k, seed = (_json_value(int, p[key], key) for key in ("m", "n", "k", "rng_seed"))
-    noise, radius = (_json_value(float, p.get(key, default), key)
+    m, n, k = (json_field(p, key, numbers.Integral, "lasso problem") for key in ("m", "n", "k"))
+    noise, radius = (float(json_field(p, key, numbers.Real, "lasso problem", default))
                      for key, default in (("noise", 0.1), ("radius", 20.0)))
-    return (*gen_lasso(m, n, k, noise, seed, radius), {})
+    return (*gen_lasso(m, n, k, noise, _seed(p, "lasso problem"), radius), {})
 
 
 def _triangle(p: Dict):
-    thetas = p["thetas"]
-    if not isinstance(thetas, (list, tuple)) or not thetas:
+    owner = "triangle problem"
+    thetas = json_field(p, "thetas", list, owner)
+    if not thetas:
         raise ValueError("triangle experiment needs a list of at least one theta")
-    if _json_value(int, p["n_starts"], "n_starts") < 1:
+    n_starts = json_field(p, "n_starts", numbers.Integral, owner)
+    if n_starts < 1:
         raise ValueError("triangle experiment needs n_starts >= 1")
-    return [gen_triangle(_json_value(float, theta, "theta")) for theta in thetas]
+    thetas = [float(json_field({"theta": t}, "theta", numbers.Real, owner)) for t in thetas]
+    return [(theta, *gen_triangle(theta)) for theta in thetas], n_starts, _seed(p, owner)
 
 
 def _rankdef(p: Dict):
-    d, rank, seed = (_json_value(int, p[key], key) for key in ("d", "rank", "rng_seed"))
-    obj, spec = gen_rankdef(d, rank, seed)
+    d, rank = (json_field(p, key, numbers.Integral, "rankdef problem") for key in ("d", "rank"))
+    obj, spec = gen_rankdef(d, rank, _seed(p, "rankdef problem"))
     return obj, spec, {"mu": obj.strong_convexity, "f_star": 0.0}  # b = A x0 is consistent
 
 
 def _custom(p: Dict):
-    A = np.loadtxt(p["A_csv"], delimiter=",", ndmin=2)
-    y = np.loadtxt(p["y_csv"], delimiter=",", ndmin=1)
-    spec = spec_from_json(p["spec"])
+    A_csv, y_csv = (json_field(p, key, str, "custom problem") for key in ("A_csv", "y_csv"))
+    A = np.loadtxt(A_csv, delimiter=",", ndmin=2)
+    y = np.loadtxt(y_csv, delimiter=",", ndmin=1)
+    spec = spec_from_json(json_field(p, "spec", dict, "custom problem"))
     if A.shape[1] != spec.dimension:
         raise ValueError(f"A has {A.shape[1]} columns but the spec has dimension {spec.dimension}")
     if y.shape != (A.shape[0],):
@@ -227,15 +221,15 @@ def _custom(p: Dict):
     return QuadraticObjective.least_squares(A, y), spec, {}
 
 
-# kind: (the keys its config must give, its builder, whether it also needs an rng_seed).
-# A builder converts the values and calls the generator, which checks them, and returns
-# what the runs need: gen_triangle's tuple for each theta, or (obj, spec, known), known
-# holding the summary entries known by construction.
-PROBLEMS: Dict[str, Tuple[Tuple[str, ...], Callable[[Dict], Any], bool]] = {
-    "lasso": (("m", "n", "k"), _lasso, True),
-    "triangle": (("thetas", "n_starts"), _triangle, True),
-    "rankdef": (("d", "rank"), _rankdef, True),
-    "custom": (("A_csv", "y_csv", "spec"), _custom, False),
+# kind: its builder.  A builder reads each key with json_field and calls the generator,
+# which checks the values, and returns what the runs need: ((theta, *gen_triangle's
+# tuple) for each theta, n_starts, rng_seed), or (obj, spec, known), known holding the
+# summary entries known by construction.
+PROBLEMS: Dict[str, Callable[[Dict], Any]] = {
+    "lasso": _lasso,
+    "triangle": _triangle,
+    "rankdef": _rankdef,
+    "custom": _custom,
 }
 
 
@@ -353,13 +347,10 @@ def _median(values: List[float]) -> Optional[float]:
 
 
 def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], List[Dict]]:
-    p = config.problem
-    n_starts = int(p["n_starts"])
-    seed = int(p["rng_seed"])
+    triangles, n_starts, seed = config.built
     runs: List[Dict] = []
     aggregates: List[Dict] = []
-    for ti, (theta, (obj, spec, delta, diameter)) in enumerate(zip(p["thetas"], config.built)):
-        theta = float(theta)
+    for ti, (theta, obj, spec, delta, diameter) in enumerate(triangles):
         atoms = spec.enumerate_atoms()
         f_star = reference_optimum(obj, spec)
         rng = np.random.default_rng([seed, ti])

@@ -77,15 +77,11 @@ def _cmd_pwidth(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    if args.quantity == "f_gap_to_opt" and args.f_star is None:
-        return _error("--f-star is required for f_gap_to_opt")
     try:
         trace = RunTrace.read_csv(args.trace_csv)
+        fit = bench.fit_rate(trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    fit = bench.fit_rate(
-        trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor
-    )
     print(json.dumps(fit.to_json(), indent=2))
     return 0
 

@@ -466,17 +466,15 @@ class RunTrace:
     ``columns`` holds one list per ``StepRecord`` field, which ``append``
     extends by a row; ``records`` builds each ``StepRecord`` only when it
     is read.  ``config_echo`` carries the solver configuration plus run
-    outcome (initial objective value, exit status, final gap);
-    ``wall_time`` is kept out of the CSV so identical configurations
-    serialize to byte-identical files.
+    outcome (initial objective value, exit status, final gap).
     """
 
     def __init__(self, records: Iterable[StepRecord] = (), config_echo: Optional[Dict] = None,
-                 wall_time: float = 0.0, final_iterate: Optional[ActiveIterate] = None) -> None:
+                 final_iterate: Optional[ActiveIterate] = None) -> None:
         self.columns: Dict[str, list] = {name: [] for name in FIELDS}
         self.records: Sequence[StepRecord] = _Records(self.columns)
         self.config_echo = {} if config_echo is None else config_echo
-        self.wall_time, self.final_iterate = wall_time, final_iterate
+        self.final_iterate = final_iterate
         for rec in records:
             self.append(*vars(rec).values())
 

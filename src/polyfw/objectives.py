@@ -133,6 +133,8 @@ class QuadraticObjective(Objective):
             raise ValueError("Q must be square")
         if b.shape != (Q.shape[0],):
             raise ValueError("b must match Q")
+        if not (np.isfinite(Q).all() and np.isfinite(b).all() and np.isfinite(c)):
+            raise ValueError("Q, b and c must be finite")
         scale = max(1.0, float(np.max(np.abs(Q))))
         if np.max(np.abs(Q - Q.T)) > 1e-12 * scale:
             raise ValueError("Q must be symmetric within 1e-12")

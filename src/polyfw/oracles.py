@@ -8,10 +8,7 @@ instances, ``enumerate_atoms``.  ``lmo`` checks r and calls ``_lmo``, which solv
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 import numbers
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -189,7 +186,9 @@ class VertexList(PolytopeSpec):
         return spec
 
     def _lmo(self, r: np.ndarray) -> Atom:
-        return self._prebuilt[self.matrix.dot(r).argmin()]  # lowest row index wins ties
+        # The lowest row index wins ties between equal computed products; BLAS
+        # may give equal rows at different positions different products.
+        return self._prebuilt[self.matrix.dot(r).argmin()]
 
     def _atoms(self) -> List[Atom]:
         return self._prebuilt
@@ -201,18 +200,9 @@ class VertexList(PolytopeSpec):
         return {"variant": "vertices", "atoms": self.matrix.tolist()}
 
     @classmethod
-    def from_csv(cls, text: str) -> "VertexList":
-        rows = []
-        for row in csv.reader(io.StringIO(text)):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            rows.append([float(cell) for cell in row])
-        return cls(rows)
-
-    @classmethod
-    def read_csv(cls, path) -> "VertexList":
-        with open(path) as fh:
-            return cls.from_csv(fh.read())
+    def read_csv(cls, source) -> "VertexList":
+        """One atom per row of a comma-separated file or file object; ``#`` starts a comment."""
+        return cls(np.loadtxt(source, delimiter=",", ndmin=2))
 
 
 class FlowDag(PolytopeSpec):
@@ -419,31 +409,44 @@ def weighted_concave_cardinality(values: Sequence[float]) -> Callable[[FrozenSet
     return lambda s: table[len(s)]
 
 
+_REQUIRED = object()
+
+
 def _is_a(value, kind) -> bool:
     """``isinstance`` for JSON values, where a bool is not a number."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def spec_from_json(doc) -> PolytopeSpec:
-    """Parse a PolytopeSpec from a JSON dict or string.
+def json_field(doc: Dict, key: str, kind, owner: str, default=_REQUIRED):
+    """``doc[key]`` if it is a JSON value of type ``kind``, or ``default`` when absent.
+
+    The one reader of config and spec documents.  A ``doc`` that is not an
+    object, a missing key without a default, or a value of the wrong type
+    (a bool is never a number) is a ValueError that names ``owner`` and ``key``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{owner} must be a JSON object, not {doc!r}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{owner} is missing {key!r}")
+        return default
+    if not _is_a(doc[key], kind):
+        raise ValueError(f"{owner} has {key!r} of the wrong type: {doc[key]!r}")
+    return doc[key]
+
+
+def spec_from_json(doc: Dict) -> PolytopeSpec:
+    """Parse a PolytopeSpec from a JSON object, reading each key with ``json_field``.
 
     A missing or mistyped key, or a malformed entry of ``arcs`` or
     ``values``, is a ValueError that names the variant and the key.  Arcs
     are [tail, head] pairs or "tail head" strings; a concave_cardinality
     function gives n + 1 numbers.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or "variant" not in doc:
-        raise ValueError("spec document must be an object with a 'variant' key")
-    variant = doc["variant"]
+    variant = json_field(doc, "variant", str, "polytope spec")
 
     def get(key: str, kind, within: Dict = doc):
-        if key not in within:
-            raise ValueError(f"{variant} spec is missing {key!r}")
-        if not _is_a(within[key], kind):
-            raise ValueError(f"{variant} spec has {key!r} of the wrong type: {within[key]!r}")
-        return within[key]
+        return json_field(within, key, kind, f"{variant} spec")
 
     if variant == "simplex":
         return Simplex(get("dimension", numbers.Integral))
@@ -452,9 +455,8 @@ def spec_from_json(doc) -> PolytopeSpec:
     if variant == "cube":
         return Cube(get("dimension", numbers.Integral))
     if variant == "vertices":
-        if "csv" in doc:
-            return VertexList.read_csv(get("csv", str))
-        return VertexList(get("atoms", list))
+        path = json_field(doc, "csv", str, "vertices spec", None)
+        return VertexList(get("atoms", list)) if path is None else VertexList.read_csv(path)
     if variant == "flowdag":
         arcs = []
         for arc in get("arcs", list):
@@ -464,7 +466,8 @@ def spec_from_json(doc) -> PolytopeSpec:
                 raise ValueError(f"flowdag spec has an entry of 'arcs' that is not a "
                                  f"[tail, head] pair or a 'tail head' string: {arc!r}")
             arcs.append(pair)
-        return FlowDag(arcs, source=doc.get("source"), sink=doc.get("sink"))
+        ends = (json_field(doc, end, str, "flowdag spec", None) for end in ("source", "sink"))
+        return FlowDag(arcs, *ends)
     if variant == "basepoly":
         n = get("n", numbers.Integral)
         fdoc = get("function", dict)

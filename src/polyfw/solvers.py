@@ -38,7 +38,6 @@ corrected at a resync).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
@@ -411,7 +410,6 @@ def solve(
     non-finite gradient, or an ``x0`` iterate that breaks an invariant,
     raises ``ValueError``.
     """
-    start = time.perf_counter()
     it = _initial_iterate(spec, x0)
     init_size = len(it)
     state = obj.start(it)
@@ -471,7 +469,6 @@ def solve(
             break
         trace.append(t, kind, gamma, gamma_max, g_fw, away_record, f_new, len(it))
 
-    wall = time.perf_counter() - start
     echo = {
         "variant": config.variant.value,
         "epsilon": config.epsilon,
@@ -489,5 +486,5 @@ def solve(
     }
     if error is not None:
         echo["error"] = error
-    trace.config_echo, trace.wall_time, trace.final_iterate = echo, wall, it
+    trace.config_echo, trace.final_iterate = echo, it
     return trace

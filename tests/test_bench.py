@@ -385,7 +385,7 @@ def test_config_validation_errors():
                          epsilon=-1.0)
     with pytest.raises(ValueError, match="rank < d"):
         ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 4, "rng_seed": 1}, ["AFW"])
-    with pytest.raises(ValueError, match="missing k"):
+    with pytest.raises(ValueError, match="missing 'k'"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "rng_seed": 1}, ["AFW"])
     with pytest.raises(ValueError, match="needs an rng_seed"):
         ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 2}, ["AFW"])
@@ -418,8 +418,13 @@ def test_cli_pwidth(tmp_path, capsys):
     csv = tmp_path / "verts.csv"
     csv.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
     assert cli.main(["pwidth", str(csv)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert doc["pwidth_estimate"] == pytest.approx(1 / math.sqrt(2), rel=0.02)
+    commented = tmp_path / "commented.csv"  # np.loadtxt reads '#' as a comment
+    commented.write_text("# the unit square\n0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+    assert cli.main(["pwidth", str(commented)]) == 0
+    assert capsys.readouterr().out == out
     one = tmp_path / "one.csv"
     one.write_text("1.0,2.0\n")
     many = tmp_path / "many.csv"  # 65 distinct atoms: one more than a face mask holds
@@ -505,6 +510,17 @@ NO_RANK = {"problem": {"kind": "rankdef", "d": 5, "rng_seed": 1}}
 NO_STARTS = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "rng_seed": 3}}
 SCALAR_THETAS = {"problem": {"kind": "triangle", "thetas": 0.5, "n_starts": 1, "rng_seed": 3}}
 LIST_NOISE = {"problem": {"kind": "lasso", "m": 5, "n": 10, "k": 2, "noise": [1], "rng_seed": 1}}
+TEXT_M = {"problem": {"kind": "lasso", "m": "20", "n": 10, "k": 2, "rng_seed": 1}}
+REAL_STARTS = {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1.7,
+                           "rng_seed": 3}}
+TEXT_SPEC = {"problem": {"kind": "custom", "A_csv": "A.csv", "y_csv": "y.csv",
+                         "spec": json.dumps({"variant": "simplex", "dimension": 3})}}
+
+
+def seeded(seed):
+    """The valid triangle problem with ``rng_seed`` set to ``seed``."""
+    return {"problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1,
+                        "rng_seed": seed}}
 
 
 def custom(A_csv="A.csv", y_csv="y.csv", **spec):
@@ -531,6 +547,9 @@ def concave(n, values):
     (custom(dimension="3"), []), (custom(variant="flowdag", dimension=None, arcs=[1]), []),
     (custom(variant="flowdag", dimension=None, arcs=[["s", "a", "b"]]), []),
     (concave(3, [[0], [1], [1], [1]]), []), (concave(3, []), []), (concave(3, [0, 1, 2]), []),
+    (seeded(7.9), []), (seeded(True), []), ({"name": 7}, []), (TEXT_M, []), (REAL_STARTS, []),
+    ({"max_iter": 20.9}, []), (TEXT_SPEC, []), (custom(A_csv="nan.csv"), []),
+    (custom(y_csv="inf.csv"), []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.
@@ -544,6 +563,8 @@ def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file
     np.savetxt("A.csv", rng.standard_normal((8, 3)), delimiter=",")
     np.savetxt("y.csv", rng.standard_normal(8), delimiter=",")
     np.savetxt("short.csv", rng.standard_normal(7), delimiter=",")
+    np.savetxt("nan.csv", np.where(np.eye(8, 3), np.nan, 1.0), delimiter=",")
+    np.savetxt("inf.csv", np.r_[np.inf, np.ones(7)], delimiter=",")
     cfg_path = tmp_path / "cfg.json"
     doc = {
         "name": "cli_tri",

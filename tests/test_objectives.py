@@ -197,6 +197,14 @@ def test_quadratic_validates_symmetry():
         QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
+def test_quadratic_rejects_non_finite_data():
+    for Q, b, c in ([[np.nan]], [0.0], 0.0), (np.eye(1), [np.inf], 0.0), (np.eye(1), [0.0], np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticObjective(Q, b, c)
+    with pytest.raises(ValueError, match="finite"):  # inf in y makes b and c infinite
+        QuadraticObjective.least_squares([[1.0, 2.0], [3.0, 4.0]], [np.inf, 0.0])
+
+
 # -- atom images: support rows of Q for a sparse atom, Q @ a otherwise -------
 
 from hypothesis import given, settings  # noqa: E402

@@ -1,5 +1,6 @@
 """Linear minimization oracles against scan references and enumeration."""
 
+import io
 import itertools
 import json
 
@@ -274,7 +275,7 @@ def test_lmo_scale_equivariant():
 
 
 def test_vertexlist_from_csv():
-    spec = VertexList.from_csv("0.0,1.0\n1.0,0.0\n0.5,-0.5\n")
+    spec = VertexList.read_csv(io.StringIO("0.0,1.0\n1.0,0.0\n0.5,-0.5\n"))
     assert spec.atom_count() == 3
     assert spec.dimension == 2
     assert np.array_equal(spec.lmo([0.0, 1.0]).point, [0.5, -0.5])
@@ -313,7 +314,7 @@ _REQUIRED_SPEC_KEYS = [
 
 @pytest.mark.parametrize("doc, paths", _REQUIRED_SPEC_KEYS)
 def test_spec_from_json_names_a_missing_or_mistyped_key(doc, paths):
-    spec_from_json(json.dumps(doc))  # the full document parses
+    spec_from_json(doc)  # the full document parses
     for path in paths:
         for bad in (None, True, 3 if path[-1] == "kind" else "3"):  # None drops the key
             broken = json.loads(json.dumps(doc))
@@ -393,7 +394,7 @@ def _layered_arcs(width, layers):
 
 def test_flowdag_json_roundtrip_rebuilds_compiled_levels():
     dag = FlowDag(_layered_arcs(5, 16))  # the flow_paths benchmark DAG, 385 arcs
-    back = spec_from_json(json.dumps(dag.to_json()))
+    back = spec_from_json(json.loads(json.dumps(dag.to_json())))
     assert back.dimension == dag.dimension == 385
     assert np.array_equal(back._arc_order, dag._arc_order)
     assert len(back._levels) == len(dag._levels) == 17
