@@ -15,9 +15,11 @@ so a FW, away or pairwise step costs O(d): the direction's image is a
 difference of two cached vectors, and the gradient, the exact line
 search, the ``Qx`` update and f all follow from it.  The solver hands
 the line search its descent <-grad, d>, so a step computes it once; f
-is evaluated afresh at each point.  The FCFW/MNP corrections' Wolfe
-major cycle takes its Gram matrix and its new ``Qx`` from the same
-images (``move_to``).
+is evaluated afresh at each point.  The state also keeps the corral of
+the FCFW/MNP corrections' Wolfe major cycle: the atoms' rows, images and
+Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
+so a cycle costs O(kd) plus the (k+1)^2 solve, and its new ``Qx`` comes
+from the images (``move_to``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from polyfw import oracles
 
 LOGGER = logging.getLogger(__name__)
+Corral = Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray, np.ndarray]  # ids, rows, images, H
 
 
 class Objective:
@@ -229,12 +232,14 @@ class QuadraticState(ObjectiveState):
     on.  At each ``reset`` and whenever the iterate re-synthesizes x
     (every ``RESYNTH_PERIOD`` steps and on each drop or swap), ``Qx`` is
     recomputed exactly and the images of inactive atoms are released; a
-    resync folds the incremental error into ``drift_max``.
+    resync folds the incremental error into ``drift_max``.  ``corral`` is
+    the last Wolfe major cycle's corral (``solvers._wolfe_step``), or None.
     """
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
         self.Q, self.b, self.c = obj.Q, obj.b, obj.c
         self.images: Dict[bytes, np.ndarray] = {}
+        self.corral: Optional[Corral] = None
         self._Qd: Optional[np.ndarray] = None
         super().__init__(obj, it)
 

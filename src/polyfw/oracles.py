@@ -242,10 +242,9 @@ class FlowDag(PolytopeSpec):
             if len(candidates) != 1:
                 raise ValueError("sink is ambiguous; pass it explicitly")
             sink = candidates[0]
-        if source not in out or sink not in out:
+        self.source, self.sink = str(source), str(sink)  # named as the arc ends are
+        if self.source not in out or self.sink not in out:
             raise ValueError("source/sink must appear in the arc list")
-        self.source = source
-        self.sink = sink
         self._compile_levels(out)
 
     def _compile_levels(self, out: Dict[str, List[int]]) -> None:
@@ -287,15 +286,16 @@ class FlowDag(PolytopeSpec):
         bounds = np.searchsorted([depth[n] for n in order], np.arange(depth[self.source] + 2))
         self._levels = []
         for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
-            arcs = slice(starts[lo], starts[hi])
+            arcs = slice(*starts[[lo, hi]].tolist())  # int bounds slice faster than np.int64
             self._levels.append((slice(lo, hi), arcs, heads[arcs], starts[lo:hi] - starts[lo]))
 
     def _lmo(self, r: np.ndarray) -> Atom:
         cost = r[self._arc_order]
         dist = np.zeros(len(self._succ))
+        least = np.minimum.reduceat
         for nodes, arcs, heads, starts in self._levels:
-            np.minimum.reduceat(cost[arcs] + dist[heads], starts, out=dist[nodes])
-        r_list, d = r.tolist(), dist.tolist()
+            dist[nodes] = least(cost[arcs] + dist[heads], starts)
+        r_at, d = memoryview(r), dist.tolist()  # the walk reads a few entries of r
         if not math.isfinite(d[-1]):
             raise ValueError("shortest-path cost is not finite")
         # Walk from the source taking the smallest arc index that attains
@@ -305,7 +305,7 @@ class FlowDag(PolytopeSpec):
         node = len(d) - 1
         while node:
             for idx, head in self._succ[node]:
-                if r_list[idx] + d[head] == d[node]:
+                if r_at[idx] + d[head] == d[node]:
                     break
             point[idx] = 1.0
             node = head
@@ -466,7 +466,7 @@ def spec_from_json(doc: Dict) -> PolytopeSpec:
                 raise ValueError(f"flowdag spec has an entry of 'arcs' that is not a "
                                  f"[tail, head] pair or a 'tail head' string: {arc!r}")
             arcs.append(pair)
-        ends = (json_field(doc, end, str, "flowdag spec", None) for end in ("source", "sink"))
+        ends = (json_field(doc, e, (str, int), "flowdag spec", None) for e in ("source", "sink"))
         return FlowDag(arcs, *ends)
     if variant == "basepoly":
         n = get("n", numbers.Integral)

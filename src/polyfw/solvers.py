@@ -21,18 +21,19 @@ A FW, AFW or PFW iteration forms the FW direction s - x, its gap
 <-grad, s - x> and the away pair (``away_atom``) once; the AFW choice,
 the descent test, the line search and the FW step reuse them, and the
 row goes straight into the trace's columns.  The shared loop and both
-corrections run on the objective's per-solve state
-(``Objective.start``).  For a quadratic that state keeps ``Qx`` and the
-cached image ``Q a`` of each active atom, so a FW, away or pairwise step
-costs O(k + d) with no product by Q, and the Wolfe major cycle
-(``_wolfe_step``) that both corrections share takes its Gram matrix and
-its new ``Qx`` from the same images.  ``Qx`` is recomputed exactly
-whenever the iterate re-synthesizes x (every ``RESYNTH_PERIOD`` steps
-and on each drop or swap) and as each FCFW/MNP correction ends.  Besides
-the configuration and outcome, a trace's JSON header records
-``inner_steps`` (summed over the corrections), ``lmo_calls``,
-``resyncs`` and ``qx_drift_max`` (the largest incremental ``Qx`` error
-corrected at a resync).
+corrections run on the objective's per-solve state (``Objective.start``).
+For a quadratic that state keeps ``Qx`` and the cached image ``Q a`` of
+each active atom, so a FW, away or pairwise step costs O(k + d) with no
+product by Q.  It also keeps the corral of the Wolfe major cycle
+(``_wolfe_step``) that both corrections share: the atoms' rows, images and
+Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
+so a cycle costs O(kd) plus the (k+1)^2 solve, and the new ``Qx`` comes
+from the images.  ``Qx`` is recomputed exactly whenever the iterate
+re-synthesizes x (every ``RESYNTH_PERIOD`` steps and on each drop or swap)
+and as each FCFW/MNP correction ends.  Besides the configuration and
+outcome, a trace's JSON header records ``inner_steps`` (summed over the
+corrections), ``lmo_calls``, ``resyncs`` and ``qx_drift_max`` (the largest
+incremental ``Qx`` error corrected at a resync).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from polyfw.core import (
     apply_fw_step,
     apply_pairwise_step,
 )
-from polyfw.objectives import Objective, ObjectiveState, QuadraticState
+from polyfw.objectives import Corral, Objective, ObjectiveState, QuadraticState
 from polyfw.oracles import PolytopeSpec
 
 
@@ -228,17 +229,14 @@ def fcfw_correction(
     return CorrectionResult(z, new_pool, inner, post_away)
 
 
-def _affine_minimizer(points: np.ndarray, images: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of argmin f over the rows' affine hull; images[i] = Q points[i]."""
-    m = points.shape[0]
+def _affine_minimizer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Barycentric argmin of f over the atoms' affine hull; H_ij = a_i . Q a_j and g_i = a_i . b."""
+    m = H.shape[0]
     if m == 1:
         return np.array([1.0])
-    H = points @ images.T
-    g = points @ b
     K = np.zeros((m + 1, m + 1))
     K[:m, :m] = H
-    K[:m, m] = 1.0
-    K[m, :m] = 1.0
+    K[m, :m] = K[:m, m] = 1.0
     rhs = np.concatenate([-g, [1.0]])
     try:
         sol = np.linalg.solve(K, rhs)
@@ -254,46 +252,64 @@ MNP_AWAY_GAP_LIMIT = 1e-9  # times the scale of the gap's terms, floored at 1
 _INTERIOR_TOL = 1e-12
 
 
+def _corral_with(corral: Corral, atom_id: bytes, point: np.ndarray, image: np.ndarray) -> Corral:
+    """``corral`` plus one atom: its row, its image and one product for H's new row and column."""
+    ids, matrix, images, H = corral
+    matrix, images = np.concatenate((matrix, point[None])), np.concatenate((images, image[None]))
+    grown = np.empty((len(matrix), len(matrix)))
+    grown[:-1, :-1] = H
+    grown[-1] = grown[:, -1] = matrix @ image
+    return ids + (atom_id,), matrix, images, grown
+
+
 def _wolfe_step(
     state: QuadraticState, it: ActiveIterate, atom: Atom
 ) -> Tuple[ActiveIterate, int, float]:
-    """Wolfe's major cycle: add ``atom`` to the active set, then run the minor cycle.
+    """Wolfe's major cycle: add ``atom`` to the corral, then run the minor cycle.
 
-    Each pass minimizes f over the affine hull of the current atoms.  A
-    minimizer inside their convex hull ends the cycle; otherwise the
-    weights move toward it until some vanish, and those atoms leave, so
-    there is at most one pass per atom.  ``state`` moves to the result
-    through its cached atom images, with no product by Q.  Returns the
-    iterate, the number of passes and the iterate's away gap.
+    The corral (``QuadraticState.corral``: rows, images Q a_i and Gram
+    matrix H_ij = a_i . Q a_j) is the last cycle's when its ids are
+    ``it.ids``, else built from ``it`` an atom at a time.  A new atom adds
+    one Gram row (``_corral_with``), so a cycle costs O(kd) plus the
+    (k+1)^2 solve of each pass, which minimizes f over the corral's affine
+    hull.  A minimizer inside its convex hull ends the cycle; otherwise the
+    weights move toward it until some vanish, and those atoms leave with
+    their rows of H: at most one pass per atom.  ``state`` moves to the
+    result through the images, with no product by Q.  Returns the iterate,
+    the number of passes and the iterate's away gap.
     """
-    ids: List[bytes] = list(it.ids)
-    beta = it.w.copy()
-    matrix = it.matrix()
+    corral, state.corral = state.corral, None  # freed as this cycle replaces its arrays
+    if corral is None or corral[0] != it.ids:  # build it from the empty corral
+        corral = ((), np.empty((0, it.x.size)), np.empty((0, it.x.size)), np.empty((0, 0)))
+        for atom_id, point in zip(it.ids, it.matrix()):
+            corral = _corral_with(corral, atom_id, point, state.image(atom_id, point))
+    beta = it.w
     if it.index(atom.id) is None:
-        ids.append(atom.id)
-        matrix = np.vstack([matrix, atom.point])
+        corral = _corral_with(corral, atom.id, atom.point, state.image(atom.id, atom.point))
         beta = np.concatenate([beta, [0.0]])
-    images = np.array([state.image(i, p) for i, p in zip(ids, matrix)])
+    ids, matrix, images, H = corral
+    del corral
     passes = 0
     while True:
         passes += 1
-        lam = _affine_minimizer(matrix, images, state.b)
+        lam = _affine_minimizer(H, matrix @ state.b)
         if lam.min() > _INTERIOR_TOL:
             break
         negative = lam < 0
         theta = float((beta[negative] / (beta[negative] - lam[negative])).min(initial=1.0))
         beta = (1.0 - theta) * beta + theta * lam
         beta = np.where(beta < 0, 0.0, beta)
-        keep = [i for i in range(len(ids)) if beta[i] > _INTERIOR_TOL]
-        if len(keep) == len(ids):
+        keep = (beta > _INTERIOR_TOL).nonzero()[0]
+        if keep.size == len(ids):
             # theta reached 1 with coordinates in the zero range
-            keep = [i for i in range(len(ids)) if lam[i] > _INTERIOR_TOL]
-        ids = [ids[i] for i in keep]
+            keep = (lam > _INTERIOR_TOL).nonzero()[0]
+        ids = tuple(ids[i] for i in keep.tolist())
         beta = beta[keep] / beta[keep].sum()
-        matrix, images = matrix[keep], images[keep]
+        matrix, images, H = matrix[keep], images[keep], H[keep][:, keep]
     beta = lam / lam.sum()
     x_new = beta @ matrix
     state.move_to(x_new, beta @ images)
+    state.corral = ids, matrix, images, H
     grad = state.grad
     away_gap = float((matrix @ grad).max() - grad @ x_new)
     return ActiveIterate(ids, matrix, beta, x_new), passes, away_gap
@@ -378,10 +394,6 @@ def _line_search_step(
     return it, kind, gamma, gamma_max, away[1]
 
 
-def _same_weights(a: ActiveIterate, b: ActiveIterate) -> bool:
-    return a.ids == b.ids and np.array_equal(a.w, b.w)
-
-
 def solve(
     obj: Objective,
     spec: PolytopeSpec,
@@ -452,7 +464,7 @@ def solve(
                 exit_status, error = f"error:{type(exc).__name__}", str(exc)
                 break
             dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
-            unchanged = _same_weights(result.iterate, it)
+            unchanged = result.iterate.ids == it.ids and np.array_equal(result.iterate.w, it.w)
             kind = StepKind.DROP if dropped else StepKind.CORRECTION
             it = result.iterate
             pool = result.correction_atoms

@@ -13,7 +13,8 @@ library code, so the current code can be held to it bit for bit:
 built from the spec's arc list, source and sink alone),
 ``face_lattice_reference`` (the face lattice closed by frozenset
 intersections) and ``pwidth_all_faces`` (the facial distance solved on
-every proper face).
+every proper face).  ``corral_reference`` is the Gram matrix that Wolfe's
+major cycle formed from scratch before it kept its corral.
 """
 
 import itertools
@@ -233,6 +234,13 @@ def _is_proper_member(pts_subset, x):
         method="highs",
     )
     return res.status == 0
+
+
+def corral_reference(Q, it):
+    """Rows, images Q a_i and Gram matrix H_ij = a_i . Q a_j of an iterate's atoms, from scratch."""
+    rows = it.matrix()
+    images = rows @ Q  # row i is (Q a_i)^T, Q being symmetric
+    return rows, images, rows @ images.T
 
 
 def pdirw_bruteforce(atoms, r, x):

@@ -339,11 +339,23 @@ def _concave(n, values):
     (_concave(1, [[0], [1]]), "values"),
     (_concave(3, []), "values"),
     (_concave(5, [0, 1, 2]), "values"),
+    ({"variant": "flowdag", "arcs": [[1, 2], [2, 3], [1, 3]], "source": True}, "source"),
+    ({"variant": "flowdag", "arcs": [[1, 2], [2, 3], [1, 3]], "sink": False}, "sink"),
 ])
 def test_spec_from_json_checks_list_entries(doc, key):
-    """Arcs are [tail, head] pairs or "tail head" strings; values are n + 1 numbers."""
+    """Arcs are [tail, head] pairs or "tail head" strings, a source or sink is no bool, and
+    values are n + 1 numbers."""
     with pytest.raises(ValueError, match=f"{doc['variant']} spec .*'{key}'"):
         spec_from_json(doc)
+
+
+def test_flowdag_spec_takes_integer_source_and_sink():
+    """Integer ends are names, as integer arc ends are: the spec writes them back as strings."""
+    doc = {"variant": "flowdag", "arcs": [[1, 2], [2, 3], [1, 3]], "source": 1}
+    spec = spec_from_json(doc)
+    assert (spec.source, spec.sink, spec.atom_count()) == ("1", "3", 2)
+    assert spec_from_json({**doc, "sink": 3}).to_json() == spec.to_json()
+    assert spec.to_json()["arcs"] == [["1", "2"], ["2", "3"], ["1", "3"]]
 
 
 def test_simplex_requires_positive_dimension():

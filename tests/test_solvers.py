@@ -5,7 +5,7 @@ import pytest
 
 from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
-from polyfw.oracles import Cube, Simplex, VertexList
+from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
 from polyfw.solvers import (
     CorrectionPostconditionError,
     DegenerateActiveSetError,
@@ -20,7 +20,7 @@ from polyfw.solvers import (
 )
 
 import oracles as ref
-from test_oracles import _one_spec_of_each_type
+from test_oracles import _layered_arcs, _one_spec_of_each_type
 
 ACTIVE_VARIANTS = (Variant.AFW, Variant.PFW, Variant.FCFW, Variant.MNP)
 
@@ -262,8 +262,8 @@ def test_mnp_postcondition_still_catches_a_point_off_the_affine_minimizer(scale,
 
     minimizer = solvers._affine_minimizer
 
-    def off(points, images, b):
-        lam = minimizer(points, images, b)
+    def off(H, g):
+        lam = minimizer(H, g)
         return 0.9 * lam + 0.1 / len(lam)
 
     monkeypatch.setattr(solvers, "_affine_minimizer", off)
@@ -960,3 +960,177 @@ def test_wolfe_corrections_project_onto_hull(problem):
         res = fcfw_correction(state, it, pool, oracle_atom(state.grad), 1e-12)
         assert np.linalg.norm(res.iterate.x - expect) <= 1e-9
     assert all(passes <= size for passes, size in cycles)
+
+
+# -- Wolfe's corral: kept across major cycles, one Gram row per new atom -------
+
+
+def _path_mix(dag, paths, seed):
+    """1/2 ||x - t||^2 for t a seeded convex combination of ``paths`` LMO paths of ``dag``."""
+    rng = np.random.default_rng(seed)
+    points = np.stack([dag.lmo(rng.standard_normal(dag.dimension)).point for _ in range(paths)])
+    return QuadraticObjective.distance_to(rng.dirichlet(np.ones(paths)) @ points)
+
+
+@pytest.mark.parametrize("variant, max_iter", [(Variant.MNP, 100), (Variant.FCFW, 8)])
+def test_wolfe_corral_is_built_once_per_solve(variant, max_iter, monkeypatch):
+    """A solve builds its corral from the empty one once, on its first major cycle.  Every
+    later cycle keeps it and asks ``QuadraticState.image`` for the new atom's image alone,
+    not for the image of each atom in the corral."""
+    import polyfw.solvers as solvers
+
+    dag = FlowDag(_layered_arcs(5, 16))  # the flow_paths benchmark DAG, 385 arcs
+    obj = _path_mix(dag, 16, 0)
+    builds, images, per_cycle = [], [], []
+    grow, wolfe, image = solvers._corral_with, solvers._wolfe_step, QuadraticState.image
+
+    def counting_grow(corral, atom_id, point, image):
+        if not corral[0]:
+            builds.append(atom_id)
+        return grow(corral, atom_id, point, image)
+
+    def counting_wolfe(state, it, atom):
+        before = len(images)
+        out = wolfe(state, it, atom)
+        per_cycle.append(len(images) - before)
+        return out
+
+    def counting_image(self, atom_id, point):
+        images.append(atom_id)
+        return image(self, atom_id, point)
+
+    monkeypatch.setattr(solvers, "_corral_with", counting_grow)
+    monkeypatch.setattr(solvers, "_wolfe_step", counting_wolfe)
+    monkeypatch.setattr(QuadraticState, "image", counting_image)
+    trace = solve(obj, dag, SolverConfig(variant, epsilon=1e-8, max_iter=max_iter))
+    assert trace.config_echo["exit_status"] == "max_iter"
+    assert len(trace.records) == max_iter
+    assert len(per_cycle) >= max_iter and len(builds) == 1
+    assert per_cycle[0] == 2 and set(per_cycle[1:]) <= {0, 1}
+
+
+def test_major_cycle_reads_h_from_the_kept_corral():
+    """The second cycle of a solve solves with the kept H: doubling it moves the result."""
+    import polyfw.solvers as solvers
+
+    atoms = [Atom(p) for p in np.eye(3)]
+    obj = QuadraticObjective.distance_to(np.array([0.5, 0.3, 0.2]))
+    ends = []
+    for poison in (1.0, 2.0):
+        it = ActiveIterate.from_atom(atoms[0])
+        state = obj.start(it)
+        it = mnp_correction(state, it, atoms[1]).iterate
+        ids, rows, images, H = state.corral
+        state.corral = ids, rows, images, poison * H
+        ends.append(solvers._wolfe_step(state, it, atoms[2])[0].x)
+    np.testing.assert_allclose(ends[0], [0.5, 0.3, 0.2], atol=1e-12)
+    assert np.abs(ends[1] - ends[0]).max() > 0.01
+
+
+@pytest.mark.parametrize("case", ["flowdag", "lasso", "triangle"])
+def test_kept_corral_traces_match_a_corral_built_every_cycle(case, monkeypatch):
+    """MNP and FCFW write the same bytes when every major cycle builds its corral afresh."""
+    import json
+    import math
+
+    import polyfw.solvers as solvers
+    from polyfw.bench import gen_lasso, gen_triangle
+
+    starts = [None]
+    if case == "flowdag":
+        spec = FlowDag(_layered_arcs(4, 8))  # 120 arcs
+        obj = _path_mix(spec, 6, 181)
+    elif case == "lasso":
+        obj, spec = gen_lasso(30, 60, 6, 0.1, 11, 3.0)
+    else:
+        obj, spec, _, _ = gen_triangle(math.pi / 8)
+        atoms = spec.enumerate_atoms()
+        rng = np.random.default_rng(8)
+        starts += [
+            ActiveIterate.from_weights(dict(zip(atoms, rng.dirichlet(np.ones(3)).tolist())))
+            for _ in range(5)
+        ]
+
+    def outputs():
+        out = []
+        for variant in (Variant.MNP, Variant.FCFW):
+            for x0 in starts:
+                trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-12, max_iter=60), x0=x0)
+                out.append((trace.to_csv(), json.dumps(trace.config_echo)))
+        return out
+
+    kept = outputs()
+    wolfe = solvers._wolfe_step
+
+    def afresh(state, it, atom):
+        state.corral = None
+        return wolfe(state, it, atom)
+
+    monkeypatch.setattr(solvers, "_wolfe_step", afresh)
+    assert outputs() == kept
+
+
+@st.composite
+def _corral_runs(draw):
+    """A quadratic with its minimizer inside the atoms' hull, the atoms, an MNP start, a
+    cycle budget and the cycles that drop the corral first.  0/1 atoms get an integer Q
+    and 1-sparse atoms any Q, so their Gram entries are exact; Gaussian atoms get a
+    Gaussian Q."""
+    kind = draw(st.sampled_from(["binary", "sparse", "gaussian"]))
+    d, n, cycles = draw(st.integers(2, 8)), draw(st.integers(2, 14)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "binary":
+        atoms = rng.integers(0, 2, (n, d)).astype(float)
+        B = rng.integers(-2, 3, (d, d)).astype(float)
+    else:
+        B = rng.standard_normal((d, d))
+        atoms = rng.standard_normal((n, d))
+        if kind == "sparse":
+            atoms = np.zeros((n, d))
+            atoms[np.arange(n), rng.integers(0, d, n)] = rng.choice([-2.5, 2.5], n)
+    atoms = np.unique(atoms, axis=0)
+    Q = B @ B.T + np.eye(d)
+    target = rng.dirichlet(np.ones(len(atoms))) @ atoms  # inside the hull: many cycles
+    obj = QuadraticObjective(Q, -Q @ target)
+    spec = VertexList(atoms)
+    size = draw(st.integers(0, len(atoms)))
+    x0 = None if not size else ActiveIterate.from_weights(
+        dict(zip(spec.enumerate_atoms()[:size], rng.dirichlet(np.ones(size)).tolist()))
+    )
+    forget = draw(st.lists(st.booleans(), min_size=cycles, max_size=cycles))
+    return kind, obj, spec, x0, cycles, forget
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_corral_runs())
+def test_corral_matches_a_gram_matrix_formed_from_scratch(run):
+    """After every major cycle of an MNP solve the corral is keyed by the iterate's ids, holds
+    its rows in order, and its images and H equal those formed afresh (``corral_reference``):
+    exactly on 0/1 and 1-sparse atoms, within 1e-12 of the terms' scale on Gaussian ones."""
+    from unittest import mock
+
+    import polyfw.solvers as solvers
+
+    kind, obj, spec, x0, cycles, forget = run
+    wolfe = solvers._wolfe_step
+    checked = []
+
+    def checking(state, it, atom):
+        if forget[len(checked)]:
+            state.corral = None
+        out = wolfe(state, it, atom)
+        ids, rows, images, H = state.corral
+        assert ids == out[0].ids and np.array_equal(rows, out[0].matrix())
+        _, ref_images, ref_H = ref.corral_reference(obj.Q, out[0])
+        if kind == "gaussian":
+            assert np.all(np.abs(images - ref_images) <= 1e-12 * (np.abs(rows) @ np.abs(obj.Q)))
+            bound = np.abs(rows) @ np.abs(obj.Q) @ np.abs(rows).T
+            assert np.all(np.abs(H - ref_H) <= 1e-12 * bound)
+        else:
+            assert np.array_equal(images, ref_images) and np.array_equal(H, ref_H)
+        checked.append(len(ids))
+        return out
+
+    with mock.patch.object(solvers, "_wolfe_step", checking):
+        trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-10, max_iter=cycles), x0=x0)
+    assert len(checked) == len(trace.records)
