@@ -33,11 +33,12 @@ from polyfw.geometry import (
     dirw,
     eccentricity,
     enumerate_faces,
+    exact_constants,
     pdirw,
     pwidth,
     rate_constant,
 )
-from polyfw.objectives import QuadraticObjective, exact_constants
+from polyfw.objectives import QuadraticObjective
 from polyfw.oracles import (
     BasePolytope,
     Cube,

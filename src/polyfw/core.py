@@ -96,19 +96,17 @@ class _AtomStore:
     A row, once written, never changes, so every iterate that indexes
     into the store stays valid however many later steps append to it.
     ``row_of`` maps an atom id to its row, so an atom that leaves the
-    active set and comes back reuses its row.  A new store has room for
-    2n + 8 rows, where ``ActiveIterate._with_atom`` moves the active
-    rows to a fresh store, so a steady active set never grows it.
+    active set and comes back reuses its row.  A new store keeps the rows
+    it is given, uncopied and read-only as ``Atom._adopt`` keeps its point,
+    and like any full store it doubles (to 10 rows at least) on its first append.
     """
 
     __slots__ = ("rows", "size", "row_of")
 
     def __init__(self, ids: Sequence[bytes], points: np.ndarray) -> None:
-        n, d = points.shape
-        self.rows = np.empty((2 * n + 8, d))
-        self.rows[:n] = points
-        self.size = n
-        self.row_of: Dict[bytes, int] = dict(zip(ids, range(n)))
+        points.setflags(write=False)
+        self.rows, self.size = points, points.shape[0]
+        self.row_of: Dict[bytes, int] = dict(zip(ids, range(self.size)))
 
     def row(self, atom: Atom) -> int:
         """The row holding ``atom``, appended on first sight."""
@@ -116,7 +114,7 @@ class _AtomStore:
         if r is None:
             r = self.size
             if r == self.rows.shape[0]:
-                grown = np.empty((2 * r, self.rows.shape[1]))
+                grown = np.empty((max(2 * r, 10), self.rows.shape[1]))
                 grown[:r] = self.rows
                 self.rows = grown
             self.rows[r] = atom.point
@@ -145,11 +143,11 @@ class ActiveIterate:
     def __init__(self, ids: Sequence[bytes], points, w, x: Optional[np.ndarray] = None) -> None:
         """Iterate with atoms ``points[i]`` (id ``ids[i]``) at weights ``w[i]``.
 
-        ``x`` defaults to the weighted atom sum.  Nothing is validated
-        here; ``check()`` tests the invariants.
+        ``x`` defaults to the weighted atom sum; C-ordered float64 ``points`` are kept uncopied
+        and read-only.  Nothing is validated here; ``check()`` tests the invariants.
         """
         self.ids: Tuple[bytes, ...] = tuple(ids)
-        points = np.asarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         self.w = np.array(w, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] != len(self.ids) or self.w.shape != (len(self.ids),):
             raise ValueError("ids, points and weights must have one entry per atom")

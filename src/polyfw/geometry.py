@@ -11,10 +11,11 @@ distance between a proper face and the hull of the remaining atoms
 and no LP.  A slab bound from the facet normals skips every face that
 cannot hold the minimum.  Its witness is the closest facial pair.  A face
 is a uint64 bitmask of its atoms: up to 64 atoms and 2^16 faces.
-``linear_rate`` is Theorem 1's contraction factor for each solver
-variant, and ``rate_constant`` evaluates it for a quadratic over a
-polytope.  scipy loads only on the first LP or face enumeration, not
-with the module.
+The diameter M (``polytope_diameter``, exact to rounding however far the
+atoms are translated), ``exact_constants`` (L, mu, M) and Theorem 1's
+contraction factor ``linear_rate`` live here too; ``rate_constant``
+evaluates it for a quadratic from one enumeration of the atoms at most.
+scipy loads only on the first LP or face enumeration, not with the module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from polyfw import oracles, solvers
 from polyfw.core import Atom
-from polyfw.objectives import Objective, QuadraticObjective, exact_constants, polytope_diameter
+from polyfw.objectives import Objective, QuadraticObjective
 
 PDIRW_ATOM_CAP = 16
 MASK_ATOMS = 64  # a face is a uint64 mask of its atoms, one bit each
@@ -48,6 +49,16 @@ def _atom_matrix(atoms) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError("atom coordinates must be finite")
     return mat
+
+
+def _diameter(mat: np.ndarray) -> float:
+    """Largest distance between rows of ``mat``: blocks of |a|^2 + |b|^2 - 2 a.b on the rows
+    minus the first (exact by Sterbenz's lemma at a large offset, and no longer than M)."""
+    rel = mat - mat[0]
+    sq = np.einsum("ij,ij->i", rel, rel)
+    blocks = (sq[lo : lo + 512, None] + sq - 2.0 * (rel[lo : lo + 512] @ rel.T)
+              for lo in range(0, len(rel), 512))
+    return float(np.sqrt(max(float(d2.max()) for d2 in blocks)))
 
 
 def _distinct(rows: np.ndarray) -> Dict[bytes, Tuple[Atom, int]]:
@@ -292,8 +303,7 @@ def pwidth(atoms) -> WidthReport:
         a, b = _facial_pair(mat, _members(faces[index]), obj)
         best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
     distance, index, a, b = best
-    diameter = float(np.max(np.linalg.norm(mat[:, None] - mat[None], axis=-1)))
-    if not VALUE_FLOOR * diameter < distance < np.inf:
+    if not VALUE_FLOOR * _diameter(mat) < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
     idx = _members(faces[index])
     witness = {
@@ -320,16 +330,48 @@ def analytic_pwidth(spec: oracles.PolytopeSpec) -> Optional[float]:
     return None
 
 
-def _spec_pwidth(spec: oracles.PolytopeSpec) -> float:
-    value = analytic_pwidth(spec)
-    if value is None:
-        value = pwidth([a.point for a in spec.enumerate_atoms()]).pwidth_estimate
-    return value
+def analytic_diameter(spec: oracles.PolytopeSpec) -> Optional[float]:
+    """Closed-form diameter where the polytope family has one."""
+    if isinstance(spec, oracles.Simplex):
+        return float(np.sqrt(2.0)) if spec.dimension >= 2 else 0.0
+    if isinstance(spec, oracles.Cube):
+        return float(np.sqrt(spec.dimension))
+    if isinstance(spec, oracles.L1Ball):
+        return 2.0 * spec.radius
+    return None
+
+
+def polytope_diameter(spec: oracles.PolytopeSpec) -> float:
+    """Closed-form diameter, else the farthest pair of atoms (``EnumerationError`` past the cap)."""
+    M = analytic_diameter(spec)
+    return _diameter(np.stack([a.point for a in spec.enumerate_atoms()])) if M is None else M
+
+
+def _spec_constants(spec: oracles.PolytopeSpec) -> Tuple[float, float]:
+    """(M, delta) of a spec: closed forms where known, else from one enumeration of its atoms."""
+    M, delta = analytic_diameter(spec), analytic_pwidth(spec)
+    if M is None or delta is None:
+        mat = np.stack([a.point for a in spec.enumerate_atoms()])
+        M = _diameter(mat) if M is None else M
+        delta = pwidth(mat).pwidth_estimate if delta is None else delta
+    return M, delta
+
+
+def _curvature(obj: Objective) -> Tuple[float, float]:
+    if not isinstance(obj, QuadraticObjective):
+        raise TypeError("exact constants are only available for quadratics")
+    return obj.smoothness, obj.strong_convexity
+
+
+def exact_constants(obj: Objective, spec: oracles.PolytopeSpec) -> Tuple[float, float, float]:
+    """(L, mu, M): extreme eigenvalues of Q and the polytope diameter."""
+    return (*_curvature(obj), polytope_diameter(spec))
 
 
 def eccentricity(spec: oracles.PolytopeSpec) -> float:
     """(diameter / pyramidal width)^2 of the domain."""
-    return float((polytope_diameter(spec) / _spec_pwidth(spec)) ** 2)
+    M, delta = _spec_constants(spec)
+    return float((M / delta) ** 2)
 
 
 def linear_rate(variant, mu: float, L: float, delta: float, M: float) -> Optional[float]:
@@ -337,11 +379,13 @@ def linear_rate(variant, mu: float, L: float, delta: float, M: float) -> Optiona
 
     With base = mu delta^2 / (L M^2), AFW and FCFW contract by base / 4,
     and so does MNP, an FCFW whose correction is Wolfe's cycle; PFW by
-    min(1/2, base).  Plain FW has no linear rate (None).
+    min(1/2, base).  Plain FW has no linear rate (None); L M^2 = 0 raises ``ValueError``.
     """
     variant = solvers.Variant(variant)
     if variant is solvers.Variant.FW:
         return None
+    if not L * M ** 2 > 0:
+        raise ValueError(f"Theorem 1's rate needs L * M^2 > 0, got L = {L} and M = {M}")
     base = mu * delta ** 2 / (L * M ** 2)
     return min(0.5, base) if variant is solvers.Variant.PFW else base / 4.0
 
@@ -360,7 +404,7 @@ class RateConstants:
 
 def rate_constant(obj: Objective, spec: oracles.PolytopeSpec) -> RateConstants:
     """Theoretical contraction factors from (mu, L) and (delta, M)."""
-    L, mu, M = exact_constants(obj, spec)
-    delta = _spec_pwidth(spec)
+    L, mu = _curvature(obj)
+    M, delta = _spec_constants(spec)
     afw, pfw = (linear_rate(variant, mu, L, delta, M) for variant in ("AFW", "PFW"))
     return RateConstants(afw=afw, pfw=pfw, mu=mu, L=L, delta=delta, diameter=M)

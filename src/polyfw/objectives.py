@@ -1,4 +1,4 @@
-"""Smooth convex objectives and their exact constants.
+"""Smooth convex objectives and their constants L and mu (the polytope's are in ``geometry``).
 
 The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
@@ -28,8 +28,6 @@ import logging
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from polyfw import oracles
 
 LOGGER = logging.getLogger(__name__)
 Corral = Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray, np.ndarray]  # ids, rows, images, H
@@ -278,45 +276,3 @@ class QuadraticState(ObjectiveState):
         else:
             self.move_to(it.x, Qx)
 
-
-def analytic_diameter(spec: oracles.PolytopeSpec) -> Optional[float]:
-    """Closed-form diameter where the polytope family has one."""
-    if isinstance(spec, oracles.Simplex):
-        return float(np.sqrt(2.0)) if spec.dimension >= 2 else 0.0
-    if isinstance(spec, oracles.Cube):
-        return float(np.sqrt(spec.dimension))
-    if isinstance(spec, oracles.L1Ball):
-        return 2.0 * spec.radius
-    return None
-
-
-def polytope_diameter(spec: oracles.PolytopeSpec) -> float:
-    """Diameter: analytic where known, else max pairwise atom distance.
-
-    The latter enumerates the atoms, so a spec above ``ENUMERATION_CAP``
-    raises ``EnumerationError``, a ``ValueError``.
-    """
-    analytic = analytic_diameter(spec)
-    if analytic is not None:
-        return analytic
-    mat = np.stack([a.point for a in spec.enumerate_atoms()])
-    best = 0.0
-    block = 512
-    for lo in range(0, mat.shape[0], block):
-        chunk = mat[lo : lo + block]
-        d2 = (
-            np.sum(chunk ** 2, axis=1)[:, None]
-            + np.sum(mat ** 2, axis=1)[None, :]
-            - 2.0 * chunk @ mat.T
-        )
-        best = max(best, float(np.max(d2)))
-    return float(np.sqrt(max(best, 0.0)))
-
-
-def exact_constants(
-    obj: Objective, spec: oracles.PolytopeSpec
-) -> Tuple[float, float, float]:
-    """(L, mu, M): extreme eigenvalues of Q and the polytope diameter."""
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("exact constants are only available for quadratics")
-    return obj.smoothness, obj.strong_convexity, polytope_diameter(spec)

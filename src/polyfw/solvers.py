@@ -428,7 +428,7 @@ def solve(
     f0 = state.value
     trace = RunTrace()
     by_line_search = config.variant in (Variant.FW, Variant.AFW, Variant.PFW)
-    pool: Optional[Dict[bytes, np.ndarray]] = it.atoms()
+    pool: Optional[Dict[bytes, np.ndarray]] = {}  # FCFW's; fcfw_correction adds the iterate's atoms
     exit_status = "max_iter"
     error = None
     final_gap = np.nan

@@ -25,7 +25,8 @@ from polyfw.bench import (
     run_experiment,
 )
 from polyfw.core import ActiveIterate, Atom, StepKind
-from polyfw.objectives import QuadraticObjective, exact_constants
+from polyfw.geometry import exact_constants
+from polyfw.objectives import QuadraticObjective
 from polyfw.oracles import (
     BasePolytope,
     Cube,

@@ -408,6 +408,19 @@ def test_store_rows_dot_is_matmul_bit_for_bit(k, d, seed, scale):
     assert rows.dot(vec).tobytes() == (rows @ vec).tobytes()
 
 
+def test_store_keeps_its_rows_and_doubles_on_the_first_append():
+    """A new iterate's store is the rows it was given, made read-only; the first append
+    doubles it, and the rows already there keep their positions and products."""
+    points = np.random.default_rng(7).standard_normal((8, 5))
+    it = ActiveIterate([atom_key(p) for p in points], points, np.full(8, 0.125))
+    assert it._store.rows is points and not points.flags.writeable
+    vec = np.random.default_rng(8).standard_normal(5)
+    dots = it.atom_dots(vec).tobytes()
+    nxt = apply_fw_step(it, Atom(np.ones(5)), 0.5)
+    assert nxt._store.rows.shape == (16, 5)
+    assert nxt.atom_dots(vec)[:8].tobytes() == dots == it.atom_dots(vec).tobytes()
+
+
 STEP_PATH = [
     solvers.solve, solvers.away_atom, solvers._line_search_step, QuadraticState.move_to,
     QuadraticState.line_search, QuadraticState.advance, ActiveIterate.atom_dots, apply_fw_step,

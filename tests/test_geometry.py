@@ -8,28 +8,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfw.geometry import (
     _bits,
     _contains,
+    _diameter,
     _face_lattice,
     _slab_bounds,
+    analytic_diameter,
     analytic_pwidth,
     dirw,
     eccentricity,
     enumerate_faces,
+    exact_constants,
     linear_rate,
     pdirw,
+    polytope_diameter,
     pwidth,
     rate_constant,
 )
 from polyfw.bench import reference_optimum
 from polyfw.core import StepKind
-from polyfw.objectives import QuadraticObjective, polytope_diameter
-from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
+from polyfw.objectives import QuadraticObjective
+from polyfw.oracles import Cube, FlowDag, L1Ball, Simplex, VertexList
 from polyfw.solvers import SolverConfig, Variant, solve
 
 import oracles as ref
+from test_oracles import _layered_arcs
 
 
 def points_of(spec):
@@ -338,6 +345,73 @@ def test_rate_constant_identity_cube3():
     rc = rate_constant(identity_obj(3), Cube(3))
     assert rc.afw == pytest.approx(1.0 / 36.0)
     assert rc.pfw == pytest.approx(min(0.5, 1.0 / 9.0))
+
+
+def test_exact_constants_against_eigensolve():
+    rng = np.random.default_rng(305)
+    A = rng.standard_normal((8, 5))
+    f = QuadraticObjective.least_squares(A, rng.standard_normal(8))
+    L, mu, M = exact_constants(f, Simplex(5))
+    eigs = np.linalg.eigvalsh(2.0 * A.T @ A)
+    assert L == pytest.approx(float(eigs[-1]), rel=1e-10)
+    assert mu == pytest.approx(float(eigs[0]), abs=1e-8)
+    assert M == pytest.approx(np.sqrt(2.0))
+
+
+def test_exact_constants_pinned_diameters():
+    f = QuadraticObjective(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))
+    assert exact_constants(f, Cube(4))[2] == pytest.approx(2.0)
+    g = QuadraticObjective(np.eye(3), np.zeros(3))
+    assert exact_constants(g, L1Ball(3, 5.0))[2] == pytest.approx(10.0)
+    assert exact_constants(f, Simplex(4))[0] == pytest.approx(4.0)
+    assert exact_constants(f, Simplex(4))[1] == pytest.approx(1.0)
+
+
+def test_analytic_diameter_matches_enumerated():
+    specs = [Simplex(4), Cube(3), L1Ball(3, 2.5)]
+    for spec in specs:
+        assert analytic_diameter(spec) == pytest.approx(_diameter(np.stack(points_of(spec))))
+    v = VertexList([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+    assert analytic_diameter(v) is None
+    assert polytope_diameter(v) == pytest.approx(5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       offset=st.sampled_from([0.0, 1e2, 1e4, 1e6, 1e8]))
+def test_diameter_keeps_its_digits_under_translation(n, d, seed, offset):
+    """The diameter of translated atoms is the largest pairwise norm of the stored rows."""
+    rows = np.random.default_rng(seed).standard_normal((n, d)) + offset
+    expected = max(float(np.linalg.norm(a - b)) for a in rows for b in rows)
+    assert abs(polytope_diameter(VertexList(rows)) - expected) <= 1e-12 * expected
+
+
+def test_translated_triangle_keeps_its_rate_constants():
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for offset in (0.0, 1e8):
+        spec = VertexList(triangle + offset)
+        assert eccentricity(spec) == pytest.approx(4.0, rel=1e-12)
+        assert rate_constant(identity_obj(2), spec).afw == pytest.approx(0.0625, rel=1e-12)
+
+
+@pytest.mark.parametrize("constant", [eccentricity, lambda d: rate_constant(identity_obj(8), d)],
+                         ids=["eccentricity", "rate_constant"])
+def test_constants_enumerate_a_spec_once(constant, monkeypatch):
+    calls = []
+    enumerate_atoms = FlowDag.enumerate_atoms
+    monkeypatch.setattr(FlowDag, "enumerate_atoms",
+                        lambda self: calls.append(self) or enumerate_atoms(self))
+    constant(FlowDag(_layered_arcs(2, 3)))
+    assert len(calls) == 1
+
+
+def test_linear_rate_refuses_zero_curvature_or_diameter():
+    """Theorem 1 gives no rate when L M^2 = 0; a NaN base must not pass as pfw = min(1/2, nan)."""
+    with pytest.raises(ValueError, match=r"L = 0\.0 and M = 1\.41"):
+        rate_constant(QuadraticObjective(np.zeros((3, 3)), [1, 0, 0]), Simplex(3))
+    with pytest.raises(ValueError, match=r"L = 1\.0 and M = 0\.0"):
+        linear_rate("PFW", 1.0, 1.0, 1.0, 0.0)
+    assert linear_rate("FW", 0.0, 0.0, 1.0, 0.0) is None
 
 
 def test_linear_rate_table():

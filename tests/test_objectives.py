@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from polyfw.core import ActiveIterate, Atom, atom_key
-from polyfw.objectives import (
-    Objective,
-    QuadraticObjective,
-    QuadraticState,
-    analytic_diameter,
-    exact_constants,
-    polytope_diameter,
-)
-from polyfw.oracles import Cube, FlowDag, L1Ball, Simplex, VertexList
+from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
+from polyfw.oracles import FlowDag
 from polyfw.solvers import SolverConfig, Variant, solve
 
 
@@ -142,7 +135,7 @@ def test_line_search_rejects_infinite_gamma_max():
 def test_descent_lemma_and_strong_convexity():
     rng = np.random.default_rng(304)
     f = _random_quadratic(rng, 6)
-    L, mu, _ = exact_constants(f, Simplex(6))
+    L, mu = f.smoothness, f.strong_convexity
     for _ in range(100):
         x = rng.standard_normal(6)
         d = rng.standard_normal(6)
@@ -153,35 +146,6 @@ def test_descent_lemma_and_strong_convexity():
         quad_term = 0.5 * float(np.dot(y - x, y - x))
         assert f.value(y) <= linear + L * quad_term + 1e-9
         assert f.value(y) >= linear + mu * quad_term - 1e-9
-
-
-def test_exact_constants_against_eigensolve():
-    rng = np.random.default_rng(305)
-    A = rng.standard_normal((8, 5))
-    f = QuadraticObjective.least_squares(A, rng.standard_normal(8))
-    L, mu, M = exact_constants(f, Simplex(5))
-    eigs = np.linalg.eigvalsh(2.0 * A.T @ A)
-    assert L == pytest.approx(float(eigs[-1]), rel=1e-10)
-    assert mu == pytest.approx(float(eigs[0]), abs=1e-8)
-    assert M == pytest.approx(np.sqrt(2.0))
-
-
-def test_exact_constants_pinned_diameters():
-    f = QuadraticObjective(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))
-    assert exact_constants(f, Cube(4))[2] == pytest.approx(2.0)
-    g = QuadraticObjective(np.eye(3), np.zeros(3))
-    assert exact_constants(g, L1Ball(3, 5.0))[2] == pytest.approx(10.0)
-    assert exact_constants(f, Simplex(4))[0] == pytest.approx(4.0)
-    assert exact_constants(f, Simplex(4))[1] == pytest.approx(1.0)
-
-
-def test_analytic_diameter_matches_enumerated():
-    specs = [Simplex(4), Cube(3), L1Ball(3, 2.5)]
-    for spec in specs:
-        assert analytic_diameter(spec) == pytest.approx(polytope_diameter(spec))
-    v = VertexList([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
-    assert analytic_diameter(v) is None
-    assert polytope_diameter(v) == pytest.approx(5.0)
 
 
 def test_distance_to_objective():

@@ -9,7 +9,7 @@ import pytest
 
 import oracles as ref
 from polyfw.core import Atom
-from polyfw.objectives import polytope_diameter
+from polyfw.geometry import polytope_diameter
 from polyfw.oracles import (
     BasePolytope,
     Cube,

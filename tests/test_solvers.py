@@ -1027,6 +1027,16 @@ def test_major_cycle_reads_h_from_the_kept_corral():
     assert np.abs(ends[1] - ends[0]).max() > 0.01
 
 
+def test_major_cycle_iterate_shares_the_corral_rows():
+    """The iterate a major cycle returns keeps the corral's rows, read-only, with no copy."""
+    atoms = [Atom(p) for p in np.eye(3)]
+    it = ActiveIterate.from_atom(atoms[0])
+    state = QuadraticObjective.distance_to(np.array([0.5, 0.3, 0.2])).start(it)
+    for atom in atoms[1:]:
+        it = mnp_correction(state, it, atom).iterate
+        assert it._store.rows is state.corral[1] and not it._store.rows.flags.writeable
+
+
 @pytest.mark.parametrize("case", ["flowdag", "lasso", "triangle"])
 def test_kept_corral_traces_match_a_corral_built_every_cycle(case, monkeypatch):
     """MNP and FCFW write the same bytes when every major cycle builds its corral afresh."""
