@@ -57,9 +57,10 @@ class RateFit:
 class ExperimentConfig:
     """One benchmark request: a problem recipe plus solver settings.
 
-    Construction checks the settings and the problem's kind, then builds
-    the problem once with the kind's builder (``PROBLEMS``), which reads
-    and type-checks each key and, with its generator, checks the values.
+    Construction checks the settings, through the ``SolverConfig`` each
+    variant's runs use, and the problem's kind, then builds the problem
+    once with the kind's builder (``PROBLEMS``), which reads and
+    type-checks each key and, with its generator, checks the values.
     ``built`` holds what the runs need, so a bad input fails here, before
     ``run_experiment`` writes anything.
     """
@@ -78,11 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"experiment name must be a single path component, not {self.name!r}")
         if not self.variants:
             raise ValueError("variants list must be nonempty")
-        self.variants = [Variant(str(v).upper()).value for v in self.variants]
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        self.variants = [SolverConfig(v, self.epsilon, self.max_iter).variant.value
+                         for v in self.variants]
         kind = json_field(self.problem, "kind", str, "problem")
         if kind not in PROBLEMS:
             raise ValueError(f"unknown problem kind {kind!r}")

@@ -26,9 +26,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the problem rng_seed")
     run_p.add_argument("--max-iter", type=int, default=None, help="override max_iter")
     run_p.add_argument("--epsilon", type=float, default=None, help="override epsilon")
+    run_p.set_defaults(handler=_cmd_run)
 
     pw_p = sub.add_parser("pwidth", help="compute the pyramidal width of a vertex CSV")
     pw_p.add_argument("vertices_csv", help="CSV matrix, one atom per row")
+    pw_p.set_defaults(handler=_cmd_pwidth)
 
     rate_p = sub.add_parser("rate", help="fit a log-linear rate to a trace CSV")
     rate_p.add_argument("trace_csv", help="trace file written by `polyfw run`")
@@ -45,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optimal value, required for f_gap_to_opt",
     )
     rate_p.add_argument("--floor", type=float, default=0.0, help="truncate values at this floor")
+    rate_p.set_defaults(handler=_cmd_rate)
     return parser
 
 
@@ -88,13 +91,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "pwidth":
-        return _cmd_pwidth(args)
-    if args.command == "rate":
-        return _cmd_rate(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return args.handler(args)
 
 
 if __name__ == "__main__":

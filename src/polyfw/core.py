@@ -323,14 +323,12 @@ def apply_fw_step(
     return _advance(it, ids, w, rows, store, x_new)
 
 
-def apply_away_step(
-    it: ActiveIterate, v: bytes, gamma: float, gamma_max: float
-) -> Tuple[ActiveIterate, bool]:
+def apply_away_step(it: ActiveIterate, v: bytes, gamma: float) -> Tuple[ActiveIterate, bool]:
     """Move away from active atom ``v``: x <- x + gamma (x - v).
 
-    gamma_max must equal alpha_v / (1 - alpha_v); at gamma = gamma_max
-    the atom is removed exactly (a drop step).  Returns the new iterate
-    and whether the step was a drop.
+    The step's limit is gamma_max = alpha_v / (1 - alpha_v); at gamma =
+    gamma_max the atom is removed exactly (a drop step).  Returns the new
+    iterate and whether the step was a drop.
     """
     j = it.index(v)
     if j is None:
@@ -338,10 +336,7 @@ def apply_away_step(
     alpha = float(it.w[j])
     if len(it) == 1 or alpha >= 1.0:
         raise FullWeightAwayError("cannot step away from a full-weight atom")
-    limit = alpha / (1.0 - alpha)
-    if abs(gamma_max - limit) > 1e-9 * (1.0 + limit):
-        raise ValueError("gamma_max does not match alpha_v / (1 - alpha_v)")
-    gamma_max = limit
+    gamma_max = alpha / (1.0 - alpha)
     if not 0.0 <= gamma <= gamma_max * (1.0 + 1e-12):
         raise ValueError(f"gamma {gamma} outside [0, {gamma_max}]")
     if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):

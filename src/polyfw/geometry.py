@@ -61,15 +61,6 @@ def _diameter(mat: np.ndarray) -> float:
     return float(np.sqrt(max(float(d2.max()) for d2 in blocks)))
 
 
-def _distinct(rows: np.ndarray) -> Dict[bytes, Tuple[Atom, int]]:
-    """Each atom id among ``rows`` (keyed once), with the ``Atom`` and index of its first row."""
-    first: Dict[bytes, Tuple[Atom, int]] = {}
-    for k, row in enumerate(rows):
-        atom = Atom(row)
-        first.setdefault(atom.id, (atom, k))
-    return first
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first LP rather than with the module."""
     from scipy.optimize import linprog
@@ -244,7 +235,7 @@ def _facial_pair(mat, face: List[int], obj: QuadraticObjective) -> Tuple[np.ndar
     """
     inside = set(face)
     others = [j for j in range(mat.shape[0]) if j not in inside]
-    first = _distinct((mat[face, None] - mat[others]).reshape(-1, mat.shape[1]))
+    first = oracles._intern(map(Atom, (mat[face, None] - mat[others]).reshape(-1, mat.shape[1])))
     spec = oracles.VertexList._of_atoms([atom for atom, _ in first.values()])
     # MNP ends on the exact minimizer of its final active set, so its FW
     # gap reaches rounding scale; this bound keeps |a - b| exact to ~1e-12.
@@ -291,7 +282,7 @@ def pwidth(atoms) -> WidthReport:
     that does not converge raises ``RuntimeError``.
     """
     mat = _atom_matrix(atoms)
-    mat = mat[[k for _, k in _distinct(mat).values()]]
+    mat = mat[[k for _, k in oracles._intern(map(Atom, mat)).values()]]
     if mat.shape[0] == 1:
         raise ValueError("pyramidal width is undefined for a single point")
     faces, proj, facets, normals = _face_lattice(mat)

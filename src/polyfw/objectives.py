@@ -176,22 +176,22 @@ class QuadraticObjective(Objective):
     def start(self, it) -> "QuadraticState":
         return QuadraticState(self, it)
 
-    def value(self, x) -> float:
+    def _checked(self, x) -> np.ndarray:
+        """``x`` as a float64 array, which must have shape (d,)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dimension,):
             raise ValueError("x has the wrong dimension")
+        return x
+
+    def value(self, x) -> float:
+        x = self._checked(x)
         return float(0.5 * x @ (self.Q @ x) + self.b @ x + self.c)
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dimension,):
-            raise ValueError("x has the wrong dimension")
-        return self.Q @ x + self.b
+        return self.Q @ self._checked(x) + self.b
 
     def value_and_gradient(self, x) -> Tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dimension,):
-            raise ValueError("x has the wrong dimension")
+        x = self._checked(x)
         Qx = self.Q @ x
         return float(0.5 * x @ Qx + self.b @ x + self.c), Qx + self.b
 

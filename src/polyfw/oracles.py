@@ -1,9 +1,11 @@
 """Linear minimization oracles over structured polytopes.
 
 Each feasible region is described by a ``PolytopeSpec``.  Solvers touch
-the region only through ``lmo`` (exact argmin of a linear function over
-the atom set, with deterministic tie-breaking) and, for small
-instances, ``enumerate_atoms``.  ``lmo`` checks r and calls ``_lmo``, which solvers call directly.
+the region only through its oracle: ``lmo`` (exact argmin of a linear
+function over the atom set, with deterministic tie-breaking) checks r
+and calls ``_lmo``, which solvers call directly.  ``enumerate_atoms``
+lists a small instance's atoms for ``geometry``'s constants and the
+benchmark's starting points.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ class EnumerationError(ValueError):
     """Atom enumeration requested on a spec with too many atoms."""
 
 
-def _intern(atoms: Iterable[Atom]) -> List[Atom]:
-    """The first atom of each id, in order."""
-    first: Dict[bytes, Atom] = {}
-    for atom in atoms:
-        first.setdefault(atom.id, atom)
-    return list(first.values())
+def _intern(atoms: Iterable[Atom]) -> Dict[bytes, Tuple[Atom, int]]:
+    """Each atom id, in order of first sight, with the first atom of that id and its position."""
+    first: Dict[bytes, Tuple[Atom, int]] = {}
+    for k, atom in enumerate(atoms):
+        first.setdefault(atom.id, (atom, k))
+    return first
 
 
 class PolytopeSpec:
@@ -63,7 +65,7 @@ class PolytopeSpec:
         count = self.atom_count()
         if count > ENUMERATION_CAP:
             raise EnumerationError(f"spec has {count} atoms, above the {ENUMERATION_CAP} cap")
-        return _intern(self._atoms())
+        return [atom for atom, _ in _intern(self._atoms()).values()]
 
     def _atoms(self) -> Iterable[Atom]:
         """The atoms in enumeration order, repeats allowed; only called under the cap."""
@@ -376,7 +378,7 @@ class BasePolytope(PolytopeSpec):
         if self._enumerated is None:
             if math.factorial(self.dimension) > ENUMERATION_CAP:
                 raise EnumerationError("too many greedy orderings to enumerate")
-            self._enumerated = _intern(self._atoms())
+            self._enumerated = [atom for atom, _ in _intern(self._atoms()).values()]
         return list(self._enumerated)
 
     def _atoms(self) -> Iterable[Atom]:

@@ -205,7 +205,7 @@ def fcfw_correction(
             break
         f_before = state.value
         if wolfe:
-            z_next, passes, _ = _wolfe_step(state, z, atoms[i_s])
+            z_next, passes = _wolfe_step(state, z, atoms[i_s])
         else:
             to_s = atoms[i_s].point - z.x
             step = _line_search_step(
@@ -262,9 +262,7 @@ def _corral_with(corral: Corral, atom_id: bytes, point: np.ndarray, image: np.nd
     return ids + (atom_id,), matrix, images, grown
 
 
-def _wolfe_step(
-    state: QuadraticState, it: ActiveIterate, atom: Atom
-) -> Tuple[ActiveIterate, int, float]:
+def _wolfe_step(state: QuadraticState, it: ActiveIterate, atom: Atom) -> Tuple[ActiveIterate, int]:
     """Wolfe's major cycle: add ``atom`` to the corral, then run the minor cycle.
 
     The corral (``QuadraticState.corral``: rows, images Q a_i and Gram
@@ -275,8 +273,8 @@ def _wolfe_step(
     hull.  A minimizer inside its convex hull ends the cycle; otherwise the
     weights move toward it until some vanish, and those atoms leave with
     their rows of H: at most one pass per atom.  ``state`` moves to the
-    result through the images, with no product by Q.  Returns the iterate,
-    the number of passes and the iterate's away gap.
+    result through the images, with no product by Q.  Returns the iterate
+    and the number of passes.
     """
     corral, state.corral = state.corral, None  # freed as this cycle replaces its arrays
     if corral is None or corral[0] != it.ids:  # build it from the empty corral
@@ -310,9 +308,7 @@ def _wolfe_step(
     x_new = beta @ matrix
     state.move_to(x_new, beta @ images)
     state.corral = ids, matrix, images, H
-    grad = state.grad
-    away_gap = float((matrix @ grad).max() - grad @ x_new)
-    return ActiveIterate(ids, matrix, beta, x_new), passes, away_gap
+    return ActiveIterate(ids, matrix, beta, x_new), passes
 
 
 def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:
@@ -327,7 +323,8 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
     """
     if not isinstance(state, QuadraticState):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
-    out, passes, away_gap = _wolfe_step(state, it, s)
+    out, passes = _wolfe_step(state, it, s)
+    _, away_gap = away_atom(out, state.grad)
     if away_gap > MNP_AWAY_GAP_LIMIT:  # the bound is only formed for a gap above its floor
         grad_terms = float(np.max(np.abs(state.Qx) + np.abs(state.b)))
         limit = MNP_AWAY_GAP_LIMIT * max(1.0, float(np.max(np.abs(out.matrix()))) * grad_terms)
@@ -381,7 +378,7 @@ def _line_search_step(
     if kind is StepKind.FW:
         it = apply_fw_step(it, s, gamma, fw_dir)
     elif kind is StepKind.AWAY:
-        it, dropped = apply_away_step(it, v_id, gamma, gamma_max)
+        it, dropped = apply_away_step(it, v_id, gamma)
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
         it, kind = apply_pairwise_step(it, v_id, s, gamma)

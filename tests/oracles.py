@@ -407,10 +407,11 @@ def pwidth_all_faces(atoms):
     facial pair (the first in ``enumerate_faces`` order among ties), and
     ``distances``, each proper face's distance keyed by the face.
     """
-    from polyfw.geometry import _atom_matrix, _distinct, _facial_pair, enumerate_faces
+    from polyfw.core import Atom
+    from polyfw.geometry import _atom_matrix, _facial_pair, enumerate_faces
 
     mat = _atom_matrix(atoms)
-    mat = mat[[k for _, k in _distinct(mat).values()]]
+    mat = mat[[k for _, k in oracles._intern(map(Atom, mat)).values()]]
     faces = enumerate_faces(mat)
     obj = QuadraticObjective.distance_to(np.zeros(mat.shape[1]))
     solved = [(face,) + _facial_pair(mat, sorted(face), obj)

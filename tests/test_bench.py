@@ -383,6 +383,10 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="epsilon"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["AFW"],
                          epsilon=-1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["AFW"], max_iter=0)
+    with pytest.raises(ValueError, match="XFW"):
+        ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["XFW"])
     with pytest.raises(ValueError, match="rank < d"):
         ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 4, "rng_seed": 1}, ["AFW"])
     with pytest.raises(ValueError, match="missing 'k'"):

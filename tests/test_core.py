@@ -77,7 +77,7 @@ def test_fw_step_zero_is_identity():
 
 def test_away_step_drop_is_exact():
     it = ActiveIterate.from_weights({V1: 0.2, V2: 0.8})
-    out, dropped = apply_away_step(it, V1.id, 0.25, 0.25)
+    out, dropped = apply_away_step(it, V1.id, 0.25)
     assert dropped
     assert weights_of(out) == {V2.id: 1.0}
     assert V1.id not in out.weights
@@ -85,22 +85,25 @@ def test_away_step_drop_is_exact():
 
 def test_away_step_interior():
     it = ActiveIterate.from_weights({V1: 0.5, V2: 0.5})
-    out, dropped = apply_away_step(it, V1.id, 0.5, 1.0)
+    out, dropped = apply_away_step(it, V1.id, 0.5)
     assert not dropped
     assert weights_of(out) == pytest.approx({V1.id: 0.25, V2.id: 0.75})
 
 
 def test_away_step_zero_is_identity():
     it = ActiveIterate.from_weights({V1: 0.2, V2: 0.8})
-    out, dropped = apply_away_step(it, V1.id, 0.0, 0.25)
+    out, dropped = apply_away_step(it, V1.id, 0.0)
     assert not dropped
     assert weights_of(out) == pytest.approx(weights_of(it))
 
 
-def test_away_step_validates_gamma_max():
-    it = ActiveIterate.from_weights({V1: 0.2, V2: 0.8})
-    with pytest.raises(ValueError):
-        apply_away_step(it, V1.id, 0.1, 0.5)  # 0.5 != 0.2/0.8
+def test_away_step_rejects_gamma_past_its_limit():
+    it = ActiveIterate.from_weights({V1: 0.2, V2: 0.8})  # limit 0.2/0.8 = 0.25
+    for gamma in (0.25 * (1.0 + 1e-11), 0.3, -1e-3):
+        with pytest.raises(ValueError, match="outside"):
+            apply_away_step(it, V1.id, gamma)
+    out, dropped = apply_away_step(it, V1.id, 0.25 * (1.0 + 1e-13))  # within rounding: a drop
+    assert dropped and weights_of(out) == {V2.id: 1.0}
 
 
 def test_pairwise_swap():
@@ -154,9 +157,7 @@ def test_random_step_sequences_keep_invariants():
                 v = active[rng.integers(len(active))]
                 alpha = it.weights[v]
                 gmax = alpha / (1.0 - alpha)
-                it, _ = apply_away_step(
-                    it, v, float(rng.uniform(0, 1)) * gmax, gmax
-                )
+                it, _ = apply_away_step(it, v, float(rng.uniform(0, 1)) * gmax)
             elif len(active) >= 1:
                 v = active[rng.integers(len(active))]
                 s = atoms[rng.integers(len(atoms))]
@@ -278,11 +279,11 @@ def test_step_primitives_match_reference_model(start, ops):
             alpha = it.weights[v]
             if len(active) == 1 or alpha >= 1.0:
                 with pytest.raises(FullWeightAwayError):
-                    apply_away_step(it, v, 0.0, 1.0)
+                    apply_away_step(it, v, 0.0)
                 continue
             gmax = alpha / (1.0 - alpha)
             gamma = share * gmax
-            it, dropped = apply_away_step(it, v, gamma, gmax)
+            it, dropped = apply_away_step(it, v, gamma)
             expected, ref_dropped = ref.ref_away_step(expected, v, gamma)
             assert dropped is ref_dropped is (gmax - gamma <= GAMMA_SNAP * max(1.0, gmax))
             assert (v in it.weights) is not dropped
