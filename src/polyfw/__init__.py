@@ -30,11 +30,9 @@ from polyfw.geometry import (
     RateConstants,
     WidthReport,
     analytic_pwidth,
-    dirw,
     eccentricity,
     enumerate_faces,
     exact_constants,
-    pdirw,
     pwidth,
     rate_constant,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "apply_away_step",
     "apply_fw_step",
     "apply_pairwise_step",
-    "dirw",
     "eccentricity",
     "enumerate_faces",
     "exact_constants",
@@ -82,7 +79,6 @@ __all__ = [
     "gen_lasso",
     "gen_rankdef",
     "gen_triangle",
-    "pdirw",
     "pwidth",
     "rate_constant",
     "reference_optimum",

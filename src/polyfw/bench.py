@@ -58,7 +58,8 @@ class ExperimentConfig:
     """One benchmark request: a problem recipe plus solver settings.
 
     Construction checks the settings, through the ``SolverConfig`` each
-    variant's runs use, and the problem's kind, then builds the problem
+    variant's runs use, that no variant is listed twice once its name is
+    normalised, and the problem's kind, then builds the problem
     once with the kind's builder (``PROBLEMS``), which reads and
     type-checks each key and, with its generator, checks the values.
     ``built`` holds what the runs need, so a bad input fails here, before
@@ -81,6 +82,9 @@ class ExperimentConfig:
             raise ValueError("variants list must be nonempty")
         self.variants = [SolverConfig(v, self.epsilon, self.max_iter).variant.value
                          for v in self.variants]
+        for i, variant in enumerate(self.variants):
+            if variant in self.variants[:i]:
+                raise ValueError(f"variant {variant} is listed more than once")
         kind = json_field(self.problem, "kind", str, "problem")
         if kind not in PROBLEMS:
             raise ValueError(f"unknown problem kind {kind!r}")

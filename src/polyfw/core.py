@@ -462,12 +462,12 @@ class RunTrace:
     outcome (initial objective value, exit status, final gap).
     """
 
-    def __init__(self, records: Iterable[StepRecord] = (), config_echo: Optional[Dict] = None,
-                 final_iterate: Optional[ActiveIterate] = None) -> None:
+    def __init__(self, records: Iterable[StepRecord] = (),
+                 config_echo: Optional[Dict] = None) -> None:
         self.columns: Dict[str, list] = {name: [] for name in FIELDS}
         self.records: Sequence[StepRecord] = _Records(self.columns)
         self.config_echo = {} if config_echo is None else config_echo
-        self.final_iterate = final_iterate
+        self.final_iterate: Optional[ActiveIterate] = None  # ``solve`` sets it
         for rec in records:
             self.append(*vars(rec).values())
 

@@ -1,28 +1,23 @@
 """Geometric quantities that govern Frank-Wolfe convergence rates.
 
-The pyramidal width of an atom set is the worst-case directional width
-of a "pyramid": the oracle atom for a feasible direction together with
-an active set that can represent the base point.  This module computes
-directional widths exactly, per-direction pyramidal widths exactly (via
-a sorted-prefix argument that avoids enumerating active sets), and the
-global pyramidal width exactly as the facial distance: the smallest
-distance between a proper face and the hull of the remaining atoms
-(Pena and Rodriguez, Math. Oper. Res. 2019), by min-norm-point solves
-and no LP.  A slab bound from the facet normals skips every face that
-cannot hold the minimum.  Its witness is the closest facial pair.  A face
-is a uint64 bitmask of its atoms: up to 64 atoms and 2^16 faces.
+The pyramidal width of an atom set is computed exactly as its facial
+distance: the smallest distance between a proper face and the hull of
+the remaining atoms (Pena and Rodriguez, Math. Oper. Res. 2019), by
+min-norm-point solves and no LP.  A slab bound from the facet normals
+skips every face that cannot hold the minimum.  Its witness is the
+closest facial pair.  A face is a uint64 bitmask of its atoms: up to 64
+atoms and 2^16 faces.
 The diameter M (``polytope_diameter``, exact to rounding however far the
 atoms are translated), ``exact_constants`` (L, mu, M) and Theorem 1's
 contraction factor ``linear_rate`` live here too; ``rate_constant``
 evaluates it for a quadratic from one enumeration of the atoms at most.
-scipy loads only on the first LP or face enumeration, not with the module.
+scipy loads only on the first face enumeration, not with the module.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +25,6 @@ from polyfw import oracles, solvers
 from polyfw.core import Atom
 from polyfw.objectives import Objective, QuadraticObjective
 
-PDIRW_ATOM_CAP = 16
 MASK_ATOMS = 64  # a face is a uint64 mask of its atoms, one bit each
 FACE_CAP = 2 ** 16
 _BITS = np.left_shift(np.uint64(1), np.arange(MASK_ATOMS, dtype=np.uint64))
@@ -62,65 +56,12 @@ def _diameter(mat: np.ndarray) -> float:
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first LP rather than with the module."""
+    """scipy.optimize.linprog, imported on first call.  No polyfw code calls it; the name
+    stays only because perfbench's tracer patches it, and ``perfbench/test_perfbench.py``
+    and ``test_traced_entry_points_are_module_globals`` read it."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
-
-
-def _contains(points: np.ndarray, x: np.ndarray) -> bool:
-    """LP feasibility of x in conv(rows of points)."""
-    n = points.shape[0]
-    A_eq = np.vstack([points.T, np.ones((1, n))])
-    b_eq = np.concatenate([x, [1.0]])
-    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, method="highs")
-    return res.status == 0
-
-
-def dirw(atoms, r) -> float:
-    """Directional width: max over atom pairs of <r/||r||, s - v>."""
-    mat = _atom_matrix(atoms)
-    r = np.asarray(r, dtype=np.float64)
-    nrm = float(np.linalg.norm(r))
-    if nrm == 0.0:
-        raise ValueError("direction must be nonzero")
-    dots = mat @ (r / nrm)
-    return float(np.max(dots) - np.min(dots))
-
-
-def _shortest_prefix(n: int, feasible: Callable[[int], bool]) -> Optional[int]:
-    """Smallest k in [1, n] with ``feasible(k)``, or None when ``feasible(n)`` fails.
-
-    Prefix feasibility is monotone in k, so a binary search needs only
-    log-many LPs after the one for the whole set.
-    """
-    return bisect.bisect_left(range(1, n), True, key=feasible) + 1 if feasible(n) else None
-
-
-def pdirw(atoms, r, x) -> float:
-    """Pyramidal directional width at base point x.
-
-    Equals the minimum over active sets S that can represent x of the
-    width of the pyramid with base S and summit the oracle atom for r.
-    Sorting atoms by decreasing projection onto r reduces the minimum to
-    finding the shortest prefix whose hull contains x: any admissible S
-    must reach at least that deep, and a representation supported inside
-    the prefix achieves it.
-    """
-    mat = _atom_matrix(atoms)
-    if mat.shape[0] > PDIRW_ATOM_CAP:
-        raise ValueError(f"exact pdirw is limited to {PDIRW_ATOM_CAP} atoms")
-    x = np.asarray(x, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    nrm = float(np.linalg.norm(r))
-    if nrm == 0.0:
-        raise ValueError("direction must be nonzero")
-    dots = mat @ (r / nrm)
-    order = np.argsort(-dots, kind="stable")
-    k = _shortest_prefix(len(order), lambda j: _contains(mat[order[:j]], x))
-    if k is None:
-        raise ValueError("x is not in the convex hull of the atoms")
-    return float(dots[order[0]] - dots[order[k - 1]])
 
 
 def _bits(masks: np.ndarray, n: int) -> np.ndarray:

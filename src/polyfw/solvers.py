@@ -354,8 +354,8 @@ def _initial_iterate(spec: PolytopeSpec, x0: Union[Atom, ActiveIterate, None]) -
 def _line_search_step(
     variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState,
     away: Tuple[bytes, float], fw_dir: np.ndarray, g_fw: float,
-) -> Optional[Tuple[ActiveIterate, StepKind, float, float, float]]:
-    """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max, away gap).
+) -> Optional[Tuple[ActiveIterate, StepKind, float, float]]:
+    """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max).
 
     ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x and ``g_fw``
     is <-grad, fw_dir>; the step moves ``state`` along.  None (a stall)
@@ -388,7 +388,7 @@ def _line_search_step(
                 return None  # a no-op: the next iteration would repeat it
             gamma = 0.0  # a snapped drop, which resyncs state
     state.advance(it, gamma)
-    return it, kind, gamma, gamma_max, away[1]
+    return it, kind, gamma, gamma_max
 
 
 def solve(
@@ -449,7 +449,8 @@ def solve(
             if step is None:
                 exit_status = "stall"
                 break
-            it, kind, gamma, gamma_max, away_record = step
+            it, kind, gamma, gamma_max = step
+            away_record = away[1]
         else:
             f_before = state.value
             try:

@@ -14,9 +14,13 @@ built from the spec's arc list, source and sink alone),
 ``face_lattice_reference`` (the face lattice closed by frozenset
 intersections) and ``pwidth_all_faces`` (the facial distance solved on
 every proper face).  ``corral_reference`` is the Gram matrix that Wolfe's
-major cycle formed from scratch before it kept its corral.
+major cycle formed from scratch before it kept its corral.  The LP helpers
+``_contains`` (hull membership) and ``_shortest_prefix`` (a binary search
+for the shortest feasible prefix) serve the curvature estimator and the
+width-witness checks.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -303,8 +307,8 @@ def pwidth_lp_witness(atoms, direction):
     <r, last of the prefix>.  Values at rounding scale are skipped.  The
     smallest value wins, and its base point is the prefix combination
     that puts the most weight on the prefix's last atom, which keeps it
-    off the shorter prefixes' hulls, so ``pdirw`` there finds the same
-    prefix.  Returns (value, face atoms, r, base point).
+    off the shorter prefixes' hulls, so ``pdirw_bruteforce`` there finds
+    the same prefix.  Returns (value, face atoms, r, base point).
     """
     from polyfw.geometry import enumerate_faces
 
@@ -603,8 +607,28 @@ from dataclasses import dataclass  # noqa: E402
 from typing import Optional  # noqa: E402
 
 from polyfw import oracles  # noqa: E402
-from polyfw.geometry import PDIRW_ATOM_CAP, _contains, _shortest_prefix  # noqa: E402
 from polyfw.objectives import Objective, QuadraticObjective  # noqa: E402
+
+
+ESTIMATE_ATOM_CAP = 16
+
+
+def _contains(points: np.ndarray, x: np.ndarray) -> bool:
+    """LP feasibility of x in conv(rows of points)."""
+    n = points.shape[0]
+    A_eq = np.vstack([points.T, np.ones((1, n))])
+    b_eq = np.concatenate([x, [1.0]])
+    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, method="highs")
+    return res.status == 0
+
+
+def _shortest_prefix(n: int, feasible) -> Optional[int]:
+    """Smallest k in [1, n] with ``feasible(k)``, or None when ``feasible(n)`` fails.
+
+    Prefix feasibility is monotone in k, so a binary search needs only
+    log-many LPs after the one for the whole set.
+    """
+    return bisect.bisect_left(range(1, n), True, key=feasible) + 1 if feasible(n) else None
 
 
 @dataclass
@@ -660,8 +684,8 @@ def estimate_affine_constants(
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     atoms = spec.enumerate_atoms()
-    if len(atoms) > PDIRW_ATOM_CAP:
-        raise ValueError(f"estimation needs at most {PDIRW_ATOM_CAP} atoms")
+    if len(atoms) > ESTIMATE_ATOM_CAP:
+        raise ValueError(f"estimation needs at most {ESTIMATE_ATOM_CAP} atoms")
     mat = np.stack([a.point for a in atoms])
     m, d = mat.shape
     rng = np.random.default_rng(seed)

@@ -387,6 +387,9 @@ def test_config_validation_errors():
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["AFW"], max_iter=0)
     with pytest.raises(ValueError, match="XFW"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["XFW"])
+    with pytest.raises(ValueError, match="variant AFW is listed more than once"):
+        ExperimentConfig("x", {"kind": "rankdef", "d": 6, "rank": 3, "rng_seed": 1},
+                         ["AFW", "PFW", "afw"])
     with pytest.raises(ValueError, match="rank < d"):
         ExperimentConfig("x", {"kind": "rankdef", "d": 4, "rank": 4, "rng_seed": 1}, ["AFW"])
     with pytest.raises(ValueError, match="missing 'k'"):
@@ -553,7 +556,7 @@ def concave(n, values):
     (concave(3, [[0], [1], [1], [1]]), []), (concave(3, []), []), (concave(3, [0, 1, 2]), []),
     (seeded(7.9), []), (seeded(True), []), ({"name": 7}, []), (TEXT_M, []), (REAL_STARTS, []),
     ({"max_iter": 20.9}, []), (TEXT_SPEC, []), (custom(A_csv="nan.csv"), []),
-    (custom(y_csv="inf.csv"), []),
+    (custom(y_csv="inf.csv"), []), ({"variants": ["AFW", "afw"]}, []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.

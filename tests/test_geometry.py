@@ -1,4 +1,4 @@
-"""Width machinery: directional widths, faces, pyramidal width, constants."""
+"""Width machinery: faces, pyramidal width, diameter, constants."""
 
 import os
 import subprocess
@@ -13,18 +13,15 @@ from hypothesis import strategies as st
 
 from polyfw.geometry import (
     _bits,
-    _contains,
     _diameter,
     _face_lattice,
     _slab_bounds,
     analytic_diameter,
     analytic_pwidth,
-    dirw,
     eccentricity,
     enumerate_faces,
     exact_constants,
     linear_rate,
-    pdirw,
     polytope_diameter,
     pwidth,
     rate_constant,
@@ -47,22 +44,11 @@ def identity_obj(d):
     return QuadraticObjective(np.eye(d), np.zeros(d))
 
 
-def test_dirw_pinned_examples():
-    assert dirw(points_of(Simplex(2)), np.array([1.0, -1.0])) == pytest.approx(np.sqrt(2))
-    assert dirw(points_of(Cube(2)), np.array([1.0, 0.0])) == pytest.approx(1.0)
-    assert dirw([np.array([3.0, 4.0])], np.array([1.0, 2.0])) == 0.0
-
-
-def test_dirw_rejects_zero_direction():
-    with pytest.raises(ValueError):
-        dirw(points_of(Cube(2)), np.zeros(2))
-
-
 def test_pdirw_pinned_examples():
     r = np.array([-1.0, -1.0]) / np.sqrt(2)
-    assert pdirw(points_of(Cube(2)), r, np.array([0.5, 0.5])) == pytest.approx(1 / np.sqrt(2))
-    assert pdirw(points_of(Simplex(2)), np.array([1.0, -1.0]),
-                 np.array([0.5, 0.5])) == pytest.approx(np.sqrt(2))
+    width, x = ref.pdirw_bruteforce, np.array([0.5, 0.5])
+    assert width(points_of(Cube(2)), r, x) == pytest.approx(1 / np.sqrt(2))
+    assert width(points_of(Simplex(2)), np.array([1.0, -1.0]), x) == pytest.approx(np.sqrt(2))
 
 
 def test_pdirw_at_vertex_base_point():
@@ -70,35 +56,7 @@ def test_pdirw_at_vertex_base_point():
     atoms = points_of(Cube(2))
     x = np.zeros(2)
     r = np.array([1.0, 0.0])
-    assert pdirw(atoms, r, x) == pytest.approx(1.0)
-
-
-def test_pdirw_rejects_outside_point():
-    with pytest.raises(ValueError):
-        pdirw(points_of(Cube(2)), np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-
-
-def test_pdirw_matches_bruteforce():
-    rng = np.random.default_rng(501)
-    for d, n in ((2, 4), (2, 5), (3, 5)):
-        for _ in range(6):
-            atoms = [rng.standard_normal(d) for _ in range(n)]
-            w = rng.dirichlet(np.ones(n) * 2.0)
-            x = sum(wi * a for wi, a in zip(w, atoms))
-            r = rng.standard_normal(d)
-            got = pdirw(atoms, r, x)
-            want = ref.pdirw_bruteforce(atoms, r, x)
-            assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_pdirw_never_exceeds_dirw():
-    rng = np.random.default_rng(502)
-    atoms = [rng.standard_normal(3) for _ in range(6)]
-    for _ in range(25):
-        w = rng.dirichlet(np.ones(6))
-        x = sum(wi * a for wi, a in zip(w, atoms))
-        r = rng.standard_normal(3)
-        assert pdirw(atoms, r, x) <= dirw(atoms, r) + 1e-12
+    assert ref.pdirw_bruteforce(atoms, r, x) == pytest.approx(1.0)
 
 
 def test_enumerate_faces_counts():
@@ -152,12 +110,13 @@ def witness_inputs():
 
 
 def test_pwidth_witness_reproduces_estimate():
-    # the cone-LP reference along the witness direction, and pdirw at its base point
+    # the cone-LP reference along the witness direction, and the subset-enumeration
+    # pyramidal directional width at its base point
     for atoms in witness_inputs():
         rep = pwidth(atoms)
         value, face, r, base = ref.pwidth_lp_witness(atoms, rep.witness["direction"])
         assert abs(value - rep.pwidth_estimate) <= 1e-12
-        assert abs(pdirw(face, r, base) - rep.pwidth_estimate) <= 1e-12
+        assert abs(ref.pdirw_bruteforce(face, r, base) - rep.pwidth_estimate) <= 1e-12
 
 
 def test_pwidth_witness_is_a_facial_pair_at_the_width():
@@ -167,8 +126,8 @@ def test_pwidth_witness_is_a_facial_pair_at_the_width():
         mat = np.array(atoms)
         a, b = np.array(w["face_point"]), np.array(w["other_point"])
         assert np.array_equal(mat[w["face_indices"]], np.array(w["face_atoms"]))
-        assert _contains(np.array(w["face_atoms"]), a)
-        assert _contains(np.delete(mat, w["face_indices"], axis=0), b)
+        assert ref._contains(np.array(w["face_atoms"]), a)
+        assert ref._contains(np.delete(mat, w["face_indices"], axis=0), b)
         assert abs(np.linalg.norm(a - b) - rep.pwidth_estimate) <= 1e-12
         assert np.allclose(np.array(w["direction"]) * rep.pwidth_estimate, a - b, atol=1e-15)
 
@@ -518,19 +477,13 @@ assert not loaded, loaded
     run_fresh(code, tmp_path / "runs")
 
 
-def test_scipy_optimize_loads_on_first_lp():
-    assert pdirw(points_of(Simplex(3)), np.eye(3)[0], np.full(3, 1 / 3)) == 1.0
+def test_pwidth_leaves_scipy_optimize_unloaded():
     code = """
 import sys
-import numpy as np
 from polyfw import geometry
-from polyfw.oracles import Cube, Simplex
-assert "scipy.optimize" not in sys.modules
+from polyfw.oracles import Cube
 geometry.pwidth([a.point for a in Cube(3).enumerate_atoms()])
 assert "scipy.optimize" not in sys.modules
-atoms = [a.point for a in Simplex(3).enumerate_atoms()]
-assert geometry.pdirw(atoms, np.eye(3)[0], np.full(3, 1 / 3)) == 1.0
-assert "scipy.optimize" in sys.modules
 """
     run_fresh(code)
 

@@ -1,4 +1,5 @@
-"""Module layering: each polyfw module imports only from the layers below it."""
+"""Module layering: each polyfw module imports only from the layers below it, and scipy
+only inside the functions that use it."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,40 @@ def test_module_imports_only_from_lower_layers(module):
     names = set(_polyfw_imports(SRC / f"{module}.py"))
     above = sorted(name for name in names if LAYER[name] >= LAYER[module])
     assert not above, f"polyfw.{module} (layer {LAYER[module]}) imports {above}"
+
+
+# Perfbench's tracer patches geometry.linprog; no polyfw code calls it or solves an LP.
+SCIPY_OPTIMIZE_ALLOWED = {("geometry", "linprog")}
+
+
+def _scipy_imports(path):
+    """(enclosing function or None, imported name) for each scipy import in ``path``."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name if owner is None else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            yield from ((owner, name) for name in names if name.split(".")[0] == "scipy")
+            yield from visit(child, owner)
+
+    return list(visit(ast.parse(path.read_text()), None))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy loads on first use, inside the function that needs it, never on import."""
+    top = sorted(f"{p.stem}: {name}" for p in SRC.glob("*.py")
+                 for owner, name in _scipy_imports(p) if owner is None)
+    assert not top, f"module-level scipy imports: {top}"
+
+
+def test_scipy_optimize_is_imported_only_by_the_linprog_hook():
+    found = {(p.stem, owner) for p in SRC.glob("*.py") for owner, name in _scipy_imports(p)
+             if name == "scipy.optimize" or name.startswith("scipy.optimize.")}
+    assert found <= SCIPY_OPTIMIZE_ALLOWED, sorted(found - SCIPY_OPTIMIZE_ALLOWED)
