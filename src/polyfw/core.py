@@ -134,11 +134,11 @@ class ActiveIterate:
     Invariants: every weight is positive, the weights sum to one within
     ``WEIGHT_SUM_TOL``, and the dense point ``x`` matches the weighted
     atom sum within ``DRIFT_LIMIT`` in infinity norm.  Instances are
-    value-like: step operations return new iterates and never write to
-    an existing iterate's arrays.
+    value-like: step operations return new iterates, and no method but
+    ``__init__`` writes to an iterate or its arrays.
     """
 
-    __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync", "_last")
+    __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync")
 
     def __init__(self, ids: Sequence[bytes], points, w, x: Optional[np.ndarray] = None) -> None:
         """Iterate with atoms ``points[i]`` (id ``ids[i]``) at weights ``w[i]``.
@@ -154,7 +154,6 @@ class ActiveIterate:
         self._store = _AtomStore(self.ids, points)
         self._rows = np.arange(len(self.ids))
         self._steps_since_sync = 0
-        self._last: Tuple[Optional[bytes], Optional[int]] = (None, None)
         self.x = self.synthesize() if x is None else np.asarray(x, dtype=np.float64)
 
     @classmethod
@@ -196,30 +195,14 @@ class ActiveIterate:
 
     def index(self, atom_id: bytes) -> Optional[int]:
         """Position of an atom in ``ids``, or None when it is not active."""
-        if self._last[0] is atom_id:  # a step looks up its away atom twice
-            return self._last[1]
         row = self._store.row_of.get(atom_id)
-        if row is None:
+        if row is None:  # most FW atoms are new to the store: no scan
             return None
         rows = self._rows.tolist()
-        self._last = (atom_id, rows.index(row) if row in rows else None)
-        return self._last[1]
-
-    def atom_point(self, atom_id: bytes) -> np.ndarray:
-        i = self.index(atom_id)
-        if i is None:
-            raise KeyError("atom is not active")
-        point = self._point(i)
-        point.flags.writeable = False
-        return point
+        return rows.index(row) if row in rows else None
 
     def _point(self, i: int) -> np.ndarray:
         return self._store.rows[self._rows[i]]
-
-    def atoms(self) -> Dict[bytes, np.ndarray]:
-        rows = self.matrix()
-        rows.flags.writeable = False
-        return dict(zip(self.ids, rows))
 
     def matrix(self) -> np.ndarray:
         """The active atoms as rows of a fresh k x d array."""
@@ -285,7 +268,7 @@ def _advance(
         w /= np.add.reduce(w)
     out = ActiveIterate.__new__(ActiveIterate)
     out.ids, out.w, out.x, out._store, out._rows = ids, w, x_new, store, rows
-    out._steps_since_sync, out._last = it._steps_since_sync + 1, (None, None)
+    out._steps_since_sync = it._steps_since_sync + 1
     if force_sync or out._steps_since_sync >= RESYNTH_PERIOD:
         out.x = out.synthesize()
         out._steps_since_sync = 0
@@ -493,12 +476,13 @@ class RunTrace:
     @classmethod
     def from_csv(cls, text: str) -> "RunTrace":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("trace is missing its JSON header line")
+        header = json.loads(lines[0][1:]) if lines and lines[0].startswith("#") else None
+        if not isinstance(header, dict):
+            raise ValueError("trace is missing its JSON object header line")
         body = lines[1:]
         if body and body[0].replace(" ", "") == CSV_COLUMNS:
             body = body[1:]
-        return cls(map(StepRecord.from_csv_row, body), json.loads(lines[0][1:].strip()))
+        return cls(map(StepRecord.from_csv_row, body), header)
 
     @classmethod
     def read_csv(cls, path) -> "RunTrace":

@@ -33,11 +33,7 @@ VALUE_FLOOR = 1e-12  # a facial distance below this times the diameter means a d
 
 
 def _atom_matrix(atoms) -> np.ndarray:
-    if isinstance(atoms, np.ndarray):
-        mat = np.array(atoms, dtype=np.float64)
-    else:
-        rows = [a.point if isinstance(a, Atom) else np.asarray(a, dtype=np.float64) for a in atoms]
-        mat = np.stack(rows)
+    mat = np.array(atoms, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError("atom set must be a nonempty 2-d matrix")
     if not np.all(np.isfinite(mat)):
@@ -210,7 +206,7 @@ def _slab_bounds(faces, proj, facets, normals) -> List[Tuple[float, int]]:
 
 
 def pwidth(atoms) -> WidthReport:
-    """Exact pyramidal width of an atom set: its facial distance.
+    """Exact pyramidal width of an n x d array of atoms: its facial distance.
 
     The pyramidal width equals the smallest distance between a proper
     face and the hull of the atoms off it (Pena and Rodriguez, Math.

@@ -113,8 +113,8 @@ class ObjectiveState:
     def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Step size along ``direction`` = head - tail from ``it``, in [0, gamma_max].
 
-        ``descent`` is the caller's <-grad, direction>.  ``head`` is the
-        atom the direction points to and ``tail`` the id of the active
+        ``descent`` is the caller's <-grad, direction>.  ``head`` is the atom the
+        direction points to and ``tail`` the position in ``it.ids`` of the active
         atom it points away from; None stands for ``it.x``.
         """
         return self.obj.line_search(it.x, direction, gamma_max)
@@ -263,7 +263,8 @@ class QuadraticState(ObjectiveState):
     def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Exact minimizer on [0, gamma_max], as ``QuadraticObjective.line_search``."""
         Qd = self.Qx if head is None else self.image(head.id, head.point)
-        self._Qd = Qd = Qd - (self.Qx if tail is None else self.image(tail, it.atom_point(tail)))
+        Qv = self.Qx if tail is None else self.image(it.ids[tail], it._point(tail))
+        self._Qd = Qd = Qd - Qv
         return _exact_step(descent, float(direction.dot(Qd)), gamma_max)
 
     def advance(self, it, gamma: float) -> None:

@@ -114,8 +114,8 @@ def lmo(spec: PolytopeSpec, r: np.ndarray) -> Atom:
     return spec._lmo(r)
 
 
-def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
-    """Worst active atom and the away gap <-grad, x - v>.
+def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[int, float]:
+    """Worst active atom v as its position in ``it.ids``, and the away gap <-grad, x - v>.
 
     Ties on the gradient value go to the larger weight, then to the
     atom id, so the choice is deterministic.
@@ -126,30 +126,31 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[bytes, float]:
     if dots.count(best) > 1:
         ties = [j for j, dot in enumerate(dots) if dot == best]
         i = max(ties, key=lambda j: (it.w[j], it.ids[j]))
-    return it.ids[i], best - float(grad.dot(it.x))
+    return i, best - float(grad.dot(it.x))
 
 
 def afw_choose_direction(
-    it: ActiveIterate, away: Tuple[bytes, float], fw_dir: np.ndarray, g_fw: float
-) -> Tuple[StepKind, np.ndarray, float, Optional[bytes]]:
+    it: ActiveIterate, away: Tuple[int, float], fw_dir: np.ndarray, g_fw: float
+) -> Tuple[StepKind, np.ndarray, float, Optional[int]]:
     """Pick the better of the FW and away directions (ties favor FW).
 
-    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x for the
-    oracle atom s and ``g_fw`` its gap <-grad, fw_dir>.
+    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x for the oracle atom s and
+    ``g_fw`` its gap <-grad, fw_dir>.  The away atom is returned as its position in ``it.ids``.
     """
-    v_id, away_gap = away
+    j, away_gap = away
     if g_fw >= away_gap or len(it) == 1:
         return StepKind.FW, fw_dir, 1.0, None
-    alpha = float(it.w[it.index(v_id)])
-    return StepKind.AWAY, it.x - it.atom_point(v_id), alpha / (1.0 - alpha), v_id
+    alpha = float(it.w[j])
+    return StepKind.AWAY, it.x - it._point(j), alpha / (1.0 - alpha), j
 
 
 def pfw_step(
-    it: ActiveIterate, s: Atom, away: Tuple[bytes, float]
-) -> Tuple[np.ndarray, float, bytes]:
-    """Pairwise direction s - v and its maximum step alpha_v, for ``away = away_atom(it, grad)``."""
-    v_id = away[0]
-    return s.point - it.atom_point(v_id), float(it.w[it.index(v_id)]), v_id
+    it: ActiveIterate, s: Atom, away: Tuple[int, float]
+) -> Tuple[np.ndarray, float, int]:
+    """Pairwise direction s - v, its maximum step alpha_v and v's position in ``it.ids``,
+    for ``away = away_atom(it, grad)``."""
+    j = away[0]
+    return s.point - it._point(j), float(it.w[j]), j
 
 
 def fcfw_correction(
@@ -178,7 +179,7 @@ def fcfw_correction(
     one, the newest, so it holds at most four times the active-set size.
     """
     pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
-    for atom_id, point in it.atoms().items():
+    for atom_id, point in zip(it.ids, it.matrix()):
         pool.setdefault(atom_id, point)
     pool[s.id] = s.point
     atoms = [Atom._adopt(p) for p in pool.values()]  # pool points are atoms' points already
@@ -353,7 +354,7 @@ def _initial_iterate(spec: PolytopeSpec, x0: Union[Atom, ActiveIterate, None]) -
 
 def _line_search_step(
     variant: Variant, it: ActiveIterate, grad: np.ndarray, s: Atom, state: ObjectiveState,
-    away: Tuple[bytes, float], fw_dir: np.ndarray, g_fw: float,
+    away: Tuple[int, float], fw_dir: np.ndarray, g_fw: float,
 ) -> Optional[Tuple[ActiveIterate, StepKind, float, float]]:
     """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max).
 
@@ -364,24 +365,24 @@ def _line_search_step(
     were, so the next iteration would repeat it.
     """
     if variant is Variant.AFW:
-        kind, direction, gamma_max, v_id = afw_choose_direction(it, away, fw_dir, g_fw)
+        kind, direction, gamma_max, j = afw_choose_direction(it, away, fw_dir, g_fw)
     elif variant is Variant.PFW:
-        direction, gamma_max, v_id = pfw_step(it, s, away)
+        direction, gamma_max, j = pfw_step(it, s, away)
         kind = StepKind.PAIRWISE
     else:
-        kind, direction, gamma_max, v_id = StepKind.FW, fw_dir, 1.0, None
+        kind, direction, gamma_max, j = StepKind.FW, fw_dir, 1.0, None
     descent = g_fw if direction is fw_dir else -float(grad.dot(direction))
     if descent <= 0.0:
         return None
     head = None if kind is StepKind.AWAY else s
-    gamma = state.line_search(it, direction, gamma_max, descent, head, v_id)
+    gamma = state.line_search(it, direction, gamma_max, descent, head, j)
     if kind is StepKind.FW:
         it = apply_fw_step(it, s, gamma, fw_dir)
     elif kind is StepKind.AWAY:
-        it, dropped = apply_away_step(it, v_id, gamma)
+        it, dropped = apply_away_step(it, it.ids[j], gamma)
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
-        it, kind = apply_pairwise_step(it, v_id, s, gamma)
+        it, kind = apply_pairwise_step(it, it.ids[j], s, gamma)
         if gamma <= WEIGHT_FLOOR:
             # apply_pairwise_step zeroed gamma unless it snapped the step to a drop
             if kind is StepKind.PAIRWISE:

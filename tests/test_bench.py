@@ -476,6 +476,12 @@ def test_cli_rate(tmp_path, capsys):
     assert cli.main(["rate", missing, "--quantity", "fw_gap"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+    body = trace.to_csv().split("\n", 1)[1]
+    for header in ("# [1]", '# "x"'):  # JSON, but not an object
+        path.write_text(f"{header}\n{body}")
+        assert cli.main(["rate", str(path), "--quantity", "f_gap_to_opt", "--f-star", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_cli_run(tmp_path, capsys):

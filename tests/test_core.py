@@ -439,3 +439,30 @@ def test_step_path_makes_no_matmul(func):
         f"{func.__module__}.{func.__qualname__} uses @ (lines {matmuls} of its source): "
         "products on the step path use ndarray.dot, see the polyfw.core module docstring"
     )
+
+
+def _self_writes(method):
+    """Lines of ``method`` that assign to, or delete, an attribute of ``self`` or a part of one."""
+    lines = []
+    for node in ast.walk(method):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+            root, through_attribute = node, False
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                through_attribute |= isinstance(root, ast.Attribute)
+                root = root.value
+            if through_attribute and isinstance(root, ast.Name) and root.id == "self":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_active_iterate_writes_to_itself_only_in_init():
+    """``ActiveIterate`` is value-like: once ``__init__`` has run, no method of it writes to
+    ``self``, so an iterate that a step or a lookup has seen is the iterate it was."""
+    probe = "def f(self, o):\n    self.a = 1\n    self.w += 1\n    self.x[0] = 2\n    o.b = self.c\n"
+    assert _self_writes(ast.parse(probe).body[0]) == [2, 3, 4]  # the check sees each kind
+    (cls,) = ast.parse(textwrap.dedent(inspect.getsource(ActiveIterate))).body
+    writes = {f.name: _self_writes(f) for f in cls.body
+              if isinstance(f, ast.FunctionDef) and f.name != "__init__"}
+    assert not {name: lines for name, lines in writes.items() if lines}, (
+        "ActiveIterate methods other than __init__ assign to self (lines of the class source)"
+    )

@@ -37,8 +37,8 @@ def test_away_atom_picks_largest_gradient_dot():
     a = Atom(np.array([0.0, 0.0]))
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.8, b: 0.2})
-    vid, gap = away_atom(it, np.array([1.0, 0.0]))
-    assert vid == b.id
+    j, gap = away_atom(it, np.array([1.0, 0.0]))
+    assert it.ids[j] == b.id
     # away gap <-grad, x - v> with x = (0.2, 0), v = b
     assert gap == pytest.approx(0.8)
 
@@ -48,8 +48,8 @@ def test_away_atom_tie_breaks_on_weight():
     b = Atom(np.array([0.0, 1.0]))
     grad = np.array([1.0, 1.0])
     it = ActiveIterate.from_weights({a: 0.3, b: 0.7})
-    vid, gap = away_atom(it, grad)
-    assert vid == b.id
+    j, gap = away_atom(it, grad)
+    assert it.ids[j] == b.id
     assert gap == pytest.approx(0.0)
 
 
@@ -74,11 +74,11 @@ def test_afw_away_branch_gamma_max():
     it = ActiveIterate.from_weights({a: 0.8, b: 0.2})
     grad = np.array([1.0, 0.0])
     fw_dir = a.point - it.x
-    kind, d, gmax, away_id = afw_choose_direction(
+    kind, d, gmax, j = afw_choose_direction(
         it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
     )
     assert kind is not StepKind.FW
-    assert away_id == b.id
+    assert it.ids[j] == b.id
     assert gmax == pytest.approx(0.25)
     assert np.allclose(d, it.x - b.point)
 
@@ -97,8 +97,8 @@ def test_afw_direction_covers_half_pairwise_gap():
         it = ActiveIterate.from_weights(atoms)
         grad = rng.standard_normal(5)
         s = spec.lmo(grad)
-        vid, _ = away_atom(it, grad)
-        v = it.atom_point(vid)
+        j, _ = away_atom(it, grad)
+        v = it._point(j)
         g_pfw = float(-grad @ (s.point - v))
         fw_dir = s.point - it.x
         kind, d, gmax, _ = afw_choose_direction(
@@ -113,9 +113,9 @@ def test_pfw_step_uses_away_weight_as_cap():
     it = ActiveIterate.from_weights({a: 0.7, b: 0.3})
     grad = np.array([1.0, 0.0])
     s = Atom(np.array([-1.0, 0.0]))
-    d, gmax, vid = pfw_step(it, s, away_atom(it, grad))
+    d, gmax, j = pfw_step(it, s, away_atom(it, grad))
     assert gmax == pytest.approx(0.3)
-    assert vid == b.id
+    assert it.ids[j] == b.id
     assert np.allclose(d, s.point - b.point)
 
 
@@ -357,8 +357,9 @@ def test_away_atom_exact_tie_goes_to_larger_id():
     grad = np.array([1.0, 1.0])  # equal dots
     winner = max(a.id, b.id)
     for pairs in ({a: 0.5, b: 0.5}, {b: 0.5, a: 0.5}):  # equal weights, either order
-        vid, gap = away_atom(ActiveIterate.from_weights(pairs), grad)
-        assert vid == winner
+        it = ActiveIterate.from_weights(pairs)
+        j, gap = away_atom(it, grad)
+        assert it.ids[j] == winner
         assert gap == 0.0
 
 
@@ -827,7 +828,7 @@ def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
     monkeypatch.setattr(Atom, "_adopt", classmethod(recording))
     a, b, c = (Atom(p) for p in ([1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 1.0]))
     it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
-    pool = {c.id: c.point, **it.atoms()}
+    pool = {c.id: c.point, **dict(zip(it.ids, it.matrix()))}
     s = Atom([0.0, 0.0, 1.0])
     obj = QuadraticObjective.distance_to(np.array([0.6, 0.1, 0.3]))
     result = fcfw_correction(obj.start(it), it, pool, s, 1e-10)
