@@ -251,12 +251,16 @@ def fit_rate(
     ``floor`` (or nonpositive value), and the fit runs over the middle
     60% of the truncated series, or all of it when that leaves fewer than
     10 points; the result's ``window`` is that range in truncated indices.
+    A non-finite ``f_star`` or value in the column fitted raises ``ValueError``.
     """
     if quantity not in RATE_QUANTITIES:
         raise ValueError(f"quantity must be one of {RATE_QUANTITIES}")
+    column = "f_value" if quantity == "f_gap_to_opt" else "fw_gap"
+    if not all(map(math.isfinite, trace.columns[column])):
+        raise ValueError(f"the trace's {column} column holds a non-finite value")
     if quantity == "f_gap_to_opt":
-        if f_star is None:
-            raise ValueError("f_gap_to_opt requires f_star")
+        if f_star is None or not math.isfinite(f_star):
+            raise ValueError(f"f_gap_to_opt requires a finite f_star, got {f_star}")
         f_values, kinds = trace.columns["f_value"], trace.columns["kind"]
         if trace.config_echo.get("variant") in ("AFW", "MNP"):
             f_values = [f for f, kind in zip(f_values, kinds) if kind is not StepKind.DROP]

@@ -6,12 +6,13 @@ the remaining atoms (Pena and Rodriguez, Math. Oper. Res. 2019), by
 min-norm-point solves and no LP.  A slab bound from the facet normals
 skips every face that cannot hold the minimum.  Its witness is the
 closest facial pair.  A face is a uint64 bitmask of its atoms: up to 64
-atoms and 2^16 faces.
-The diameter M (``polytope_diameter``, exact to rounding however far the
-atoms are translated), ``exact_constants`` (L, mu, M) and Theorem 1's
-contraction factor ``linear_rate`` live here too; ``rate_constant``
-evaluates it for a quadratic from one enumeration of the atoms at most.
-scipy loads only on the first face enumeration, not with the module.
+atoms and 2^16 faces.  The facets come from a double-description
+enumerator in numpy (``_hull_facets``), so no face or width loads scipy.
+The diameter M (``polytope_diameter``) and the width are exact to rounding
+however far the atoms are translated.  ``exact_constants`` (L, mu, M) and
+Theorem 1's contraction factor ``linear_rate`` live here too;
+``rate_constant`` evaluates it for a quadratic from one enumeration of the
+atoms at most.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ def _atom_matrix(atoms) -> np.ndarray:
     mat = np.array(atoms, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError("atom set must be a nonempty 2-d matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("atom coordinates must be finite")
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.isfinite(np.ptp(mat, axis=0)).all():  # so every difference of rows is finite
+            raise ValueError("atom coordinates and their differences must be finite")
     return mat
 
 
@@ -70,14 +72,58 @@ def _members(mask) -> List[int]:
     return np.flatnonzero(mask & _BITS).tolist()
 
 
+def _hull_facets(proj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, unit outward normals) of the facets of conv(proj), in increasing mask order;
+    ``proj`` is n x r, centred and of rank r.
+
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): scaled to unit
+    largest coordinate, the facets are the extreme rays (a, beta), |a| = 1, of the pointed
+    cone {a . p_i <= beta}.  It starts from the simplicial cone of r + 1 rows, each the
+    farthest from the span of those chosen, and adds one point's constraint at a time.
+    A ray's mask holds the points within ``FACET_TOL`` of its hyperplane; a ray that the
+    new point violates is joined to each ray inside that is adjacent to it (at least
+    r - 1 shared points, and no third ray's mask covers the shared ones), in blocks.
+    """
+    n, r = proj.shape
+    rows = np.hstack([proj / np.abs(proj).max(), -np.ones((n, 1))])
+    start, rest = [], rows.copy()
+    for _ in range(r + 1):
+        k = int(np.einsum("ij,ij->i", rest, rest).argmax())
+        start.append(k)
+        rest -= (rest @ rest[k] / (rest[k] @ rest[k]))[:, None] * rest[k]
+    rays = -np.linalg.inv(rows[start]).T  # rows[start] @ rays[k] = -e_k
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]
+    masks = _BITS[start].sum(dtype=np.uint64) & ~_BITS[start]
+    for i in sorted(set(range(n)) - set(start)):
+        s = rays @ rows[i]  # distance of point i beyond each ray's hyperplane
+        masks[np.abs(s) <= FACET_TOL] |= _BITS[i]
+        out = s > FACET_TOL
+        if not out.any():
+            continue
+        cut, inside = out.nonzero()[0], (s < -FACET_TOL).nonzero()[0]
+        shared = masks[cut, None] & masks[inside]
+        p, q = (np.bitwise_count(shared) >= r - 1).nonzero()
+        shared = shared[p, q]
+        step = 2 ** 20 // masks.size + 1  # pairs per block of cover tests
+        adjacent = np.concatenate([((shared[lo : lo + step, None] & ~masks) == 0).sum(axis=1) == 2
+                                   for lo in range(0, max(shared.size, 1), step)])
+        p, q, shared = cut[p[adjacent]], inside[q[adjacent]], shared[adjacent]
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        new /= np.sqrt(np.einsum("ij,ij->i", new[:, :r], new[:, :r]))[:, None]
+        rays = np.concatenate([rays[~out], new])
+        masks = np.concatenate([masks[~out], shared | _BITS[i]])
+    order = np.argsort(masks)
+    return masks[order], rays[order, :r]
+
+
 def _face_lattice(points: np.ndarray):
     """``(faces, proj, facets, normals)``: ``enumerate_faces``' result as uint64 masks
     (bit i for point i), the points projected onto their affine hull, and each facet's
-    mask and unit outward normal there (a rank-1 input's facets are its end points,
-    normals -1, +1).  A point is on a facet within ``FACET_TOL`` times the largest
-    projected coordinate (the spread, at rank 1), so scaling the points does not change
-    the lattice.  Faces are closed one round of ``&`` with the facet masks at a time.
-    More than ``MASK_ATOMS`` points (before any hull) or ``FACE_CAP`` faces raise.
+    mask and unit outward normal there, from ``_hull_facets``.  A point is on a facet
+    within ``FACET_TOL`` times the largest projected coordinate, so scaling the points
+    does not change the lattice.  Faces are closed one round of ``&`` with the facet
+    masks at a time.  More than ``MASK_ATOMS`` points (before any hull) or ``FACE_CAP``
+    faces raise.
     """
     mat = np.asarray(points, dtype=np.float64)
     n = mat.shape[0]
@@ -90,22 +136,7 @@ def _face_lattice(points: np.ndarray):
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         proj = centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
     rank = proj.shape[1]
-    member, normals = np.zeros((0, n), dtype=bool), np.zeros((0, rank))
-    if rank == 1:
-        t, tol = proj[:, 0], FACET_TOL * np.ptp(proj)
-        member = np.array([t <= t.min() + tol, t >= t.max() - tol])
-        normals = np.array([[-1.0], [1.0]])
-    elif rank > 1:
-        from scipy.spatial import ConvexHull
-
-        eqs = ConvexHull(proj).equations
-        member = (np.abs(proj @ eqs[:, :rank].T + eqs[:, rank]) <= FACET_TOL * np.abs(proj).max()).T
-        normals = eqs[:, :rank]
-    facets = (member * _BITS[:n]).sum(axis=1, dtype=np.uint64)
-    first = {mask: k for k, mask in reversed(list(enumerate(facets.tolist())))}
-    first = sorted(k for mask, k in first.items() if mask)  # each facet's first equation
-    facets = facets[first]
-    normals = np.array([v / np.linalg.norm(v) for v in normals[first]]).reshape(len(first), rank)
+    facets, normals = _hull_facets(proj) if rank else (_BITS[:0], np.zeros((0, 0)))
     known = set(facets.tolist())
     frontier = facets if rank > 1 else facets[:0]  # the end points are the proper faces
     step = 2 ** 20 // max(facets.size, 1) + 1  # frontier rows per block of meets
@@ -172,7 +203,8 @@ def _facial_pair(mat, face: List[int], obj: QuadraticObjective) -> Tuple[np.ndar
     """
     inside = set(face)
     others = [j for j in range(mat.shape[0]) if j not in inside]
-    first = oracles._intern(map(Atom, (mat[face, None] - mat[others]).reshape(-1, mat.shape[1])))
+    rows = (mat[face, None] - mat[others]).reshape(-1, mat.shape[1])  # finite: see _atom_matrix
+    first = oracles._intern(map(Atom._adopt, rows))
     spec = oracles.VertexList._of_atoms([atom for atom, _ in first.values()])
     # MNP ends on the exact minimizer of its final active set, so its FW
     # gap reaches rounding scale; this bound keeps |a - b| exact to ~1e-12.
@@ -214,31 +246,34 @@ def pwidth(atoms) -> WidthReport:
     Faces are solved in increasing order of their slab bounds, until a
     bound exceeds the best distance, so every face that ties the minimum
     is solved; the closest pair, first in ``enumerate_faces`` order among
-    ties, is the witness.  Up to ``MASK_ATOMS`` distinct atoms and
-    ``FACE_CAP`` faces (``ValueError`` past either); a facial problem
-    that does not converge raises ``RuntimeError``.
+    ties, is the witness.  Faces and problems take the rows minus the
+    first row, which is added back to the witness points, so translating
+    the atoms does not cost the width digits.  Up to ``MASK_ATOMS``
+    distinct atoms and ``FACE_CAP`` faces (``ValueError`` past either); a
+    facial problem that does not converge raises ``RuntimeError``.
     """
     mat = _atom_matrix(atoms)
     mat = mat[[k for _, k in oracles._intern(map(Atom, mat)).values()]]
     if mat.shape[0] == 1:
         raise ValueError("pyramidal width is undefined for a single point")
-    faces, proj, facets, normals = _face_lattice(mat)
+    rel = mat - mat[0]  # exact by Sterbenz's lemma when the atoms sit far from the origin
+    faces, proj, facets, normals = _face_lattice(rel)
     obj = QuadraticObjective.distance_to(np.zeros(mat.shape[1]))
     best, solved = (np.inf, -1, None, None), 0
     for bound, index in sorted(_slab_bounds(faces, proj, facets, normals)):
         if bound > best[0] * (1.0 + 1e-9):
             break
-        a, b = _facial_pair(mat, _members(faces[index]), obj)
+        a, b = _facial_pair(rel, _members(faces[index]), obj)
         best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
     distance, index, a, b = best
-    if not VALUE_FLOOR * _diameter(mat) < distance < np.inf:
+    if not VALUE_FLOOR * _diameter(rel) < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")
     idx = _members(faces[index])
     witness = {
         "face_indices": idx,
         "face_atoms": mat[idx].tolist(),
-        "face_point": a.tolist(),
-        "other_point": b.tolist(),
+        "face_point": (a + mat[0]).tolist(),
+        "other_point": (b + mat[0]).tolist(),
         "direction": ((a - b) / distance).tolist(),
     }
     return WidthReport(distance, solved, len(faces), witness)

@@ -12,8 +12,9 @@ library code, so the current code can be held to it bit for bit:
 ``flowdag_lmo_reference`` (the dict-based FlowDag oracle, on a graph
 built from the spec's arc list, source and sink alone),
 ``face_lattice_reference`` (the face lattice closed by frozenset
-intersections) and ``pwidth_all_faces`` (the facial distance solved on
-every proper face).  ``corral_reference`` is the Gram matrix that Wolfe's
+intersections, its facets from qhull by ``hull_facets_reference``, the
+test oracle of ``geometry._hull_facets``) and ``pwidth_all_faces`` (the
+facial distance solved on every proper face).  ``corral_reference`` is the Gram matrix that Wolfe's
 major cycle formed from scratch before it kept its corral.  The LP helpers
 ``_contains`` (hull membership) and ``_shortest_prefix`` (a binary search
 for the shortest feasible prefix) serve the curvature estimator and the
@@ -343,50 +344,63 @@ def pwidth_lp_witness(atoms, direction):
     return value, face, r, (nu @ prefix) / nu.sum()
 
 
-def face_lattice_reference(points):
-    """``geometry._face_lattice`` as it was with frozensets, for the equivalence tests.
+def affine_projection(points):
+    """The points, centred, in coordinates of their affine hull (``geometry._face_lattice``'s
+    projection: the singular directions above ``FACET_TOL`` times the largest)."""
+    from polyfw.geometry import FACET_TOL
 
-    Returns ``(faces, proj, facets, normals)``: every face of conv(points)
-    as a frozenset of point indices, sorted largest first and then by its
-    sorted indices; the points projected onto their affine hull; each
-    facet's incidence set; and its unit outward normal.  Facets are
-    deduplicated by their rounded hull equations, and faces closed by
-    intersecting every new face with every facet.
+    mat = np.asarray(points, dtype=np.float64)
+    if mat.shape[0] < 2:
+        return np.zeros((mat.shape[0], 0))
+    centered = mat - mat.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    scale = svals[0] if svals.size and svals[0] > 0 else 1.0
+    return centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
+
+
+def hull_facets_reference(proj):
+    """{facet incidence set: unit outward normal} of conv(proj), rank >= 2, from qhull.
+
+    ``scipy.spatial.ConvexHull`` splits a facet into simplices; each hull
+    equation's points within ``FACET_TOL`` times the largest coordinate
+    form its set, and the first equation of each set gives its normal.
     """
     from scipy.spatial import ConvexHull
 
     from polyfw.geometry import FACET_TOL
 
-    mat = np.asarray(points, dtype=np.float64)
-    n = mat.shape[0]
-    proj, facet_sets, normals = np.zeros((n, 0)), [], []
-    if n > 1:
-        centered = mat - mat.mean(axis=0)
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        proj = centered @ vt[: int(np.sum(svals > FACET_TOL * scale))].T
-    rank = proj.shape[1]
+    rank, out = proj.shape[1], {}
+    for eq in ConvexHull(proj).equations:
+        members = np.abs(proj @ eq[:rank] + eq[rank]) <= FACET_TOL * np.abs(proj).max()
+        normal = eq[:rank] / np.linalg.norm(eq[:rank])
+        out.setdefault(frozenset(np.flatnonzero(members).tolist()), normal)
+    return out
+
+
+def face_lattice_reference(points):
+    """``geometry._face_lattice`` as it was with frozensets and qhull, for the equivalence
+    tests.
+
+    Returns ``(faces, proj, facets, normals)``: every face of conv(points)
+    as a frozenset of point indices, sorted largest first and then by its
+    sorted indices; the points projected onto their affine hull; each
+    facet's incidence set; and its unit outward normal.  Facets come from
+    ``hull_facets_reference``, and faces are closed by intersecting every
+    new face with every facet.
+    """
+    from polyfw.geometry import FACET_TOL
+
+    n = len(points)
+    proj = affine_projection(points)
+    rank, facet_sets, normals = proj.shape[1], [], []
     if rank == 1:
         t = proj[:, 0]
-        spread = np.max(t) - np.min(t)
-        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + FACET_TOL * spread)[0].tolist()),
-                      frozenset(np.nonzero(t >= np.max(t) - FACET_TOL * spread)[0].tolist())]
+        tol = FACET_TOL * np.max(np.abs(t))
+        facet_sets = [frozenset(np.nonzero(t <= np.min(t) + tol)[0].tolist()),
+                      frozenset(np.nonzero(t >= np.max(t) - tol)[0].tolist())]
         normals = [[-1.0], [1.0]]
     elif rank > 1:
-        hull = ConvexHull(proj)
-        seen_eq = set()
-        coord_scale = float(np.max(np.abs(proj)))
-        for eq in hull.equations:
-            key = tuple(np.round(eq / np.linalg.norm(eq[:rank]), 9))
-            if key in seen_eq:
-                continue
-            seen_eq.add(key)
-            normal, offset = eq[:rank], eq[rank]
-            dist = proj @ normal + offset
-            members = frozenset(np.nonzero(np.abs(dist) <= FACET_TOL * coord_scale)[0].tolist())
-            if members:
-                facet_sets.append(members)
-                normals.append(normal / np.linalg.norm(normal))
+        facet_sets, normals = map(list, zip(*hull_facets_reference(proj).items()))
     faces = set(facet_sets)
     frontier = list(facet_sets) if rank > 1 else []  # the end points are the proper faces
     while frontier:
@@ -406,26 +420,29 @@ def pwidth_all_faces(atoms):
     """Facial distance by one min-norm-point problem on every proper face (no pruning).
 
     The exhaustive loop ``geometry.pwidth`` ran before it pruned faces by
-    their slab bounds.  Returns a dict with ``pwidth_estimate``,
-    ``face_indices``, ``face_point`` and ``other_point`` of the closest
-    facial pair (the first in ``enumerate_faces`` order among ties), and
-    ``distances``, each proper face's distance keyed by the face.
+    their slab bounds, on the rows minus the first row as ``pwidth`` takes
+    them, with the first row added back to the closest pair.  Returns a
+    dict with ``pwidth_estimate``, ``face_indices``, ``face_point`` and
+    ``other_point`` of the closest facial pair (the first in
+    ``enumerate_faces`` order among ties), and ``distances``, each proper
+    face's distance keyed by the face.
     """
     from polyfw.core import Atom
     from polyfw.geometry import _atom_matrix, _facial_pair, enumerate_faces
 
     mat = _atom_matrix(atoms)
     mat = mat[[k for _, k in oracles._intern(map(Atom, mat)).values()]]
-    faces = enumerate_faces(mat)
+    rel = mat - mat[0]
+    faces = enumerate_faces(rel)
     obj = QuadraticObjective.distance_to(np.zeros(mat.shape[1]))
-    solved = [(face,) + _facial_pair(mat, sorted(face), obj)
+    solved = [(face,) + _facial_pair(rel, sorted(face), obj)
               for face in faces if len(face) < mat.shape[0]]
     face, a, b = min(solved, key=lambda c: np.linalg.norm(c[1] - c[2]))
     return {
         "pwidth_estimate": float(np.linalg.norm(a - b)),
         "face_indices": sorted(face),
-        "face_point": a.tolist(),
-        "other_point": b.tolist(),
+        "face_point": (a + mat[0]).tolist(),
+        "other_point": (b + mat[0]).tolist(),
         "distances": {f: float(np.linalg.norm(fa - fb)) for f, fa, fb in solved},
     }
 

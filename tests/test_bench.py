@@ -476,12 +476,24 @@ def test_cli_rate(tmp_path, capsys):
     assert cli.main(["rate", missing, "--quantity", "fw_gap"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
-    body = trace.to_csv().split("\n", 1)[1]
+    head, body = trace.to_csv().split("\n", 1)
     for header in ("# [1]", '# "x"'):  # JSON, but not an object
         path.write_text(f"{header}\n{body}")
         assert cli.main(["rate", str(path), "--quantity", "f_gap_to_opt", "--f-star", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+    # a non-finite value in the fitted column, or f_star, is an error and not a zero rate
+    columns = body.split("\n", 1)[0]
+    rows = "".join(f"{k},FW,0.5,1.0,{gap},0.0,{f},1\n"
+                   for k, (f, gap) in enumerate([(2.0, 1.0), ("nan", 0.5), (0.5, "inf")]))
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(f"{head}\n{columns}\n{rows}")
+    good.write_text(f"{head}\n{body}")
+    for file, quantity, f_star in ((bad, "f_gap_to_opt", "0"), (bad, "fw_gap", "0"),
+                                   (good, "f_gap_to_opt", "nan")):
+        assert cli.main(["rate", str(file), "--quantity", quantity, "--f-star", f_star]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err and not captured.out
 
 
 def test_cli_run(tmp_path, capsys):

@@ -15,6 +15,7 @@ from polyfw.geometry import (
     _bits,
     _diameter,
     _face_lattice,
+    _hull_facets,
     _slab_bounds,
     analytic_diameter,
     analytic_pwidth,
@@ -175,29 +176,86 @@ def test_slab_bounds_never_exceed_the_facial_distance():
 
 
 def test_face_masks_match_the_frozenset_reference():
-    """Same faces in the same order, same facets and bit-identical normals, on every
-    pruning input and on 16 Gaussian atoms in R^8 (7,969 faces)."""
+    """Same faces in the same order and the same facets, with normals within 1e-12, on
+    every pruning input and on 16 Gaussian atoms in R^8 (7,969 faces)."""
     gauss = np.random.default_rng(0).standard_normal((16, 8))
     for k, atoms in enumerate([*pruning_inputs(), gauss]):
         faces, proj, facet_sets, normals = ref.face_lattice_reference(np.array(atoms))
         _, _, facets, got_normals = _face_lattice(np.array(atoms))
         assert enumerate_faces(np.array(atoms)) == faces, k
-        assert [frozenset(np.flatnonzero(row)) for row in _bits(facets, len(proj))] == facet_sets, k
-        assert np.array_equal(got_normals, normals), k
+        got = {frozenset(np.flatnonzero(row).tolist()): v
+               for row, v in zip(_bits(facets, len(proj)), got_normals)}
+        assert len(got) == len(facets) and set(got) == set(facet_sets), k
+        for facet, normal in zip(facet_sets, normals):
+            assert np.abs(got[facet] - normal).max() <= 1e-12, (k, sorted(facet))
     assert len(faces) == 7969
 
 
-def test_face_lattice_limits(monkeypatch):
-    import scipy.spatial
+def hull_oracle_inputs():
+    """The pruning inputs, 16 Gaussian atoms in R^8, Cube(5) and Cube(6), Simplex(10, 16,
+    30), two layered flow DAGs and 20 seeded sets of up to 40 points in R^2 to R^7."""
+    out = [np.array(atoms) for atoms in pruning_inputs()]
+    out.append(np.random.default_rng(0).standard_normal((16, 8)))
+    out += [np.array(points_of(spec)) for spec in (Cube(5), Cube(6), Simplex(10), Simplex(16),
+                                                    Simplex(30))]
+    out += [np.array(points_of(layered_flow_dag(*shape))) for shape in ((3, 2), (2, 4))]
+    for seed in range(20):
+        rng = np.random.default_rng([2900, seed])
+        d = int(rng.integers(2, 8))
+        out.append(rng.standard_normal((int(rng.integers(d + 1, 41)), d)))
+    return out
 
+
+def assert_hull_facets_match_qhull(proj, label=None):
+    masks, normals = _hull_facets(proj)
+    want = ref.hull_facets_reference(proj)
+    got = {frozenset(np.flatnonzero(row).tolist()): v
+           for row, v in zip(_bits(masks, len(proj)), normals)}
+    assert list(masks) == sorted(masks) and len(got) == len(masks), label
+    assert set(got) == set(want), label
+    assert max(np.abs(got[facet] - want[facet]).max() for facet in want) <= 1e-12, label
+    return len(masks)
+
+
+def test_hull_facets_match_qhull_at_every_scale():
+    """The double-description facets are qhull's facet sets, normals within 1e-12, on 69
+    inputs, each scaled from 1e-20 to 1e6."""
+    inputs = hull_oracle_inputs()
+    assert len(inputs) == 69
+    checked = 0
+    for k, atoms in enumerate(inputs):
+        for scale in (1e-20, 1e-10, 1e-3, 1.0, 1e6):
+            proj = ref.affine_projection(atoms * scale)
+            if proj.shape[1] > 1:
+                assert_hull_facets_match_qhull(proj, (k, scale))
+                checked += 1
+    assert checked == 5 * 67  # the collinear sets have rank 1
+
+
+def test_hull_facets_of_64_gaussian_atoms_in_r6():
+    """2,043 facets, blocks of cover tests keep the peak well under 64 MB."""
+    import tracemalloc
+
+    proj = ref.affine_projection(np.random.default_rng(0).standard_normal((64, 6)))
+    tracemalloc.start()
+    try:
+        _hull_facets(proj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert assert_hull_facets_match_qhull(proj) == 2043
+
+
+def test_face_lattice_limits(monkeypatch):
     from polyfw import geometry
 
     def no_hull(*args, **kwargs):
-        raise AssertionError("ConvexHull ran")
+        raise AssertionError("_hull_facets ran")
 
     atoms = np.random.default_rng(65).standard_normal((65, 3))
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.spatial, "ConvexHull", no_hull)
+        patch.setattr(geometry, "_hull_facets", no_hull)
         for call in (pwidth, enumerate_faces):
             with pytest.raises(ValueError, match="limited to 64 atoms"):
                 call(atoms)
@@ -345,6 +403,27 @@ def test_diameter_keeps_its_digits_under_translation(n, d, seed, offset):
     assert abs(polytope_diameter(VertexList(rows)) - expected) <= 1e-12 * expected
 
 
+def test_pwidth_keeps_its_digits_under_translation():
+    """The width of translated atoms is the width of the stored rows minus their first row,
+    to the bit, and the witness is that of the relative rows moved back by the first row."""
+    for seed in range(5):
+        atoms = np.random.default_rng([2901, seed]).standard_normal((6, 3))
+        for offset in (1e4, 1e6, 1e8):
+            rows = atoms + offset
+            rep, rel = pwidth(rows), pwidth(rows - rows[0])
+            assert rep.pwidth_estimate == rel.pwidth_estimate, (seed, offset)
+            assert rep.witness["face_indices"] == rel.witness["face_indices"]
+            assert rep.witness["direction"] == rel.witness["direction"]
+            for key in ("face_point", "other_point"):
+                assert rep.witness[key] == (np.array(rel.witness[key]) + rows[0]).tolist()
+
+
+def test_pwidth_rejects_atoms_whose_differences_are_not_finite():
+    for rows in ([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]], [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            pwidth(rows)
+
+
 def test_translated_triangle_keeps_its_rate_constants():
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for offset in (0.0, 1e8):
@@ -477,13 +556,19 @@ assert not loaded, loaded
     run_fresh(code, tmp_path / "runs")
 
 
-def test_pwidth_leaves_scipy_optimize_unloaded():
+def test_pwidth_faces_and_rate_constant_leave_scipy_unloaded():
     code = """
 import sys
+import numpy as np
 from polyfw import geometry
-from polyfw.oracles import Cube
-geometry.pwidth([a.point for a in Cube(3).enumerate_atoms()])
-assert "scipy.optimize" not in sys.modules
+from polyfw.objectives import QuadraticObjective
+from polyfw.oracles import Cube, VertexList
+atoms = [a.point for a in Cube(3).enumerate_atoms()]
+geometry.pwidth(atoms)
+geometry.enumerate_faces(np.array(atoms))
+geometry.rate_constant(QuadraticObjective(np.eye(3), np.zeros(3)), VertexList(atoms))
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert not loaded, loaded
 """
     run_fresh(code)
 
