@@ -61,6 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = bench.ExperimentConfig.from_json(
             Path(args.config), seed=args.seed, max_iter=args.max_iter, epsilon=args.epsilon
         )
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _error(exc)
     summary = bench.run_experiment(config, args.out_dir)

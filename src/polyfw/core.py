@@ -7,9 +7,11 @@ the atoms as rows of an append-only store that a step shares with the
 iterate it came from, so no step copies the atom matrix and the away
 atom is one product of that matrix with the gradient.  The three step
 operations below are the only ways solvers change that representation,
-so the bookkeeping rules live in one place: weights stay positive and
-sum to one, removals are exact (no epsilon residue), and the dense point
-is re-synthesized from the expansion every ``RESYNTH_PERIOD`` steps, on
+and each is the one move x + gamma (head - tail): FW's s - x, away's
+x - v and pairwise's s - v.  ``_move`` builds every stepped iterate, so
+the bookkeeping rules live in one place: weights stay positive and sum
+to one, removals are exact (no epsilon residue), and the dense point is
+re-synthesized from the expansion every ``RESYNTH_PERIOD`` steps, on
 each drop or swap, and after an away step longer than 1, so incremental
 updates cannot drift.  ``ActiveIterate.synced`` tells the objective
 state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
@@ -234,30 +236,38 @@ class ActiveIterate:
         if not self.drift() <= DRIFT_LIMIT:
             raise AssertionError("dense point drifted from its expansion")
 
-    def _with_atom(self, atom: Atom) -> Tuple[Tuple[bytes, ...], np.ndarray, _AtomStore]:
-        """ids, store rows and store of this active set with ``atom`` appended.
 
-        Once the store holds more than twice the active rows (plus
-        slack), the active rows move to a fresh store: amortized over the
-        appends that grew it, that copy costs O(d) per step.
-        """
-        store, rows = self._store, self._rows
-        if store.size >= 2 * len(rows) + 8:
-            store = _AtomStore(self.ids, store.rows[rows])
-            rows = np.arange(len(rows))
-        return self.ids + (atom.id,), np.append(rows, store.row(atom)), store
-
-
-def _advance(
-    it: ActiveIterate, ids: Tuple[bytes, ...], w: np.ndarray, rows: np.ndarray, store: _AtomStore,
-    x_new: np.ndarray, force_sync: bool = False, clean: bool = True,
+def _move(
+    it: ActiveIterate, s: Optional[Atom], j: Optional[int], gamma: float, x_new: np.ndarray,
+    drop: bool = False, force_sync: bool = False, clean: bool = True,
 ) -> ActiveIterate:
-    """Package an updated state, re-synthesizing x on the usual cadence.
+    """The iterate x + gamma (head - tail) at dense point ``x_new``.
 
-    With ``clean``, weights at or below ``WEIGHT_FLOOR`` are dropped and
-    the rest renormalized in place (``w`` is the caller's fresh array):
-    dividing by the surviving total redistributes the deficit proportionally.
+    Head is atom ``s`` (x when None), tail the active atom at position ``j`` (x when None).
+    Weights scale by 1 + gamma ([head is x] - [tail is x]), the tail's loses gamma and ``s``
+    gains it, appended when new; first, a store of 2k + 8 rows or more for k active atoms
+    hands the active rows to a fresh store (O(d) per step, amortized over the appends).  A
+    ``drop`` takes atom j out; ``clean`` drops weights at or below ``WEIGHT_FLOOR`` and
+    renormalizes the rest.  x is re-synthesized on a drop, on ``force_sync`` and every
+    ``RESYNTH_PERIOD`` steps.
     """
+    ids, rows, store = it.ids, it._rows, it._store
+    scale = 1.0 + gamma * ((s is None) - (j is None))
+    w = it.w * scale if scale != 1.0 else it.w.copy()  # a pairwise step only copies
+    if j is not None:
+        w[j] -= gamma
+    if s is not None:
+        i = it.index(s.id)
+        if i is None:
+            if store.size >= 2 * len(rows) + 8:
+                store = _AtomStore(ids, store.rows[rows])
+                rows = np.arange(len(rows))
+            ids, w, rows = ids + (s.id,), np.append(w, gamma), np.append(rows, store.row(s))
+        else:
+            w[i] += gamma
+    if drop:
+        keep = [i for i in range(len(ids)) if i != j]
+        ids, w, rows = ids[:j] + ids[j + 1 :], w[keep], rows[keep]
     if clean:
         if min(w.tolist()) <= WEIGHT_FLOOR:
             kept = (w > WEIGHT_FLOOR).nonzero()[0]
@@ -269,15 +279,10 @@ def _advance(
     out = ActiveIterate.__new__(ActiveIterate)
     out.ids, out.w, out.x, out._store, out._rows = ids, w, x_new, store, rows
     out._steps_since_sync = it._steps_since_sync + 1
-    if force_sync or out._steps_since_sync >= RESYNTH_PERIOD:
+    if drop or force_sync or out._steps_since_sync >= RESYNTH_PERIOD:
         out.x = out.synthesize()
         out._steps_since_sync = 0
     return out
-
-
-def _without(ids: Tuple[bytes, ...], w: np.ndarray, rows: np.ndarray, j: int):
-    keep = [i for i in range(len(ids)) if i != j]
-    return ids[:j] + ids[j + 1 :], w[keep], rows[keep]
 
 
 def apply_fw_step(
@@ -293,17 +298,9 @@ def apply_fw_step(
         raise ValueError(f"gamma {gamma} outside [0, 1]")
     if gamma >= 1.0:
         return ActiveIterate.from_atom(s)
-    w = (1.0 - gamma) * it.w
-    j = it.index(s.id)
-    if j is None:
-        ids, rows, store = it._with_atom(s)
-        w = np.append(w, gamma)
-    else:
-        ids, rows, store = it.ids, it._rows, it._store
-        w[j] += gamma
     x_new = gamma * (s.point - it.x if fw_dir is None else fw_dir)
     x_new += it.x
-    return _advance(it, ids, w, rows, store, x_new)
+    return _move(it, s, None, gamma, x_new)
 
 
 def apply_away_step(it: ActiveIterate, v: bytes, gamma: float) -> Tuple[ActiveIterate, bool]:
@@ -324,17 +321,11 @@ def apply_away_step(it: ActiveIterate, v: bytes, gamma: float) -> Tuple[ActiveIt
         raise ValueError(f"gamma {gamma} outside [0, {gamma_max}]")
     if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):
         gamma = gamma_max
-    if gamma == gamma_max:
-        ids, w, rows = _without(it.ids, it.w, it._rows, j)
-        out = _advance(it, ids, (1.0 + gamma) * w, rows, it._store, it.x, force_sync=True)
-        return out, True
-    w = (1.0 + gamma) * it.w
-    w[j] = (1.0 + gamma) * alpha - gamma
-    x_new = it.x + gamma * (it.x - it._point(j))
+    drop = gamma == gamma_max
+    x_new = it.x if drop else it.x + gamma * (it.x - it._point(j))
     # x_new = (1 + gamma) x - gamma v scales the rounding error already in
     # x by 1 + gamma, so a long step re-synthesizes x from the weights.
-    out = _advance(it, it.ids, w, it._rows, it._store, x_new, force_sync=gamma > 1.0)
-    return out, False
+    return _move(it, None, j, gamma, x_new, drop, force_sync=gamma > 1.0), drop
 
 
 def apply_pairwise_step(
@@ -344,9 +335,10 @@ def apply_pairwise_step(
 
     Only the two named weights change; every other entry is preserved
     exactly.  A gamma at or below ``WEIGHT_FLOOR`` counts as zero, so no
-    atom is left with a sub-floor weight.  Classification: Drop when
-    gamma exhausts alpha_v and s was already active, Swap when it
-    exhausts alpha_v and s was inactive, Pairwise otherwise.
+    atom is left with a sub-floor weight, and a zero step adds no atom.
+    Classification: Drop when gamma exhausts alpha_v and s was already
+    active, Swap when it exhausts alpha_v and s was inactive, Pairwise
+    otherwise.
     """
     j = it.index(v)
     if j is None:
@@ -360,22 +352,12 @@ def apply_pairwise_step(
         gamma = gamma_max
     elif gamma <= WEIGHT_FLOOR:
         gamma = 0.0
-    ids, w, rows, store = it.ids, it.w, it._rows, it._store
-    if gamma > 0.0:
-        i_s = it.index(s.id)
-        if i_s is None:
-            ids, rows, store = it._with_atom(s)
-            w = np.append(w, gamma)
-        else:
-            w = w.copy()
-            w[i_s] += gamma
-        if gamma == gamma_max:
-            kind = StepKind.SWAP if len(ids) > len(it) else StepKind.DROP
-            ids, w, rows = _without(ids, w, rows, j)
-            return _advance(it, ids, w, rows, store, it.x, force_sync=True, clean=False), kind
-        w[j] = gamma_max - gamma
+    if gamma == gamma_max:
+        out = _move(it, s, j, gamma, it.x, drop=True, clean=False)
+        return out, StepKind.SWAP if len(out) == len(it) else StepKind.DROP
     x_new = it.x + gamma * (s.point - it._point(j))
-    return _advance(it, ids, w, rows, store, x_new, clean=False), StepKind.PAIRWISE
+    head = s if gamma > 0.0 else None
+    return _move(it, head, j, gamma, x_new, clean=False), StepKind.PAIRWISE
 
 
 class StepKind(str, Enum):

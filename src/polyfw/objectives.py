@@ -24,12 +24,10 @@ from the images (``move_to``).
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-LOGGER = logging.getLogger(__name__)
 Corral = Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray, np.ndarray]  # ids, rows, images, H
 
 
@@ -211,10 +209,7 @@ class QuadraticObjective(Objective):
 def _exact_step(descent: float, curvature: float, gamma_max: float) -> float:
     """argmin over [0, gamma_max] of -descent * gamma + curvature * gamma^2 / 2."""
     if curvature <= 0.0:
-        if descent > 0.0:
-            return float(gamma_max)
-        LOGGER.warning("line search called with a non-descent direction")
-        return 0.0
+        return float(gamma_max) if descent > 0.0 else 0.0
     return min(max(descent / curvature, 0.0), float(gamma_max))
 
 

@@ -414,8 +414,9 @@ def solve(
     floor of its gap.  A non-finite f ends the run with
     ``error:nonfinite``; a correction that raises one of
     ``CORRECTION_ERRORS`` ends it with ``error:<Type>`` and the message
-    under ``error`` in the header, keeping the completed iterations and
-    ending at the last completed iterate and its gap.  Without ``x0`` the
+    under ``error`` in the header.  A step is committed only with its
+    row, so a run that ends early keeps its completed iterations and ends
+    at the last completed iterate and its gap.  Without ``x0`` the
     run starts at the oracle's atom for the all-ones direction.  A
     non-finite gradient, or an ``x0`` iterate that breaks an invariant,
     raises ``ValueError``.
@@ -450,7 +451,7 @@ def solve(
             if step is None:
                 exit_status = "stall"
                 break
-            it, kind, gamma, gamma_max = step
+            nxt, kind, gamma, gamma_max = step
             away_record = away[1]
         else:
             f_before = state.value
@@ -462,10 +463,10 @@ def solve(
             except CORRECTION_ERRORS as exc:
                 exit_status, error = f"error:{type(exc).__name__}", str(exc)
                 break
-            dropped = config.variant is Variant.MNP and len(result.iterate) < len(it)
-            unchanged = result.iterate.ids == it.ids and np.array_equal(result.iterate.w, it.w)
+            nxt = result.iterate
+            dropped = config.variant is Variant.MNP and len(nxt) < len(it)
+            unchanged = nxt.ids == it.ids and np.array_equal(nxt.w, it.w)
             kind = StepKind.DROP if dropped else StepKind.CORRECTION
-            it = result.iterate
             pool = result.correction_atoms
             inner_steps += result.inner_steps
             gamma = gamma_max = 0.0
@@ -478,6 +479,7 @@ def solve(
         if not math.isfinite(f_new):
             exit_status = "error:nonfinite"
             break
+        it = nxt
         trace.append(t, kind, gamma, gamma_max, g_fw, away_record, f_new, len(it))
 
     echo = {

@@ -512,6 +512,13 @@ def test_cli_run(tmp_path, capsys):
     doc = json.loads((out / "cli_tri_summary.json").read_text())
     assert doc["runs"]
     capsys.readouterr()
+    # an --out-dir that names an existing file is an error before any run starts
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert taken.read_text() == ""
 
 
 def test_cli_run_seed_flag_supplies_a_missing_seed(tmp_path, capsys):

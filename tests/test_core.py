@@ -378,7 +378,7 @@ import inspect  # noqa: E402
 import textwrap  # noqa: E402
 
 from polyfw import solvers  # noqa: E402
-from polyfw.core import _advance, _AtomStore  # noqa: E402
+from polyfw.core import _AtomStore, _move  # noqa: E402
 from polyfw.objectives import QuadraticState  # noqa: E402
 from polyfw.oracles import VertexList  # noqa: E402
 
@@ -422,10 +422,40 @@ def test_store_keeps_its_rows_and_doubles_on_the_first_append():
     assert nxt.atom_dots(vec)[:8].tobytes() == dots == it.atom_dots(vec).tobytes()
 
 
+def test_store_compacts_once_it_holds_twice_the_active_rows():
+    """FW steps grow the shared store and away drops shrink the active set; once the store
+    holds 2k + 8 rows or more for k active atoms, the next new atom moves the active rows to
+    a fresh store of k + 1 rows.  The step is the one a fresh iterate of the same atoms takes,
+    bit for bit, and the iterate it came from keeps its store."""
+    atoms = [Atom(row) for row in np.eye(16)]
+    it = ActiveIterate.from_atom(atoms[0])
+    for atom in atoms[1:12]:
+        it = apply_fw_step(it, atom, 0.5)
+    while len(it) > 2:
+        alpha = float(it.w[0])
+        it, dropped = apply_away_step(it, it.ids[0], alpha / (1.0 - alpha))
+        assert dropped
+    store, k = it._store, len(it)
+    assert store.size == 12 >= 2 * k + 8
+    vec = np.random.default_rng(9).standard_normal(16)
+    dots = it.atom_dots(vec).tobytes()
+    nxt = apply_fw_step(it, atoms[12], 0.25)
+    assert nxt._store is not store and nxt._store.size == k + 1
+    assert nxt._rows.tolist() == list(range(k + 1))
+    assert it._store is store and store.size == 12 and it.atom_dots(vec).tobytes() == dots
+    ref = apply_fw_step(ActiveIterate(it.ids, it.matrix(), it.w, it.x), atoms[12], 0.25)
+    assert nxt.ids == ref.ids == it.ids + (atoms[12].id,)
+    for a, b in ((nxt.w, ref.w), (nxt.x, ref.x), (nxt.synthesize(), ref.synthesize())):
+        assert a.tobytes() == b.tobytes()
+    rebuilt = ActiveIterate(nxt.ids, nxt.matrix(), nxt.w)
+    assert nxt.atom_dots(vec).tobytes() == rebuilt.atom_dots(vec).tobytes()
+    nxt.check()
+
+
 STEP_PATH = [
     solvers.solve, solvers.away_atom, solvers._line_search_step, QuadraticState.move_to,
     QuadraticState.line_search, QuadraticState.advance, ActiveIterate.atom_dots, apply_fw_step,
-    _advance, VertexList._lmo,
+    _move, VertexList._lmo,
 ]
 
 

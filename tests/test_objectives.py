@@ -5,7 +5,7 @@ import pytest
 
 from polyfw.core import ActiveIterate, Atom, atom_key
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
-from polyfw.oracles import FlowDag
+from polyfw.oracles import FlowDag, Simplex
 from polyfw.solvers import SolverConfig, Variant, solve
 
 
@@ -64,6 +64,18 @@ def test_line_search_pinned_examples():
 def test_line_search_non_descent_returns_zero():
     f = QuadraticObjective(np.eye(2), np.zeros(2))
     assert f.line_search(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0) == 0.0
+
+
+def test_line_search_on_a_linear_objective():
+    """With Q = 0, f is linear: a descent direction goes all the way, any other stays put."""
+    f = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, -2.0]))
+    x = np.array([0.5, 0.5])
+    assert f.line_search(x, np.array([-1.0, 1.0]), 0.75) == 0.75
+    assert f.line_search(x, np.array([1.0, -1.0]), 0.75) == 0.0
+    assert f.line_search(x, np.array([2.0, 1.0]), 0.75) == 0.0  # f is constant along it
+    trace = solve(f, Simplex(2), SolverConfig(Variant.AFW, epsilon=1e-12, max_iter=10))
+    assert trace.config_echo["exit_status"] == "converged"
+    assert np.array_equal(trace.final_iterate.x, [0.0, 1.0])
 
 
 def test_line_search_local_optimality_probe():

@@ -745,6 +745,37 @@ def test_nonfinite_gradient_raises_from_solve(name, bad):
     assert obj.calls == 4
 
 
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AFW, Variant.PFW])
+def test_nonfinite_value_ends_run_at_the_last_recorded_iterate(variant):
+    """A step to a point where f is infinite ends the run with ``error:nonfinite``.
+
+    The generic line search never evaluates f, so it can step there.  The run
+    keeps the rows before that step and ends at the iterate of the last row.
+    """
+    quad = QuadraticObjective.distance_to(np.array([0.2, 0.5, 0.3]))
+
+    class Capped(Objective):
+        dimension = 3
+
+        def value(self, x):
+            return quad.value(x) if x[2] <= 0.295 else np.inf
+
+        def gradient(self, x):
+            return quad.gradient(x)
+
+    trace = solve(Capped(), Simplex(3), SolverConfig(variant, epsilon=1e-9, max_iter=50))
+    assert trace.config_echo["exit_status"] == "error:nonfinite"
+    assert len(trace.records) >= 2 and np.isfinite(trace.f_values()).all()
+    trace.validate()
+    final = trace.final_iterate
+    final.check()
+    assert final.x[2] <= 0.295
+    assert quad.value(final.x) == trace.records[-1].f_value
+    assert len(final) == trace.records[-1].active_size
+    grad = quad.gradient(final.x)
+    assert trace.config_echo["final_fw_gap"] == pytest.approx(float(grad @ final.x - grad.min()))
+
+
 @pytest.mark.parametrize("name", sorted(_one_spec_of_each_type()))
 def test_generic_objective_gradient_checked_where_it_enters(name):
     """A plain ``Objective``'s gradient may be a list; a wrong shape raises ``ValueError``."""
