@@ -3,16 +3,16 @@
 Four problem kinds.  Three seeded families exercise the solvers where
 the rate theory makes checkable predictions: an l1-constrained
 least-squares problem (linear vs sublinear separation between
-active-set variants and plain FW), a thin-triangle sweep (empirical
-contraction rate against Theorem 1's ``geometry.linear_rate`` over
-random starts) and a rank-deficient quadratic over the simplex (linear
-decay despite zero strong convexity).  ``custom`` reads a least-squares
-problem from CSV files and a polytope spec.  ``PROBLEMS`` maps each
-kind to its builder, which reads every key with ``oracles.json_field``;
-``ExperimentConfig`` builds its problem once, and ``run_experiment``
-solves each run on that build with ``_run``.  Runs are deterministic
-given the config: identical configs serialize to byte-identical trace
-CSVs.
+active-set variants and plain FW), a thin-triangle sweep over random
+starts (the fitted rate against Theorem 1's) and a rank-deficient
+quadratic over the simplex (linear decay despite zero strong
+convexity).  ``custom`` reads a least-squares problem from CSV files and
+a polytope spec.  ``PROBLEMS`` maps each kind to its builder, which
+reads every key with ``oracles.json_field`` and returns the instances
+(one per triangle angle); ``ExperimentConfig`` builds them once, and
+``run_experiment`` runs them in one loop, each run with Theorem 1's rho.
+Runs are deterministic given the config: identical configs serialize to
+byte-identical trace CSVs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from polyfw.core import ActiveIterate, RunTrace, StepKind
-from polyfw.geometry import linear_rate
+from polyfw.geometry import linear_rate, rate_constant
 from polyfw.objectives import Objective, QuadraticObjective
 from polyfw.oracles import L1Ball, PolytopeSpec, Simplex, VertexList, json_field, spec_from_json
 from polyfw.solvers import SolverConfig, Variant, solve
@@ -47,7 +47,6 @@ class RateFit:
     rho_hat: float
     r_squared: float
     window: Tuple[int, int]
-    theoretical_rho: Optional[float] = None
 
     def to_json(self) -> Dict:
         return asdict(self)
@@ -62,7 +61,7 @@ class ExperimentConfig:
     normalised, and the problem's kind, then builds the problem
     once with the kind's builder (``PROBLEMS``), which reads and
     type-checks each key and, with its generator, checks the values.
-    ``built`` holds what the runs need, so a bad input fails here, before
+    ``built`` holds the instances, so a bad input fails here, before
     ``run_experiment`` writes anything.
     """
 
@@ -190,7 +189,7 @@ def _lasso(p: Dict):
     m, n, k = (json_field(p, key, numbers.Integral, "lasso problem") for key in ("m", "n", "k"))
     noise, radius = (float(json_field(p, key, numbers.Real, "lasso problem", default))
                      for key, default in (("noise", 0.1), ("radius", 20.0)))
-    return (*gen_lasso(m, n, k, noise, _seed(p, "lasso problem"), radius), {})
+    return [(*gen_lasso(m, n, k, noise, _seed(p, "lasso problem"), radius), {}, 0)]
 
 
 def _triangle(p: Dict):
@@ -202,13 +201,15 @@ def _triangle(p: Dict):
     if n_starts < 1:
         raise ValueError("triangle experiment needs n_starts >= 1")
     thetas = [float(json_field({"theta": t}, "theta", numbers.Real, owner)) for t in thetas]
-    return [(theta, *gen_triangle(theta)) for theta in thetas], n_starts, _seed(p, owner)
+    _seed(p, owner)  # run_experiment draws the starts from it
+    return [(obj, spec, {"theta": theta, "delta": delta, "diameter": diameter}, n_starts)
+            for theta in thetas for obj, spec, delta, diameter in [gen_triangle(theta)]]
 
 
 def _rankdef(p: Dict):
     d, rank = (json_field(p, key, numbers.Integral, "rankdef problem") for key in ("d", "rank"))
     obj, spec = gen_rankdef(d, rank, _seed(p, "rankdef problem"))
-    return obj, spec, {"mu": obj.strong_convexity, "f_star": 0.0}  # b = A x0 is consistent
+    return [(obj, spec, {"mu": obj.strong_convexity, "f_star": 0.0}, 0)]  # b = A x0 is consistent
 
 
 def _custom(p: Dict):
@@ -220,19 +221,20 @@ def _custom(p: Dict):
         raise ValueError(f"A has {A.shape[1]} columns but the spec has dimension {spec.dimension}")
     if y.shape != (A.shape[0],):
         raise ValueError(f"y has shape {y.shape} but A has {A.shape[0]} rows")
-    return QuadraticObjective.least_squares(A, y), spec, {}
+    return [(QuadraticObjective.least_squares(A, y), spec, {}, 0)]
 
 
-# kind: its builder.  A builder reads each key with json_field and calls the generator,
-# which checks the values, and returns what the runs need: ((theta, *gen_triangle's
-# tuple) for each theta, n_starts, rng_seed), or (obj, spec, known), known holding the
-# summary entries known by construction.
+# kind: its builder.  A builder reads each key with json_field, calls the generator, which
+# checks the values, and returns the instances (obj, spec, known, n_starts).  known holds
+# values known by construction: f_star, mu, and Theorem 1's delta and M (_CONSTANTS); any
+# other entry (a triangle's theta) labels the instance's runs and aggregates.
 PROBLEMS: Dict[str, Callable[[Dict], Any]] = {
     "lasso": _lasso,
     "triangle": _triangle,
     "rankdef": _rankdef,
     "custom": _custom,
 }
+_CONSTANTS = ("f_star", "mu", "delta", "diameter")  # the known entries that label nothing
 
 
 def fit_rate(
@@ -312,111 +314,39 @@ def reference_optimum(obj: Objective, spec: PolytopeSpec) -> float:
     return min([float(echo["f0"]), *map(float, trace.columns["f_value"])])
 
 
-def _run_record(
-    key: str, variant: str, trace: RunTrace, trace_file: str, fit: Optional[RateFit]
-) -> Dict:
-    f_values = trace.columns["f_value"]
-    last_f = f_values[-1] if f_values else trace.config_echo.get("f0")
-    ratio = None
-    if fit is not None and fit.theoretical_rho:
-        ratio = fit.rho_hat / fit.theoretical_rho
-    return {
-        "key": key,
-        "variant": variant,
-        "trace_file": trace_file,
-        "exit_status": trace.config_echo["exit_status"],
-        "iterations": len(f_values),
-        "final_fw_gap": trace.config_echo["final_fw_gap"],
-        "final_f": last_f,
-        "step_counts": trace.step_counts(),
-        "rate_fit": fit.to_json() if fit is not None else None,
-        "ratio": ratio,
-    }
-
-
-def _fit(trace: RunTrace, f_star: float) -> RateFit:
-    return fit_rate(trace, "f_gap_to_opt", f_star=f_star, floor=1e-12 * max(1.0, abs(f_star)))
-
-
-def _run(config: ExperimentConfig, out_dir: Path, key: str, variant: str, obj: Objective,
-         spec: PolytopeSpec, x0: Optional[ActiveIterate] = None) -> Tuple[RunTrace, str]:
-    """Solve one run and write its trace; returns the trace and the file's name."""
-    cfg = SolverConfig(variant=variant, epsilon=config.epsilon, max_iter=config.max_iter)
-    trace = solve(obj, spec, cfg, x0=x0)
-    fname = f"{config.name}_{key}.csv"
-    trace.write_csv(out_dir / fname)
-    return trace, fname
+def _rhos(obj: Objective, spec: PolytopeSpec, known: Dict, variants) -> Dict[str, Optional[float]]:
+    """Theorem 1's rho per variant: delta and M from ``known``, else ``rate_constant`` (whose
+    ``ValueError`` leaves every rho None); mu = 0 makes every rho 0 with no geometry."""
+    try:
+        mu, L = obj.strong_convexity, obj.smoothness
+        if "delta" in known:
+            delta, M = known["delta"], known["diameter"]
+        elif mu == 0.0:
+            delta = M = 1.0
+        else:
+            constants = rate_constant(obj, spec)
+            delta, M = constants.delta, constants.diameter
+        return {variant: linear_rate(variant, mu, L, delta, M) for variant in variants}
+    except ValueError:
+        return dict.fromkeys(variants)
 
 
 def _median(values: List[float]) -> Optional[float]:
     return float(np.median(values)) if values else None
 
 
-def _run_triangle(config: ExperimentConfig, out_dir: Path) -> Tuple[List[Dict], List[Dict]]:
-    triangles, n_starts, seed = config.built
-    runs: List[Dict] = []
-    aggregates: List[Dict] = []
-    for ti, (theta, obj, spec, delta, diameter) in enumerate(triangles):
-        atoms = spec.enumerate_atoms()
-        f_star = reference_optimum(obj, spec)
-        rng = np.random.default_rng([seed, ti])
-        starts = [rng.dirichlet(np.ones(len(atoms))) for _ in range(n_starts)]
-        for variant in config.variants:
-            theoretical = linear_rate(variant, 1.0, 1.0, delta, diameter)  # mu = L = 1
-            mine: List[Dict] = []
-            for si, w in enumerate(starts):
-                key = f"triangle_t{ti}_{variant.lower()}_s{si:02d}"
-                x0 = ActiveIterate.from_weights({atoms[i]: float(w[i]) for i in range(len(atoms))})
-                trace, fname = _run(config, out_dir, key, variant, obj, spec, x0)
-                # A start whose very first step is a drop carries no rate
-                # information (the offending corner's mass is shed at once
-                # and the run collapses), so it is excluded but counted.
-                drop_start = trace.columns["kind"][:1] == [StepKind.DROP]
-                fit = None
-                degenerate = False
-                if not drop_start:
-                    fit = _fit(trace, f_star)
-                    fit.theoretical_rho = theoretical
-                    # Runs that land on the optimum before three positive
-                    # suboptimality values accrue have no fittable decay;
-                    # they converged essentially at once and are excluded
-                    # the same way drop starts are.
-                    if fit.rho_hat <= 0.0 and fit.window[1] - fit.window[0] < 3:
-                        degenerate = True
-                        fit = None
-                mine.append({**_run_record(key, variant, trace, fname, fit), "theta": theta,
-                             "start": si, "drop_start": drop_start, "degenerate": degenerate})
-            runs.extend(mine)
-            included = [r for r in mine if r["ratio"] is not None]
-            ratios = [r["ratio"] for r in included]
-            fits = [r["rate_fit"] for r in included]
-            aggregates.append(
-                {
-                    "theta": theta,
-                    "variant": variant,
-                    "theoretical_rho": theoretical,
-                    "n_included": len(ratios),
-                    "n_drop_start": sum(1 for r in mine if r["drop_start"]),
-                    "n_degenerate": sum(1 for r in mine if r["degenerate"]),
-                    "median_ratio": _median(ratios),
-                    "min_ratio": min(ratios) if ratios else None,
-                    # what the included ratios rest on
-                    "median_records": _median([r["iterations"] for r in included]),
-                    "median_fit_window": _median([f["window"][1] - f["window"][0] for f in fits]),
-                    "median_r_squared": _median([f["r_squared"] for f in fits]),
-                }
-            )
-    return runs, aggregates
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> Dict:
-    """Run every (variant, start) of the configured experiment.
+    """Run every (instance, variant, start) of the configured experiment.
 
-    Writes one trace CSV per run plus ``<name>_summary.json`` into
-    ``out_dir`` and returns the summary.  A run that fails keeps its
-    trace, whose header holds the ``error:`` exit status and message,
-    and a record of the same shape as any other run's; the experiment
-    continues.
+    An instance's ``n_starts`` are Dirichlet weightings of its atoms from
+    ``default_rng([rng_seed, instance index])``, with an aggregate per
+    variant; with none, each variant runs once from the solver's start, and
+    ``known`` and f* go to the top of the summary.  Every run records
+    Theorem 1's ``rho`` and ``ratio`` = rho_hat / rho.  Writes one trace CSV
+    per run plus ``<name>_summary.json`` into ``out_dir`` and returns the
+    summary.  A run that fails keeps its trace, whose header holds the
+    ``error:`` exit status and message, and a record of the same shape as
+    any other run's; the experiment continues.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -427,19 +357,79 @@ def run_experiment(config: ExperimentConfig, out_dir) -> Dict:
         "variants": config.variants,
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
+        "runs": [],
     }
-    if kind == "triangle":
-        summary["runs"], summary["aggregates"] = _run_triangle(config, out)
-    else:
-        obj, spec, known = config.built
-        summary.update(known)
-        if "f_star" not in summary:
-            summary["f_star"] = reference_optimum(obj, spec)
-        f_star, summary["runs"] = summary["f_star"], []
-        for variant in config.variants:
-            key = f"{kind}_{variant.lower()}"
-            trace, fname = _run(config, out, key, variant, obj, spec)
-            summary["runs"].append(_run_record(key, variant, trace, fname, _fit(trace, f_star)))
+    aggregates: List[Dict] = []
+    for ti, (obj, spec, known, n_starts) in enumerate(config.built):
+        f_star = known["f_star"] if "f_star" in known else reference_optimum(obj, spec)
+        label = {key: value for key, value in known.items() if key not in _CONSTANTS}
+        starts: List[Optional[ActiveIterate]] = [None]
+        if n_starts:
+            atoms = spec.enumerate_atoms()
+            rng = np.random.default_rng([config.problem["rng_seed"], ti])
+            starts = [ActiveIterate.from_weights(dict(zip(atoms, w.tolist())))
+                      for w in rng.dirichlet(np.ones(len(atoms)), n_starts)]
+        else:
+            summary.update(known, f_star=f_star)
+        rhos = _rhos(obj, spec, known, config.variants)
+        for variant, rho in rhos.items():
+            cfg = SolverConfig(variant=variant, epsilon=config.epsilon, max_iter=config.max_iter)
+            mine: List[Dict] = []
+            for si, x0 in enumerate(starts):
+                key = (f"{kind}_t{ti}_{variant.lower()}_s{si:02d}" if n_starts
+                       else f"{kind}_{variant.lower()}")
+                fname = f"{config.name}_{key}.csv"
+                trace = solve(obj, spec, cfg, x0=x0)
+                trace.write_csv(out / fname)
+                # A first step that drops an atom sheds a corner's mass at once, and a fit
+                # with no decay over fewer than three points converged at once: neither
+                # carries rate information, so both are excluded but counted.
+                drop_start = trace.columns["kind"][:1] == [StepKind.DROP]
+                fit = None if drop_start else fit_rate(
+                    trace, "f_gap_to_opt", f_star=f_star, floor=1e-12 * max(1.0, abs(f_star)))
+                degenerate = (fit is not None and fit.rho_hat <= 0.0
+                              and fit.window[1] - fit.window[0] < 3)
+                fit = None if degenerate else fit
+                f_values, echo = trace.columns["f_value"], trace.config_echo
+                mine.append({
+                    "key": key,
+                    "variant": variant,
+                    "trace_file": fname,
+                    "exit_status": echo["exit_status"],
+                    "iterations": len(f_values),
+                    "final_fw_gap": echo["final_fw_gap"],
+                    "final_f": f_values[-1] if f_values else echo.get("f0"),
+                    "step_counts": trace.step_counts(),
+                    "rate_fit": fit.to_json() if fit is not None else None,
+                    "rho": rho,
+                    "ratio": fit.rho_hat / rho if fit is not None and rho else None,
+                    **label,
+                    "start": si,
+                    "drop_start": drop_start,
+                    "degenerate": degenerate,
+                })
+            summary["runs"].extend(mine)
+            if not n_starts:
+                continue
+            included = [r for r in mine if r["ratio"] is not None]
+            ratios = [r["ratio"] for r in included]
+            fits = [r["rate_fit"] for r in included]
+            aggregates.append({
+                **label,
+                "variant": variant,
+                "theoretical_rho": rho,
+                "n_included": len(ratios),
+                "n_drop_start": sum(1 for r in mine if r["drop_start"]),
+                "n_degenerate": sum(1 for r in mine if r["degenerate"]),
+                "median_ratio": _median(ratios),
+                "min_ratio": min(ratios) if ratios else None,
+                # what the included ratios rest on
+                "median_records": _median([r["iterations"] for r in included]),
+                "median_fit_window": _median([f["window"][1] - f["window"][0] for f in fits]),
+                "median_r_squared": _median([f["r_squared"] for f in fits]),
+            })
+    if aggregates:
+        summary["aggregates"] = aggregates
     (out / f"{config.name}_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

@@ -82,7 +82,8 @@ def _hull_facets(proj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     farthest from the span of those chosen, and adds one point's constraint at a time.
     A ray's mask holds the points within ``FACET_TOL`` of its hyperplane; a ray that the
     new point violates is joined to each ray inside that is adjacent to it (at least
-    r - 1 shared points, and no third ray's mask covers the shared ones), in blocks.
+    r - 1 shared points, and no third ray's mask covers the shared ones), in blocks.  A
+    cone of more than ``FACE_CAP`` rays, the last or an intermediate one, raises ``ValueError``.
     """
     n, r = proj.shape
     rows = np.hstack([proj / np.abs(proj).max(), -np.ones((n, 1))])
@@ -101,13 +102,17 @@ def _hull_facets(proj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if not out.any():
             continue
         cut, inside = out.nonzero()[0], (s < -FACET_TOL).nonzero()[0]
-        shared = masks[cut, None] & masks[inside]
-        p, q = (np.bitwise_count(shared) >= r - 1).nonzero()
-        shared = shared[p, q]
+        step = 2 ** 20 // max(inside.size, 1) + 1  # cut rays per block of pair products
+        pairs = [(p + lo, q, block[p, q]) for lo in range(0, cut.size, step)
+                 for block in [masks[cut[lo : lo + step], None] & masks[inside]]
+                 for p, q in [(np.bitwise_count(block) >= r - 1).nonzero()]]
+        p, q, shared = map(np.concatenate, zip(*pairs))
         step = 2 ** 20 // masks.size + 1  # pairs per block of cover tests
         adjacent = np.concatenate([((shared[lo : lo + step, None] & ~masks) == 0).sum(axis=1) == 2
                                    for lo in range(0, max(shared.size, 1), step)])
         p, q, shared = cut[p[adjacent]], inside[q[adjacent]], shared[adjacent]
+        if masks.size - cut.size + p.size > FACE_CAP:
+            raise ValueError(f"a cone of the facet enumeration has more than {FACE_CAP} rays")
         new = s[p, None] * rays[q] - s[q, None] * rays[p]
         new /= np.sqrt(np.einsum("ij,ij->i", new[:, :r], new[:, :r]))[:, None]
         rays = np.concatenate([rays[~out], new])

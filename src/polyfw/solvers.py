@@ -169,7 +169,8 @@ def fcfw_correction(
     quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
     otherwise an AFW step (``_line_search_step``).  An inner step that
     cannot descend, or does not lower f strictly, ends the correction
-    at the iterate it started from.  Either way ``post_away_gap`` comes
+    at the iterate it started from, and one to a non-finite f at the one
+    it reached, where ``solve`` ends ``error:nonfinite``.  ``post_away_gap`` comes
     from the exact gradient there.  Below the rounding floor that gap can
     stay above ``eps`` although the incremental one passed; no correction
     meets the contract there, so the iterate is returned as it is, and
@@ -213,6 +214,9 @@ def fcfw_correction(
                 Variant.AFW, z, grad, atoms[i_s], state, away, to_s, -float(grad @ to_s)
             )
             z_next, passes = (None, 0) if step is None else (step[0], 1)
+        if z_next is not None and not math.isfinite(state.value):
+            z = z_next
+            break
         if z_next is None or not state.value < f_before:
             break  # a stall: return the iterate the failed step started from
         z = z_next

@@ -9,6 +9,7 @@ import pytest
 
 from polyfw import cli, geometry
 from polyfw.bench import (
+    PROBLEMS,
     ExperimentConfig,
     all_runs_clean,
     fit_rate,
@@ -227,13 +228,36 @@ def test_reference_optimum_pinned(problem, f_star):
     assert reference_optimum(obj, spec) == f_star
 
 
-def test_run_experiment_reproducible(tmp_path):
-    cfg = triangle_config("repro")
+def write_custom_csvs(folder, seed=16, shape=(8, 4)):
+    """Write the A.csv and y.csv of a seeded Gaussian least-squares problem into ``folder``."""
+    rng = np.random.default_rng(seed)
+    np.savetxt(folder / "A.csv", rng.standard_normal(shape), delimiter=",")
+    np.savetxt(folder / "y.csv", rng.standard_normal(shape[0]), delimiter=",")
+
+
+def custom_problem(folder, spec):
+    return {"kind": "custom", "A_csv": str(folder / "A.csv"), "y_csv": str(folder / "y.csv"),
+            "spec": spec}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_run_experiment_reproducible(kind, tmp_path):
+    """Two runs of one config write byte-identical traces and summaries, for every kind."""
+    write_custom_csvs(tmp_path)
+    problem = {
+        "lasso": {"kind": "lasso", "m": 10, "n": 16, "k": 3, "rng_seed": 4, "radius": 1.5},
+        "triangle": {"kind": "triangle", "thetas": [math.pi / 4, math.pi / 8], "n_starts": 3,
+                     "rng_seed": 5},
+        "rankdef": {"kind": "rankdef", "d": 10, "rank": 4, "rng_seed": 3},
+        "custom": custom_problem(tmp_path, {"variant": "simplex", "dimension": 4}),
+    }[kind]
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_experiment(cfg, a)
-    run_experiment(triangle_config("repro"), b)
+    for out in (a, b):
+        run_experiment(ExperimentConfig("repro", dict(problem), [v.value for v in Variant],
+                                        1e-10, 300), out)
     names = sorted(p.name for p in a.iterdir())
+    assert "repro_summary.json" in names and len(names) > len(Variant)
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -316,7 +340,8 @@ def test_run_experiment_keeps_failed_run_trace(tmp_path, monkeypatch, capsys):
 
 
 def test_triangle_theoretical_rho_is_linear_rate(tmp_path):
-    """Every variant's theoretical rho in the sweep is Theorem 1's, with mu = L = 1."""
+    """Every variant's theoretical rho in the sweep is Theorem 1's, with mu = L = 1, in its
+    aggregate and in each of its run records."""
     config = ExperimentConfig(
         "tri_rho", {"kind": "triangle", "thetas": [math.pi / 4, math.pi / 8], "n_starts": 2,
                     "rng_seed": 3}, [v.value for v in Variant], 1e-10, 200)
@@ -331,18 +356,42 @@ def test_triangle_theoretical_rho_is_linear_rate(tmp_path):
         assert rho[(theta, "FW")] is None
         assert rho[(theta, "MNP")] == rho[(theta, "FCFW")] == rho[(theta, "AFW")]
         assert rho[(theta, "PFW")] == 4.0 * rho[(theta, "AFW")]  # base < 1/2 on these angles
+    assert len(summary["runs"]) == 2 * 2 * len(Variant)
+    for run in summary["runs"]:
+        assert run["rho"] == rho[(run["theta"], run["variant"])]
+        if run["ratio"] is not None:
+            assert run["ratio"] == run["rate_fit"]["rho_hat"] / run["rho"]
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "lasso", "m": 10, "n": 16, "k": 3, "rng_seed": 4, "radius": 1.5},
+    {"kind": "rankdef", "d": 10, "rank": 4, "rng_seed": 3},
+], ids=["lasso", "rankdef"])
+def test_rho_is_zero_without_strong_convexity(problem, tmp_path, monkeypatch):
+    """mu = 0 makes Theorem 1's rho 0, with no geometry: FW has none, so no run has a ratio."""
+    import polyfw.bench as bench
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("rate_constant ran")
+
+    monkeypatch.setattr(bench, "rate_constant", no_geometry)
+    config = ExperimentConfig("mu0", problem, [v.value for v in Variant], 1e-8, 300)
+    assert config.built[0][0].strong_convexity == 0.0
+    summary = run_experiment(config, tmp_path)
+    assert [run["variant"] for run in summary["runs"]] == config.variants
+    for run in summary["runs"]:
+        assert run["rho"] == (None if run["variant"] == "FW" else 0.0), run["variant"]
+        assert run["ratio"] is None and run["start"] == 0
+        assert not run["drop_start"] and not run["degenerate"] and run["rate_fit"] is not None
+    assert "aggregates" not in summary and "theta" not in summary["runs"][0]
 
 
 def test_run_experiment_custom_problem(tmp_path):
-    """A least-squares problem read from CSV files, over a spec given as JSON."""
-    rng = np.random.default_rng(16)
-    A = rng.standard_normal((8, 4))
-    y = rng.standard_normal(8)
-    np.savetxt(tmp_path / "A.csv", A, delimiter=",")
-    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    """A least-squares problem read from CSV files, over a spec given as JSON; A has full
+    column rank, so mu > 0 and each run's rho is ``rate_constant``'s."""
+    write_custom_csvs(tmp_path)
     config = ExperimentConfig(
-        "mine", {"kind": "custom", "A_csv": str(tmp_path / "A.csv"),
-                 "y_csv": str(tmp_path / "y.csv"), "spec": {"variant": "simplex", "dimension": 4}},
+        "mine", custom_problem(tmp_path, {"variant": "simplex", "dimension": 4}),
         ["FW", "AFW", "PFW", "FCFW", "MNP"], 1e-8, 500)
     out = tmp_path / "runs"
     summary = run_experiment(config, out)
@@ -357,6 +406,32 @@ def test_run_experiment_custom_problem(tmp_path):
     assert all_runs_clean(summary)
     for run in summary["runs"]:
         assert run["final_f"] >= summary["f_star"] - 1e-12
+    constants = geometry.rate_constant(obj, Simplex(4))
+    assert constants.mu > 0.0
+    assert {run["variant"]: run["rho"] for run in summary["runs"]} == {
+        "FW": None, "AFW": constants.afw, "PFW": constants.pfw, "FCFW": constants.afw,
+        "MNP": constants.afw}
+
+
+def test_rho_is_null_where_the_width_cannot_be_computed(tmp_path):
+    """65 distinct atoms are past pwidth's 64-atom cap: rate_constant raises, every rho is
+    None, and the runs still finish and are recorded."""
+    write_custom_csvs(tmp_path, shape=(8, 3))
+    atoms = np.random.default_rng(65).standard_normal((65, 3)).tolist()
+    config = ExperimentConfig("capped", custom_problem(tmp_path, {"variant": "vertices",
+                                                                  "atoms": atoms}),
+                              ["FW", "AFW", "PFW", "FCFW", "MNP"], 1e-8, 500)
+    obj, spec = config.built[0][:2]
+    assert obj.strong_convexity > 0.0
+    with pytest.raises(ValueError, match="limited to 64 atoms"):
+        geometry.rate_constant(obj, spec)
+    summary = run_experiment(config, tmp_path / "runs")
+    assert [run["variant"] for run in summary["runs"]] == config.variants
+    for run in summary["runs"]:
+        assert run["rho"] is None and run["ratio"] is None
+        assert (run["rate_fit"] is None) == run["degenerate"]  # FCFW and MNP: 3 records
+        assert (tmp_path / "runs" / run["trace_file"]).exists()
+    assert all_runs_clean(summary)
 
 
 def test_all_runs_clean():

