@@ -32,7 +32,6 @@ from polyfw.geometry import (
     analytic_pwidth,
     eccentricity,
     enumerate_faces,
-    exact_constants,
     pwidth,
     rate_constant,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "apply_pairwise_step",
     "eccentricity",
     "enumerate_faces",
-    "exact_constants",
     "fit_rate",
     "gen_lasso",
     "gen_rankdef",

@@ -9,10 +9,11 @@ closest facial pair.  A face is a uint64 bitmask of its atoms: up to 64
 atoms and 2^16 faces.  The facets come from a double-description
 enumerator in numpy (``_hull_facets``), so no face or width loads scipy.
 The diameter M (``polytope_diameter``) and the width are exact to rounding
-however far the atoms are translated.  ``exact_constants`` (L, mu, M) and
-Theorem 1's contraction factor ``linear_rate`` live here too;
-``rate_constant`` evaluates it for a quadratic from one enumeration of the
-atoms at most.
+however far the atoms are translated; simplices, cubes and l1 balls have
+closed forms for both.  Theorem 1's contraction factor ``linear_rate`` lives
+here too, and ``rate_constant`` gathers its arguments for a quadratic,
+``RateConstants(mu, L, delta, diameter)``, from one enumeration of the atoms
+at most.
 """
 
 from __future__ import annotations
@@ -285,7 +286,16 @@ def pwidth(atoms) -> WidthReport:
 
 
 def analytic_pwidth(spec: oracles.PolytopeSpec) -> Optional[float]:
-    """Closed-form pyramidal width for families where it is known."""
+    """Closed-form pyramidal width for families where it is known.
+
+    The l1 ball of radius r in R^d: 2r for d = 1, else r / sqrt(d - 1), its facial distance
+    (Pena and Rodriguez 2019).  A face of k < d atoms s_i r e_i lies on sum_i s_i y_i = r,
+    and the other atoms' hull {||y||_1 <= r, s_i y_i <= 0 on the face's coordinates}
+    contains 0: they are r / sqrt(k) apart.  Opposite facets are 2r / sqrt(d) apart.
+    """
+    if isinstance(spec, oracles.L1Ball):
+        d, r = spec.dimension, spec.radius
+        return 2.0 * r if d == 1 else r / np.sqrt(d - 1.0)
     if isinstance(spec, oracles.Simplex):
         d = spec.dimension
         if d < 2:
@@ -325,17 +335,6 @@ def _spec_constants(spec: oracles.PolytopeSpec) -> Tuple[float, float]:
     return M, delta
 
 
-def _curvature(obj: Objective) -> Tuple[float, float]:
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("exact constants are only available for quadratics")
-    return obj.smoothness, obj.strong_convexity
-
-
-def exact_constants(obj: Objective, spec: oracles.PolytopeSpec) -> Tuple[float, float, float]:
-    """(L, mu, M): extreme eigenvalues of Q and the polytope diameter."""
-    return (*_curvature(obj), polytope_diameter(spec))
-
-
 def eccentricity(spec: oracles.PolytopeSpec) -> float:
     """(diameter / pyramidal width)^2 of the domain."""
     M, delta = _spec_constants(spec)
@@ -360,10 +359,9 @@ def linear_rate(variant, mu: float, L: float, delta: float, M: float) -> Optiona
 
 @dataclass
 class RateConstants:
-    """Theorem 1's constants for a quadratic over a polytope (see ``linear_rate``)."""
+    """Theorem 1's constants for a quadratic over a polytope, in ``linear_rate``'s argument
+    order: each variant's rho is ``linear_rate(variant, mu, L, delta, diameter)``."""
 
-    afw: float   # rho of AFW, FCFW and MNP: mu delta^2 / (4 L M^2)
-    pfw: float   # rho of PFW: min(1/2, mu delta^2 / (L M^2))
     mu: float
     L: float
     delta: float
@@ -371,8 +369,8 @@ class RateConstants:
 
 
 def rate_constant(obj: Objective, spec: oracles.PolytopeSpec) -> RateConstants:
-    """Theoretical contraction factors from (mu, L) and (delta, M)."""
-    L, mu = _curvature(obj)
+    """mu and L of a quadratic (the extreme eigenvalues of Q) and delta and M of ``spec``."""
+    if not isinstance(obj, QuadraticObjective):
+        raise TypeError("rate constants are only available for quadratics")
     M, delta = _spec_constants(spec)
-    afw, pfw = (linear_rate(variant, mu, L, delta, M) for variant in ("AFW", "PFW"))
-    return RateConstants(afw=afw, pfw=pfw, mu=mu, L=L, delta=delta, diameter=M)
+    return RateConstants(obj.strong_convexity, obj.smoothness, delta, M)

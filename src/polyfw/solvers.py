@@ -10,8 +10,8 @@ They differ only in the move:
 * ``PFW``  pairwise steps move weight directly from the worst active
            atom onto the oracle atom (``pfw_step``);
 * ``FCFW`` each iteration re-optimizes over a pool of correction atoms
-           until the pool's internal gaps are small, or no inner step
-           lowers f: Wolfe major cycles on a quadratic, AFW steps
+           until the pool's internal gaps fall to the run's epsilon, or
+           no inner step lowers f: Wolfe major cycles on a quadratic, AFW steps
            otherwise;
 * ``MNP``  each iteration runs one Wolfe major cycle (min-norm point),
            landing on the exact minimizer over the hull of the atoms
@@ -78,25 +78,26 @@ class Variant(str, Enum):
     FCFW = "FCFW"
     MNP = "MNP"
 
+    @classmethod
+    def _missing_(cls, value):
+        """A name in any case: ``Variant("afw")`` is ``Variant.AFW``."""
+        return cls.__members__.get(value.upper()) if isinstance(value, str) else None
+
 
 @dataclass
 class SolverConfig:
+    """Variant (or its name, any case), FW-gap tolerance (FCFW's inner one too), iteration cap."""
+
     variant: Variant
     epsilon: float = 1e-8
     max_iter: int = 1000
-    correction_epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variant, Variant):
-            self.variant = Variant(str(self.variant).upper())
+        self.variant = Variant(self.variant)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.correction_epsilon is None:
-            self.correction_epsilon = self.epsilon
-        if not 0 < self.correction_epsilon <= self.epsilon:
-            raise ValueError("correction_epsilon must lie in (0, epsilon]")
 
 
 @dataclass
@@ -461,7 +462,7 @@ def solve(
             f_before = state.value
             try:
                 if config.variant is Variant.FCFW:
-                    result = fcfw_correction(state, it, pool, s, config.correction_epsilon)
+                    result = fcfw_correction(state, it, pool, s, config.epsilon)
                 else:
                     result = mnp_correction(state, it, s)
             except CORRECTION_ERRORS as exc:
@@ -490,7 +491,6 @@ def solve(
         "variant": config.variant.value,
         "epsilon": config.epsilon,
         "max_iter": config.max_iter,
-        "correction_epsilon": config.correction_epsilon,
         "dimension": spec.dimension,
         "init_active_size": init_size,
         "f0": f0,

@@ -25,7 +25,7 @@ from polyfw.bench import (
     run_experiment,
 )
 from polyfw.core import ActiveIterate, Atom, StepKind
-from polyfw.geometry import exact_constants
+from polyfw.geometry import polytope_diameter
 from polyfw.objectives import QuadraticObjective
 from polyfw.oracles import (
     BasePolytope,
@@ -70,7 +70,7 @@ def desk_lasso():
 
 def theorem2_worst_ratio(trace, obj, spec, f_star):
     """Largest fw_gap / bound over a trace, with h floored at f* precision."""
-    L, _, M = exact_constants(obj, spec)
+    L, M = obj.smoothness, polytope_diameter(spec)
     fs = [trace.config_echo["f0"]] + [r.f_value for r in trace.records]
     f_star = min(f_star, min(fs))
     floor = 1e-12 * max(1.0, abs(f_star))
@@ -267,8 +267,7 @@ def test_c07_correction_postconditions():
     for d in (5, 6):
         A = rng.standard_normal((d + 4, d))
         obj = QuadraticObjective.least_squares(A, rng.standard_normal(d + 4))
-        trace = solve(obj, Simplex(d), SolverConfig(
-            Variant.FCFW, epsilon=1e-9, max_iter=300, correction_epsilon=ceps))
+        trace = solve(obj, Simplex(d), SolverConfig(Variant.FCFW, epsilon=ceps, max_iter=300))
         statuses.add(trace.config_echo["exit_status"])
         for rec in trace.records:
             worst_away = max(worst_away, rec.away_gap)

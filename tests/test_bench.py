@@ -406,11 +406,30 @@ def test_run_experiment_custom_problem(tmp_path):
     assert all_runs_clean(summary)
     for run in summary["runs"]:
         assert run["final_f"] >= summary["f_star"] - 1e-12
-    constants = geometry.rate_constant(obj, Simplex(4))
-    assert constants.mu > 0.0
+    c = geometry.rate_constant(obj, Simplex(4))
+    assert c.mu > 0.0
+    afw, pfw = (geometry.linear_rate(v, c.mu, c.L, c.delta, c.diameter) for v in ("AFW", "PFW"))
     assert {run["variant"]: run["rho"] for run in summary["runs"]} == {
-        "FW": None, "AFW": constants.afw, "PFW": constants.pfw, "FCFW": constants.afw,
-        "MNP": constants.afw}
+        "FW": None, "AFW": afw, "PFW": pfw, "FCFW": afw, "MNP": afw}
+
+
+def test_vertices_spec_reads_its_atoms_from_a_csv(tmp_path):
+    """A vertices spec's "csv" key gives the summary and traces of the same atoms inline."""
+    write_custom_csvs(tmp_path, shape=(8, 2))
+    atoms = [[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]
+    np.savetxt(tmp_path / "atoms.csv", atoms, delimiter=",")
+    specs = {"inline": {"variant": "vertices", "atoms": atoms},
+             "file": {"variant": "vertices", "csv": str(tmp_path / "atoms.csv")}}
+    summaries = {}
+    for name, spec in specs.items():
+        config = ExperimentConfig("tri", custom_problem(tmp_path, spec), ["AFW", "PFW"], 1e-10, 500)
+        summaries[name] = run_experiment(config, tmp_path / name)
+        summaries[name].pop("problem")
+    assert summaries["inline"] == summaries["file"]
+    assert all(run["exit_status"] == "converged" for run in summaries["file"]["runs"])
+    for run in summaries["file"]["runs"]:
+        name = run["trace_file"]
+        assert (tmp_path / "file" / name).read_text() == (tmp_path / "inline" / name).read_text()
 
 
 def test_rho_is_null_where_the_width_cannot_be_computed(tmp_path):
@@ -657,6 +676,7 @@ def concave(n, values):
     (seeded(7.9), []), (seeded(True), []), ({"name": 7}, []), (TEXT_M, []), (REAL_STARTS, []),
     ({"max_iter": 20.9}, []), (TEXT_SPEC, []), (custom(A_csv="nan.csv"), []),
     (custom(y_csv="inf.csv"), []), ({"variants": ["AFW", "afw"]}, []),
+    (custom(variant="vertices", dimension=None, csv="missing.csv"), []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.

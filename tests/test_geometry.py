@@ -1,8 +1,10 @@
 """Width machinery: faces, pyramidal width, diameter, constants."""
 
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from polyfw.geometry import (
     analytic_pwidth,
     eccentricity,
     enumerate_faces,
-    exact_constants,
     linear_rate,
     polytope_diameter,
     pwidth,
@@ -89,7 +90,8 @@ def test_pwidth_matches_analytic_small_cases():
 
 
 def test_pwidth_exact_on_analytic_families():
-    specs = [Cube(d) for d in range(2, 7)] + [Simplex(d) for d in range(2, 8)]
+    specs = ([Cube(d) for d in range(2, 7)] + [Simplex(d) for d in range(2, 8)]
+             + [L1Ball(d, 2.5) for d in range(1, 8)])
     for spec in specs:
         expected = analytic_pwidth(spec)
         got = pwidth(points_of(spec)).pwidth_estimate
@@ -371,12 +373,15 @@ def test_eccentricity_pinned():
     assert eccentricity(Simplex(4)) == pytest.approx(2.0)
     assert eccentricity(Cube(4)) == pytest.approx(16.0)
     assert eccentricity(Simplex(2)) == pytest.approx(1.0)
+    # M = 2r and delta = r / sqrt(d - 1); L1Ball(30)'s 60 atoms are past the facet enumeration
+    for d, r in [(2, 1.0), (3, 2.5), (6, 1e-3), (30, 1.6)]:
+        assert eccentricity(L1Ball(d, r)) == pytest.approx(4.0 * (d - 1))
 
 
 def test_rate_constant_identity_simplex():
     rc = rate_constant(identity_obj(2), Simplex(2))
-    assert rc.afw == pytest.approx(0.25)
-    assert rc.pfw == pytest.approx(0.5)
+    assert linear_rate("AFW", *astuple(rc)) == pytest.approx(0.25)
+    assert linear_rate("PFW", *astuple(rc)) == pytest.approx(0.5)
     assert rc.mu == pytest.approx(1.0)
     assert rc.L == pytest.approx(1.0)
     assert rc.delta ** 2 == pytest.approx(2.0)
@@ -384,15 +389,15 @@ def test_rate_constant_identity_simplex():
 
 def test_rate_constant_identity_cube3():
     rc = rate_constant(identity_obj(3), Cube(3))
-    assert rc.afw == pytest.approx(1.0 / 36.0)
-    assert rc.pfw == pytest.approx(min(0.5, 1.0 / 9.0))
+    assert linear_rate("AFW", *astuple(rc)) == pytest.approx(1.0 / 36.0)
+    assert linear_rate("PFW", *astuple(rc)) == pytest.approx(min(0.5, 1.0 / 9.0))
 
 
 def test_exact_constants_against_eigensolve():
     rng = np.random.default_rng(305)
     A = rng.standard_normal((8, 5))
     f = QuadraticObjective.least_squares(A, rng.standard_normal(8))
-    L, mu, M = exact_constants(f, Simplex(5))
+    L, mu, M = f.smoothness, f.strong_convexity, polytope_diameter(Simplex(5))
     eigs = np.linalg.eigvalsh(2.0 * A.T @ A)
     assert L == pytest.approx(float(eigs[-1]), rel=1e-10)
     assert mu == pytest.approx(float(eigs[0]), abs=1e-8)
@@ -401,11 +406,10 @@ def test_exact_constants_against_eigensolve():
 
 def test_exact_constants_pinned_diameters():
     f = QuadraticObjective(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))
-    assert exact_constants(f, Cube(4))[2] == pytest.approx(2.0)
-    g = QuadraticObjective(np.eye(3), np.zeros(3))
-    assert exact_constants(g, L1Ball(3, 5.0))[2] == pytest.approx(10.0)
-    assert exact_constants(f, Simplex(4))[0] == pytest.approx(4.0)
-    assert exact_constants(f, Simplex(4))[1] == pytest.approx(1.0)
+    assert polytope_diameter(Cube(4)) == pytest.approx(2.0)
+    assert polytope_diameter(L1Ball(3, 5.0)) == pytest.approx(10.0)
+    assert f.smoothness == pytest.approx(4.0)
+    assert f.strong_convexity == pytest.approx(1.0)
 
 
 def test_analytic_diameter_matches_enumerated():
@@ -453,7 +457,8 @@ def test_translated_triangle_keeps_its_rate_constants():
     for offset in (0.0, 1e8):
         spec = VertexList(triangle + offset)
         assert eccentricity(spec) == pytest.approx(4.0, rel=1e-12)
-        assert rate_constant(identity_obj(2), spec).afw == pytest.approx(0.0625, rel=1e-12)
+        rc = rate_constant(identity_obj(2), spec)
+        assert linear_rate("AFW", *astuple(rc)) == pytest.approx(0.0625, rel=1e-12)
 
 
 @pytest.mark.parametrize("constant", [eccentricity, lambda d: rate_constant(identity_obj(8), d)],
@@ -469,8 +474,9 @@ def test_constants_enumerate_a_spec_once(constant, monkeypatch):
 
 def test_linear_rate_refuses_zero_curvature_or_diameter():
     """Theorem 1 gives no rate when L M^2 = 0; a NaN base must not pass as pfw = min(1/2, nan)."""
+    rc = rate_constant(QuadraticObjective(np.zeros((3, 3)), [1, 0, 0]), Simplex(3))
     with pytest.raises(ValueError, match=r"L = 0\.0 and M = 1\.41"):
-        rate_constant(QuadraticObjective(np.zeros((3, 3)), [1, 0, 0]), Simplex(3))
+        linear_rate("AFW", *astuple(rc))
     with pytest.raises(ValueError, match=r"L = 1\.0 and M = 0\.0"):
         linear_rate("PFW", 1.0, 1.0, 1.0, 0.0)
     assert linear_rate("FW", 0.0, 0.0, 1.0, 0.0) is None
@@ -484,14 +490,14 @@ def test_linear_rate_table():
         assert linear_rate(variant, mu, L, delta, M) == base / 4.0
     assert linear_rate(Variant.PFW, mu, L, delta, M) == base
     assert linear_rate(Variant.PFW, 1.0, 1.0, 3.0, 1.0) == 0.5
-    rc = rate_constant(identity_obj(3), Cube(3))
-    assert rc.afw == linear_rate("AFW", rc.mu, rc.L, rc.delta, rc.diameter)
-    assert rc.pfw == linear_rate("PFW", rc.mu, rc.L, rc.delta, rc.diameter)
+    assert linear_rate("afw", mu, L, delta, M) == base / 4.0  # a name in any case
+    assert linear_rate("Pfw", mu, L, delta, M) == base
 
 
 @lru_cache(maxsize=None)
 def theorem1_instances():
-    """60 seeded point sets (d 2-4, d+1 to 8 points), each with 1/2 ||x - t||^2: mu = L = 1."""
+    """60 seeded point sets (d 2-4, d+1 to 8 points) and 12 seeded l1 balls (d 3-5, closed-form
+    delta, f* by projection), each with 1/2 ||x - t||^2: mu = L = 1."""
     out = []
     for seed in range(60):
         rng = np.random.default_rng([1600, seed])
@@ -501,6 +507,11 @@ def theorem1_instances():
         spec = VertexList(points)
         delta = pwidth(points).pwidth_estimate
         out.append((obj, spec, delta, polytope_diameter(spec), reference_optimum(obj, spec)))
+    for (d, r), seed in itertools.product([(3, 1.0), (4, 2.5), (5, 0.5)], range(4)):
+        target = r * np.random.default_rng([1601, d, seed]).standard_normal(d)
+        obj, spec = QuadraticObjective.distance_to(target), L1Ball(d, r)
+        f_star = obj.value(ref.project_to_l1ball(target, r))
+        out.append((obj, spec, analytic_pwidth(spec), polytope_diameter(spec), f_star))
     return out
 
 

@@ -189,7 +189,7 @@ def test_fcfw_away_gap_small_each_outer_iteration():
     rng = np.random.default_rng(404)
     A = rng.standard_normal((9, 5))
     obj = QuadraticObjective.least_squares(A, rng.standard_normal(9))
-    cfg = SolverConfig(Variant.FCFW, epsilon=1e-9, max_iter=200, correction_epsilon=1e-10)
+    cfg = SolverConfig(Variant.FCFW, epsilon=1e-10, max_iter=200)
     trace = solve(obj, Simplex(5), cfg)
     assert trace.config_echo["exit_status"] == "converged"
     for rec in trace.records:
@@ -347,8 +347,6 @@ def test_config_validation():
         SolverConfig(Variant.AFW, epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(Variant.AFW, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(Variant.FCFW, epsilon=1e-8, correction_epsilon=1e-6)
 
 
 def test_away_atom_exact_tie_goes_to_larger_id():
