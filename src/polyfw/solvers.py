@@ -9,10 +9,10 @@ They differ only in the move:
            (the choice is ``afw_choose_direction``);
 * ``PFW``  pairwise steps move weight directly from the worst active
            atom onto the oracle atom (``pfw_step``);
-* ``FCFW`` each iteration re-optimizes over a pool of correction atoms
-           until the pool's internal gaps fall to the run's epsilon, or
-           no inner step lowers f: Wolfe major cycles on a quadratic, AFW steps
-           otherwise;
+* ``FCFW`` each iteration re-optimizes over the active atoms plus the
+           oracle atom until their FW and away gaps fall to the run's
+           epsilon, or no inner step lowers f: Wolfe major cycles on a
+           quadratic, AFW steps otherwise;
 * ``MNP``  each iteration runs one Wolfe major cycle (min-norm point),
            landing on the exact minimizer over the hull of the atoms
            its minor cycle keeps.
@@ -39,9 +39,10 @@ incremental ``Qx`` error corrected at a resync).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from polyfw.core import (
     apply_pairwise_step,
 )
 from polyfw.objectives import Corral, Objective, ObjectiveState, QuadraticState
-from polyfw.oracles import PolytopeSpec
+from polyfw.oracles import PolytopeSpec, _is_a
 
 
 class CorrectionPostconditionError(RuntimeError):
@@ -94,10 +95,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         self.variant = Variant(self.variant)
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not _is_a(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -105,7 +106,6 @@ class CorrectionResult:
     """Outcome of one FCFW/MNP correction call, which leaves the state exact at ``iterate``."""
 
     iterate: ActiveIterate
-    correction_atoms: Optional[Dict[bytes, np.ndarray]]  # FCFW's next pool; MNP keeps none
     inner_steps: int
     post_away_gap: float
 
@@ -155,18 +155,14 @@ def pfw_step(
 
 
 def fcfw_correction(
-    state: ObjectiveState,
-    it: ActiveIterate,
-    correction_atoms: Dict[bytes, np.ndarray],
-    s: Atom,
-    eps: float,
+    state: ObjectiveState, it: ActiveIterate, s: Atom, eps: float
 ) -> CorrectionResult:
-    """Correction over the atom pool plus the new atom.
+    """Correction over the active atoms of ``it`` plus the new atom ``s``.
 
     From ``it``, on the solver's objective ``state``, repeats an inner
-    step toward the pool atom of least gradient value until the pool's
-    FW gap and away gap both fall to ``eps`` and the objective is no
-    worse than an exact line search toward ``s`` from ``it``.  On a
+    step toward the candidate atom of least gradient value until the
+    candidates' FW gap and away gap both fall to ``eps`` and the objective
+    is no worse than an exact line search toward ``s`` from ``it``.  On a
     quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
     otherwise an AFW step (``_line_search_step``).  An inner step that
     cannot descend, or does not lower f strictly, ends the correction
@@ -177,14 +173,10 @@ def fcfw_correction(
     meets the contract there, so the iterate is returned as it is, and
     ``solve`` ends the run as ``stall`` once a correction changes nothing.
     ``inner_steps`` counts the minor-cycle passes, or the AFW steps.
-    The returned pool keeps at most three zero-weight atoms per active
-    one, the newest, so it holds at most four times the active-set size.
     """
-    pool: Dict[bytes, np.ndarray] = dict(correction_atoms)
-    for atom_id, point in zip(it.ids, it.matrix()):
-        pool.setdefault(atom_id, point)
-    pool[s.id] = s.point
-    atoms = [Atom._adopt(p) for p in pool.values()]  # pool points are atoms' points already
+    candidates = dict(zip(it.ids, it.matrix()))
+    candidates[s.id] = s.point
+    atoms = [Atom._adopt(p) for p in candidates.values()]  # the points are atoms' points already
     matrix = np.stack([a.point for a in atoms])
     wolfe = isinstance(state, QuadraticState)
 
@@ -227,12 +219,7 @@ def fcfw_correction(
     # cycle, as cached and exact f differ by rounding
     state.reset(z)
     _, post_away = away_atom(z, state.grad)
-
-    active = set(z.ids)
-    inactive = [atom_id for atom_id in pool if atom_id not in active]
-    keep = active.union(inactive[-3 * len(active) :])
-    new_pool = {atom_id: point for atom_id, point in pool.items() if atom_id in keep}
-    return CorrectionResult(z, new_pool, inner, post_away)
+    return CorrectionResult(z, inner, post_away)
 
 
 def _affine_minimizer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -339,7 +326,7 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
                 f"minor cycle away gap {away_gap} stayed above {limit}"
             )
     state.reset(out)
-    return CorrectionResult(out, None, passes, away_gap)
+    return CorrectionResult(out, passes, away_gap)
 
 
 def _initial_iterate(spec: PolytopeSpec, x0: Union[Atom, ActiveIterate, None]) -> ActiveIterate:
@@ -432,7 +419,6 @@ def solve(
     f0 = state.value
     trace = RunTrace()
     by_line_search = config.variant in (Variant.FW, Variant.AFW, Variant.PFW)
-    pool: Optional[Dict[bytes, np.ndarray]] = {}  # FCFW's; fcfw_correction adds the iterate's atoms
     exit_status = "max_iter"
     error = None
     final_gap = np.nan
@@ -462,7 +448,7 @@ def solve(
             f_before = state.value
             try:
                 if config.variant is Variant.FCFW:
-                    result = fcfw_correction(state, it, pool, s, config.epsilon)
+                    result = fcfw_correction(state, it, s, config.epsilon)
                 else:
                     result = mnp_correction(state, it, s)
             except CORRECTION_ERRORS as exc:
@@ -472,7 +458,6 @@ def solve(
             dropped = config.variant is Variant.MNP and len(nxt) < len(it)
             unchanged = nxt.ids == it.ids and np.array_equal(nxt.w, it.w)
             kind = StepKind.DROP if dropped else StepKind.CORRECTION
-            pool = result.correction_atoms
             inner_steps += result.inner_steps
             gamma = gamma_max = 0.0
             away_record = result.post_away_gap

@@ -286,9 +286,7 @@ def test_c07_correction_postconditions():
             {atoms[i]: float(w[j]) for j, i in enumerate(picks)})
         grad = obj.gradient(it.x)
         s = spec.lmo(grad)
-        res = fcfw_correction(obj.start(it), it,
-                              {a.id: a.point for a in (atoms[i] for i in picks)},
-                              s, ceps)
+        res = fcfw_correction(obj.start(it), it, s, ceps)
         gamma = obj.line_search(it.x, s.point - it.x, 1.0)
         f_target = obj.value(it.x + gamma * (s.point - it.x))
         if obj.value(res.iterate.x) > f_target + 1e-10 * (1 + abs(f_target)):

@@ -677,6 +677,7 @@ def concave(n, values):
     ({"max_iter": 20.9}, []), (TEXT_SPEC, []), (custom(A_csv="nan.csv"), []),
     (custom(y_csv="inf.csv"), []), ({"variants": ["AFW", "afw"]}, []),
     (custom(variant="vertices", dimension=None, csv="missing.csv"), []),
+    ({}, ["--epsilon", "inf"]), ({"epsilon": math.inf}, []),
 ])
 def test_cli_run_rejects_invalid_settings(tmp_path, capsys, monkeypatch, in_file, flags):
     """A setting from the file or a flag is checked before anything runs or is written.

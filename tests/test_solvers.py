@@ -1,5 +1,7 @@
 """Solver variants: direction choice, corrections, traces, exits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,7 @@ def test_fcfw_correction_segment_is_exact():
     e1 = Atom(np.array([1.0, 0.0]))
     e2 = Atom(np.array([0.0, 1.0]))
     it = ActiveIterate.from_atom(e1)
-    res = fcfw_correction(obj.start(it), it, {e1.id: e1.point}, e2, 1e-12)
+    res = fcfw_correction(obj.start(it), it, e2, 1e-12)
     assert np.linalg.norm(res.iterate.x - [0.25, 0.75]) <= 1e-10
     assert res.post_away_gap <= 1e-12
 
@@ -211,7 +213,7 @@ def test_fcfw_correction_noop_when_optimal():
     e1 = Atom(np.array([1.0, 0.0]))
     e2 = Atom(np.array([0.0, 1.0]))
     it = ActiveIterate.from_weights({e1: 0.25, e2: 0.75})
-    res = fcfw_correction(obj.start(it), it, {e1.id: e1.point, e2.id: e2.point}, e1, 1e-10)
+    res = fcfw_correction(obj.start(it), it, e1, 1e-10)
     assert res.inner_steps == 0
     assert np.allclose(res.iterate.x, [0.25, 0.75])
 
@@ -347,6 +349,13 @@ def test_config_validation():
         SolverConfig(Variant.AFW, epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(Variant.AFW, max_iter=0)
+    for eps in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(Variant.AFW, epsilon=eps)
+    for max_iter in (2.5, True):
+        with pytest.raises(ValueError):
+            SolverConfig(Variant.AFW, 1e-8, max_iter)
+    assert SolverConfig(Variant.AFW, max_iter=np.int64(5)).max_iter == 5
 
 
 def test_away_atom_exact_tie_goes_to_larger_id():
@@ -848,8 +857,8 @@ def test_resyncs_in_header(variant, monkeypatch):
     assert trace.config_echo["resyncs"] == sum(synced) >= 1
 
 
-def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
-    """FCFW wraps its pool's points with ``Atom._adopt``; those atoms' ids are the pool keys."""
+def test_fcfw_adopts_exactly_the_active_atoms_and_s(monkeypatch):
+    """FCFW wraps the points of ``it.ids`` and ``s`` with ``Atom._adopt``, ids kept."""
     built = []
     adopt = Atom._adopt.__func__
 
@@ -860,14 +869,11 @@ def test_fcfw_rebuilt_pool_atoms_keep_their_pool_ids(monkeypatch):
     monkeypatch.setattr(Atom, "_adopt", classmethod(recording))
     a, b, c = (Atom(p) for p in ([1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 1.0]))
     it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
-    pool = {c.id: c.point, **dict(zip(it.ids, it.matrix()))}
-    s = Atom([0.0, 0.0, 1.0])
     obj = QuadraticObjective.distance_to(np.array([0.6, 0.1, 0.3]))
-    result = fcfw_correction(obj.start(it), it, pool, s, 1e-10)
-    assert [atom.id for atom in built] == list(pool)
+    result = fcfw_correction(obj.start(it), it, c, 1e-10)
+    assert [atom.id for atom in built] == [*it.ids, c.id]
     assert all(atom.id == Atom(atom.point).id for atom in built)
-    assert set(result.iterate.ids) <= set(result.correction_atoms)
-    assert len(result.iterate) == 3
+    assert set(result.iterate.ids) == {a.id, b.id, c.id}
 
 
 @pytest.mark.parametrize("error", [CorrectionPostconditionError, DegenerateActiveSetError])
@@ -949,8 +955,8 @@ def _points_and_target(draw):
 @settings(max_examples=200, deadline=None)
 @given(problem=_points_and_target())
 def test_wolfe_corrections_project_onto_hull(problem):
-    """MNP (repeated, as ``solve`` runs it) and one FCFW call over the whole pool land on
-    the projection by face inspection, and no minor cycle passes more often than it has atoms.
+    """MNP and FCFW (each repeated, as ``solve`` runs it) land on the projection by face
+    inspection, and no minor cycle passes more often than it has atoms.
 
     With integer points and a half-integer target a nonzero FW gap is far
     above 1e-12, so a gap of at most 1e-12 means the exact projection.
@@ -963,7 +969,6 @@ def test_wolfe_corrections_project_onto_hull(problem):
     expect, _ = ref.project_by_faces(points, target)
     obj = QuadraticObjective.distance_to(target)
     atoms = [Atom(p) for p in points]
-    pool = {a.id: a.point for a in atoms}
     cycles = []
     wolfe = solvers._wolfe_step
 
@@ -975,23 +980,21 @@ def test_wolfe_corrections_project_onto_hull(problem):
     def oracle_atom(grad):
         return min(atoms, key=lambda a: float(a.point @ grad))
 
+    corrections = {"MNP": mnp_correction,
+                   "FCFW": lambda state, it, s: fcfw_correction(state, it, s, 1e-12)}
     with mock.patch.object(solvers, "_wolfe_step", recording):
-        it = ActiveIterate.from_atom(atoms[0])
-        state = obj.start(it)
-        for _ in range(50):
-            s = oracle_atom(state.grad)
-            if float(state.grad @ (it.x - s.point)) <= 1e-12:
-                break
-            it = mnp_correction(state, it, s).iterate
-            state.reset(it)
-        else:
-            pytest.fail("MNP did not reach a FW gap of 1e-12")
-        assert np.linalg.norm(it.x - expect) <= 1e-9
-
-        it = ActiveIterate.from_atom(atoms[0])
-        state = obj.start(it)
-        res = fcfw_correction(state, it, pool, oracle_atom(state.grad), 1e-12)
-        assert np.linalg.norm(res.iterate.x - expect) <= 1e-9
+        for name, correct in corrections.items():
+            it = ActiveIterate.from_atom(atoms[0])
+            state = obj.start(it)
+            for _ in range(50):
+                s = oracle_atom(state.grad)
+                if float(state.grad @ (it.x - s.point)) <= 1e-12:
+                    break
+                it = correct(state, it, s).iterate
+                state.reset(it)
+            else:
+                pytest.fail(f"{name} did not reach a FW gap of 1e-12")
+            assert np.linalg.norm(it.x - expect) <= 1e-9
     assert all(passes <= size for passes, size in cycles)
 
 
@@ -1074,7 +1077,6 @@ def test_major_cycle_iterate_shares_the_corral_rows():
 def test_kept_corral_traces_match_a_corral_built_every_cycle(case, monkeypatch):
     """MNP and FCFW write the same bytes when every major cycle builds its corral afresh."""
     import json
-    import math
 
     import polyfw.solvers as solvers
     from polyfw.bench import gen_lasso, gen_triangle
