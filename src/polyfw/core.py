@@ -63,7 +63,10 @@ class Atom:
     """A candidate vertex of the feasible polytope.
 
     Identity is ``atom_key`` of the coordinates: two atoms with equal
-    coordinates are the same.  ``Atom`` copies and checks; ``_adopt`` does neither.
+    coordinates are the same.  An atom never changes, so an oracle may
+    hand out the same ``Atom`` for every repeat of an answer (``Simplex``,
+    ``L1Ball`` and ``VertexList`` do).  ``Atom`` copies and checks;
+    ``_adopt`` does neither.
     """
 
     __slots__ = ("id", "point")
@@ -75,10 +78,15 @@ class Atom:
         self.point: np.ndarray = pt
 
     @classmethod
-    def _adopt(cls, point: np.ndarray) -> "Atom":
-        """Atom owning ``point``, a finite float64 array, uncopied and unchecked; same id bytes."""
+    def _adopt(cls, point: np.ndarray, atom_id: Optional[bytes] = None) -> "Atom":
+        """Atom owning ``point``, a finite float64 array, uncopied, unchecked and made read-only.
+
+        Its id is ``atom_id``, an id the caller already holds for these
+        coordinates (an iterate's ``ids`` entry), so the point is not keyed
+        again; without one it is the bytes ``atom_key`` gives.
+        """
         atom = cls.__new__(cls)
-        atom.id, atom.point = (point + 0.0).tobytes(), point
+        atom.id, atom.point = (point + 0.0).tobytes() if atom_id is None else atom_id, point
         point.setflags(write=False)
         return atom
 
@@ -168,8 +176,8 @@ class ActiveIterate:
         weights: Dict[bytes, float] = {}
         points: Dict[bytes, np.ndarray] = {}
         for atom, w in pairs.items():
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
+            if not w >= 0:  # NaN too
+                raise ValueError(f"weights must be nonnegative, not {w!r}")
             if w <= WEIGHT_FLOOR:
                 continue
             weights[atom.id] = weights.get(atom.id, 0.0) + float(w)

@@ -5,7 +5,9 @@ the region only through its oracle: ``lmo`` (exact argmin of a linear
 function over the atom set, with deterministic tie-breaking) checks r
 and calls ``_lmo``, which solvers call directly.  ``enumerate_atoms``
 lists a small instance's atoms for ``geometry``'s constants and the
-benchmark's starting points.
+benchmark's starting points.  ``Simplex`` and ``L1Ball`` build and key
+each oracle atom once, on first sight (``_axis_atom``), and ``VertexList``
+builds its atoms up front, so a repeated answer is the same ``Atom``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,27 @@ ENUMERATION_CAP = 20_000
 
 class EnumerationError(ValueError):
     """Atom enumeration requested on a spec with too many atoms."""
+
+
+def _dimension(value, name: str = "dimension") -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least 1; else ValueError."""
+    if not _is_a(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
+
+
+def _axis_atom(memo: Dict[int, Atom], key: int, dimension: int, i: int, value: float) -> Atom:
+    """The atom ``value * e_i``, built and keyed the first time ``key`` is asked, then kept in ``memo``.
+
+    ``key`` is the atom's position in its spec's ``_atoms()``, so ``memo`` holds
+    at most ``atom_count()`` atoms; enumeration builds its own and never fills it.
+    """
+    atom = memo.get(key)
+    if atom is None:
+        point = np.zeros(dimension)
+        point[i] = value
+        atom = memo[key] = Atom._adopt(point)
+    return atom
 
 
 def _intern(atoms: Iterable[Atom]) -> Dict[bytes, Tuple[Atom, int]]:
@@ -83,15 +106,12 @@ class Simplex(PolytopeSpec):
     """Probability simplex: convex hull of the canonical basis vectors."""
 
     def __init__(self, dimension: int) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
+        self.dimension = _dimension(dimension)
+        self._memo: Dict[int, Atom] = {}
 
     def _lmo(self, r: np.ndarray) -> Atom:
-        i = r.argmin()  # the lowest index on ties
-        point = np.zeros(self.dimension)
-        point[i] = 1.0
-        return Atom._adopt(point)
+        i = int(r.argmin())  # the lowest index on ties
+        return _axis_atom(self._memo, i, self.dimension, i, 1.0)
 
     def _atoms(self) -> List[Atom]:
         return [Atom(row) for row in np.eye(self.dimension)]
@@ -107,20 +127,19 @@ class L1Ball(PolytopeSpec):
     """Scaled cross-polytope {x : ||x||_1 <= radius}."""
 
     def __init__(self, dimension: int, radius: float) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        self.dimension = _dimension(dimension)
         if not 0 < radius < math.inf:  # its LMO wraps its points unchecked
             raise ValueError("radius must be positive and finite")
-        self.dimension = int(dimension)
         self.radius = float(radius)
+        self._memo: Dict[int, Atom] = {}
 
     def _lmo(self, r: np.ndarray) -> Atom:
-        i = abs(r).argmax()
-        point = np.zeros(self.dimension)
+        i = int(abs(r).argmax())
         # At r_i == 0 (only when r == 0) fall back to the first atom in
         # enumeration order, +radius * e_0.
-        point[i] = self.radius if r[i] <= 0 else -self.radius
-        return Atom._adopt(point)
+        if r[i] <= 0:
+            return _axis_atom(self._memo, 2 * i, self.dimension, i, self.radius)
+        return _axis_atom(self._memo, 2 * i + 1, self.dimension, i, -self.radius)
 
     def _atoms(self) -> List[Atom]:
         out = []
@@ -142,9 +161,7 @@ class Cube(PolytopeSpec):
     """Unit hypercube {0, 1}^d (convex hull of the binary vectors)."""
 
     def __init__(self, dimension: int) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
+        self.dimension = _dimension(dimension)
 
     def _lmo(self, r: np.ndarray) -> Atom:
         # Per-coordinate rule; the tie at r_i == 0 is broken toward 0.
@@ -350,9 +367,7 @@ class BasePolytope(PolytopeSpec):
     """
 
     def __init__(self, n: int, function: Callable[[FrozenSet[int]], float]) -> None:
-        if n < 1:
-            raise ValueError("ground set must be nonempty")
-        self.dimension = int(n)
+        self.dimension = _dimension(n, "ground set size n")
         self.function = function
         if abs(float(function(frozenset()))) > 1e-12:
             raise ValueError("submodular function must have F(empty) = 0")

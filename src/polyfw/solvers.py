@@ -174,10 +174,11 @@ def fcfw_correction(
     ``solve`` ends the run as ``stall`` once a correction changes nothing.
     ``inner_steps`` counts the minor-cycle passes, or the AFW steps.
     """
-    candidates = dict(zip(it.ids, it.matrix()))
-    candidates[s.id] = s.point
-    atoms = [Atom._adopt(p) for p in candidates.values()]  # the points are atoms' points already
-    matrix = np.stack([a.point for a in atoms])
+    matrix = it.matrix()
+    atoms = [Atom._adopt(p, i) for i, p in zip(it.ids, matrix)]  # ids kept, not keyed again
+    if it.index(s.id) is None:
+        atoms.append(s)
+        matrix = np.concatenate((matrix, s.point[None]))
     wolfe = isinstance(state, QuadraticState)
 
     fw_dir = s.point - it.x
@@ -331,17 +332,19 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
 
 def _initial_iterate(spec: PolytopeSpec, x0: Union[Atom, ActiveIterate, None]) -> ActiveIterate:
     """``x0`` checked, or by default the oracle's atom for the all-ones direction."""
-    if isinstance(x0, ActiveIterate):
-        try:
-            x0.check()
-        except AssertionError as exc:
-            raise ValueError(f"x0 is not a valid iterate: {exc}") from exc
-        return x0
+    if x0 is None:
+        return ActiveIterate.from_atom(lmo(spec, np.ones(spec.dimension)))
     if isinstance(x0, Atom):
-        return ActiveIterate.from_atom(x0)
-    if x0 is not None:
+        x0 = ActiveIterate.from_atom(x0)
+    elif not isinstance(x0, ActiveIterate):
         raise TypeError("x0 must be an Atom, an ActiveIterate, or None")
-    return ActiveIterate.from_atom(lmo(spec, np.ones(spec.dimension)))
+    if x0.x.shape != (spec.dimension,):
+        raise ValueError(f"x0 has shape {x0.x.shape}, but the spec has dimension {spec.dimension}")
+    try:
+        x0.check()
+    except AssertionError as exc:
+        raise ValueError(f"x0 is not a valid iterate: {exc}") from exc
+    return x0
 
 
 def _line_search_step(

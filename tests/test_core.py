@@ -49,6 +49,12 @@ def test_from_weights_rejects_bad_sum():
         ActiveIterate.from_weights({V1: 0.4, V2: 0.4})
 
 
+def test_from_weights_rejects_nan_weight():
+    for pairs in ({V1: np.nan, V2: 1.0}, {V1: 1.0, V2: float("nan")}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ActiveIterate.from_weights(pairs)
+
+
 def test_fw_step_full_collapses_active_set():
     it = ActiveIterate.from_atom(V1)
     out = apply_fw_step(it, V2, 1.0)

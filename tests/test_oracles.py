@@ -359,8 +359,14 @@ def test_flowdag_spec_takes_integer_source_and_sink():
 
 
 def test_simplex_requires_positive_dimension():
-    with pytest.raises(ValueError):
-        Simplex(0)
+    """A dimension (BasePolytope's n) is an integer of at least 1; a float or a bool is not one."""
+    cap = cardinality_cap(1.0)
+    for bad in (0, -1, 2.7, 3.0, True, "3", None):
+        for make in (Simplex, Cube, lambda d: L1Ball(d, 1.0), lambda d: BasePolytope(d, cap)):
+            with pytest.raises(ValueError, match="positive integer"):
+                make(bad)
+    assert Simplex(np.int64(4)).dimension == L1Ball(np.int64(4), 1.0).dimension == 4
+    assert type(Cube(np.int64(3)).dimension) is int
 
 
 def test_l1ball_requires_positive_radius():
@@ -548,5 +554,25 @@ def test_unchecked_lmo_atoms_match_checked_atoms(data):
     assert not atom.point.flags.writeable
     public = spec.lmo(r)
     assert public.id == atom.id and public.point.tobytes() == atom.point.tobytes()
-    if isinstance(spec, VertexList):
+    if isinstance(spec, (VertexList, Simplex, L1Ball)):  # one Atom per answer, built once
         assert public is atom and spec._lmo(r.copy()) is atom
+
+
+@pytest.mark.parametrize("spec, reference", [
+    (Simplex(6), ref.simplex_lmo), (L1Ball(6, 2.5), lambda r: ref.l1ball_lmo(r, 2.5)),
+], ids=["simplex", "l1ball"])
+def test_simplex_and_l1ball_memo_holds_at_most_one_atom_per_answer(spec, reference):
+    """Many directions fill the memo with at most d (l1 ball: 2d) atoms, each the one the
+    scan reference gives; enumeration builds its own atoms and leaves the memo as it was."""
+    rng = np.random.default_rng(7)
+    seen = {}
+    for _ in range(2000):
+        r = rng.standard_normal(6) * rng.integers(0, 2, size=6)  # zeros too, for ties
+        atom = spec._lmo(r)
+        assert atom.point.tobytes() == reference(r).tobytes()
+        assert seen.setdefault(atom.id, atom) is atom
+        assert len(spec._memo) == len(seen) <= spec.atom_count()
+    assert len(seen) == spec.atom_count()  # every atom was an answer
+    memo = dict(spec._memo)
+    assert not any(a is b for a in spec.enumerate_atoms() for b in memo.values())
+    assert spec._memo == memo

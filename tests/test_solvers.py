@@ -391,6 +391,16 @@ def test_x0_broken_invariant_rejected(case):
         solve(obj, Simplex(2), cfg, x0=_broken_iterates()[case])
 
 
+def test_x0_of_another_dimension_rejected():
+    """An x0 whose dimension is not the spec's raises a ValueError that names both."""
+    obj = QuadraticObjective.distance_to(np.array([0.25, 0.75]))
+    cfg = SolverConfig(Variant.AFW, epsilon=1e-10, max_iter=10)
+    e1, e2 = Atom(np.array([1.0, 0.0, 0.0])), Atom(np.array([0.0, 1.0, 0.0]))
+    for x0 in (e1, ActiveIterate.from_weights({e1: 0.5, e2: 0.5})):
+        with pytest.raises(ValueError, match=r"x0 has shape \(3,\), but the spec has dimension 2"):
+            solve(obj, Simplex(2), cfg, x0=x0)
+
+
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AFW, Variant.PFW])
 def test_qx_drift_bounded_on_lasso_desk(variant):
     from polyfw.bench import gen_lasso
@@ -858,12 +868,18 @@ def test_resyncs_in_header(variant, monkeypatch):
 
 
 def test_fcfw_adopts_exactly_the_active_atoms_and_s(monkeypatch):
-    """FCFW wraps the points of ``it.ids`` and ``s`` with ``Atom._adopt``, ids kept."""
+    """FCFW's candidates are ``it``'s active rows under the very id objects of ``it.ids``, and ``s``.
+
+    Each active row is wrapped by ``Atom._adopt`` with the id it already has,
+    so no row is keyed again; a new ``s`` is offered as it is.
+    """
+    import polyfw.solvers as solvers
+
     built = []
     adopt = Atom._adopt.__func__
 
-    def recording(cls, point):
-        built.append(adopt(cls, point))
+    def recording(cls, point, atom_id=None):
+        built.append(adopt(cls, point, atom_id))
         return built[-1]
 
     monkeypatch.setattr(Atom, "_adopt", classmethod(recording))
@@ -871,9 +887,17 @@ def test_fcfw_adopts_exactly_the_active_atoms_and_s(monkeypatch):
     it = ActiveIterate.from_weights({a: 0.5, b: 0.5})
     obj = QuadraticObjective.distance_to(np.array([0.6, 0.1, 0.3]))
     result = fcfw_correction(obj.start(it), it, c, 1e-10)
-    assert [atom.id for atom in built] == [*it.ids, c.id]
-    assert all(atom.id == Atom(atom.point).id for atom in built)
     assert set(result.iterate.ids) == {a.id, b.id, c.id}
+
+    offered = []
+    monkeypatch.setattr(solvers, "_wolfe_step", lambda state, z, atom: (offered.append(atom), (z, 1))[1])
+    for s in (c, a):  # c is new; a is active, so it adds no candidate
+        built.clear()
+        fcfw_correction(obj.start(it), it, s, 1e-10)
+        assert len(built) == len(it.ids)
+        assert all(atom.id is atom_id for atom, atom_id in zip(built, it.ids))
+        assert all(atom.id == Atom(atom.point).id for atom in built)
+    assert offered[0] is c and offered[1].id is it.ids[0]  # the least gradient value: c, then a
 
 
 @pytest.mark.parametrize("error", [CorrectionPostconditionError, DegenerateActiveSetError])
