@@ -2,7 +2,13 @@
 
 The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
-and strong-convexity constants are eigenvalues.  A generic objective
+and strong-convexity constants are eigenvalues.  Building one allocates
+a single d x d array beyond its input, which first holds |Q - Q^T| for
+the symmetry test and then becomes the stored (Q + Q^T) / 2; the
+caller's Q is read, never kept or written (``least_squares`` doubles its
+fresh A^T A in place).  Q is positive semidefinite when its smallest
+eigenvalue is at least -1e-10 * max(1, |lambda_max|), a bound relative
+to Q's scale, since rounding is.  A generic objective
 only needs value/gradient; its line search bisects on the sign of the
 slope, so it resolves steps whose decrease is below the rounding of f.
 
@@ -126,18 +132,25 @@ class QuadraticObjective(Objective):
     """f(x) = 1/2 x^T Q x + b^T x + c with symmetric positive semidefinite Q."""
 
     def __init__(self, Q, b, c: float = 0.0) -> None:
-        Q = np.array(Q, dtype=np.float64)
+        Q = np.asarray(Q, dtype=np.float64)
         b = np.array(b, dtype=np.float64)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be square")
+            raise ValueError(f"Q must be square, got shape {Q.shape}")
+        if Q.shape[0] == 0:
+            raise ValueError("Q has shape (0, 0); it must be at least 1x1")
         if b.shape != (Q.shape[0],):
-            raise ValueError("b must match Q")
-        if not (np.isfinite(Q).all() and np.isfinite(b).all() and np.isfinite(c)):
+            raise ValueError(f"b has shape {b.shape}, but Q has shape {Q.shape}")
+        hi, lo = float(Q.max()), float(Q.min())  # NaN propagates, so both are finite iff Q is
+        if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(b).all() and np.isfinite(c)):
             raise ValueError("Q, b and c must be finite")
-        scale = max(1.0, float(np.max(np.abs(Q))))
-        if np.max(np.abs(Q - Q.T)) > 1e-12 * scale:
+        # Q may be the caller's array: it is read, never written or kept.
+        sym = np.subtract(Q, Q.T, out=np.empty(Q.shape))
+        np.abs(sym, out=sym)
+        if sym.max() > 1e-12 * max(1.0, hi, -lo):
             raise ValueError("Q must be symmetric within 1e-12")
-        self.Q = 0.5 * (Q + Q.T)
+        np.add(Q, Q.T, out=sym)
+        sym *= 0.5
+        self.Q = sym
         self.b = b
         self.c = float(c)
         self.dimension = Q.shape[0]
@@ -148,19 +161,28 @@ class QuadraticObjective(Objective):
         """f(x) = ||A x - y||^2, stored as Q = 2 A^T A."""
         A = np.asarray(A, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        return cls(2.0 * (A.T @ A), -2.0 * (A.T @ y), float(y @ y))
+        if A.ndim != 2:
+            raise ValueError(f"A has shape {A.shape}; it must be a matrix")
+        if y.shape != (A.shape[0],):
+            raise ValueError(f"y has shape {y.shape}, but A has shape {A.shape}")
+        Q = A.T @ A
+        Q *= 2.0
+        return cls(Q, -2.0 * (A.T @ y), float(y @ y))
 
     @classmethod
     def distance_to(cls, target) -> "QuadraticObjective":
         """f(x) = 1/2 ||x - target||^2."""
         target = np.asarray(target, dtype=np.float64)
+        if target.ndim != 1:
+            raise ValueError(f"target has shape {target.shape}; it must be a vector")
         return cls(np.eye(target.shape[0]), -target, 0.5 * float(target @ target))
 
     def _eigh(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvalsh(self.Q)
-            if self._eigenvalues[0] < -1e-10:
-                raise ValueError(f"Q has negative eigenvalue {self._eigenvalues[0]}")
+            eig = np.linalg.eigvalsh(self.Q)
+            if eig[0] < -1e-10 * max(1.0, abs(eig[-1])):  # relative: rounding scales with Q
+                raise ValueError(f"Q has negative eigenvalue {eig[0]} (largest {eig[-1]})")
+            self._eigenvalues = eig
         return self._eigenvalues
 
     @property

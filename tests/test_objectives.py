@@ -1,5 +1,7 @@
 """Objective values, gradients, line search, and curvature constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ def _random_quadratic(rng, d):
     A = rng.standard_normal((d + 2, d))
     y = rng.standard_normal(d + 2)
     return QuadraticObjective.least_squares(A, y)
+
+
+def _symmetric(rng, d):
+    M = rng.standard_normal((d, d))
+    return M @ M.T
 
 
 def test_value_pinned_examples():
@@ -171,6 +178,12 @@ def test_distance_to_objective():
 def test_quadratic_validates_symmetry():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    rng = np.random.default_rng(306)
+    for scale in (1e-3, 1.0, 1e6):  # just outside the tolerance 1e-12 * max(1, max |Q|)
+        Q = scale * _symmetric(rng, 5)
+        Q[2, 4] += 2e-12 * max(1.0, float(np.max(np.abs(Q))))
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticObjective(Q, np.zeros(5))
 
 
 def test_quadratic_rejects_non_finite_data():
@@ -179,6 +192,96 @@ def test_quadratic_rejects_non_finite_data():
             QuadraticObjective(Q, b, c)
     with pytest.raises(ValueError, match="finite"):  # inf in y makes b and c infinite
         QuadraticObjective.least_squares([[1.0, 2.0], [3.0, 4.0]], [np.inf, 0.0])
+
+
+def _layouts(rng):
+    """The same kinds of Q in every layout the constructor may be handed."""
+    Q = _symmetric(rng, 7)
+    near = Q.copy()
+    near[0, 1] += 0.5e-12 * np.max(np.abs(Q))  # asymmetric, but inside the tolerance
+    return {
+        "C": Q,
+        "F": np.asfortranarray(Q),
+        "strided": np.repeat(np.repeat(Q, 2, axis=0), 2, axis=1)[::2, ::2],
+        "list": Q.tolist(),
+        "int": np.rint(10 * Q).astype(np.int64),
+        "near-symmetric": near,
+    }
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "list", "int", "near-symmetric"])
+def test_quadratic_stores_the_symmetric_part_bit_for_bit(layout):
+    """``obj.Q`` is (Q + Q^T) / 2 byte for byte, a C-contiguous array that owns its data and
+    shares none with the caller's Q, whatever the input's layout or dtype."""
+    Q = _layouts(np.random.default_rng(305))[layout]
+    q = np.array(Q, dtype=np.float64)
+    expected = 0.5 * (q + q.T)
+    obj = QuadraticObjective(Q, np.zeros(7))
+    assert obj.Q.tobytes() == expected.tobytes()
+    assert obj.Q.dtype == np.float64
+    for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE"):
+        assert obj.Q.flags[flag] == expected.flags[flag]
+    if isinstance(Q, np.ndarray):  # the caller's later writes do not reach obj.Q
+        Q[...] = 0
+        assert obj.Q.tobytes() == expected.tobytes()
+
+
+def test_least_squares_q_is_twice_the_gram_matrix_bit_for_bit():
+    rng = np.random.default_rng(308)
+    A, y = rng.standard_normal((30, 12)), rng.standard_normal(30)
+    obj = QuadraticObjective.least_squares(A, y)
+    assert obj.Q.tobytes() == (2.0 * (A.T @ A)).tobytes()
+    assert obj.b.tobytes() == (-2.0 * (A.T @ y)).tobytes()
+
+
+def test_quadratic_construction_allocates_one_d_by_d_buffer():
+    """Beyond its input, building the objective holds one d x d float64 array at its peak:
+    the symmetry test and the symmetric part share it."""
+    d = 400
+    Q = _symmetric(np.random.default_rng(309), d)
+    b = np.zeros(d)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        obj = QuadraticObjective(Q, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert obj.Q.nbytes == 8 * d * d
+    assert peak <= 1.1 * 8 * d * d
+
+
+def test_psd_check_is_relative_to_the_largest_eigenvalue():
+    """A rank-deficient Q at scale 1e6 has rounding eigenvalues far below -1e-10, which
+    count as 0; a clearly indefinite Q raises, at every scale and on every ask."""
+    rng = np.random.default_rng(310)
+    for _ in range(5):
+        A = 1000.0 * rng.standard_normal((20, 60))  # rank 20 < 60
+        obj = QuadraticObjective.least_squares(A, rng.standard_normal(20))
+        assert obj.strong_convexity == 0.0
+        assert obj.smoothness > 1e6
+    for scale in (1e-6, 1.0, 1e6):
+        obj = QuadraticObjective(scale * np.diag([1.0, -1e-3, 2.0]), np.zeros(3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                obj.strong_convexity
+
+
+def test_quadratic_rejects_inputs_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        QuadraticObjective(np.zeros((0, 0)), np.zeros(0))
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        QuadraticObjective.distance_to(np.zeros(0))
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        QuadraticObjective.distance_to(1.0)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        QuadraticObjective(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match=r"b has shape \(3,\), but Q has shape \(2, 2\)"):
+        QuadraticObjective(np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"y has shape \(3,\), but A has shape \(4, 2\)"):
+        QuadraticObjective.least_squares(np.ones((4, 2)), np.ones(3))
+    with pytest.raises(ValueError, match=r"A has shape \(4,\)"):
+        QuadraticObjective.least_squares(np.ones(4), np.ones(4))
 
 
 # -- atom images: support rows of Q for a sparse atom, Q @ a otherwise -------
