@@ -206,10 +206,10 @@ class ActiveIterate:
     def index(self, atom_id: bytes) -> Optional[int]:
         """Position of an atom in ``ids``, or None when it is not active."""
         row = self._store.row_of.get(atom_id)
-        if row is None:  # most FW atoms are new to the store: no scan
+        try:  # most FW atoms are new to the store (row None): no scan
+            return None if row is None else self._rows.tolist().index(row)
+        except ValueError:  # the atom left the active set; its row stays in the store
             return None
-        rows = self._rows.tolist()
-        return rows.index(row) if row in rows else None
 
     def _point(self, i: int) -> np.ndarray:
         return self._store.rows[self._rows[i]]
@@ -268,9 +268,9 @@ def _move(
         i = it.index(s.id)
         if i is None:
             if store.size >= 2 * len(rows) + 8:
-                store = _AtomStore(ids, store.rows[rows])
-                rows = np.arange(len(rows))
-            ids, w, rows = ids + (s.id,), np.append(w, gamma), np.append(rows, store.row(s))
+                store, rows = _AtomStore(ids, store.rows[rows]), np.arange(len(rows))
+            w, rows = np.concatenate((w, [gamma])), np.concatenate((rows, [store.row(s)]))
+            ids = ids + (s.id,)
         else:
             w[i] += gamma
     if drop:
@@ -429,10 +429,10 @@ class _Records(Sequence):
 class RunTrace:
     """Everything one solver run produced.
 
-    ``columns`` holds one list per ``StepRecord`` field, which ``append``
-    extends by a row; ``records`` builds each ``StepRecord`` only when it
-    is read.  ``config_echo`` carries the solver configuration plus run
-    outcome (initial objective value, exit status, final gap).
+    ``columns`` holds one list per ``StepRecord`` field, filled from the
+    run's rows in one transpose (``_extend``); ``records`` builds each
+    ``StepRecord`` only when it is read.  ``config_echo`` carries the solver
+    configuration plus run outcome (initial objective value, exit status, final gap).
     """
 
     def __init__(self, records: Iterable[StepRecord] = (),
@@ -441,13 +441,12 @@ class RunTrace:
         self.records: Sequence[StepRecord] = _Records(self.columns)
         self.config_echo = {} if config_echo is None else config_echo
         self.final_iterate: Optional[ActiveIterate] = None  # ``solve`` sets it
-        for rec in records:
-            self.append(*vars(rec).values())
+        self._extend(vars(rec).values() for rec in records)
 
-    def append(self, *row) -> None:
-        """Add one iteration's row, its fields in ``StepRecord`` order."""
-        for col, value in zip(self.columns.values(), row):
-            col.append(value)
+    def _extend(self, rows: Iterable[Iterable]) -> None:
+        """Add rows whose fields are in ``StepRecord`` order, each column in one ``extend``."""
+        for col, values in zip(self.columns.values(), zip(*rows)):
+            col.extend(values)
 
     def to_csv(self) -> str:
         """JSON header, column names, then one row per iteration, floats as ``repr``."""

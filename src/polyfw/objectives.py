@@ -263,10 +263,11 @@ class QuadraticState(ObjectiveState):
         self.move_to(it.x, self.Q @ it.x)
 
     def move_to(self, x: np.ndarray, Qx: np.ndarray) -> None:
-        """Put the state at the point ``x`` whose image ``Q x`` is ``Qx``."""
+        """Put the state at ``x``, whose image ``Q x`` is ``Qx``.  f halves x . Qx: the bits of
+        (0.5 x) . Qx, unless a product x_i (Qx)_i (or x_i / 2, or a partial sum) is subnormal."""
         self.Qx = Qx
         self.grad = Qx + self.b
-        self.value = float((0.5 * x).dot(Qx)) + float(self.b.dot(x)) + self.c
+        self.value = 0.5 * float(x.dot(Qx)) + float(self.b.dot(x)) + self.c
 
     def image(self, atom_id: bytes, point: np.ndarray) -> np.ndarray:
         """Q times an atom, cached by id: its support rows of Q if it is sparse enough."""

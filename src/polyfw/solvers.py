@@ -19,9 +19,9 @@ They differ only in the move:
 
 A FW, AFW or PFW iteration forms the FW direction s - x, its gap
 <-grad, s - x> and the away pair (``away_atom``) once; the AFW choice,
-the descent test, the line search and the FW step reuse them, and the
-row goes straight into the trace's columns.  The shared loop and both
-corrections run on the objective's per-solve state (``Objective.start``).
+the descent test, the line search and the FW step reuse them; rows stay tuples
+until the run ends, when one transpose fills the trace's columns.  The shared
+loop and both corrections run on the objective's per-solve state (``Objective.start``).
 For a quadratic that state keeps ``Qx`` and the cached image ``Q a`` of
 each active atom, so a FW, away or pairwise step costs O(k + d) with no
 product by Q.  It also keeps the corral of the Wolfe major cycle
@@ -121,9 +121,9 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[int, float]:
     Ties on the gradient value go to the larger weight, then to the
     atom id, so the choice is deterministic.
     """
-    dots = it.atom_dots(grad).tolist()
-    best = max(dots)
-    i = dots.index(best)
+    dots = it.atom_dots(grad)
+    i, dots = int(dots.argmax()), dots.tolist()  # the list only counts ties
+    best = dots[i]
     if dots.count(best) > 1:
         ties = [j for j, dot in enumerate(dots) if dot == best]
         i = max(ties, key=lambda j: (it.w[j], it.ids[j]))
@@ -420,12 +420,9 @@ def solve(
     init_size = len(it)
     state = obj.start(it)
     f0 = state.value
-    trace = RunTrace()
+    rows = []
     by_line_search = config.variant in (Variant.FW, Variant.AFW, Variant.PFW)
-    exit_status = "max_iter"
-    error = None
-    final_gap = np.nan
-    inner_steps = 0
+    exit_status, error, final_gap, inner_steps = "max_iter", None, np.nan, 0
 
     for t in range(config.max_iter):
         grad = state.grad
@@ -473,7 +470,7 @@ def solve(
             exit_status = "error:nonfinite"
             break
         it = nxt
-        trace.append(t, kind, gamma, gamma_max, g_fw, away_record, f_new, len(it))
+        rows.append((t, kind, gamma, gamma_max, g_fw, away_record, f_new, len(it)))
 
     echo = {
         "variant": config.variant.value,
@@ -491,5 +488,7 @@ def solve(
     }
     if error is not None:
         echo["error"] = error
-    trace.config_echo, trace.final_iterate = echo, it
+    trace = RunTrace(config_echo=echo)
+    trace._extend(rows)
+    trace.final_iterate = it
     return trace

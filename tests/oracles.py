@@ -565,6 +565,15 @@ def ref_pairwise_step(weights, v, s_id, gamma):
     return out, "PAIRWISE"
 
 
+def away_atom_reference(ids, points, weights, grad, x):
+    """The away atom by brute force: the position j of the largest key (<a_j, grad>, w_j, id_j),
+    compared as tuples, each product formed one atom at a time, and the away gap
+    <a_j, grad> - <grad, x>."""
+    keys = [(float(p @ grad), float(w), atom_id) for p, w, atom_id in zip(points, weights, ids)]
+    j = max(range(len(keys)), key=keys.__getitem__)
+    return j, keys[j][0] - float(grad @ x)
+
+
 def dense_fw_reference(Q, b, c, atoms, variant, x0, max_iter, epsilon):
     """Dense FW / AFW / PFW loop: dict active set, full matvecs, closed-form line search.
 

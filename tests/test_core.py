@@ -404,6 +404,48 @@ def test_vector_dot_is_matmul_bit_for_bit(n, seed, scale):
     assert a.dot(b).tobytes() == (a @ b).tobytes()
 
 
+def _generated_problem(name):
+    """An objective, a spec and a start from each shipped generator: the triangle starts
+    inside, and a FlowDag gets the distance to a mix of its paths."""
+    from polyfw.bench import gen_lasso, gen_rankdef, gen_triangle
+    from polyfw.objectives import QuadraticObjective
+    from polyfw.oracles import FlowDag
+    from test_oracles import _layered_arcs
+
+    if name == "lasso":
+        return (*gen_lasso(50, 120, 12, 0.1, 7, 4.8), None)
+    if name == "triangle":
+        obj, spec = gen_triangle(np.pi / 16)[:2]
+        weights = np.random.default_rng(11).dirichlet(np.ones(3)).tolist()
+        return obj, spec, ActiveIterate.from_weights(dict(zip(spec.enumerate_atoms(), weights)))
+    if name == "rankdef":
+        return (*gen_rankdef(40, 20, 7), None)
+    dag = FlowDag(_layered_arcs(4, 8))
+    rng = np.random.default_rng(11)
+    paths = np.stack([dag.lmo(rng.standard_normal(dag.dimension)).point for _ in range(6)])
+    return QuadraticObjective.distance_to(rng.dirichlet(np.ones(6)) @ paths), dag, None
+
+
+@pytest.mark.parametrize("name", ["lasso", "triangle", "rankdef", "flowdag"])
+def test_state_value_halves_the_product_bit_for_bit(name, monkeypatch):
+    """``move_to`` halves x . Qx; its f has the bits of the former
+    ``(0.5 * x).dot(Qx) + b.dot(x) + c`` at every point FW, AFW, PFW and MNP runs put the
+    state on, on each shipped generator's problem."""
+    obj, spec, x0 = _generated_problem(name)
+    move_to, checked = QuadraticState.move_to, []
+
+    def checking(self, x, Qx):
+        move_to(self, x, Qx)
+        expect = float((0.5 * x).dot(Qx)) + float(self.b.dot(x)) + self.c
+        assert np.float64(self.value).tobytes() == np.float64(expect).tobytes()
+        checked.append(None)
+
+    monkeypatch.setattr(QuadraticState, "move_to", checking)
+    for variant in ("FW", "AFW", "PFW", "MNP"):
+        solvers.solve(obj, spec, solvers.SolverConfig(variant, epsilon=1e-10, max_iter=300), x0)
+    assert len(checked) > 300
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 130), d=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
        scale=st.integers(-30, 30))

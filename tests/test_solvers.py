@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polyfw.core import RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
+from polyfw.core import FIELDS, RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
 from polyfw.solvers import (
@@ -762,6 +762,19 @@ def test_nonfinite_gradient_raises_from_solve(name, bad):
     assert obj.calls == 4
 
 
+class _Capped(Objective):
+    """Half the squared distance to (0.2, 0.5, 0.3), infinite where x_3 > 0.295."""
+
+    dimension = 3
+    quad = QuadraticObjective.distance_to(np.array([0.2, 0.5, 0.3]))
+
+    def value(self, x):
+        return self.quad.value(x) if x[2] <= 0.295 else np.inf
+
+    def gradient(self, x):
+        return self.quad.gradient(x)
+
+
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AFW, Variant.PFW, Variant.FCFW])
 def test_nonfinite_value_ends_run_at_the_last_recorded_iterate(variant):
     """A step to a point where f is infinite ends the run with ``error:nonfinite``.
@@ -771,18 +784,7 @@ def test_nonfinite_value_ends_run_at_the_last_recorded_iterate(variant):
     FCFW keeps one row).  The run keeps the rows before that step and ends at
     the iterate of the last row.
     """
-    quad = QuadraticObjective.distance_to(np.array([0.2, 0.5, 0.3]))
-
-    class Capped(Objective):
-        dimension = 3
-
-        def value(self, x):
-            return quad.value(x) if x[2] <= 0.295 else np.inf
-
-        def gradient(self, x):
-            return quad.gradient(x)
-
-    trace = solve(Capped(), Simplex(3), SolverConfig(variant, epsilon=1e-9, max_iter=50))
+    trace = solve(_Capped(), Simplex(3), SolverConfig(variant, epsilon=1e-9, max_iter=50))
     assert trace.config_echo["exit_status"] == "error:nonfinite"
     records = 1 if variant is Variant.FCFW else 2
     assert len(trace.records) >= records and np.isfinite(trace.f_values()).all()
@@ -790,9 +792,9 @@ def test_nonfinite_value_ends_run_at_the_last_recorded_iterate(variant):
     final = trace.final_iterate
     final.check()
     assert final.x[2] <= 0.295
-    assert quad.value(final.x) == trace.records[-1].f_value
+    assert _Capped.quad.value(final.x) == trace.records[-1].f_value
     assert len(final) == trace.records[-1].active_size
-    grad = quad.gradient(final.x)
+    grad = _Capped.quad.gradient(final.x)
     assert trace.config_echo["final_fw_gap"] == pytest.approx(float(grad @ final.x - grad.min()))
 
 
@@ -945,6 +947,62 @@ def test_correction_error_ends_run_with_partial_trace(variant, error, monkeypatc
     assert np.array_equal(trace.final_iterate.x, shorter.final_iterate.x)
     assert echo["final_fw_gap"] == longer.records[k - 1].fw_gap
     assert RunTrace.from_csv(trace.to_csv()).config_echo == echo
+
+
+def _solve_to_exit(exit_status, monkeypatch):
+    """A solve that ends with ``exit_status``, from the default start."""
+    import polyfw.solvers as solvers
+    from polyfw.bench import gen_lasso
+
+    if exit_status == "converged":
+        obj = QuadraticObjective.distance_to(np.array([0.1, 0.2, 0.3, 0.4]))
+        return solve(obj, Simplex(4), SolverConfig(Variant.AFW, epsilon=1e-10, max_iter=500))
+    obj, spec = gen_lasso(50, 120, 12, 0.1, 7, 4.8)
+    if exit_status == "max_iter":
+        return solve(obj, spec, SolverConfig(Variant.FW, epsilon=1e-12, max_iter=40))
+    if exit_status == "stall":  # test_no_op_step_ends_run_as_stall_on_lasso_desk's PFW run
+        return solve(obj, spec, SolverConfig(Variant.PFW, epsilon=1e-13, max_iter=3000))
+    if exit_status == "error:nonfinite":
+        return solve(_Capped(), Simplex(3), SolverConfig(Variant.FW, epsilon=1e-9, max_iter=50))
+    original, calls = solvers.mnp_correction, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise CorrectionPostconditionError("forced failure on call 3")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "mnp_correction", failing)
+    rng = np.random.default_rng(402)
+    obj = QuadraticObjective.least_squares(rng.standard_normal((12, 8)), rng.standard_normal(12))
+    return solve(obj, Simplex(8), SolverConfig(Variant.MNP, epsilon=1e-9, max_iter=400))
+
+
+@pytest.mark.parametrize("exit_status", [
+    "converged", "max_iter", "stall", "error:nonfinite", "error:CorrectionPostconditionError",
+])
+def test_every_exit_returns_one_row_per_completed_iteration(exit_status, monkeypatch):
+    """``solve`` fills the trace's columns from its rows when the run ends, on every exit.
+
+    Each of the eight columns holds one entry per completed iteration: all of
+    ``max_iter`` of them, else one fewer than the iteration that ended the run
+    (``lmo_calls`` counts the start's oracle call and that iteration's).  The trace
+    passes ``validate()``, round-trips through ``to_csv``/``from_csv`` unchanged,
+    and ``RunTrace(records)`` rebuilds the same columns from its ``StepRecord``s.
+    """
+    trace = _solve_to_exit(exit_status, monkeypatch)
+    echo = trace.config_echo
+    assert echo["exit_status"] == exit_status
+    n = echo["lmo_calls"] - (1 if exit_status == "max_iter" else 2)
+    assert n >= 1 and list(trace.columns) == list(FIELDS)
+    assert [len(col) for col in trace.columns.values()] == [n] * 8
+    assert trace.columns["iteration"] == list(range(n)) and len(trace.records) == n
+    trace.validate(echo["init_active_size"])
+    text = trace.to_csv()
+    back = RunTrace.from_csv(text)
+    assert back.columns == trace.columns and back.config_echo == echo and back.to_csv() == text
+    rebuilt = RunTrace(list(trace.records), echo)
+    assert rebuilt.columns == trace.columns and rebuilt.to_csv() == text
 
 
 @pytest.mark.parametrize("case", ["lasso_desk", "rankdef"])
@@ -1203,3 +1261,42 @@ def test_corral_matches_a_gram_matrix_formed_from_scratch(run):
     with mock.patch.object(solvers, "_wolfe_step", checking):
         trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-10, max_iter=cycles), x0=x0)
     assert len(checked) == len(trace.records)
+
+
+@st.composite
+def _away_atom_cases(draw):
+    """An iterate of 1-9 distinct integer atoms in R^1-R^4 at weights c_j / sum(c), c_j in
+    1..3, and an integer gradient, so every product <a_j, grad> is exact.  Unless the gradient
+    is nonzero in R^1, one more atom, the top atom moved along a direction orthogonal to the
+    gradient, ties the largest product, and half the time it also takes that atom's weight."""
+    d = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(-2, 2)] * d)
+    points = draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    grad = np.array(draw(coords), dtype=np.float64)
+    top = max(range(len(points)), key=lambda j: float(np.dot(points[j], grad)))
+    z = np.zeros(d, dtype=int)
+    if d > 1:
+        z[:2] = grad[1], -grad[0]
+    if not z.any() and grad[0] == 0:
+        z[0] = 1
+    tie = tuple(int(v) for v in np.array(points[top]) + z)
+    if z.any() and tie not in points:
+        points.append(tie)
+        counts.append(counts[top] if draw(st.booleans()) else draw(st.integers(1, 3)))
+    order = draw(st.permutations(range(len(points))))
+    pts = np.array([points[j] for j in order], dtype=np.float64)
+    w = np.array([counts[j] for j in order], dtype=np.float64)
+    return ActiveIterate([Atom(p).id for p in pts], pts, w / w.sum()), grad
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_away_atom_cases())
+def test_away_atom_matches_brute_force_reference(case):
+    """``away_atom`` returns the position and the gap bits of ``away_atom_reference``, also
+    where products tie exactly and the larger weight, then the larger id, decides."""
+    it, grad = case
+    j, gap = away_atom(it, grad)
+    ref_j, ref_gap = ref.away_atom_reference(it.ids, it.matrix(), it.w, grad, it.x)
+    assert j == ref_j
+    assert np.float64(gap).tobytes() == np.float64(ref_gap).tobytes()
