@@ -64,7 +64,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    summary = bench.run_experiment(config, args.out_dir)
+    try:
+        summary = bench.run_experiment(config, args.out_dir)
+    except RuntimeError as exc:  # the reference run ended with an error status
+        return _error(exc, 1)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if bench.all_runs_clean(summary) else 1
 

@@ -249,6 +249,9 @@ class QuadraticState(ObjectiveState):
     recomputed exactly and the images of inactive atoms are released; a
     resync folds the incremental error into ``drift_max``.  ``corral`` is
     the last Wolfe major cycle's corral (``solvers._wolfe_step``), or None.
+    A cycle sets ``Qx`` from its corral's images (``move_to``), and an
+    FCFW or MNP correction ends there, releasing the images of the atoms
+    outside the iterate it returns; only an FCFW stall ends on a ``reset``.
     """
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
@@ -281,7 +284,9 @@ class QuadraticState(ObjectiveState):
     def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
         """Exact minimizer on [0, gamma_max], as ``QuadraticObjective.line_search``."""
         Qd = self.Qx if head is None else self.image(head.id, head.point)
-        Qv = self.Qx if tail is None else self.image(it.ids[tail], it._point(tail))
+        Qv = self.Qx if tail is None else self.images.get(it.ids[tail])
+        if Qv is None:  # an uncached tail: only now form its row
+            Qv = self.image(it.ids[tail], it._point(tail))
         self._Qd = Qd = Qd - Qv
         return _exact_step(descent, float(direction.dot(Qd)), gamma_max)
 

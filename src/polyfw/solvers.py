@@ -28,12 +28,13 @@ product by Q.  It also keeps the corral of the Wolfe major cycle
 (``_wolfe_step``) that both corrections share: the atoms' rows, images and
 Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
 so a cycle costs O(kd) plus the (k+1)^2 solve, and the new ``Qx`` comes
-from the images.  ``Qx`` is recomputed exactly whenever the iterate
-re-synthesizes x (every ``RESYNTH_PERIOD`` steps and on each drop or swap)
-and as each FCFW/MNP correction ends.  Besides the configuration and
-outcome, a trace's JSON header records ``inner_steps`` (summed over the
-corrections), ``lmo_calls``, ``resyncs`` and ``qx_drift_max`` (the largest
-incremental ``Qx`` error corrected at a resync).
+from the images, formed afresh, so a correction ends there with no product
+by Q.  ``Qx`` is recomputed exactly whenever the iterate re-synthesizes x
+(every ``RESYNTH_PERIOD`` steps and on each drop or swap) and after an FCFW
+inner step stalls.  Besides the configuration and outcome, a trace's JSON
+header records ``inner_steps`` (summed over the corrections), ``lmo_calls``,
+``resyncs`` and ``qx_drift_max`` (the largest incremental ``Qx`` error
+corrected at a resync).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class SolverConfig:
 
 @dataclass
 class CorrectionResult:
-    """Outcome of one FCFW/MNP correction call, which leaves the state exact at ``iterate``."""
+    """Outcome of one FCFW/MNP correction call, which leaves the state at ``iterate``."""
 
     iterate: ActiveIterate
     inner_steps: int
@@ -167,12 +168,14 @@ def fcfw_correction(
     otherwise an AFW step (``_line_search_step``).  An inner step that
     cannot descend, or does not lower f strictly, ends the correction
     at the iterate it started from, and one to a non-finite f at the one
-    it reached, where ``solve`` ends ``error:nonfinite``.  ``post_away_gap`` comes
-    from the exact gradient there.  Below the rounding floor that gap can
-    stay above ``eps`` although the incremental one passed; no correction
-    meets the contract there, so the iterate is returned as it is, and
-    ``solve`` ends the run as ``stall`` once a correction changes nothing.
-    ``inner_steps`` counts the minor-cycle passes, or the AFW steps.
+    it reached, where ``solve`` ends ``error:nonfinite``.  The state ends at
+    the returned iterate (reset there exactly only after a stall), the images
+    of atoms outside it are released, and ``post_away_gap`` comes from its
+    gradient.  After a stall that gap can stay above ``eps``: below the
+    rounding floor no correction meets the contract, so the iterate is
+    returned as it is, and ``solve`` ends the run as ``stall`` once a
+    correction changes nothing.  ``inner_steps`` counts the minor-cycle
+    passes, or the AFW steps.
     """
     matrix = it.matrix()
     atoms = [Atom._adopt(p, i) for i, p in zip(it.ids, matrix)]  # ids kept, not keyed again
@@ -212,13 +215,16 @@ def fcfw_correction(
             z = z_next
             break
         if z_next is None or not state.value < f_before:
-            break  # a stall: return the iterate the failed step started from
+            # a stall: return z, where the failed step started; re-entering the
+            # loop can cycle, so z stands even if its gap exceeds eps
+            if z_next is not None:
+                state.reset(z)  # the failed step moved the state past z
+            break
         z = z_next
         inner += passes
 
-    # z stands even if this exact gap exceeds eps: re-entering the loop can
-    # cycle, as cached and exact f differ by rounding
-    state.reset(z)
+    if wolfe:
+        state.images = {k: state.images[k] for k in z.ids if k in state.images}
     _, post_away = away_atom(z, state.grad)
     return CorrectionResult(z, inner, post_away)
 
@@ -313,7 +319,8 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
     to rounding.  Each term a_ij * grad_j of the gap's products is at most
     max|a_ij| * max_j (|(Qx)_j| + |b_j|); a gap above 1e-9 * max(1, that
     bound) raises ``CorrectionPostconditionError``, so the check does not
-    depend on the units of the problem.
+    depend on the units of the problem.  The state ends where the cycle put
+    it, and the images of the atoms the cycle dropped are released.
     """
     if not isinstance(state, QuadraticState):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
@@ -326,7 +333,7 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
             raise CorrectionPostconditionError(
                 f"minor cycle away gap {away_gap} stayed above {limit}"
             )
-    state.reset(out)
+    state.images = {k: state.images[k] for k in out.ids if k in state.images}
     return CorrectionResult(out, passes, away_gap)
 
 

@@ -536,6 +536,27 @@ def test_cli_pwidth(tmp_path, capsys):
         assert captured.err.startswith("error: ") and not captured.out
 
 
+def test_cli_run_reports_a_failed_reference_run(tmp_path, capsys, monkeypatch):
+    """A reference run that ends with an error status is one ``error:`` line and exit 1."""
+    import polyfw.bench as bench
+
+    def failing(obj, spec):
+        raise RuntimeError("reference run ended error:DegenerateActiveSetError: singular")
+
+    monkeypatch.setattr(bench, "reference_optimum", failing)
+    (tmp_path / "A.csv").write_text("-65.3,10.7,-14.5,-11.6,-5.5,-51.6,-5.9\n")
+    (tmp_path / "y.csv").write_text("0.74\n")
+    doc = {"name": "refail", "variants": ["FW"], "problem": {
+        "kind": "custom", "A_csv": str(tmp_path / "A.csv"), "y_csv": str(tmp_path / "y.csv"),
+        "spec": {"variant": "simplex", "dimension": 7}}}
+    cfg_path = tmp_path / "refail.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "singular" in captured.err
+    assert not captured.out
+
+
 def test_cli_pwidth_reports_a_facial_problem_that_did_not_converge(tmp_path, capsys, monkeypatch):
     from polyfw import solvers
 

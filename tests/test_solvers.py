@@ -541,17 +541,18 @@ def test_run_experiment_reaches_the_traced_bench_names(problem, runs, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "variant, calls_per, products_per", [(Variant.FCFW, 1, 2), (Variant.MNP, 0, 1)]
+    "variant, calls_per, products_per", [(Variant.FCFW, 1, 1), (Variant.MNP, 0, 0)]
 )
 def test_corrections_make_no_dense_product_per_inner_step(
     variant, calls_per, products_per, monkeypatch
 ):
-    """Products by Q in a whole solve: two per FCFW iteration, one per MNP iteration.
+    """Products by Q in a whole solve: one per FCFW iteration, none per MNP iteration.
 
     FCFW calls the objective once per correction, for its target value;
-    MNP never.  Each correction ends with one ``QuadraticState.reset``,
-    the other product, and no major cycle multiplies by Q, so neither
-    count grows with the inner steps.  Every product by Q (a dense one,
+    MNP never.  A correction that does not stall ends where its last major
+    cycle put the state, with no ``QuadraticState.reset``, and no major
+    cycle multiplies by Q, so neither count grows with the inner steps.
+    Every product by Q (a dense one,
     or one inside an objective call) is counted, plus the one that opens
     the solve's state.  The lasso atoms are 1-sparse, so their images
     are support rows of Q, formed with ``ndarray.dot``, which does not
@@ -606,8 +607,73 @@ def test_corrections_make_no_dense_product_per_inner_step(
     iterations = len(trace.records)
     assert iterations and trace.config_echo["inner_steps"] > iterations
     assert len(calls) <= calls_per * iterations, sorted(set(calls))
-    assert counts["resets"] == iterations
+    assert counts["resets"] == 0
     assert counts["products"] == products_per * iterations + 1
+
+
+def _exact_state_problems():
+    from polyfw.bench import gen_lasso, gen_rankdef
+
+    rng = np.random.default_rng(37)
+    B = rng.standard_normal((12, 4))
+    Q = B @ B.T + 0.5 * np.eye(12)
+    atoms = rng.standard_normal((9, 12))
+    target = rng.dirichlet(np.ones(9)) @ atoms
+    return {
+        "lasso": gen_lasso(30, 60, 6, 0.1, 11, 3.0),
+        "rankdef": gen_rankdef(40, 12, 5),
+        "gaussian": (QuadraticObjective(Q, -Q @ target), VertexList(atoms)),
+    }
+
+
+@pytest.mark.parametrize("variant", [Variant.FCFW, Variant.MNP])
+@pytest.mark.parametrize("name", ["lasso", "rankdef", "gaussian"])
+@pytest.mark.parametrize("epsilon", [1e-8, 1e-14])
+def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon, monkeypatch):
+    """After every FCFW and MNP correction, ``Qx``, the gradient and f of the state match
+    ``Q @ x`` and ``obj.value(x)`` at the returned iterate within 1e-12 of their terms' scale
+    |Q| |x|, and only that iterate's atom images stay cached.
+
+    At eps=1e-14, below the rounding floor, FCFW's inner steps stall; each correction
+    that stalled reset the state exactly at the iterate it returns, so there the state
+    is bit for bit the one ``reset`` forms.
+    """
+    import polyfw.solvers as solvers
+
+    obj, spec = _exact_state_problems()[name]
+    resets, checked = [], []
+    reset = QuadraticState.reset
+
+    def counting_reset(self, it):
+        resets.append(it)
+        return reset(self, it)
+
+    correction = getattr(solvers, f"{variant.value.lower()}_correction")
+
+    def checking(state, it, *args):
+        resets.clear()
+        result = correction(state, it, *args)
+        x = result.iterate.x
+        Qx = obj.Q @ x
+        scale = max(1.0, float(np.abs(obj.Q).max()) * float(np.abs(x).max()))
+        assert np.abs(state.Qx - Qx).max() <= 1e-12 * scale
+        assert np.abs(state.grad - (Qx + obj.b)).max() <= 1e-12 * scale
+        assert abs(state.value - obj.value(x)) <= 1e-12 * scale * max(1.0, np.abs(x).sum())
+        assert set(state.images) <= set(result.iterate.ids)
+        if resets:  # an FCFW stall, the only correction path that resets
+            assert variant is Variant.FCFW and resets == [result.iterate]
+            np.testing.assert_array_equal(state.Qx, Qx)
+            assert state.value == obj.value(x)
+        checked.append(bool(resets))
+        return result
+
+    monkeypatch.setattr(QuadraticState, "reset", counting_reset)
+    monkeypatch.setattr(solvers, f"{variant.value.lower()}_correction", checking)
+    trace = solve(obj, spec, SolverConfig(variant, epsilon=epsilon, max_iter=300))
+    assert trace.config_echo["exit_status"] in ("converged", "stall")
+    assert checked and (variant is Variant.FCFW or not any(checked))
+    if (variant, name, epsilon) == (Variant.FCFW, "lasso", 1e-14):
+        assert any(checked)  # the stall path is exercised
 
 
 def test_generic_objective_path_matches_quadratic():
