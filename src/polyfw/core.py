@@ -13,8 +13,15 @@ the bookkeeping rules live in one place: weights stay positive and sum
 to one, removals are exact (no epsilon residue), and the dense point is
 re-synthesized from the expansion every ``RESYNTH_PERIOD`` steps, on
 each drop or swap, and after an away step longer than 1, so incremental
-updates cannot drift.  ``ActiveIterate.synced`` tells the objective
-state (``polyfw.objectives``) when to recompute its incremental ``Qx``.
+updates cannot drift.  No check in a step walks the active set: each
+iterate carries a lower bound on its smallest weight, which ``_move``
+moves through the step's own rounded operations, so the floor test
+scans the weights only when the bound reaches the floor; and the store
+keeps a position hint per atom id, which ``ActiveIterate.index`` trusts
+only once the iterate's own ids confirm it, scanning otherwise.  Every
+decision is the one the scans would make, bit for bit.
+``ActiveIterate.synced`` tells the objective state (``polyfw.objectives``)
+when to recompute its incremental ``Qx``.
 Step-path products (FW/AFW/PFW) use ``ndarray.dot``: the bits of ``@``
 without its ufunc dispatch.  Dense products by Q keep ``@``, seen by
 ``__array_ufunc__``; a sparse atom's image from its support rows of Q uses
@@ -24,6 +31,7 @@ without its ufunc dispatch.  Dense products by Q keep ``@``, seen by
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -106,20 +114,26 @@ class _AtomStore:
     A row, once written, never changes, so every iterate that indexes
     into the store stays valid however many later steps append to it.
     ``row_of`` maps an atom id to its row, so an atom that leaves the
-    active set and comes back reuses its row.  A new store keeps the rows
-    it is given, uncopied and read-only as ``Atom._adopt`` keeps its point,
-    and like any full store it doubles (to 10 rows at least) on its first append.
+    active set and comes back reuses its row.  ``at`` maps the same ids to
+    a position hint: where the atom last sat in an iterate that added or
+    looked it up.  Iterates that share the store may hold it at other
+    positions, so ``position`` trusts a hint only once the asking
+    iterate's own ids confirm it.  A new store keeps the rows it is given, uncopied and
+    read-only as ``Atom._adopt`` keeps its point, and like any full store it
+    doubles (to 10 rows at least) on its first append.
     """
 
-    __slots__ = ("rows", "size", "row_of")
+    __slots__ = ("rows", "size", "row_of", "at")
 
     def __init__(self, ids: Sequence[bytes], points: np.ndarray) -> None:
         points.setflags(write=False)
         self.rows, self.size = points, points.shape[0]
         self.row_of: Dict[bytes, int] = dict(zip(ids, range(self.size)))
+        self.at: Dict[bytes, int] = dict(self.row_of)  # row i is position i of ``ids``
 
-    def row(self, atom: Atom) -> int:
-        """The row holding ``atom``, appended on first sight."""
+    def row(self, atom: Atom, position: int) -> int:
+        """The row holding ``atom``, appended on first sight; ``position`` is its new hint."""
+        self.at[atom.id] = position
         r = self.row_of.get(atom.id)
         if r is None:
             r = self.size
@@ -132,6 +146,23 @@ class _AtomStore:
             self.size = r + 1
         return r
 
+    def position(self, ids: Tuple[bytes, ...], rows: np.ndarray, atom_id: bytes) -> Optional[int]:
+        """Where ``atom_id`` sits in ``ids``, an iterate's, whose atoms are ``rows``; None if absent.
+
+        O(1) when the hint holds; otherwise one scan of ``rows``, whose result becomes the hint.
+        """
+        p = self.at.get(atom_id)
+        if p is None:  # never in the store: most new FW atoms
+            return None
+        if p < len(ids) and ids[p] == atom_id:
+            return p
+        try:
+            p = rows.tolist().index(self.row_of[atom_id])
+        except ValueError:  # the atom left the active set; its row stays in the store
+            return None
+        self.at[atom_id] = p
+        return p
+
 
 class ActiveIterate:
     """A point of the polytope with its explicit convex decomposition.
@@ -143,12 +174,14 @@ class ActiveIterate:
 
     Invariants: every weight is positive, the weights sum to one within
     ``WEIGHT_SUM_TOL``, and the dense point ``x`` matches the weighted
-    atom sum within ``DRIFT_LIMIT`` in infinity norm.  Instances are
-    value-like: step operations return new iterates, and no method but
-    ``__init__`` writes to an iterate or its arrays.
+    atom sum within ``DRIFT_LIMIT`` in infinity norm.  ``_w_low`` is a
+    lower bound on the smallest weight: exact when an iterate is built,
+    carried through each step by ``_move``.  Instances are value-like:
+    step operations return new iterates, and no method but ``__init__``
+    writes to an iterate or its arrays.
     """
 
-    __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync")
+    __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync", "_w_low")
 
     def __init__(self, ids: Sequence[bytes], points, w, x: Optional[np.ndarray] = None) -> None:
         """Iterate with atoms ``points[i]`` (id ``ids[i]``) at weights ``w[i]``.
@@ -164,6 +197,7 @@ class ActiveIterate:
         self._store = _AtomStore(self.ids, points)
         self._rows = np.arange(len(self.ids))
         self._steps_since_sync = 0
+        self._w_low = min(self.w.tolist(), default=math.inf)
         self.x = self.synthesize() if x is None else np.asarray(x, dtype=np.float64)
 
     @classmethod
@@ -204,12 +238,8 @@ class ActiveIterate:
         return self._steps_since_sync == 0
 
     def index(self, atom_id: bytes) -> Optional[int]:
-        """Position of an atom in ``ids``, or None when it is not active."""
-        row = self._store.row_of.get(atom_id)
-        try:  # most FW atoms are new to the store (row None): no scan
-            return None if row is None else self._rows.tolist().index(row)
-        except ValueError:  # the atom left the active set; its row stays in the store
-            return None
+        """Position of an atom in ``ids``, or None when it is not active (``_AtomStore.position``)."""
+        return self._store.position(self.ids, self._rows, atom_id)
 
     def _point(self, i: int) -> np.ndarray:
         return self._store.rows[self._rows[i]]
@@ -236,8 +266,11 @@ class ActiveIterate:
         """Raise if a representation invariant is violated."""
         if not self.ids:
             raise AssertionError("empty active set")
-        if not np.minimum.reduce(self.w) > 0.0:
+        low = np.minimum.reduce(self.w)
+        if not low > 0.0:
             raise AssertionError("nonpositive weight in active set")
+        if not self._w_low <= low:
+            raise AssertionError(f"weight bound {self._w_low} above the smallest weight {low}")
         total = float(np.add.reduce(self.w))
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise AssertionError(f"weight sum {total} off by more than {WEIGHT_SUM_TOL}")
@@ -258,34 +291,49 @@ def _move(
     ``drop`` takes atom j out; ``clean`` drops weights at or below ``WEIGHT_FLOOR`` and
     renormalizes the rest.  x is re-synthesized on a drop, on ``force_sync`` and every
     ``RESYNTH_PERIOD`` steps.
+
+    The weight bound ``_w_low`` follows the weights through the same rounded operations:
+    times the scale, the tail's new weight, the new atom's gamma, and over the renormalizing
+    sum.  Each is monotone under rounding, so the bound stays below every weight, and the
+    floor test scans the weights only when the bound is not above the floor; that scan
+    makes the bound exact again.
     """
-    ids, rows, store = it.ids, it._rows, it._store
+    ids, rows, store, low = it.ids, it._rows, it._store, it._w_low
     scale = 1.0 + gamma * ((s is None) - (j is None))
-    w = it.w * scale if scale != 1.0 else it.w.copy()  # a pairwise step only copies
+    if scale != 1.0:
+        w, low = it.w * scale, low * scale
+    else:
+        w = it.w.copy()  # a pairwise step only copies
     if j is not None:
         w[j] -= gamma
+        if not drop:
+            low = min(low, float(w[j]))
     if s is not None:
         i = it.index(s.id)
         if i is None:
             if store.size >= 2 * len(rows) + 8:
                 store, rows = _AtomStore(ids, store.rows[rows]), np.arange(len(rows))
-            w, rows = np.concatenate((w, [gamma])), np.concatenate((rows, [store.row(s)]))
+            w, rows = np.concatenate((w, [gamma])), np.concatenate((rows, [store.row(s, len(ids))]))
             ids = ids + (s.id,)
+            low = min(low, gamma)
         else:
-            w[i] += gamma
+            w[i] += gamma  # no lower than it was
     if drop:
         keep = [i for i in range(len(ids)) if i != j]
         ids, w, rows = ids[:j] + ids[j + 1 :], w[keep], rows[keep]
     if clean:
-        if min(w.tolist()) <= WEIGHT_FLOOR:
+        if not low > WEIGHT_FLOOR and (low := min(w.tolist())) <= WEIGHT_FLOOR:
             kept = (w > WEIGHT_FLOOR).nonzero()[0]
             if not kept.size:
                 raise AssertionError("all weights collapsed below the floor")
             ids = tuple(ids[i] for i in kept)
             w, rows = w[kept], rows[kept]
-        w /= np.add.reduce(w)
+            low = min(w.tolist())
+        total = float(np.add.reduce(w))
+        w /= total
+        low /= total
     out = ActiveIterate.__new__(ActiveIterate)
-    out.ids, out.w, out.x, out._store, out._rows = ids, w, x_new, store, rows
+    out.ids, out.w, out.x, out._store, out._rows, out._w_low = ids, w, x_new, store, rows, low
     out._steps_since_sync = it._steps_since_sync + 1
     if drop or force_sync or out._steps_since_sync >= RESYNTH_PERIOD:
         out.x = out.synthesize()
@@ -311,12 +359,15 @@ def apply_fw_step(
     return _move(it, s, None, gamma, x_new)
 
 
-def apply_away_step(it: ActiveIterate, v: bytes, gamma: float) -> Tuple[ActiveIterate, bool]:
+def apply_away_step(
+    it: ActiveIterate, v: bytes, gamma: float, away_dir: Optional[np.ndarray] = None
+) -> Tuple[ActiveIterate, bool]:
     """Move away from active atom ``v``: x <- x + gamma (x - v).
 
     The step's limit is gamma_max = alpha_v / (1 - alpha_v); at gamma =
     gamma_max the atom is removed exactly (a drop step).  Returns the new
-    iterate and whether the step was a drop.
+    iterate and whether the step was a drop.  ``away_dir`` is x - v when
+    the caller has it already.
     """
     j = it.index(v)
     if j is None:
@@ -330,14 +381,17 @@ def apply_away_step(it: ActiveIterate, v: bytes, gamma: float) -> Tuple[ActiveIt
     if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):
         gamma = gamma_max
     drop = gamma == gamma_max
-    x_new = it.x if drop else it.x + gamma * (it.x - it._point(j))
+    if drop:
+        x_new = it.x
+    else:
+        x_new = it.x + gamma * (it.x - it._point(j) if away_dir is None else away_dir)
     # x_new = (1 + gamma) x - gamma v scales the rounding error already in
     # x by 1 + gamma, so a long step re-synthesizes x from the weights.
     return _move(it, None, j, gamma, x_new, drop, force_sync=gamma > 1.0), drop
 
 
 def apply_pairwise_step(
-    it: ActiveIterate, v: bytes, s: Atom, gamma: float
+    it: ActiveIterate, v: bytes, s: Atom, gamma: float, pair_dir: Optional[np.ndarray] = None
 ) -> Tuple[ActiveIterate, "StepKind"]:
     """Shift mass gamma from active atom ``v`` onto atom ``s``.
 
@@ -346,7 +400,7 @@ def apply_pairwise_step(
     atom is left with a sub-floor weight, and a zero step adds no atom.
     Classification: Drop when gamma exhausts alpha_v and s was already
     active, Swap when it exhausts alpha_v and s was inactive, Pairwise
-    otherwise.
+    otherwise.  ``pair_dir`` is s - v when the caller has it already.
     """
     j = it.index(v)
     if j is None:
@@ -363,7 +417,7 @@ def apply_pairwise_step(
     if gamma == gamma_max:
         out = _move(it, s, j, gamma, it.x, drop=True, clean=False)
         return out, StepKind.SWAP if len(out) == len(it) else StepKind.DROP
-    x_new = it.x + gamma * (s.point - it._point(j))
+    x_new = it.x + gamma * (s.point - it._point(j) if pair_dir is None else pair_dir)
     head = s if gamma > 0.0 else None
     return _move(it, head, j, gamma, x_new, clean=False), StepKind.PAIRWISE
 

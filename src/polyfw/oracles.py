@@ -320,14 +320,16 @@ class FlowDag(PolytopeSpec):
         # Walk from the source taking the smallest arc index that attains
         # the optimum: the lexicographically smallest path.  ``min``
         # returns one of its operands, so some out-arc always matches.
-        point = np.zeros(self.dimension)
+        path = []
         node = len(d) - 1
         while node:
             for idx, head in self._succ[node]:
                 if r_at[idx] + d[head] == d[node]:
                     break
-            point[idx] = 1.0
+            path.append(idx)
             node = head
+        point = np.zeros(self.dimension)
+        point[path] = 1.0
         return Atom._adopt(point)
 
     def _atoms(self) -> List[Atom]:

@@ -19,8 +19,13 @@ They differ only in the move:
 
 A FW, AFW or PFW iteration forms the FW direction s - x, its gap
 <-grad, s - x> and the away pair (``away_atom``) once; the AFW choice,
-the descent test, the line search and the FW step reuse them; rows stay tuples
-until the run ends, when one transpose fills the trace's columns.  The shared
+the descent test, the line search and the step reuse them, the away and
+pairwise steps taking the direction ``_line_search_step`` formed; rows stay
+tuples until the run ends, when one transpose fills the trace's columns.
+Past ``TIE_LIST_MAX`` active atoms, ``away_atom`` detects a tie at the
+maximum by a second ``argmax`` from the other end instead of a list of the
+products, and the step's own checks are O(1) in the active-set size
+(``polyfw.core``), with every choice the one the scans would make.  The shared
 loop and both corrections run on the objective's per-solve state (``Objective.start``).
 For a quadratic that state keeps ``Qx`` and the cached image ``Q a`` of
 each active atom, so a FW, away or pairwise step costs O(k + d) with no
@@ -116,14 +121,25 @@ def lmo(spec: PolytopeSpec, r: np.ndarray) -> Atom:
     return spec._lmo(r)
 
 
+# Up to this many active atoms, ``away_atom`` counts ties on a list of the products; above
+# it, a second ``argmax`` from the other end costs less than building the list.
+TIE_LIST_MAX = 20
+
+
 def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[int, float]:
     """Worst active atom v as its position in ``it.ids``, and the away gap <-grad, x - v>.
 
     Ties on the gradient value go to the larger weight, then to the
-    atom id, so the choice is deterministic.
+    atom id, so the choice is deterministic.  Past ``TIE_LIST_MAX`` atoms,
+    a maximum that the first and the last ``argmax`` agree on is the only
+    one, and no list is built.
     """
     dots = it.atom_dots(grad)
-    i, dots = int(dots.argmax()), dots.tolist()  # the list only counts ties
+    i = int(dots.argmax())
+    k = len(dots)
+    if k > TIE_LIST_MAX and i + int(dots[::-1].argmax()) == k - 1:
+        return i, float(dots[i]) - float(grad.dot(it.x))
+    dots = dots.tolist()
     best = dots[i]
     if dots.count(best) > 1:
         ties = [j for j, dot in enumerate(dots) if dot == best]
@@ -317,10 +333,12 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
     Lands on the minimizer of f over the affine hull of the atoms the
     minor cycle keeps, inside their convex hull, so the away gap is 0 up
     to rounding.  Each term a_ij * grad_j of the gap's products is at most
-    max|a_ij| * max_j (|(Qx)_j| + |b_j|); a gap above 1e-9 * max(1, that
-    bound) raises ``CorrectionPostconditionError``, so the check does not
-    depend on the units of the problem.  The state ends where the cycle put
-    it, and the images of the atoms the cycle dropped are released.
+    max|a_ij| * max_j (|(Qx)_j| + |b_j|), and the minor cycle's solves
+    round at the scale of the corral's Gram matrix, max|H_ij|; a gap above
+    1e-9 * max(1, either) raises ``CorrectionPostconditionError``, so the
+    check does not depend on the units of the problem or the scale of Q.
+    The state ends where the cycle put it, and the images of the atoms the
+    cycle dropped are released.
     """
     if not isinstance(state, QuadraticState):
         raise TypeError("the min-norm-point correction requires a quadratic objective")
@@ -328,7 +346,10 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
     _, away_gap = away_atom(out, state.grad)
     if away_gap > MNP_AWAY_GAP_LIMIT:  # the bound is only formed for a gap above its floor
         grad_terms = float(np.max(np.abs(state.Qx) + np.abs(state.b)))
-        limit = MNP_AWAY_GAP_LIMIT * max(1.0, float(np.max(np.abs(out.matrix()))) * grad_terms)
+        gram = float(np.max(np.abs(state.corral[3])))
+        limit = MNP_AWAY_GAP_LIMIT * max(
+            1.0, float(np.max(np.abs(out.matrix()))) * grad_terms, gram
+        )
         if away_gap > limit:
             raise CorrectionPostconditionError(
                 f"minor cycle away gap {away_gap} stayed above {limit}"
@@ -381,10 +402,10 @@ def _line_search_step(
     if kind is StepKind.FW:
         it = apply_fw_step(it, s, gamma, fw_dir)
     elif kind is StepKind.AWAY:
-        it, dropped = apply_away_step(it, it.ids[j], gamma)
+        it, dropped = apply_away_step(it, it.ids[j], gamma, direction)
         kind = StepKind.DROP if dropped else StepKind.AWAY
     else:
-        it, kind = apply_pairwise_step(it, it.ids[j], s, gamma)
+        it, kind = apply_pairwise_step(it, it.ids[j], s, gamma, direction)
         if gamma <= WEIGHT_FLOOR:
             # apply_pairwise_step zeroed gamma unless it snapped the step to a drop
             if kind is StepKind.PAIRWISE:

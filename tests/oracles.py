@@ -565,6 +565,119 @@ def ref_pairwise_step(weights, v, s_id, gamma):
     return out, "PAIRWISE"
 
 
+# -- scanning bookkeeping, bit for bit -----------------------------------------
+#
+# The array bookkeeping of ``polyfw.core`` as it was before its O(1) checks:
+# every position is found by scanning the ids, and every cleaning step tests
+# the exact smallest weight.  The arithmetic (scale, tail, new atom, drop,
+# renormalizing sum, dense point) and the shared append-only store, which
+# fixes the bits of a re-synthesized x, are spelled out step by step, so the
+# library's ids, weights and x must equal these bit for bit.
+
+from polyfw.core import RESYNTH_PERIOD  # noqa: E402
+
+
+class ScanStore:
+    """Append-only rows shared by a reference iterate and the ones stepped from it."""
+
+    def __init__(self, ids, points):
+        self.points = [np.asarray(p, dtype=np.float64) for p in points]
+        self.row_of = dict(zip(ids, range(len(self.points))))
+
+    def row(self, atom_id, point):
+        if atom_id not in self.row_of:
+            self.row_of[atom_id] = len(self.points)
+            self.points.append(np.asarray(point, dtype=np.float64))
+        return self.row_of[atom_id]
+
+
+class ScanIterate:
+    """ids, weights, store rows and x of an iterate; steps return new ones."""
+
+    def __init__(self, ids, w, x, rows, store, since=0):
+        self.ids, self.w, self.x, self.rows, self.store, self.since = ids, w, x, rows, store, since
+
+    @classmethod
+    def from_atom(cls, atom_id, point):
+        point = np.asarray(point, dtype=np.float64)
+        return cls([atom_id], np.array([1.0]), point.copy(), [0], ScanStore([atom_id], [point]))
+
+    def index(self, atom_id):
+        return self.ids.index(atom_id) if atom_id in self.ids else None
+
+    def point(self, j):
+        return self.store.points[self.rows[j]]
+
+    def synthesize(self, rows, w, store):
+        full = np.zeros(len(store.points))
+        full[rows] = w
+        return full @ np.array(store.points)
+
+    def move(self, s, j, gamma, x_new, drop=False, force_sync=False, clean=True):
+        """x + gamma (head - tail); ``s`` is (id, point) or None, ``j`` a position or None."""
+        ids, rows, store = list(self.ids), list(self.rows), self.store
+        scale = 1.0 + gamma * ((s is None) - (j is None))
+        w = self.w * scale if scale != 1.0 else self.w.copy()
+        if j is not None:
+            w[j] -= gamma
+        if s is not None:
+            i = self.index(s[0])
+            if i is None:
+                if len(store.points) >= 2 * len(rows) + 8:
+                    store = ScanStore(ids, [store.points[r] for r in rows])
+                    rows = list(range(len(rows)))
+                w = np.concatenate((w, [gamma]))
+                rows.append(store.row(*s))
+                ids.append(s[0])
+            else:
+                w[i] += gamma
+        if drop:
+            del ids[j], rows[j]
+            w = np.delete(w, j)
+        if clean:
+            if min(w.tolist()) <= WEIGHT_FLOOR:
+                kept = [i for i, v in enumerate(w.tolist()) if v > WEIGHT_FLOOR]
+                ids, rows, w = [ids[i] for i in kept], [rows[i] for i in kept], w[kept]
+            w = w / np.add.reduce(w)
+        since = self.since + 1
+        if drop or force_sync or since >= RESYNTH_PERIOD:
+            x_new, since = self.synthesize(rows, w, store), 0
+        return ScanIterate(ids, w, x_new, rows, store, since)
+
+    def fw(self, atom_id, point, gamma):
+        if gamma >= 1.0:
+            return ScanIterate.from_atom(atom_id, point)
+        x_new = gamma * (point - self.x)
+        x_new += self.x
+        return self.move((atom_id, point), None, gamma, x_new)
+
+    def away(self, v, gamma):
+        """(iterate, dropped)."""
+        j = self.index(v)
+        alpha = float(self.w[j])
+        gamma_max = alpha / (1.0 - alpha)
+        if gamma_max - gamma <= GAMMA_SNAP * max(1.0, gamma_max):
+            gamma = gamma_max
+        drop = gamma == gamma_max
+        x_new = self.x if drop else self.x + gamma * (self.x - self.point(j))
+        return self.move(None, j, gamma, x_new, drop, force_sync=gamma > 1.0), drop
+
+    def pairwise(self, v, atom_id, point, gamma):
+        """(iterate, kind name)."""
+        j = self.index(v)
+        gamma_max = float(self.w[j])
+        if gamma_max - gamma <= GAMMA_SNAP:
+            gamma = gamma_max
+        elif gamma <= WEIGHT_FLOOR:
+            gamma = 0.0
+        if gamma == gamma_max:
+            out = self.move((atom_id, point), j, gamma, self.x, drop=True, clean=False)
+            return out, "SWAP" if len(out.ids) == len(self.ids) else "DROP"
+        x_new = self.x + gamma * (point - self.point(j))
+        head = (atom_id, point) if gamma > 0.0 else None
+        return self.move(head, j, gamma, x_new, clean=False), "PAIRWISE"
+
+
 def away_atom_reference(ids, points, weights, grad, x):
     """The away atom by brute force: the position j of the largest key (<a_j, grad>, w_j, id_j),
     compared as tuples, each product formed one atom at a time, and the away gap

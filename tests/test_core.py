@@ -311,6 +311,68 @@ def test_step_primitives_match_reference_model(start, ops):
         _assert_matches(it, expected)
 
 
+# 18 distinct integer atoms in R^5, so stores outgrow twice the active set and compact.
+WIDE_POOL = [Atom(p) for p in np.unique(
+    np.random.default_rng(39).integers(-2, 3, size=(18, 5)).astype(np.float64), axis=0)]
+NEAR_ONE = (1.0, 1.0 - 1e-15, 1.0 - 1e-13, 1.0 - 1e-11, 0.999999)  # scale weights to the floor
+BRANCHING_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["fw", "fw", "away", "pairwise"]),
+        st.integers(0, len(WIDE_POOL) - 1),  # atom pick
+        st.integers(0, 20),  # active atom pick
+        st.one_of(st.sampled_from(NEAR_ONE), st.floats(0.0, 1.0)),  # gamma as a share of its cap
+        st.booleans(),  # step the previous iterate instead of the latest: a sibling
+        st.booleans(),  # hand the step its direction
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, len(WIDE_POOL) - 1), ops=BRANCHING_OPS)
+def test_steps_match_the_scanning_bookkeeping_bit_for_bit(start, ops):
+    """Random FW, away and pairwise steps, with gammas that push weights to the floor, drops,
+    swaps and siblings stepped from one iterate, give the ids, weight bits and x bits of
+    ``ScanIterate``, which scans for every position and tests the exact smallest weight at
+    every step.  Each iterate's weight bound stays at or below its smallest weight, and
+    ``index`` agrees with a scan of its ids for every atom of the pool, active or not."""
+    first = WIDE_POOL[start]
+    history = [(ActiveIterate.from_atom(first), ref.ScanIterate.from_atom(first.id, first.point))]
+    for op, pick, active_pick, share, sibling, pass_dir in ops:
+        it, expected = history[-2] if sibling and len(history) > 1 else history[-1]
+        s = WIDE_POOL[pick]
+        j = active_pick % len(it)
+        v = it.ids[j]
+        if op == "fw":
+            it = apply_fw_step(it, s, share, s.point - it.x if pass_dir else None)
+            expected = expected.fw(s.id, s.point, share)
+        elif op == "away":
+            alpha = float(it.w[j])
+            if len(it) == 1 or alpha >= 1.0:
+                continue
+            gamma = min(share * (alpha / (1.0 - alpha)), alpha / (1.0 - alpha))
+            it, dropped = apply_away_step(it, v, gamma, it.x - it._point(j) if pass_dir else None)
+            expected, ref_dropped = expected.away(v, gamma)
+            assert dropped is ref_dropped
+        else:
+            if s.id == v:
+                continue
+            gamma = share * float(it.w[j])
+            it, kind = apply_pairwise_step(
+                it, v, s, gamma, s.point - it._point(j) if pass_dir else None
+            )
+            expected, ref_kind = expected.pairwise(v, s.id, s.point, gamma)
+            assert kind.value == ref_kind
+        assert it.ids == tuple(expected.ids)
+        assert it.w.tobytes() == expected.w.tobytes()
+        assert it.x.tobytes() == expected.x.tobytes()
+        assert it._w_low <= min(it.w.tolist())
+        for atom in WIDE_POOL:
+            assert it.index(atom.id) == expected.index(atom.id)
+        it.check()
+        history.append((it, expected))
+
+
 # -- the columnar trace against the record-by-record reference ----------------
 
 from hypothesis import example  # noqa: E402

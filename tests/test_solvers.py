@@ -9,6 +9,7 @@ from polyfw.core import FIELDS, RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, S
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
 from polyfw.solvers import (
+    TIE_LIST_MAX,
     CorrectionPostconditionError,
     DegenerateActiveSetError,
     SolverConfig,
@@ -272,6 +273,50 @@ def test_mnp_postcondition_still_catches_a_point_off_the_affine_minimizer(scale,
     obj, spec = _scaled_lasso(scale)
     trace = solve(obj, spec, SolverConfig(Variant.MNP, epsilon=1e-8, max_iter=30))
     assert trace.config_echo["exit_status"] == "error:CorrectionPostconditionError"
+
+
+def _fuzz_instance(seed):
+    """A seeded quadratic of rank 1 to d over one of four specs, ROADMAP item 16's fuzz: with
+    ``rng = default_rng(seed)``, d in 2..8, the spec's kind (Simplex, Cube, L1Ball of radius
+    10^U(-2, 2), or 2-11 Gaussian atoms scaled by 10^U(-3, 3) plus a Gaussian offset scaled by
+    10^U(-3, 4)), the rank, Q = B^T B with B Gaussian scaled by 10^U(-3, 3), and a Gaussian b
+    scaled by 10^U(-3, 3), drawn in that order."""
+    from polyfw.oracles import L1Ball
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        spec = Simplex(d)
+    elif kind == 1:
+        spec = Cube(d)
+    elif kind == 2:
+        spec = L1Ball(d, 10 ** rng.uniform(-2, 2))
+    else:
+        n = int(rng.integers(2, 12))
+        atoms = rng.standard_normal((n, d)) * 10 ** rng.uniform(-3, 3)
+        spec = VertexList(atoms + rng.standard_normal(d) * 10 ** rng.uniform(-3, 4))
+    B = rng.standard_normal((int(rng.integers(1, d + 1)), d)) * 10 ** rng.uniform(-3, 3)
+    return QuadraticObjective(B.T @ B, rng.standard_normal(d) * 10 ** rng.uniform(-3, 3)), spec
+
+
+@pytest.mark.parametrize("seed", [138, 147, 257])
+def test_mnp_postcondition_scales_with_the_gram_matrix(seed):
+    """On these badly scaled quadratics max|H| is 1e8-1e11 while |Qx| + |b| is below 1 at the
+    result, so rounding in the minor cycle leaves away gaps of 2e-9 to 5e-6 that a limit
+    blind to H read as a broken postcondition.  No variant ends with an error, and each ends
+    within its final FW gap (+1e-9 relative) of the best f of the five."""
+    obj, spec = _fuzz_instance(seed)
+    ends = {}
+    for variant in Variant:
+        trace = solve(obj, spec, SolverConfig(variant, epsilon=1e-9, max_iter=3000))
+        echo = trace.config_echo
+        assert not echo["exit_status"].startswith("error:"), (variant, echo)
+        f = trace.records[-1].f_value if trace.records else echo["f0"]
+        ends[variant] = (f, echo["final_fw_gap"])
+    best = min(f for f, _ in ends.values())
+    for variant, (f, gap) in ends.items():
+        assert f - best <= gap + 1e-9 * max(1.0, abs(best)), variant
 
 
 def test_mnp_triangle_matches_face_inspection():
@@ -1331,13 +1376,16 @@ def test_corral_matches_a_gram_matrix_formed_from_scratch(run):
 
 @st.composite
 def _away_atom_cases(draw):
-    """An iterate of 1-9 distinct integer atoms in R^1-R^4 at weights c_j / sum(c), c_j in
-    1..3, and an integer gradient, so every product <a_j, grad> is exact.  Unless the gradient
-    is nonzero in R^1, one more atom, the top atom moved along a direction orthogonal to the
-    gradient, ties the largest product, and half the time it also takes that atom's weight."""
+    """An iterate of 1-40 distinct integer atoms in R^1-R^4 at weights c_j / sum(c), c_j in
+    1..3, and an integer gradient, so every product <a_j, grad> is exact.  The sizes reach
+    both sides of ``TIE_LIST_MAX``.  Unless the gradient is nonzero in R^1, one more atom,
+    the top atom moved along a direction orthogonal to the gradient, ties the largest
+    product, and half the time it also takes that atom's weight.  The atoms are shuffled, or
+    the two tied atoms are put first and last."""
     d = draw(st.integers(1, 4))
-    coords = st.tuples(*[st.integers(-2, 2)] * d)
-    points = draw(st.lists(coords, min_size=1, max_size=8, unique=True))
+    coords = st.tuples(*[st.integers(-6, 6)] * d)
+    n = min(draw(st.sampled_from([4, 12, TIE_LIST_MAX, 39])), 13**d // 2)
+    points = draw(st.lists(coords, min_size=(n + 1) // 2, max_size=n, unique=True))
     counts = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
     grad = np.array(draw(coords), dtype=np.float64)
     top = max(range(len(points)), key=lambda j: float(np.dot(points[j], grad)))
@@ -1347,10 +1395,14 @@ def _away_atom_cases(draw):
     if not z.any() and grad[0] == 0:
         z[0] = 1
     tie = tuple(int(v) for v in np.array(points[top]) + z)
+    order = draw(st.permutations(range(len(points))))
     if z.any() and tie not in points:
         points.append(tie)
         counts.append(counts[top] if draw(st.booleans()) else draw(st.integers(1, 3)))
-    order = draw(st.permutations(range(len(points))))
+        order.append(len(points) - 1)
+        if draw(st.booleans()):  # the tie at the ends
+            ends = [top, len(points) - 1][:: 1 if draw(st.booleans()) else -1]
+            order = [ends[0]] + [j for j in order if j not in ends] + [ends[1]]
     pts = np.array([points[j] for j in order], dtype=np.float64)
     w = np.array([counts[j] for j in order], dtype=np.float64)
     return ActiveIterate([Atom(p).id for p in pts], pts, w / w.sum()), grad
@@ -1360,7 +1412,8 @@ def _away_atom_cases(draw):
 @given(case=_away_atom_cases())
 def test_away_atom_matches_brute_force_reference(case):
     """``away_atom`` returns the position and the gap bits of ``away_atom_reference``, also
-    where products tie exactly and the larger weight, then the larger id, decides."""
+    where products tie exactly and the larger weight, then the larger id, decides, at sizes
+    on both sides of ``TIE_LIST_MAX`` and with the tie at the first and the last position."""
     it, grad = case
     j, gap = away_atom(it, grad)
     ref_j, ref_gap = ref.away_atom_reference(it.ids, it.matrix(), it.w, grad, it.x)
