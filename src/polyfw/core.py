@@ -117,10 +117,11 @@ class _AtomStore:
     active set and comes back reuses its row.  ``at`` maps the same ids to
     a position hint: where the atom last sat in an iterate that added or
     looked it up.  Iterates that share the store may hold it at other
-    positions, so ``position`` trusts a hint only once the asking
-    iterate's own ids confirm it.  A new store keeps the rows it is given, uncopied and
-    read-only as ``Atom._adopt`` keeps its point, and like any full store it
-    doubles (to 10 rows at least) on its first append.
+    positions, so ``ActiveIterate.index`` trusts a hint only once the
+    asking iterate's own ids confirm it.  A new store keeps the rows it is
+    given, uncopied and read-only as ``Atom._adopt`` keeps its point, and
+    like any full store it doubles (to 10 rows at least) on its first
+    append.
     """
 
     __slots__ = ("rows", "size", "row_of", "at")
@@ -145,23 +146,6 @@ class _AtomStore:
             self.row_of[atom.id] = r
             self.size = r + 1
         return r
-
-    def position(self, ids: Tuple[bytes, ...], rows: np.ndarray, atom_id: bytes) -> Optional[int]:
-        """Where ``atom_id`` sits in ``ids``, an iterate's, whose atoms are ``rows``; None if absent.
-
-        O(1) when the hint holds; otherwise one scan of ``rows``, whose result becomes the hint.
-        """
-        p = self.at.get(atom_id)
-        if p is None:  # never in the store: most new FW atoms
-            return None
-        if p < len(ids) and ids[p] == atom_id:
-            return p
-        try:
-            p = rows.tolist().index(self.row_of[atom_id])
-        except ValueError:  # the atom left the active set; its row stays in the store
-            return None
-        self.at[atom_id] = p
-        return p
 
 
 class ActiveIterate:
@@ -238,8 +222,23 @@ class ActiveIterate:
         return self._steps_since_sync == 0
 
     def index(self, atom_id: bytes) -> Optional[int]:
-        """Position of an atom in ``ids``, or None when it is not active (``_AtomStore.position``)."""
-        return self._store.position(self.ids, self._rows, atom_id)
+        """Position of an atom in ``ids``, or None when it is not active.
+
+        O(1) when the store's hint holds; otherwise one scan of the rows, whose result becomes
+        the hint.
+        """
+        store = self._store
+        p = store.at.get(atom_id)
+        if p is None:  # never in the store: most new FW atoms
+            return None
+        if p < len(self.ids) and self.ids[p] == atom_id:
+            return p
+        try:
+            p = self._rows.tolist().index(store.row_of[atom_id])
+        except ValueError:  # the atom left the active set; its row stays in the store
+            return None
+        store.at[atom_id] = p
+        return p
 
     def _point(self, i: int) -> np.ndarray:
         return self._store.rows[self._rows[i]]
@@ -313,7 +312,8 @@ def _move(
         if i is None:
             if store.size >= 2 * len(rows) + 8:
                 store, rows = _AtomStore(ids, store.rows[rows]), np.arange(len(rows))
-            w, rows = np.concatenate((w, [gamma])), np.concatenate((rows, [store.row(s, len(ids))]))
+            r = store.row(s, len(ids) - drop)  # its position once atom j < len(ids) is dropped
+            w, rows = np.concatenate((w, [gamma])), np.concatenate((rows, [r]))
             ids = ids + (s.id,)
             low = min(low, gamma)
         else:

@@ -334,8 +334,9 @@ def test_steps_match_the_scanning_bookkeeping_bit_for_bit(start, ops):
     """Random FW, away and pairwise steps, with gammas that push weights to the floor, drops,
     swaps and siblings stepped from one iterate, give the ids, weight bits and x bits of
     ``ScanIterate``, which scans for every position and tests the exact smallest weight at
-    every step.  Each iterate's weight bound stays at or below its smallest weight, and
-    ``index`` agrees with a scan of its ids for every atom of the pool, active or not."""
+    every step.  Each iterate's weight bound stays at or below its smallest weight, a
+    pairwise step leaves its new atom's position as the store's hint, and ``index`` agrees
+    with a scan of its ids for every atom of the pool, active or not."""
     first = WIDE_POOL[start]
     history = [(ActiveIterate.from_atom(first), ref.ScanIterate.from_atom(first.id, first.point))]
     for op, pick, active_pick, share, sibling, pass_dir in ops:
@@ -358,11 +359,14 @@ def test_steps_match_the_scanning_bookkeeping_bit_for_bit(start, ops):
             if s.id == v:
                 continue
             gamma = share * float(it.w[j])
+            new = s.id not in it.ids
             it, kind = apply_pairwise_step(
                 it, v, s, gamma, s.point - it._point(j) if pass_dir else None
             )
             expected, ref_kind = expected.pairwise(v, s.id, s.point, gamma)
             assert kind.value == ref_kind
+            if new and s.id in it.ids:  # its hint is its last place, also after a swap's drop
+                assert it._store.at[s.id] == len(it) - 1 and it.ids[-1] == s.id
         assert it.ids == tuple(expected.ids)
         assert it.w.tobytes() == expected.w.tobytes()
         assert it.x.tobytes() == expected.x.tobytes()

@@ -1380,12 +1380,15 @@ def _away_atom_cases(draw):
     1..3, and an integer gradient, so every product <a_j, grad> is exact.  The sizes reach
     both sides of ``TIE_LIST_MAX``.  Unless the gradient is nonzero in R^1, one more atom,
     the top atom moved along a direction orthogonal to the gradient, ties the largest
-    product, and half the time it also takes that atom's weight.  The atoms are shuffled, or
-    the two tied atoms are put first and last."""
+    product, and half the time it also takes that atom's weight.  The atoms are shuffled, and
+    in half the draws with a tie the two tied atoms are then moved to the first and the last
+    position."""
     d = draw(st.integers(1, 4))
     coords = st.tuples(*[st.integers(-6, 6)] * d)
-    n = min(draw(st.sampled_from([4, 12, TIE_LIST_MAX, 39])), 13**d // 2)
-    points = draw(st.lists(coords, min_size=(n + 1) // 2, max_size=n, unique=True))
+    n = draw(st.sampled_from([4, 12, TIE_LIST_MAX, 39]))
+    low = 1 if n == 4 else (n + 1) // 2
+    n = min(n, 13**d // 2)
+    points = draw(st.lists(coords, min_size=min(low, n), max_size=n, unique=True))
     counts = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
     grad = np.array(draw(coords), dtype=np.float64)
     top = max(range(len(points)), key=lambda j: float(np.dot(points[j], grad)))
@@ -1395,14 +1398,14 @@ def _away_atom_cases(draw):
     if not z.any() and grad[0] == 0:
         z[0] = 1
     tie = tuple(int(v) for v in np.array(points[top]) + z)
-    order = draw(st.permutations(range(len(points))))
-    if z.any() and tie not in points:
+    tied = z.any() and tie not in points
+    if tied:
         points.append(tie)
         counts.append(counts[top] if draw(st.booleans()) else draw(st.integers(1, 3)))
-        order.append(len(points) - 1)
-        if draw(st.booleans()):  # the tie at the ends
-            ends = [top, len(points) - 1][:: 1 if draw(st.booleans()) else -1]
-            order = [ends[0]] + [j for j in order if j not in ends] + [ends[1]]
+    order = draw(st.permutations(range(len(points))))
+    if tied and draw(st.booleans()):  # the tie at the ends
+        ends = [top, len(points) - 1][:: 1 if draw(st.booleans()) else -1]
+        order = [ends[0]] + [j for j in order if j not in ends] + [ends[1]]
     pts = np.array([points[j] for j in order], dtype=np.float64)
     w = np.array([counts[j] for j in order], dtype=np.float64)
     return ActiveIterate([Atom(p).id for p in pts], pts, w / w.sum()), grad
