@@ -35,7 +35,7 @@ from polyfw.geometry import (
     pwidth,
     rate_constant,
 )
-from polyfw.objectives import QuadraticObjective
+from polyfw.objectives import Objective, QuadraticObjective
 from polyfw.oracles import (
     BasePolytope,
     Cube,
@@ -55,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "FlowDag",
     "L1Ball",
+    "Objective",
     "PolytopeSpec",
     "QuadraticObjective",
     "RateConstants",

@@ -25,7 +25,9 @@ is evaluated afresh at each point.  The state also keeps the corral of
 the FCFW/MNP corrections' Wolfe major cycle: the atoms' rows, images and
 Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
 so a cycle costs O(kd) plus the (k+1)^2 solve, and its new ``Qx`` comes
-from the images (``move_to``).
+from the images (``move_to``).  A quadratic whose stored Q is exactly the
+identity (every distance objective) opens ``IdentityState`` instead: each
+point is its own image, so it keeps no images and makes no product by Q.
 """
 
 from __future__ import annotations
@@ -154,6 +156,8 @@ class QuadraticObjective(Objective):
         self.b = b
         self.c = float(c)
         self.dimension = Q.shape[0]
+        diag = sym.diagonal()  # a view: the identity test allocates nothing
+        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(sym) == len(b)
         self._eigenvalues: Optional[np.ndarray] = None
 
     @classmethod
@@ -194,7 +198,7 @@ class QuadraticObjective(Objective):
         return float(max(self._eigh()[0], 0.0))
 
     def start(self, it) -> "QuadraticState":
-        return QuadraticState(self, it)
+        return (IdentityState if self._identity else QuadraticState)(self, it)
 
     def _checked(self, x) -> np.ndarray:
         """``x`` as a float64 array, which must have shape (d,)."""
@@ -252,6 +256,7 @@ class QuadraticState(ObjectiveState):
     A cycle sets ``Qx`` from its corral's images (``move_to``), and an
     FCFW or MNP correction ends there, releasing the images of the atoms
     outside the iterate it returns; only an FCFW stall ends on a ``reset``.
+    A Q that is exactly the identity gets the subclass ``IdentityState``.
     """
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
@@ -300,3 +305,31 @@ class QuadraticState(ObjectiveState):
         else:
             self.move_to(it.x, Qx)
 
+
+class IdentityState(QuadraticState):
+    """``QuadraticState`` for Q = I (a distance objective), where a point is its own image.
+
+    An atom's image is its point, ``Qx`` is x and a direction is its own image, so the
+    state caches no images, and no step, line search or reset gathers a row of Q or forms
+    a product by it.  Each entry of a product by I is one product by 1 plus zeros, so the
+    general state's products give these values.  ``advance`` takes ``Qx`` from the x the
+    step formed, x + gamma d: the general state's update of ``Qx``, with the same rounded
+    operations.  At a resync it still forms that update, so ``drift_max`` and ``resyncs``
+    are the general state's.
+    """
+
+    def reset(self, it) -> None:
+        self.move_to(it.x, it.x)
+
+    def image(self, atom_id: bytes, point: np.ndarray) -> np.ndarray:
+        return point
+
+    def line_search(self, it, direction, gamma_max, descent, head=None, tail=None) -> float:
+        self._Qd = direction
+        return _exact_step(descent, float(direction.dot(direction)), gamma_max)
+
+    def advance(self, it, gamma: float) -> None:
+        if it.synced:
+            super().advance(it, gamma)  # forms the incremental Qx for drift_max, then resets
+        else:
+            self.move_to(it.x, it.x)

@@ -451,7 +451,7 @@ import textwrap  # noqa: E402
 
 from polyfw import solvers  # noqa: E402
 from polyfw.core import _AtomStore, _move  # noqa: E402
-from polyfw.objectives import QuadraticState  # noqa: E402
+from polyfw.objectives import IdentityState, QuadraticState  # noqa: E402
 from polyfw.oracles import VertexList  # noqa: E402
 
 
@@ -568,8 +568,8 @@ def test_store_compacts_once_it_holds_twice_the_active_rows():
 
 STEP_PATH = [
     solvers.solve, solvers.away_atom, solvers._line_search_step, QuadraticState.move_to,
-    QuadraticState.line_search, QuadraticState.advance, ActiveIterate.atom_dots, apply_fw_step,
-    _move, VertexList._lmo,
+    QuadraticState.line_search, QuadraticState.advance, IdentityState.line_search,
+    IdentityState.advance, ActiveIterate.atom_dots, apply_fw_step, _move, VertexList._lmo,
 ]
 
 

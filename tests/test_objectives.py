@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyfw.core import ActiveIterate, Atom, atom_key
+import polyfw
+from polyfw.core import ActiveIterate, Atom, StepKind, atom_key
 from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import FlowDag, Simplex
 from polyfw.solvers import SolverConfig, Variant, solve
@@ -20,6 +21,10 @@ def _random_quadratic(rng, d):
 def _symmetric(rng, d):
     M = rng.standard_normal((d, d))
     return M @ M.T
+
+
+def test_objective_is_exported():
+    assert polyfw.Objective is Objective and "Objective" in polyfw.__all__
 
 
 def test_value_pinned_examples():
@@ -236,19 +241,19 @@ def test_least_squares_q_is_twice_the_gram_matrix_bit_for_bit():
 
 def test_quadratic_construction_allocates_one_d_by_d_buffer():
     """Beyond its input, building the objective holds one d x d float64 array at its peak:
-    the symmetry test and the symmetric part share it."""
+    the symmetry test and the symmetric part share it, and the identity test adds none."""
     d = 400
-    Q = _symmetric(np.random.default_rng(309), d)
     b = np.zeros(d)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        obj = QuadraticObjective(Q, b)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert obj.Q.nbytes == 8 * d * d
-    assert peak <= 1.1 * 8 * d * d
+    for Q in (_symmetric(np.random.default_rng(309), d), np.eye(d)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            obj = QuadraticObjective(Q, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert obj.Q.nbytes == 8 * d * d
+        assert peak <= 1.1 * 8 * d * d
 
 
 def test_psd_check_is_relative_to_the_largest_eigenvalue():
@@ -326,9 +331,16 @@ def test_image_matches_the_dense_product(d, support, seed):
     assert _image(np.eye(d), point).tobytes() == (np.eye(d) @ point).tobytes()
 
 
+def _general_state(monkeypatch):
+    """Make every quadratic open the general ``QuadraticState``, whatever its Q."""
+    monkeypatch.setattr(QuadraticObjective, "start", lambda self, it: QuadraticState(self, it))
+
+
 def test_flowdag_traces_match_dense_images(monkeypatch):
-    """A distance solve over a path polytope writes the same CSV with every image forced to
-    Q @ a: Q = I and 0/1 paths leave each image entry at most one nonzero term."""
+    """A distance solve over a path polytope on the general state writes the same CSV with
+    every image forced to Q @ a: Q = I and 0/1 paths leave each image entry at most one
+    nonzero term."""
+    _general_state(monkeypatch)
     dag = FlowDag(_layered_arcs(4, 8))  # 120 arcs, 9 per path: the support-row images
     rng = np.random.default_rng(181)
     paths = np.stack([dag.lmo(rng.standard_normal(dag.dimension)).point for _ in range(6)])
@@ -350,3 +362,161 @@ def test_flowdag_traces_match_dense_images(monkeypatch):
 
     monkeypatch.setattr(QuadraticState, "image", dense_image)
     assert csvs() == rows
+
+
+# -- Q = I: the identity state ----------------------------------------------------
+
+import math  # noqa: E402
+
+from polyfw.bench import gen_triangle  # noqa: E402
+from polyfw.geometry import pwidth  # noqa: E402
+from polyfw.objectives import IdentityState  # noqa: E402
+from polyfw.oracles import Cube, L1Ball  # noqa: E402
+from polyfw.solvers import _line_search_step, away_atom  # noqa: E402
+
+
+def _state(obj):
+    return obj.start(ActiveIterate.from_atom(Atom(np.ones(obj.dimension))))
+
+
+def test_only_an_exact_identity_opens_the_identity_state():
+    """Q = I is read off the stored Q: a distance objective, an explicit identity and d = 1
+    take the identity state; 2 I, an identity with one symmetric off-diagonal pair of 1e-300
+    and a least squares take the general one."""
+    near = np.eye(5)
+    near[1, 3] = near[3, 1] = 1e-300
+    rng = np.random.default_rng(400)
+    identity = [
+        QuadraticObjective.distance_to([1.0, -2.0, 0.0, 0.5]),
+        QuadraticObjective(np.eye(6), rng.standard_normal(6)),
+        QuadraticObjective(np.eye(1), [3.0]),
+    ]
+    general = [
+        QuadraticObjective(2.0 * np.eye(4), np.zeros(4)),
+        QuadraticObjective(near, np.zeros(5)),
+        QuadraticObjective.least_squares(rng.standard_normal((8, 4)), rng.standard_normal(8)),
+    ]
+    assert all(type(_state(obj)) is IdentityState for obj in identity)
+    assert all(type(_state(obj)) is QuadraticState for obj in general)
+
+
+def _distance_problems():
+    """Distance objectives with a start each: a c06 triangle from inside, a small FlowDag,
+    Simplex, Cube and an L1Ball whose target has negative coordinates."""
+    obj, tri = gen_triangle(math.pi / 16)[:2]
+    weights = np.random.default_rng(40).dirichlet(np.ones(3)).tolist()
+    yield obj, tri, ActiveIterate.from_weights(dict(zip(tri.enumerate_atoms(), weights)))
+    dag = FlowDag(_layered_arcs(3, 4))
+    rng = np.random.default_rng(41)
+    paths = np.stack([dag.lmo(rng.standard_normal(dag.dimension)).point for _ in range(5)])
+    yield QuadraticObjective.distance_to(rng.dirichlet(np.ones(5)) @ paths), dag, None
+    yield QuadraticObjective.distance_to(rng.dirichlet(np.ones(12))), Simplex(12), None
+    yield QuadraticObjective.distance_to(rng.uniform(-0.2, 1.2, 8)), Cube(8), None
+    signs = rng.choice([-1.0, 1.0], 10)
+    target = 0.8 * signs * rng.dirichlet(np.ones(10))
+    yield QuadraticObjective.distance_to(target), L1Ball(10, 1.0), None
+
+
+def _walk(obj, spec, seed):
+    """Random FW, away and pairwise steps of exact length through ``_line_search_step``.
+
+    The walk starts at 0.9 v + 0.1 u, v the atom farthest along -target and u the one
+    farthest from v toward the target, and steps away from v first, a step longer than 1.
+    An away step leaves the away atom; a pairwise one a random active atom.  Returns each
+    step's kind and gamma with the bits of the state it leaves.
+    """
+    rng = np.random.default_rng(seed)
+    target = -obj.b
+    v = spec.lmo(target)
+    it = ActiveIterate.from_weights({v: 0.9, spec.lmo(v.point - target): 0.1})
+    state = obj.start(it)
+    rows = []
+    for t in range(300):
+        variant = Variant(("FW", "AFW", "PFW")[rng.integers(3)]) if t else Variant.AFW
+        s = spec.lmo(rng.standard_normal(spec.dimension))
+        grad = state.grad
+        j = away_atom(it, grad)[0] if variant is Variant.AFW else int(rng.integers(len(it)))
+        if variant is Variant.PFW and it.ids[j] == s.id:
+            continue
+        fw_dir = s.point - it.x
+        g_fw = -float(grad.dot(fw_dir))
+        # an away gap of inf makes AFW step away from atom j
+        step = _line_search_step(variant, it, grad, s, state, (j, math.inf), fw_dir, g_fw)
+        if step is not None:
+            it, kind, gamma, _ = step
+            rows.append((kind, gamma, state.value, state.grad.tobytes(), state.Qx.tobytes(),
+                         state.resyncs, state.drift_max))
+    return rows
+
+
+def test_identity_state_runs_bit_for_bit_as_the_general_state(monkeypatch):
+    """On each distance problem, every variant's CSV, header counters included, and a walk
+    of random steps are the same bits on the identity state as on the general state.
+
+    Between them the runs resync after 100 steps, drop, swap, and step away by more than 1
+    (a step ``solve`` never takes: AFW steps away only from an atom of weight below 1/2)."""
+    problems = list(_distance_problems())
+    configs = [SolverConfig(v, epsilon=1e-12, max_iter=300) for v in Variant]
+
+    def runs():
+        for obj, spec, x0 in problems:
+            yield [solve(obj, spec, cfg, x0).to_csv() for cfg in configs], _walk(obj, spec, 3)
+
+    assert all(type(_state(obj)) is IdentityState for obj, _, _ in problems)
+    identity = list(runs())
+    _general_state(monkeypatch)
+    assert identity == list(runs())
+    rows = [row for _, walk in identity for row in walk]
+    kinds = {kind for kind, *_ in rows} | {
+        row.split(",")[1] for csvs, _ in identity for text in csvs for row in text.splitlines()[2:]
+    }
+    assert {"DROP", "SWAP"} <= kinds
+    assert any(kind is StepKind.AWAY and gamma > 1.0 for kind, gamma, *_ in rows)
+    assert all(walk[-1][5] > 1 for _, walk in identity)  # resyncs: period and long away step
+    assert any('"resyncs": 0' not in csvs[0] for csvs, _ in identity)  # FW past 100 steps
+
+
+def test_pwidth_reports_are_the_same_on_the_general_state(monkeypatch):
+    """``pwidth``'s facial min-norm-point problems have Q = I: Cube(3) and Simplex(5) give
+    the same report on the identity state as on the general one."""
+    specs = (Cube(3), Simplex(5))
+
+    def reports():
+        return [pwidth([a.point for a in spec.enumerate_atoms()]).to_json() for spec in specs]
+
+    identity = reports()
+    _general_state(monkeypatch)
+    assert reports() == identity
+
+
+def test_distance_solves_make_no_product_by_q(monkeypatch):
+    """FW, AFW, PFW and MNP on a distance objective never read Q: no dense product, no
+    support-row gather, resets and resyncs included, where the general state makes both."""
+    counts = {"products": 0, "gathers": 0, "resets": 0}
+
+    class CountingQ(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            counts["products"] += ufunc is np.matmul
+            inputs = tuple(np.asarray(a) if isinstance(a, CountingQ) else a for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def __getitem__(self, key):
+            counts["gathers"] += 1
+            return np.asarray(self)[key]
+
+    reset = IdentityState.reset
+
+    def counting_reset(self, it):
+        counts["resets"] += 1
+        return reset(self, it)
+
+    monkeypatch.setattr(IdentityState, "reset", counting_reset)
+    obj, dag = next(p for p in _distance_problems() if isinstance(p[1], FlowDag))[:2]
+    obj.Q = obj.Q.view(CountingQ)
+    for variant in ("FW", "AFW", "PFW", "MNP"):
+        solve(obj, dag, SolverConfig(variant, epsilon=1e-12, max_iter=300))
+    assert counts["resets"] > 4  # one per start, and the resyncs
+    assert counts["products"] == counts["gathers"] == 0
+    _general_state(monkeypatch)
+    solve(obj, dag, SolverConfig("PFW", epsilon=1e-12, max_iter=300))
+    assert counts["products"] and counts["gathers"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyfw.core import FIELDS, RESYNTH_PERIOD, ActiveIterate, Atom, RunTrace, StepKind
-from polyfw.objectives import Objective, QuadraticObjective, QuadraticState
+from polyfw.objectives import IdentityState, Objective, QuadraticObjective, QuadraticState
 from polyfw.oracles import Cube, FlowDag, Simplex, VertexList
 from polyfw.solvers import (
     TIE_LIST_MAX,
@@ -1204,14 +1204,14 @@ def _path_mix(dag, paths, seed):
 @pytest.mark.parametrize("variant, max_iter", [(Variant.MNP, 100), (Variant.FCFW, 8)])
 def test_wolfe_corral_is_built_once_per_solve(variant, max_iter, monkeypatch):
     """A solve builds its corral from the empty one once, on its first major cycle.  Every
-    later cycle keeps it and asks ``QuadraticState.image`` for the new atom's image alone,
-    not for the image of each atom in the corral."""
+    later cycle keeps it and asks the state's ``image`` (``IdentityState.image``, as Q = I)
+    for the new atom's image alone, not for the image of each atom in the corral."""
     import polyfw.solvers as solvers
 
     dag = FlowDag(_layered_arcs(5, 16))  # the flow_paths benchmark DAG, 385 arcs
     obj = _path_mix(dag, 16, 0)
     builds, images, per_cycle = [], [], []
-    grow, wolfe, image = solvers._corral_with, solvers._wolfe_step, QuadraticState.image
+    grow, wolfe, image = solvers._corral_with, solvers._wolfe_step, IdentityState.image
 
     def counting_grow(corral, atom_id, point, image):
         if not corral[0]:
@@ -1230,7 +1230,7 @@ def test_wolfe_corral_is_built_once_per_solve(variant, max_iter, monkeypatch):
 
     monkeypatch.setattr(solvers, "_corral_with", counting_grow)
     monkeypatch.setattr(solvers, "_wolfe_step", counting_wolfe)
-    monkeypatch.setattr(QuadraticState, "image", counting_image)
+    monkeypatch.setattr(IdentityState, "image", counting_image)
     trace = solve(obj, dag, SolverConfig(variant, epsilon=1e-8, max_iter=max_iter))
     assert trace.config_echo["exit_status"] == "max_iter"
     assert len(trace.records) == max_iter
