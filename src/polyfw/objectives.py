@@ -4,7 +4,8 @@ The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
 and strong-convexity constants are eigenvalues.  Building one allocates
 a single d x d array beyond its input, which first holds |Q - Q^T| for
-the symmetry test and then becomes the stored (Q + Q^T) / 2; the
+the symmetry test and then becomes the stored (Q + Q^T) / 2 (halved before
+the sum when an entry is large enough for the sum to overflow); the
 caller's Q is read, never kept or written (``least_squares`` doubles its
 fresh A^T A in place).  Q is positive semidefinite when its smallest
 eigenvalue is at least -1e-10 * max(1, |lambda_max|), a bound relative
@@ -21,13 +22,12 @@ so a FW, away or pairwise step costs O(d): the direction's image is a
 difference of two cached vectors, and the gradient, the exact line
 search, the ``Qx`` update and f all follow from it.  The solver hands
 the line search its descent <-grad, d>, so a step computes it once; f
-is evaluated afresh at each point.  The state also keeps the corral of
-the FCFW/MNP corrections' Wolfe major cycle: the atoms' rows, images and
-Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
-so a cycle costs O(kd) plus the (k+1)^2 solve, and its new ``Qx`` comes
-from the images (``move_to``).  A quadratic whose stored Q is exactly the
-identity (every distance objective) opens ``IdentityState`` instead: each
-point is its own image, so it keeps no images and makes no product by Q.
+is evaluated afresh at each point.  The state also owns the corral of the
+FCFW/MNP corrections' Wolfe major cycle (the atoms' rows, images and Gram
+matrix H), moves over it with no product by Q, and gives FCFW its target
+in closed form.  A quadratic whose stored Q is exactly the identity (every
+distance objective) opens ``IdentityState`` instead: each point is its own
+image, so it keeps no images and makes no product by Q.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-Corral = Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray, np.ndarray]  # ids, rows, images, H
 
 
 class Objective:
@@ -103,6 +101,8 @@ class ObjectiveState:
     exact recomputations of an incremental state, ``drift_max`` their largest fix (none here).
     """
 
+    has_corral = False  # whether the state keeps Wolfe's corral (``QuadraticState``)
+
     def __init__(self, obj: Objective, it) -> None:
         self.obj = obj
         self.drift_max = 0.0
@@ -124,6 +124,18 @@ class ObjectiveState:
         atom it points away from; None stands for ``it.x``.
         """
         return self.obj.line_search(it.x, direction, gamma_max)
+
+    def step_value(self, it, direction, gamma: float, descent: float) -> float:
+        """f at ``it.x + gamma * direction``, the direction just searched with ``descent``."""
+        return self.obj.value(it.x + gamma * direction)
+
+    def save(self) -> dict:
+        """The state's attributes, by reference, for ``restore``."""
+        return dict(vars(self))
+
+    def restore(self, saved: dict, it) -> None:
+        """Put back the state that ``save`` returned at ``it``."""
+        vars(self).update(saved)
 
     def advance(self, it, gamma: float) -> None:
         """Move to ``it``, the iterate one step of ``gamma`` along the last searched direction."""
@@ -150,8 +162,12 @@ class QuadraticObjective(Objective):
         np.abs(sym, out=sym)
         if sym.max() > 1e-12 * max(1.0, hi, -lo):
             raise ValueError("Q must be symmetric within 1e-12")
-        np.add(Q, Q.T, out=sym)
-        sym *= 0.5
+        if max(hi, -lo) < 2.0 ** 1023:  # then no sum of two entries overflows
+            np.add(Q, Q.T, out=sym)
+            sym *= 0.5
+        else:  # halves first: the same bits unless a half is subnormal
+            np.multiply(Q, 0.5, out=sym)
+            sym += 0.5 * Q.T
         self.Q = sym
         self.b = b
         self.c = float(c)
@@ -240,7 +256,7 @@ def _exact_step(descent: float, curvature: float, gamma_max: float) -> float:
 
 
 class QuadraticState(ObjectiveState):
-    """Incremental ``Qx`` and cached atom images for one quadratic solve.
+    """Incremental ``Qx``, cached atom images and Wolfe's corral for one quadratic solve.
 
     A step along d = head - tail updates ``Qx`` by gamma times
     ``Q head - Q tail``, where ``Q x`` is ``Qx`` itself and an atom's
@@ -252,23 +268,31 @@ class QuadraticState(ObjectiveState):
     (every ``RESYNTH_PERIOD`` steps and on each drop or swap), ``Qx`` is
     recomputed exactly and the images of inactive atoms are released; a
     resync folds the incremental error into ``drift_max``.  ``corral`` is
-    the last Wolfe major cycle's corral (``solvers._wolfe_step``), or None.
-    A cycle sets ``Qx`` from its corral's images (``move_to``), and an
-    FCFW or MNP correction ends there, releasing the images of the atoms
-    outside the iterate it returns; only an FCFW stall ends on a ``reset``.
-    A Q that is exactly the identity gets the subclass ``IdentityState``.
+    the corral as the last major cycle left it, or None; the ``corral_*``
+    methods open it, keep a subset of it and move the state over it.  A Q
+    that is exactly the identity gets the subclass ``IdentityState``.
     """
+
+    has_corral = True
 
     def __init__(self, obj: "QuadraticObjective", it) -> None:
         self.Q, self.b, self.c = obj.Q, obj.b, obj.c
         self.images: Dict[bytes, np.ndarray] = {}
-        self.corral: Optional[Corral] = None
+        self.corral: Optional[tuple] = None  # ids, rows, images (None: the rows) and H
         self._Qd: Optional[np.ndarray] = None
         super().__init__(obj, it)
 
     def reset(self, it) -> None:
-        self.images = {k: self.images[k] for k in it.ids if k in self.images}
+        self._release(it.ids)
         self.move_to(it.x, self.Q @ it.x)
+
+    def restore(self, saved: dict, it) -> None:
+        super().restore(saved, it)
+        self._release(it.ids)
+
+    def _release(self, ids) -> None:
+        """Drop the cached images of the atoms outside ``ids``."""
+        self.images = {k: self.images[k] for k in ids if k in self.images}
 
     def move_to(self, x: np.ndarray, Qx: np.ndarray) -> None:
         """Put the state at ``x``, whose image ``Q x`` is ``Qx``.  f halves x . Qx: the bits of
@@ -295,6 +319,10 @@ class QuadraticState(ObjectiveState):
         self._Qd = Qd = Qd - Qv
         return _exact_step(descent, float(direction.dot(Qd)), gamma_max)
 
+    def step_value(self, it, direction, gamma: float, descent: float) -> float:
+        """f - gamma descent + gamma^2 d . Qd / 2, with ``Qd`` from the last line search."""
+        return self.value - gamma * descent + 0.5 * gamma * gamma * float(direction.dot(self._Qd))
+
     def advance(self, it, gamma: float) -> None:
         Qx = gamma * self._Qd
         Qx += self.Qx
@@ -305,17 +333,62 @@ class QuadraticState(ObjectiveState):
         else:
             self.move_to(it.x, Qx)
 
+    def corral_with(self, it, atom) -> Tuple[np.ndarray, np.ndarray]:
+        """Open the corral on ``it``'s atoms plus ``atom``, keeping the last cycle's if its ids
+        are ``it.ids``; returns its H and g_i = a_i . b.  A new atom adds one Gram row."""
+        if self.corral is None or self.corral[0] != it.ids:  # build it from the empty corral
+            self.corral = ((), np.empty((0, it.x.size)), np.empty((0, it.x.size)), np.empty((0, 0)))
+            for atom_id, point in zip(it.ids, it.matrix()):
+                self._grow(atom_id, point)
+        if it.index(atom.id) is None:
+            self._grow(atom.id, atom.point)
+        return self.corral[3], self.corral[1] @ self.b
+
+    def _grow(self, atom_id: bytes, point: np.ndarray) -> None:
+        """Add an atom to the corral: its row, its image and one product for H's new row."""
+        ids, rows, images, H = self.corral
+        image = self.image(atom_id, point)
+        rows = np.concatenate((rows, point[None]))
+        # a corral whose atoms are their own images (``IdentityState``) keeps no images
+        images = None if image is point else np.concatenate((images, image[None]))
+        grown = np.empty((len(rows), len(rows)))
+        grown[:-1, :-1] = H
+        grown[-1] = grown[:, -1] = rows @ image
+        self.corral = ids + (atom_id,), rows, images, grown
+
+    def corral_keep(self, keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Keep the corral's atoms at the positions ``keep``; returns their H and g."""
+        ids, rows, images, H = self.corral
+        self.corral = (tuple(ids[i] for i in keep.tolist()), rows[keep],
+                       None if images is None else images[keep], H[keep][:, keep])
+        return self.corral[3], self.corral[1] @ self.b
+
+    def corral_move(self, beta: np.ndarray) -> Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray]:
+        """Move to x = beta . rows, with ``Qx`` = beta . images and no product by Q, releasing
+        the images outside the corral; returns its ids, its rows and x."""
+        ids, rows, images, _ = self.corral
+        x = beta @ rows
+        self.move_to(x, x if images is None else beta @ images)
+        self._release(ids)
+        return ids, rows, x
+
+    def corral_scale(self) -> float:
+        """max(max|a_ij| max_j(|Qx_j| + |b_j|), max|H_ij|) over the corral (MNP's postcondition)."""
+        _, rows, _, H = self.corral
+        terms = float(np.max(np.abs(rows))) * float(np.max(np.abs(self.Qx) + np.abs(self.b)))
+        return max(terms, float(np.max(np.abs(H))))
+
 
 class IdentityState(QuadraticState):
     """``QuadraticState`` for Q = I (a distance objective), where a point is its own image.
 
     An atom's image is its point, ``Qx`` is x and a direction is its own image, so the
-    state caches no images, and no step, line search or reset gathers a row of Q or forms
-    a product by it.  Each entry of a product by I is one product by 1 plus zeros, so the
-    general state's products give these values.  ``advance`` takes ``Qx`` from the x the
-    step formed, x + gamma d: the general state's update of ``Qx``, with the same rounded
-    operations.  At a resync it still forms that update, so ``drift_max`` and ``resyncs``
-    are the general state's.
+    state caches no images, its corral keeps its rows alone (images None), and no step,
+    line search, cycle or reset gathers a row of Q or forms a product by it.  Each entry
+    of a product by I is one product by 1 plus zeros, so the general state's products give
+    these values.  ``advance`` takes ``Qx`` from the x the step formed, x + gamma d: the
+    general state's update of ``Qx``, with the same rounded operations.  At a resync it
+    still forms that update, so ``drift_max`` and ``resyncs`` are the general state's.
     """
 
     def reset(self, it) -> None:

@@ -26,17 +26,13 @@ Past ``TIE_LIST_MAX`` active atoms, ``away_atom`` detects a tie at the
 maximum by a second ``argmax`` from the other end instead of a list of the
 products, and the step's own checks are O(1) in the active-set size
 (``polyfw.core``), with every choice the one the scans would make.  The shared
-loop and both corrections run on the objective's per-solve state (``Objective.start``).
-For a quadratic that state keeps ``Qx`` and the cached image ``Q a`` of
-each active atom, so a FW, away or pairwise step costs O(k + d) with no
-product by Q.  It also keeps the corral of the Wolfe major cycle
-(``_wolfe_step``) that both corrections share: the atoms' rows, images and
-Gram matrix H, keyed by the iterate's ids.  A new atom adds one Gram row,
-so a cycle costs O(kd) plus the (k+1)^2 solve, and the new ``Qx`` comes
-from the images, formed afresh, so a correction ends there with no product
-by Q.  ``Qx`` is recomputed exactly whenever the iterate re-synthesizes x
-(every ``RESYNTH_PERIOD`` steps and on each drop or swap) and after an FCFW
-inner step stalls.  Besides the configuration and outcome, a trace's JSON
+loop and both corrections run on the objective's per-solve state (``Objective.start``)
+through its methods alone.  On a quadratic a FW, away or pairwise step then costs
+O(k + d) with no product by Q, and the state owns the corral of the Wolfe major
+cycle (``_wolfe_step``) that both corrections share; this module keeps the minor
+cycle's logic: the affine minimizer, theta, the drops and the pass count.  FCFW
+takes its target value from the state and, after a stall, restores the state it
+saved before the failed cycle.  Besides the configuration and outcome, a trace's JSON
 header records ``inner_steps`` (summed over the corrections), ``lmo_calls``,
 ``resyncs`` and ``qx_drift_max`` (the largest incremental ``Qx`` error
 corrected at a resync).
@@ -62,7 +58,7 @@ from polyfw.core import (
     apply_fw_step,
     apply_pairwise_step,
 )
-from polyfw.objectives import Corral, Objective, ObjectiveState, QuadraticState
+from polyfw.objectives import Objective, ObjectiveState
 from polyfw.oracles import PolytopeSpec, _is_a
 
 
@@ -179,16 +175,16 @@ def fcfw_correction(
     From ``it``, on the solver's objective ``state``, repeats an inner
     step toward the candidate atom of least gradient value until the
     candidates' FW gap and away gap both fall to ``eps`` and the objective
-    is no worse than an exact line search toward ``s`` from ``it``.  On a
-    quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
+    is no worse than an exact line search toward ``s`` from ``it``, whose
+    value the state gives (``step_value``: a closed form on a quadratic).
+    On a quadratic the inner step is Wolfe's major cycle (``_wolfe_step``),
     otherwise an AFW step (``_line_search_step``).  An inner step that
     cannot descend, or does not lower f strictly, ends the correction
-    at the iterate it started from, and one to a non-finite f at the one
-    it reached, where ``solve`` ends ``error:nonfinite``.  The state ends at
-    the returned iterate (reset there exactly only after a stall), the images
-    of atoms outside it are released, and ``post_away_gap`` comes from its
-    gradient.  After a stall that gap can stay above ``eps``: below the
-    rounding floor no correction meets the contract, so the iterate is
+    at the iterate it started from, with the state restored to the one
+    saved there, and one to a non-finite f at the one it reached, where
+    ``solve`` ends ``error:nonfinite``.  ``post_away_gap`` comes from the
+    final gradient.  After a stall that gap can stay above ``eps``: below
+    the rounding floor no correction meets the contract, so the iterate is
     returned as it is, and ``solve`` ends the run as ``stall`` once a
     correction changes nothing.  ``inner_steps`` counts the minor-cycle
     passes, or the AFW steps.
@@ -198,12 +194,12 @@ def fcfw_correction(
     if it.index(s.id) is None:
         atoms.append(s)
         matrix = np.concatenate((matrix, s.point[None]))
-    wolfe = isinstance(state, QuadraticState)
 
     fw_dir = s.point - it.x
     if np.any(fw_dir):
-        gamma_fw = state.line_search(it, fw_dir, 1.0, -float(state.grad @ fw_dir), s)
-        f_target = state.obj.value(it.x + gamma_fw * fw_dir)
+        descent = -float(state.grad @ fw_dir)
+        gamma_fw = state.line_search(it, fw_dir, 1.0, descent, s)
+        f_target = state.step_value(it, fw_dir, gamma_fw, descent)
     else:
         f_target = state.value
     f_slack = f_target + 1e-12 * (1.0 + abs(f_target))
@@ -218,8 +214,8 @@ def fcfw_correction(
         away = away_atom(z, grad)
         if g_fw <= eps and away[1] <= eps and state.value <= f_slack:
             break
-        f_before = state.value
-        if wolfe:
+        saved, f_before = state.save(), state.value
+        if state.has_corral:
             z_next, passes = _wolfe_step(state, z, atoms[i_s])
         else:
             to_s = atoms[i_s].point - z.x
@@ -233,14 +229,11 @@ def fcfw_correction(
         if z_next is None or not state.value < f_before:
             # a stall: return z, where the failed step started; re-entering the
             # loop can cycle, so z stands even if its gap exceeds eps
-            if z_next is not None:
-                state.reset(z)  # the failed step moved the state past z
+            state.restore(saved, z)
             break
         z = z_next
         inner += passes
 
-    if wolfe:
-        state.images = {k: state.images[k] for k in z.ids if k in state.images}
     _, post_away = away_atom(z, state.grad)
     return CorrectionResult(z, inner, post_away)
 
@@ -268,45 +261,23 @@ MNP_AWAY_GAP_LIMIT = 1e-9  # times the scale of the gap's terms, floored at 1
 _INTERIOR_TOL = 1e-12
 
 
-def _corral_with(corral: Corral, atom_id: bytes, point: np.ndarray, image: np.ndarray) -> Corral:
-    """``corral`` plus one atom: its row, its image and one product for H's new row and column."""
-    ids, matrix, images, H = corral
-    matrix, images = np.concatenate((matrix, point[None])), np.concatenate((images, image[None]))
-    grown = np.empty((len(matrix), len(matrix)))
-    grown[:-1, :-1] = H
-    grown[-1] = grown[:, -1] = matrix @ image
-    return ids + (atom_id,), matrix, images, grown
-
-
-def _wolfe_step(state: QuadraticState, it: ActiveIterate, atom: Atom) -> Tuple[ActiveIterate, int]:
+def _wolfe_step(state: ObjectiveState, it: ActiveIterate, atom: Atom) -> Tuple[ActiveIterate, int]:
     """Wolfe's major cycle: add ``atom`` to the corral, then run the minor cycle.
 
-    The corral (``QuadraticState.corral``: rows, images Q a_i and Gram
-    matrix H_ij = a_i . Q a_j) is the last cycle's when its ids are
-    ``it.ids``, else built from ``it`` an atom at a time.  A new atom adds
-    one Gram row (``_corral_with``), so a cycle costs O(kd) plus the
-    (k+1)^2 solve of each pass, which minimizes f over the corral's affine
-    hull.  A minimizer inside its convex hull ends the cycle; otherwise the
-    weights move toward it until some vanish, and those atoms leave with
-    their rows of H: at most one pass per atom.  ``state`` moves to the
-    result through the images, with no product by Q.  Returns the iterate
-    and the number of passes.
+    The state opens its corral on ``it``'s atoms and ``atom`` (``corral_with``),
+    keeping the last cycle's, so a cycle costs O(kd) plus the (k+1)^2 solve of
+    each pass, which minimizes f over the corral's affine hull.  A minimizer
+    inside its convex hull ends the cycle; otherwise the weights move toward
+    it until some vanish, and those atoms leave the corral (``corral_keep``):
+    at most one pass per atom.  The state moves to the result with no product
+    by Q (``corral_move``).  Returns the iterate and the number of passes.
     """
-    corral, state.corral = state.corral, None  # freed as this cycle replaces its arrays
-    if corral is None or corral[0] != it.ids:  # build it from the empty corral
-        corral = ((), np.empty((0, it.x.size)), np.empty((0, it.x.size)), np.empty((0, 0)))
-        for atom_id, point in zip(it.ids, it.matrix()):
-            corral = _corral_with(corral, atom_id, point, state.image(atom_id, point))
-    beta = it.w
-    if it.index(atom.id) is None:
-        corral = _corral_with(corral, atom.id, atom.point, state.image(atom.id, atom.point))
-        beta = np.concatenate([beta, [0.0]])
-    ids, matrix, images, H = corral
-    del corral
+    H, g = state.corral_with(it, atom)
+    beta = it.w if len(H) == len(it) else np.concatenate([it.w, [0.0]])
     passes = 0
     while True:
         passes += 1
-        lam = _affine_minimizer(H, matrix @ state.b)
+        lam = _affine_minimizer(H, g)
         if lam.min() > _INTERIOR_TOL:
             break
         negative = lam < 0
@@ -314,17 +285,14 @@ def _wolfe_step(state: QuadraticState, it: ActiveIterate, atom: Atom) -> Tuple[A
         beta = (1.0 - theta) * beta + theta * lam
         beta = np.where(beta < 0, 0.0, beta)
         keep = (beta > _INTERIOR_TOL).nonzero()[0]
-        if keep.size == len(ids):
+        if keep.size == len(beta):
             # theta reached 1 with coordinates in the zero range
             keep = (lam > _INTERIOR_TOL).nonzero()[0]
-        ids = tuple(ids[i] for i in keep.tolist())
         beta = beta[keep] / beta[keep].sum()
-        matrix, images, H = matrix[keep], images[keep], H[keep][:, keep]
+        H, g = state.corral_keep(keep)
     beta = lam / lam.sum()
-    x_new = beta @ matrix
-    state.move_to(x_new, beta @ images)
-    state.corral = ids, matrix, images, H
-    return ActiveIterate(ids, matrix, beta, x_new), passes
+    ids, rows, x = state.corral_move(beta)
+    return ActiveIterate(ids, rows, beta, x), passes
 
 
 def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:
@@ -335,26 +303,21 @@ def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> Correct
     to rounding.  Each term a_ij * grad_j of the gap's products is at most
     max|a_ij| * max_j (|(Qx)_j| + |b_j|), and the minor cycle's solves
     round at the scale of the corral's Gram matrix, max|H_ij|; a gap above
-    1e-9 * max(1, either) raises ``CorrectionPostconditionError``, so the
-    check does not depend on the units of the problem or the scale of Q.
-    The state ends where the cycle put it, and the images of the atoms the
-    cycle dropped are released.
+    1e-9 * max(1, either) (``corral_scale``) raises
+    ``CorrectionPostconditionError``, so the check does not depend on the
+    units of the problem or the scale of Q.  The state ends where the
+    cycle put it.
     """
-    if not isinstance(state, QuadraticState):
+    if not state.has_corral:
         raise TypeError("the min-norm-point correction requires a quadratic objective")
     out, passes = _wolfe_step(state, it, s)
     _, away_gap = away_atom(out, state.grad)
     if away_gap > MNP_AWAY_GAP_LIMIT:  # the bound is only formed for a gap above its floor
-        grad_terms = float(np.max(np.abs(state.Qx) + np.abs(state.b)))
-        gram = float(np.max(np.abs(state.corral[3])))
-        limit = MNP_AWAY_GAP_LIMIT * max(
-            1.0, float(np.max(np.abs(out.matrix()))) * grad_terms, gram
-        )
+        limit = MNP_AWAY_GAP_LIMIT * max(1.0, state.corral_scale())
         if away_gap > limit:
             raise CorrectionPostconditionError(
                 f"minor cycle away gap {away_gap} stayed above {limit}"
             )
-    state.images = {k: state.images[k] for k in out.ids if k in state.images}
     return CorrectionResult(out, passes, away_gap)
 
 

@@ -68,3 +68,25 @@ def test_scipy_is_imported_only_by_the_linprog_hook():
     """No scipy.spatial (or any other scipy) import outside ``geometry.linprog``."""
     found = {(p.stem, owner, name) for p in SRC.glob("*.py") for owner, name in _scipy_imports(p)}
     assert found <= SCIPY_ALLOWED, sorted(found - SCIPY_ALLOWED)
+
+
+# The quadratic structure (Q, b, Qx, atom images, Wolfe's corral) stays behind the state's
+# methods in ``objectives``: ``solvers`` runs on ``Objective`` and ``ObjectiveState`` alone.
+SOLVERS_OBJECTIVES_IMPORTS = {"Objective", "ObjectiveState"}
+SOLVERS_HIDDEN_NAMES = {"QuadraticState", "IdentityState", "Corral"}
+SOLVERS_HIDDEN_ATTRIBUTES = {"images", "corral", "Qx", "b", "obj"}
+
+
+def test_solvers_leave_the_quadratic_state_to_objectives():
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    nodes = list(ast.walk(tree))
+    imported = {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                and node.module == "polyfw.objectives" for alias in node.names}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {alias.asname or alias.name for node in nodes
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert imported == SOLVERS_OBJECTIVES_IMPORTS
+    assert not names & SOLVERS_HIDDEN_NAMES, sorted(names & SOLVERS_HIDDEN_NAMES)
+    read = attributes & SOLVERS_HIDDEN_ATTRIBUTES
+    assert not read, sorted(read)

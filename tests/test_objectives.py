@@ -256,6 +256,14 @@ def test_quadratic_construction_allocates_one_d_by_d_buffer():
         assert peak <= 1.1 * 8 * d * d
 
 
+def test_quadratic_at_the_scale_edge_stores_a_finite_q():
+    """A finite Q near the largest float is halved before its halves are summed: its
+    symmetric part is stored without an overflow warning (an error under pytest's filter)."""
+    obj = QuadraticObjective(np.diag([1e308, 1.0]), np.zeros(2))
+    assert np.isfinite(obj.Q.diagonal()).all()
+    assert obj.Q.tobytes() == np.diag([1e308, 1.0]).tobytes()
+
+
 def test_psd_check_is_relative_to_the_largest_eigenvalue():
     """A rank-deficient Q at scale 1e6 has rounding eigenvalues far below -1e-10, which
     count as 0; a clearly indefinite Q raises, at every scale and on every ask."""
@@ -398,6 +406,50 @@ def test_only_an_exact_identity_opens_the_identity_state():
     ]
     assert all(type(_state(obj)) is IdentityState for obj in identity)
     assert all(type(_state(obj)) is QuadraticState for obj in general)
+
+
+class _GenericQuadratic(Objective):
+    """A quadratic seen only through value and gradient: it opens the generic state."""
+
+    def __init__(self, quad):
+        self.quad, self.dimension = quad, quad.dimension
+
+    def value(self, x):
+        return self.quad.value(x)
+
+    def gradient(self, x):
+        return self.quad.gradient(x)
+
+
+def test_step_value_is_f_after_the_searched_step():
+    """FCFW's target: after a line search from an iterate toward an atom, ``step_value``
+    gives f at the step found, in closed form on the general and identity states (within
+    rounding of ``value``) and as ``value`` itself on the generic state."""
+    rng = np.random.default_rng(402)
+    A = rng.standard_normal((6, 5))
+    quads = [QuadraticObjective.least_squares(A, rng.standard_normal(6)),
+             QuadraticObjective.distance_to(rng.standard_normal(5))]
+    atoms = [Atom(p) for p in 3.0 * rng.standard_normal((8, 5))]
+    it = ActiveIterate.from_weights({atoms[0]: 0.5, atoms[1]: 0.5})
+    offset = 1e-3 * rng.standard_normal(5)  # atoms this near x take the full step
+    atoms += [Atom(it.x + offset), Atom(it.x - offset)]
+    checked = []
+    for obj in quads + [_GenericQuadratic(quads[0])]:
+        for s in atoms[2:]:
+            state = obj.start(it)
+            direction = s.point - it.x
+            descent = -float(state.grad @ direction)
+            if descent <= 0.0:
+                continue
+            gamma = state.line_search(it, direction, 1.0, descent, s)
+            checked.append(gamma < 1.0)
+            f = obj.value(it.x + gamma * direction)
+            target = state.step_value(it, direction, gamma, descent)
+            if isinstance(obj, QuadraticObjective):
+                assert abs(target - f) <= 1e-12 * max(1.0, abs(state.value))
+            else:
+                assert target == f
+    assert any(checked) and not all(checked)  # interior steps and full ones
 
 
 def _distance_problems():

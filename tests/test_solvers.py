@@ -585,23 +585,20 @@ def test_run_experiment_reaches_the_traced_bench_names(problem, runs, monkeypatc
                      "fit_rate": fits}
 
 
-@pytest.mark.parametrize(
-    "variant, calls_per, products_per", [(Variant.FCFW, 1, 1), (Variant.MNP, 0, 0)]
-)
-def test_corrections_make_no_dense_product_per_inner_step(
-    variant, calls_per, products_per, monkeypatch
-):
-    """Products by Q in a whole solve: one per FCFW iteration, none per MNP iteration.
+@pytest.mark.parametrize("variant", [Variant.FCFW, Variant.MNP])
+def test_corrections_make_no_dense_product_per_inner_step(variant, monkeypatch):
+    """Products by Q in a whole solve: none per FCFW or MNP iteration.
 
-    FCFW calls the objective once per correction, for its target value;
-    MNP never.  A correction that does not stall ends where its last major
-    cycle put the state, with no ``QuadraticState.reset``, and no major
-    cycle multiplies by Q, so neither count grows with the inner steps.
-    Every product by Q (a dense one,
-    or one inside an objective call) is counted, plus the one that opens
-    the solve's state.  The lasso atoms are 1-sparse, so their images
-    are support rows of Q, formed with ``ndarray.dot``, which does not
-    pass through ``__array_ufunc__`` and is not counted.
+    Neither correction calls the objective: FCFW takes its target value
+    from its line search's closed form (``step_value``).  A correction
+    ends where its last major cycle put the state, or, after a stall, on
+    the state saved before the failed cycle, with no
+    ``QuadraticState.reset``, and no major cycle multiplies by Q, so
+    neither count grows with the inner steps.  Every product by Q (a
+    dense one, or one inside an objective call) is counted, plus the one
+    that opens the solve's state.  The lasso atoms are 1-sparse, so their
+    images are support rows of Q, formed with ``ndarray.dot``, which does
+    not pass through ``__array_ufunc__`` and is not counted.
     """
     import polyfw.solvers as solvers
     from polyfw.bench import gen_lasso
@@ -651,9 +648,9 @@ def test_corrections_make_no_dense_product_per_inner_step(
     assert trace.config_echo["exit_status"] == "converged"
     iterations = len(trace.records)
     assert iterations and trace.config_echo["inner_steps"] > iterations
-    assert len(calls) <= calls_per * iterations, sorted(set(calls))
+    assert not calls, sorted(set(calls))
     assert counts["resets"] == 0
-    assert counts["products"] == products_per * iterations + 1
+    assert counts["products"] == 1
 
 
 def _exact_state_problems():
@@ -679,15 +676,23 @@ def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon,
     ``Q @ x`` and ``obj.value(x)`` at the returned iterate within 1e-12 of their terms' scale
     |Q| |x|, and only that iterate's atom images stay cached.
 
-    At eps=1e-14, below the rounding floor, FCFW's inner steps stall; each correction
-    that stalled reset the state exactly at the iterate it returns, so there the state
-    is bit for bit the one ``reset`` forms.
+    No correction resets the state.  At eps=1e-14, below the rounding floor, FCFW's inner
+    steps stall; each correction that stalled restored the state saved before its failed
+    cycle at the iterate it returns, so there the state is bit for bit that saved state.
     """
     import polyfw.solvers as solvers
 
     obj, spec = _exact_state_problems()[name]
-    resets, checked = [], []
-    reset = QuadraticState.reset
+    saves, restores, resets, checked = [], [], [], []
+    save, restore, reset = QuadraticState.save, QuadraticState.restore, QuadraticState.reset
+
+    def copying_save(self):
+        saves.append((self.value, self.grad.copy(), self.Qx.copy(), self.corral))
+        return save(self)
+
+    def recording_restore(self, saved, it):
+        restores.append(it)
+        return restore(self, saved, it)
 
     def counting_reset(self, it):
         resets.append(it)
@@ -696,7 +701,7 @@ def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon,
     correction = getattr(solvers, f"{variant.value.lower()}_correction")
 
     def checking(state, it, *args):
-        resets.clear()
+        saves.clear(), restores.clear(), resets.clear()
         result = correction(state, it, *args)
         x = result.iterate.x
         Qx = obj.Q @ x
@@ -705,13 +710,18 @@ def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon,
         assert np.abs(state.grad - (Qx + obj.b)).max() <= 1e-12 * scale
         assert abs(state.value - obj.value(x)) <= 1e-12 * scale * max(1.0, np.abs(x).sum())
         assert set(state.images) <= set(result.iterate.ids)
-        if resets:  # an FCFW stall, the only correction path that resets
-            assert variant is Variant.FCFW and resets == [result.iterate]
-            np.testing.assert_array_equal(state.Qx, Qx)
-            assert state.value == obj.value(x)
-        checked.append(bool(resets))
+        assert not resets
+        if restores:  # an FCFW stall, the only correction path that restores
+            assert variant is Variant.FCFW and restores == [result.iterate]
+            value, grad, saved_Qx, corral = saves[-1]
+            assert state.value == value and state.corral is corral
+            assert state.grad.tobytes() == grad.tobytes()
+            assert state.Qx.tobytes() == saved_Qx.tobytes()
+        checked.append(bool(restores))
         return result
 
+    monkeypatch.setattr(QuadraticState, "save", copying_save)
+    monkeypatch.setattr(QuadraticState, "restore", recording_restore)
     monkeypatch.setattr(QuadraticState, "reset", counting_reset)
     monkeypatch.setattr(solvers, f"{variant.value.lower()}_correction", checking)
     trace = solve(obj, spec, SolverConfig(variant, epsilon=epsilon, max_iter=300))
@@ -719,6 +729,34 @@ def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon,
     assert checked and (variant is Variant.FCFW or not any(checked))
     if (variant, name, epsilon) == (Variant.FCFW, "lasso", 1e-14):
         assert any(checked)  # the stall path is exercised
+
+
+def test_fcfw_stall_restores_the_state_saved_before_the_cycle(monkeypatch):
+    """A major cycle that raises f makes FCFW return the iterate it started from, with the
+    state saved before that cycle put back by reference: f, the gradient, ``Qx`` and the
+    corral, and only that iterate's images cached."""
+    import polyfw.solvers as solvers
+
+    obj, spec = _exact_state_problems()["gaussian"]
+    atoms = spec.enumerate_atoms()
+    it = ActiveIterate.from_weights({atoms[0]: 0.5, atoms[1]: 0.5})
+    state = obj.start(it)
+    before = state.value, state.grad, state.Qx, state.corral
+
+    def worsening(state, z, atom):  # ends on the corral's atom of largest f
+        state.corral_with(z, atom)
+        rows = state.corral[1]
+        beta = np.eye(len(rows))[int(np.argmax([obj.value(row) for row in rows]))]
+        ids, rows, x = state.corral_move(beta)
+        assert state.value > before[0]
+        return ActiveIterate(ids, rows, beta, x), 1
+
+    monkeypatch.setattr(solvers, "_wolfe_step", worsening)
+    result = fcfw_correction(state, it, atoms[2], 1e-10)
+    assert result.iterate is it and result.inner_steps == 0
+    assert state.value == before[0] and state.corral is before[3]
+    assert state.grad is before[1] and state.Qx is before[2]
+    assert set(state.images) <= set(it.ids)
 
 
 def test_generic_objective_path_matches_quadratic():
@@ -1211,12 +1249,12 @@ def test_wolfe_corral_is_built_once_per_solve(variant, max_iter, monkeypatch):
     dag = FlowDag(_layered_arcs(5, 16))  # the flow_paths benchmark DAG, 385 arcs
     obj = _path_mix(dag, 16, 0)
     builds, images, per_cycle = [], [], []
-    grow, wolfe, image = solvers._corral_with, solvers._wolfe_step, IdentityState.image
+    grow, wolfe, image = QuadraticState._grow, solvers._wolfe_step, IdentityState.image
 
-    def counting_grow(corral, atom_id, point, image):
-        if not corral[0]:
+    def counting_grow(self, atom_id, point):
+        if not self.corral[0]:
             builds.append(atom_id)
-        return grow(corral, atom_id, point, image)
+        return grow(self, atom_id, point)
 
     def counting_wolfe(state, it, atom):
         before = len(images)
@@ -1228,7 +1266,7 @@ def test_wolfe_corral_is_built_once_per_solve(variant, max_iter, monkeypatch):
         images.append(atom_id)
         return image(self, atom_id, point)
 
-    monkeypatch.setattr(solvers, "_corral_with", counting_grow)
+    monkeypatch.setattr(QuadraticState, "_grow", counting_grow)
     monkeypatch.setattr(solvers, "_wolfe_step", counting_wolfe)
     monkeypatch.setattr(IdentityState, "image", counting_image)
     trace = solve(obj, dag, SolverConfig(variant, epsilon=1e-8, max_iter=max_iter))
@@ -1313,11 +1351,11 @@ def _corral_runs(draw):
     """A quadratic with its minimizer inside the atoms' hull, the atoms, an MNP start, a
     cycle budget and the cycles that drop the corral first.  0/1 atoms get an integer Q
     and 1-sparse atoms any Q, so their Gram entries are exact; Gaussian atoms get a
-    Gaussian Q."""
-    kind = draw(st.sampled_from(["binary", "sparse", "gaussian"]))
+    Gaussian Q.  The distance kind is 1/2 ||x - target||^2 (Q = I) on 0/1 atoms."""
+    kind = draw(st.sampled_from(["binary", "sparse", "gaussian", "distance"]))
     d, n, cycles = draw(st.integers(2, 8)), draw(st.integers(2, 14)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    if kind == "binary":
+    if kind in ("binary", "distance"):
         atoms = rng.integers(0, 2, (n, d)).astype(float)
         B = rng.integers(-2, 3, (d, d)).astype(float)
     else:
@@ -1329,7 +1367,8 @@ def _corral_runs(draw):
     atoms = np.unique(atoms, axis=0)
     Q = B @ B.T + np.eye(d)
     target = rng.dirichlet(np.ones(len(atoms))) @ atoms  # inside the hull: many cycles
-    obj = QuadraticObjective(Q, -Q @ target)
+    obj = (QuadraticObjective.distance_to(target) if kind == "distance"
+           else QuadraticObjective(Q, -Q @ target))
     spec = VertexList(atoms)
     size = draw(st.integers(0, len(atoms)))
     x0 = None if not size else ActiveIterate.from_weights(
@@ -1344,7 +1383,8 @@ def _corral_runs(draw):
 def test_corral_matches_a_gram_matrix_formed_from_scratch(run):
     """After every major cycle of an MNP solve the corral is keyed by the iterate's ids, holds
     its rows in order, and its images and H equal those formed afresh (``corral_reference``):
-    exactly on 0/1 and 1-sparse atoms, within 1e-12 of the terms' scale on Gaussian ones."""
+    exactly on 0/1 and 1-sparse atoms, within 1e-12 of the terms' scale on Gaussian ones.
+    Under Q = I the corral keeps no images array apart from its rows."""
     from unittest import mock
 
     import polyfw.solvers as solvers
@@ -1360,7 +1400,10 @@ def test_corral_matches_a_gram_matrix_formed_from_scratch(run):
         ids, rows, images, H = state.corral
         assert ids == out[0].ids and np.array_equal(rows, out[0].matrix())
         _, ref_images, ref_H = ref.corral_reference(obj.Q, out[0])
-        if kind == "gaussian":
+        if kind == "distance":
+            assert images is None and np.array_equal(rows, ref_images)
+            assert np.array_equal(H, ref_H)
+        elif kind == "gaussian":
             assert np.all(np.abs(images - ref_images) <= 1e-12 * (np.abs(rows) @ np.abs(obj.Q)))
             bound = np.abs(rows) @ np.abs(obj.Q) @ np.abs(rows).T
             assert np.all(np.abs(H - ref_H) <= 1e-12 * bound)
