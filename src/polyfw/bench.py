@@ -112,9 +112,9 @@ class ExperimentConfig:
             name=json_field(doc, "name", str, owner),
             problem=problem,
             variants=json_field(doc, "variants", list, owner),
-            epsilon=float(json_field(doc, "epsilon", numbers.Real, owner, 1e-8)
+            epsilon=float(json_field(doc, "epsilon", numbers.Real, owner, cls.epsilon)
                           if epsilon is None else epsilon),
-            max_iter=(json_field(doc, "max_iter", numbers.Integral, owner, 2000)
+            max_iter=(json_field(doc, "max_iter", numbers.Integral, owner, cls.max_iter)
                       if max_iter is None else max_iter),
         )
 

@@ -5,10 +5,9 @@ the best atom, stop once the duality gap is small, otherwise move.
 They differ only in the move:
 
 * ``FW``   classic step toward the oracle atom;
-* ``AFW``  away steps can also shift weight off a bad active atom
-           (the choice is ``afw_choose_direction``);
+* ``AFW``  away steps can also shift weight off a bad active atom;
 * ``PFW``  pairwise steps move weight directly from the worst active
-           atom onto the oracle atom (``pfw_step``);
+           atom onto the oracle atom;
 * ``FCFW`` each iteration re-optimizes over the active atoms plus the
            oracle atom until their FW and away gaps fall to the run's
            epsilon, or no inner step lowers f: Wolfe major cycles on a
@@ -18,9 +17,9 @@ They differ only in the move:
            its minor cycle keeps.
 
 A FW, AFW or PFW iteration forms the FW direction s - x, its gap
-<-grad, s - x> and the away pair (``away_atom``) once; the AFW choice,
-the descent test, the line search and the step reuse them, the away and
-pairwise steps taking the direction ``_line_search_step`` formed; rows stay
+<-grad, s - x> and the away pair (``away_atom``) once; ``_line_search_step``,
+the one place each of the three picks its step, reuses them for the AFW
+choice, the descent test, the line search and the step; rows stay
 tuples until the run ends, when one transpose fills the trace's columns.
 Past ``TIE_LIST_MAX`` active atoms, ``away_atom`` detects a tie at the
 maximum by a second ``argmax`` from the other end instead of a list of the
@@ -143,30 +142,6 @@ def away_atom(it: ActiveIterate, grad: np.ndarray) -> Tuple[int, float]:
     return i, best - float(grad.dot(it.x))
 
 
-def afw_choose_direction(
-    it: ActiveIterate, away: Tuple[int, float], fw_dir: np.ndarray, g_fw: float
-) -> Tuple[StepKind, np.ndarray, float, Optional[int]]:
-    """Pick the better of the FW and away directions (ties favor FW).
-
-    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x for the oracle atom s and
-    ``g_fw`` its gap <-grad, fw_dir>.  The away atom is returned as its position in ``it.ids``.
-    """
-    j, away_gap = away
-    if g_fw >= away_gap or len(it) == 1:
-        return StepKind.FW, fw_dir, 1.0, None
-    alpha = float(it.w[j])
-    return StepKind.AWAY, it.x - it._point(j), alpha / (1.0 - alpha), j
-
-
-def pfw_step(
-    it: ActiveIterate, s: Atom, away: Tuple[int, float]
-) -> Tuple[np.ndarray, float, int]:
-    """Pairwise direction s - v, its maximum step alpha_v and v's position in ``it.ids``,
-    for ``away = away_atom(it, grad)``."""
-    j = away[0]
-    return s.point - it._point(j), float(it.w[j]), j
-
-
 def fcfw_correction(
     state: ObjectiveState, it: ActiveIterate, s: Atom, eps: float
 ) -> CorrectionResult:
@@ -182,12 +157,14 @@ def fcfw_correction(
     cannot descend, or does not lower f strictly, ends the correction
     at the iterate it started from, with the state restored to the one
     saved there, and one to a non-finite f at the one it reached, where
-    ``solve`` ends ``error:nonfinite``.  ``post_away_gap`` comes from the
-    final gradient.  After a stall that gap can stay above ``eps``: below
-    the rounding floor no correction meets the contract, so the iterate is
-    returned as it is, and ``solve`` ends the run as ``stall`` once a
-    correction changes nothing.  ``inner_steps`` counts the minor-cycle
-    passes, or the AFW steps.
+    ``solve`` ends ``error:nonfinite``.  A major cycle from an iterate
+    that a major cycle made, toward one of its atoms, would land on it
+    again, so it stalls without running.  ``post_away_gap`` comes from
+    the final gradient.  After a stall that gap can stay above ``eps``:
+    below the rounding floor no correction meets the contract, so the
+    iterate is returned as it is, and ``solve`` ends the run as ``stall``
+    once a correction changes nothing.  ``inner_steps`` counts the
+    minor-cycle passes, or the AFW steps.
     """
     matrix = it.matrix()
     atoms = [Atom._adopt(p, i) for i, p in zip(it.ids, matrix)]  # ids kept, not keyed again
@@ -214,6 +191,8 @@ def fcfw_correction(
         away = away_atom(z, grad)
         if g_fw <= eps and away[1] <= eps and state.value <= f_slack:
             break
+        if state.has_corral and z is not it and z.index(atoms[i_s].id) is not None:
+            break  # a stall: the cycle would solve z's corral again and land on z
         saved, f_before = state.save(), state.value
         if state.has_corral:
             z_next, passes = _wolfe_step(state, z, atoms[i_s])
@@ -284,10 +263,7 @@ def _wolfe_step(state: ObjectiveState, it: ActiveIterate, atom: Atom) -> Tuple[A
         theta = float((beta[negative] / (beta[negative] - lam[negative])).min(initial=1.0))
         beta = (1.0 - theta) * beta + theta * lam
         beta = np.where(beta < 0, 0.0, beta)
-        keep = (beta > _INTERIOR_TOL).nonzero()[0]
-        if keep.size == len(beta):
-            # theta reached 1 with coordinates in the zero range
-            keep = (lam > _INTERIOR_TOL).nonzero()[0]
+        keep = (beta > _INTERIOR_TOL).nonzero()[0]  # drops the atom that set theta
         beta = beta[keep] / beta[keep].sum()
         H, g = state.corral_keep(keep)
     beta = lam / lam.sum()
@@ -344,17 +320,20 @@ def _line_search_step(
 ) -> Optional[Tuple[ActiveIterate, StepKind, float, float]]:
     """One FW, AFW or PFW step: (iterate, kind, gamma, gamma_max).
 
-    ``away`` is ``away_atom(it, grad)``, ``fw_dir`` is s - x and ``g_fw``
-    is <-grad, fw_dir>; the step moves ``state`` along.  None (a stall)
+    ``away`` is ``away_atom(it, grad)``, v's position j and gap, ``fw_dir``
+    is s - x and ``g_fw`` <-grad, fw_dir>.  PFW takes s - v (cap w[j]); AFW
+    x - v (cap w[j] / (1 - w[j])) if v's gap beats g_fw and v is not alone,
+    else FW's s - x (cap 1).  The step moves ``state`` along.  None (a stall)
     when the chosen direction does not descend, or when a pairwise step
     of gamma at most ``WEIGHT_FLOOR`` leaves the ids and weights as they
     were, so the next iteration would repeat it.
     """
-    if variant is Variant.AFW:
-        kind, direction, gamma_max, j = afw_choose_direction(it, away, fw_dir, g_fw)
-    elif variant is Variant.PFW:
-        direction, gamma_max, j = pfw_step(it, s, away)
-        kind = StepKind.PAIRWISE
+    j, away_gap = away
+    if variant is Variant.PFW:
+        kind, direction, gamma_max = StepKind.PAIRWISE, s.point - it._point(j), float(it.w[j])
+    elif variant is Variant.AFW and not (g_fw >= away_gap or len(it) == 1):  # ties favor FW
+        alpha = float(it.w[j])
+        kind, direction, gamma_max = StepKind.AWAY, it.x - it._point(j), alpha / (1.0 - alpha)
     else:
         kind, direction, gamma_max, j = StepKind.FW, fw_dir, 1.0, None
     descent = g_fw if direction is fw_dir else -float(grad.dot(direction))

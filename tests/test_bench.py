@@ -515,6 +515,14 @@ def test_config_from_json_forms(tmp_path):
         assert cfg.max_iter == 2000
 
 
+def test_config_from_json_defaults_are_the_dataclass_defaults():
+    """A document without ``epsilon`` and ``max_iter`` gets the settings a direct call gets."""
+    problem = {"kind": "rankdef", "d": 5, "rank": 2, "rng_seed": 1}
+    read = ExperimentConfig.from_json({"name": "j", "problem": problem, "variants": ["AFW"]})
+    direct = ExperimentConfig("j", problem, ["AFW"])
+    assert (read.epsilon, read.max_iter) == (direct.epsilon, direct.max_iter)
+
+
 def test_cli_pwidth(tmp_path, capsys):
     csv = tmp_path / "verts.csv"
     csv.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")

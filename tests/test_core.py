@@ -55,6 +55,52 @@ def test_from_weights_rejects_nan_weight():
             ActiveIterate.from_weights(pairs)
 
 
+def test_from_weights_drops_sub_floor_weights_and_needs_a_positive_one():
+    it = ActiveIterate.from_weights({V1: 1.0, V2: 0.5 * WEIGHT_FLOOR})
+    assert it.ids == (V1.id,) and it.w.tolist() == [1.0]
+    with pytest.raises(ValueError, match="positive weight"):
+        ActiveIterate.from_weights({V1: 0.0, V2: 0.5 * WEIGHT_FLOOR})
+
+
+def test_iterate_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="one entry per atom"):
+        ActiveIterate((V1.id,), np.stack([V1.point, V2.point]), [1.0])
+    with pytest.raises(ValueError, match="one entry per atom"):
+        ActiveIterate((V1.id, V2.id), np.stack([V1.point, V2.point]), [1.0])
+
+
+def test_check_catches_a_weight_bound_above_the_smallest_weight():
+    it = ActiveIterate.from_weights({V1: 0.25, V2: 0.75})
+    it.check()
+    it._w_low = 0.5
+    with pytest.raises(AssertionError, match="weight bound"):
+        it.check()
+
+
+def test_steps_reject_bad_arguments():
+    from polyfw.core import DegenerateDirectionError
+
+    it = ActiveIterate.from_weights({V1: 0.25, V2: 0.75})
+    for gamma in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            apply_fw_step(it, V3, gamma)
+    with pytest.raises(ValueError, match="away atom is not active"):
+        apply_away_step(it, V3.id, 0.1)
+    with pytest.raises(ValueError, match="outside"):
+        apply_away_step(it, V1.id, 0.5)  # gamma_max = 1/3
+    with pytest.raises(ValueError, match="source atom is not active"):
+        apply_pairwise_step(it, V3.id, V1, 0.1)
+    with pytest.raises(DegenerateDirectionError):
+        apply_pairwise_step(it, V1.id, V1, 0.1)
+    with pytest.raises(ValueError, match="outside"):
+        apply_pairwise_step(it, V1.id, V3, 0.3)  # gamma_max = 0.25
+
+
+def test_step_record_rejects_a_malformed_row():
+    with pytest.raises(ValueError, match="malformed"):
+        StepRecord.from_csv_row("0,FW,0.5,1.0,0.1,0.0,2.0")
+
+
 def test_fw_step_full_collapses_active_set():
     it = ActiveIterate.from_atom(V1)
     out = apply_fw_step(it, V2, 1.0)

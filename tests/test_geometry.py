@@ -328,6 +328,16 @@ def test_pwidth_runs_no_lp(monkeypatch):
     assert pwidth(points_of(Cube(3))).pwidth_estimate == pytest.approx(ref.PWIDTH_CUBE[3])
 
 
+def test_pwidth_refuses_a_face_that_touches_the_other_atoms(monkeypatch):
+    """With no tolerance on facet membership, an atom on an edge of the triangle, off it by
+    rounding, is no member of that edge: the edge's hull touches the other atoms' hull."""
+    import polyfw.geometry as geometry
+
+    monkeypatch.setattr(geometry, "FACET_TOL", 0.0)
+    with pytest.raises(ValueError, match="touches the other atoms' hull"):
+        pwidth(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1 / 3, 2 / 3]]))
+
+
 def test_pwidth_scale_covariant():
     atoms = points_of(Simplex(3))
     base = pwidth(atoms).pwidth_estimate
@@ -376,6 +386,13 @@ def test_eccentricity_pinned():
     # M = 2r and delta = r / sqrt(d - 1); L1Ball(30)'s 60 atoms are past the facet enumeration
     for d, r in [(2, 1.0), (3, 2.5), (6, 1e-3), (30, 1.6)]:
         assert eccentricity(L1Ball(d, r)) == pytest.approx(4.0 * (d - 1))
+
+
+def test_rate_constant_needs_a_quadratic():
+    from polyfw.objectives import Objective
+
+    with pytest.raises(TypeError, match="quadratics"):
+        rate_constant(Objective(), Simplex(2))
 
 
 def test_rate_constant_identity_simplex():

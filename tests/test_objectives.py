@@ -139,6 +139,16 @@ def test_slope_bisection_matches_exact_on_quadratics():
         wrapped.line_search(x, d, 1.0)
 
 
+def test_line_search_rejects_a_wrong_shape_or_a_zero_direction():
+    f = QuadraticObjective(np.eye(2), np.zeros(2))
+    x = np.array([0.5, 0.5])
+    for bad_x, d in ((x, np.ones(3)), (np.ones(3), np.ones(2))):
+        with pytest.raises(ValueError, match="dimension"):
+            f.line_search(bad_x, d, 1.0)
+    with pytest.raises(ValueError, match="zero"):
+        f.line_search(x, np.zeros(2), 1.0)
+
+
 def test_line_search_rejects_infinite_gamma_max():
     """An unbounded step is refused by both the exact and the generic search.
 

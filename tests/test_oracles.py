@@ -108,6 +108,27 @@ def test_flowdag_rejects_dangling_node():
         FlowDag([("a", "b"), ("b", "d"), ("a", "c")])  # c never reaches d
 
 
+def test_flowdag_rejects_empty_arcs_and_a_terminal_off_the_arcs():
+    with pytest.raises(ValueError, match="empty"):
+        FlowDag([])
+    arcs = [("s", "a"), ("a", "t")]
+    for ends in ({"source": "x"}, {"sink": "x"}):
+        with pytest.raises(ValueError, match="must appear in the arc list"):
+            FlowDag(arcs, **ends)
+
+
+def test_base_polytope_rejects_f_of_empty_set_nonzero():
+    with pytest.raises(ValueError, match=r"F\(empty\) = 0"):
+        BasePolytope(3, lambda s: 1.0 + len(s))
+
+
+def test_concave_cardinality_checks_its_table():
+    with pytest.raises(ValueError, match=r"g\[0\] must be 0"):
+        weighted_concave_cardinality([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="concave"):
+        weighted_concave_cardinality([0.0, 1.0, 3.0])
+
+
 def test_base_polytope_pinned_greedy_example():
     spec = BasePolytope(3, cardinality_cap(2.0))
     atom = spec.lmo([-3.0, -1.0, -2.0])

@@ -14,11 +14,10 @@ from polyfw.solvers import (
     DegenerateActiveSetError,
     SolverConfig,
     Variant,
-    afw_choose_direction,
+    _line_search_step,
     away_atom,
     fcfw_correction,
     mnp_correction,
-    pfw_step,
     solve,
 )
 
@@ -56,15 +55,24 @@ def test_away_atom_tie_breaks_on_weight():
     assert gap == pytest.approx(0.0)
 
 
+def _linear_step(variant, it, grad, s):
+    """``_line_search_step`` from ``it`` toward oracle atom ``s`` on f(x) = <grad, x>, where the
+    line search takes the whole cap: (next iterate, kind, gamma_max, direction), the direction
+    read back as (x_new - x) / gamma."""
+    obj = QuadraticObjective(np.zeros((len(grad), len(grad))), grad)
+    fw_dir = s.point - it.x
+    nxt, kind, gamma, gamma_max = _line_search_step(
+        variant, it, grad, s, obj.start(it), away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
+    )
+    assert gamma == gamma_max
+    return nxt, kind, gamma_max, (nxt.x - it.x) / gamma
+
+
 def test_afw_single_atom_forces_fw_branch():
     v1 = Atom(np.array([0.0, 0.0]))
     it = ActiveIterate.from_atom(v1)
     s = Atom(np.array([1.0, 1.0]))
-    grad = np.array([-1.0, -1.0])
-    fw_dir = s.point - it.x
-    kind, d, gmax, away_id = afw_choose_direction(
-        it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
-    )
+    _, kind, gmax, d = _linear_step(Variant.AFW, it, np.array([-1.0, -1.0]), s)
     assert kind is StepKind.FW
     assert np.allclose(d, [1.0, 1.0])
     assert gmax == 1.0
@@ -75,13 +83,9 @@ def test_afw_away_branch_gamma_max():
     a = Atom(np.array([0.0, 0.0]))
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.8, b: 0.2})
-    grad = np.array([1.0, 0.0])
-    fw_dir = a.point - it.x
-    kind, d, gmax, j = afw_choose_direction(
-        it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
-    )
+    nxt, kind, gmax, d = _linear_step(Variant.AFW, it, np.array([1.0, 0.0]), a)
     assert kind is not StepKind.FW
-    assert it.ids[j] == b.id
+    assert set(it.ids) - set(nxt.ids) == {b.id}  # the full step drops the away atom
     assert gmax == pytest.approx(0.25)
     assert np.allclose(d, it.x - b.point)
 
@@ -103,10 +107,7 @@ def test_afw_direction_covers_half_pairwise_gap():
         j, _ = away_atom(it, grad)
         v = it._point(j)
         g_pfw = float(-grad @ (s.point - v))
-        fw_dir = s.point - it.x
-        kind, d, gmax, _ = afw_choose_direction(
-            it, away_atom(it, grad), fw_dir, -float(grad @ fw_dir)
-        )
+        _, _, _, d = _linear_step(Variant.AFW, it, grad, s)
         assert float(-grad @ d) >= 0.5 * g_pfw - 1e-12
 
 
@@ -114,12 +115,36 @@ def test_pfw_step_uses_away_weight_as_cap():
     a = Atom(np.array([0.0, 0.0]))
     b = Atom(np.array([1.0, 0.0]))
     it = ActiveIterate.from_weights({a: 0.7, b: 0.3})
-    grad = np.array([1.0, 0.0])
     s = Atom(np.array([-1.0, 0.0]))
-    d, gmax, j = pfw_step(it, s, away_atom(it, grad))
+    nxt, kind, gmax, d = _linear_step(Variant.PFW, it, np.array([1.0, 0.0]), s)
+    assert kind is StepKind.SWAP  # the full step moves all of b's weight onto s
     assert gmax == pytest.approx(0.3)
-    assert it.ids[j] == b.id
+    assert set(it.ids) - set(nxt.ids) == {b.id}
     assert np.allclose(d, s.point - b.point)
+
+
+def test_solve_rejects_a_non_finite_gradient_and_a_bad_x0():
+    class Broken(Objective):
+        dimension = 2
+
+        def value(self, x):
+            return 0.0
+
+        def gradient(self, x):
+            return np.array([np.nan, 1.0])
+
+    with pytest.raises(ValueError, match="finite"):
+        solve(Broken(), Simplex(2), SolverConfig(Variant.FW))
+    obj = QuadraticObjective.distance_to(np.zeros(2))
+    with pytest.raises(TypeError, match="x0 must be"):
+        solve(obj, Simplex(2), SolverConfig(Variant.FW), x0=np.array([1.0, 0.0]))
+
+
+def test_affine_minimizer_refuses_a_non_finite_solution():
+    from polyfw.solvers import _affine_minimizer
+
+    with pytest.raises(DegenerateActiveSetError, match="large residual"):
+        _affine_minimizer(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_interior_optimum_on_simplex():
@@ -317,6 +342,27 @@ def test_mnp_postcondition_scales_with_the_gram_matrix(seed):
     best = min(f for f, _ in ends.values())
     for variant, (f, gap) in ends.items():
         assert f - best <= gap + 1e-9 * max(1.0, abs(best)), variant
+
+
+def test_every_minor_cycle_pass_drops_an_atom(monkeypatch):
+    """The coordinate of beta that sets theta ends within a few ulps of 0, far below
+    ``_INTERIOR_TOL``, and with theta = 1 beta is lam, whose minimum is already at or below
+    it: every pass that does not end the cycle keeps fewer atoms than the corral held.  The
+    fuzz's seeds 0-329 (item 16's rerun), MNP and FCFW."""
+    keep_of = QuadraticState.corral_keep
+    sizes = []
+
+    def recording(self, keep):
+        sizes.append((len(self.corral[0]), len(keep)))
+        return keep_of(self, keep)
+
+    monkeypatch.setattr(QuadraticState, "corral_keep", recording)
+    for seed in range(330):
+        obj, spec = _fuzz_instance(seed)
+        for variant in (Variant.MNP, Variant.FCFW):
+            solve(obj, spec, SolverConfig(variant, epsilon=1e-9, max_iter=3000))
+    assert len(sizes) > 500  # the drops are exercised
+    assert all(kept < held for held, kept in sizes)
 
 
 def test_mnp_triangle_matches_face_inspection():
@@ -729,6 +775,37 @@ def test_corrections_end_with_the_state_at_their_iterate(variant, name, epsilon,
     assert checked and (variant is Variant.FCFW or not any(checked))
     if (variant, name, epsilon) == (Variant.FCFW, "lasso", 1e-14):
         assert any(checked)  # the stall path is exercised
+
+
+@pytest.mark.parametrize("name", ["lasso", "rankdef", "gaussian"])
+def test_fcfw_runs_no_cycle_from_its_own_cycle_iterate_toward_one_of_its_atoms(
+    name, monkeypatch
+):
+    """Within one correction such a cycle keeps the corral, H and g and lands on the iterate
+    it started from, so FCFW stalls before it.  (The first cycle of a correction still runs:
+    its restore is needed.)  Without the rule, half the cycles of the 1e-14 lasso run are of
+    this kind."""
+    import polyfw.solvers as solvers
+
+    obj, spec = _exact_state_problems()[name]
+    made, starts = [], []
+    wolfe, correction = solvers._wolfe_step, solvers.fcfw_correction
+
+    def recording(state, it, atom):
+        starts.append(any(it is z for z in made) and it.index(atom.id) is not None)
+        out = wolfe(state, it, atom)
+        made.append(out[0])
+        return out
+
+    def opening(*args):
+        made.clear()
+        return correction(*args)
+
+    monkeypatch.setattr(solvers, "_wolfe_step", recording)
+    monkeypatch.setattr(solvers, "fcfw_correction", opening)
+    trace = solve(obj, spec, SolverConfig(Variant.FCFW, epsilon=1e-14, max_iter=300))
+    assert starts and not any(starts)
+    assert trace.config_echo["exit_status"] in ("converged", "stall")
 
 
 def test_fcfw_stall_restores_the_state_saved_before_the_cycle(monkeypatch):
