@@ -23,7 +23,10 @@ decision is the one the scans would make, bit for bit.
 ``ActiveIterate.synced`` tells the objective state (``polyfw.objectives``)
 when to recompute its incremental ``Qx``.
 Step-path products (FW/AFW/PFW) use ``ndarray.dot``: the bits of ``@``
-without its ufunc dispatch.  Dense products by Q keep ``@``, seen by
+without its ufunc dispatch.  So do the correction path's (Wolfe's cycle,
+FCFW's inner loop, the corral's products and ``pwidth``'s facial problems),
+and Wolfe's minor cycle reduces with ``np.*.reduce`` instead of the
+``ndarray.min/max/sum`` wrappers.  Dense products by Q keep ``@``, seen by
 ``__array_ufunc__``; a sparse atom's image from its support rows of Q uses
 ``ndarray.dot``, which that hook does not see.
 """

@@ -214,7 +214,7 @@ def _facial_pair(mat, face: List[int], obj: QuadraticObjective) -> Tuple[np.ndar
     spec = oracles.VertexList._of_atoms([atom for atom, _ in first.values()])
     # MNP ends on the exact minimizer of its final active set, so its FW
     # gap reaches rounding scale; this bound keeps |a - b| exact to ~1e-12.
-    scale = float(np.einsum("ij,ij->i", spec.matrix, spec.matrix).max())
+    scale = float(np.maximum.reduce(np.einsum("ij,ij->i", spec.matrix, spec.matrix)))
     config = solvers.SolverConfig(solvers.Variant.MNP, epsilon=1e-14 * scale)
     trace = solvers.solve(obj, spec, config)
     status = trace.config_echo["exit_status"]
@@ -222,7 +222,7 @@ def _facial_pair(mat, face: List[int], obj: QuadraticObjective) -> Tuple[np.ndar
         raise RuntimeError(f"facial distance of face {face} ended with {status}")
     it = trace.final_iterate
     i, j = np.divmod([first[atom_id][1] for atom_id in it.ids], len(others))  # row i * |others| + j
-    return it.w @ mat[face][i], it.w @ mat[others][j]
+    return it.w.dot(mat[face][i]), it.w.dot(mat[others][j])
 
 
 def _slab_bounds(faces, proj, facets, normals) -> List[Tuple[float, int]]:
@@ -270,7 +270,8 @@ def pwidth(atoms) -> WidthReport:
         if bound > best[0] * (1.0 + 1e-9):
             break
         a, b = _facial_pair(rel, _members(faces[index]), obj)
-        best, solved = min(best, (float(np.linalg.norm(a - b)), index, a, b)), solved + 1
+        gap = a - b  # its norm as np.linalg.norm forms it for a 1-d float array
+        best, solved = min(best, (float(np.sqrt(gap.dot(gap))), index, a, b)), solved + 1
     distance, index, a, b = best
     if not VALUE_FLOOR * _diameter(rel) < distance < np.inf:
         raise ValueError("a face touches the other atoms' hull; atom set may be degenerate")

@@ -291,8 +291,9 @@ class QuadraticState(ObjectiveState):
         self._release(it.ids)
 
     def _release(self, ids) -> None:
-        """Drop the cached images of the atoms outside ``ids``."""
-        self.images = {k: self.images[k] for k in ids if k in self.images}
+        """Drop the cached images of the atoms outside ``ids``; none are cached under Q = I."""
+        if self.images:
+            self.images = {k: self.images[k] for k in ids if k in self.images}
 
     def move_to(self, x: np.ndarray, Qx: np.ndarray) -> None:
         """Put the state at ``x``, whose image ``Q x`` is ``Qx``.  f halves x . Qx: the bits of
@@ -342,7 +343,7 @@ class QuadraticState(ObjectiveState):
                 self._grow(atom_id, point)
         if it.index(atom.id) is None:
             self._grow(atom.id, atom.point)
-        return self.corral[3], self.corral[1] @ self.b
+        return self.corral[3], self.corral[1].dot(self.b)
 
     def _grow(self, atom_id: bytes, point: np.ndarray) -> None:
         """Add an atom to the corral: its row, its image and one product for H's new row."""
@@ -353,7 +354,7 @@ class QuadraticState(ObjectiveState):
         images = None if image is point else np.concatenate((images, image[None]))
         grown = np.empty((len(rows), len(rows)))
         grown[:-1, :-1] = H
-        grown[-1] = grown[:, -1] = rows @ image
+        grown[-1] = grown[:, -1] = rows.dot(image)
         self.corral = ids + (atom_id,), rows, images, grown
 
     def corral_keep(self, keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -361,14 +362,14 @@ class QuadraticState(ObjectiveState):
         ids, rows, images, H = self.corral
         self.corral = (tuple(ids[i] for i in keep.tolist()), rows[keep],
                        None if images is None else images[keep], H[keep][:, keep])
-        return self.corral[3], self.corral[1] @ self.b
+        return self.corral[3], self.corral[1].dot(self.b)
 
     def corral_move(self, beta: np.ndarray) -> Tuple[Tuple[bytes, ...], np.ndarray, np.ndarray]:
         """Move to x = beta . rows, with ``Qx`` = beta . images and no product by Q, releasing
         the images outside the corral; returns its ids, its rows and x."""
         ids, rows, images, _ = self.corral
-        x = beta @ rows
-        self.move_to(x, x if images is None else beta @ images)
+        x = beta.dot(rows)
+        self.move_to(x, x if images is None else beta.dot(images))
         self._release(ids)
         return ids, rows, x
 

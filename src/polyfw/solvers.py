@@ -29,7 +29,8 @@ loop and both corrections run on the objective's per-solve state (``Objective.st
 through its methods alone.  On a quadratic a FW, away or pairwise step then costs
 O(k + d) with no product by Q, and the state owns the corral of the Wolfe major
 cycle (``_wolfe_step``) that both corrections share; this module keeps the minor
-cycle's logic: the affine minimizer, theta, the drops and the pass count.  FCFW
+cycle's logic: the affine minimizer, theta, the drops and the pass count, with
+products by ``ndarray.dot`` and reductions by ``np.*.reduce`` as on the step path.  FCFW
 takes its target value from the state and, after a stall, restores the state it
 saved before the failed cycle.  Besides the configuration and outcome, a trace's JSON
 header records ``inner_steps`` (summed over the corrections), ``lmo_calls``,
@@ -174,7 +175,7 @@ def fcfw_correction(
 
     fw_dir = s.point - it.x
     if np.any(fw_dir):
-        descent = -float(state.grad @ fw_dir)
+        descent = -float(state.grad.dot(fw_dir))
         gamma_fw = state.line_search(it, fw_dir, 1.0, descent, s)
         f_target = state.step_value(it, fw_dir, gamma_fw, descent)
     else:
@@ -185,9 +186,9 @@ def fcfw_correction(
     inner = 0
     while True:
         grad = state.grad
-        dots = matrix @ grad
+        dots = matrix.dot(grad)
         i_s = int(dots.argmin())
-        g_fw = float(grad @ z.x) - float(dots[i_s])
+        g_fw = float(grad.dot(z.x)) - float(dots[i_s])
         away = away_atom(z, grad)
         if g_fw <= eps and away[1] <= eps and state.value <= f_slack:
             break
@@ -199,7 +200,7 @@ def fcfw_correction(
         else:
             to_s = atoms[i_s].point - z.x
             step = _line_search_step(
-                Variant.AFW, z, grad, atoms[i_s], state, away, to_s, -float(grad @ to_s)
+                Variant.AFW, z, grad, atoms[i_s], state, away, to_s, -float(grad.dot(to_s))
             )
             z_next, passes = (None, 0) if step is None else (step[0], 1)
         if z_next is not None and not math.isfinite(state.value):
@@ -222,16 +223,21 @@ def _affine_minimizer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     m = H.shape[0]
     if m == 1:
         return np.array([1.0])
-    K = np.zeros((m + 1, m + 1))
+    K = np.empty((m + 1, m + 1))
     K[:m, :m] = H
     K[m, :m] = K[:m, m] = 1.0
-    rhs = np.concatenate([-g, [1.0]])
+    K[m, m] = 0.0
+    rhs = np.empty(m + 1)
+    np.negative(g, out=rhs[:m])
+    rhs[m] = 1.0
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSetError("singular affine system") from exc
-    scale = max(1.0, float(np.abs(K).max()), float(np.abs(sol).max()))
-    if not np.isfinite(sol).all() or np.abs(K @ sol - rhs).max() > 1e-7 * scale:
+    high = np.maximum.reduce
+    sol_max = float(high(np.abs(sol)))  # NaN or inf unless every entry is finite
+    scale = max(1.0, float(high(np.abs(K), axis=None)), sol_max)
+    if not sol_max < math.inf or high(np.abs(K.dot(sol) - rhs)) > 1e-7 * scale:
         raise DegenerateActiveSetError("affine system solved with a large residual")
     return sol[:m]
 
@@ -257,16 +263,19 @@ def _wolfe_step(state: ObjectiveState, it: ActiveIterate, atom: Atom) -> Tuple[A
     while True:
         passes += 1
         lam = _affine_minimizer(H, g)
-        if lam.min() > _INTERIOR_TOL:
+        if np.minimum.reduce(lam) > _INTERIOR_TOL:
             break
         negative = lam < 0
-        theta = float((beta[negative] / (beta[negative] - lam[negative])).min(initial=1.0))
+        moving = beta[negative]
+        ratios = moving / (moving - lam[negative])
+        theta = float(np.minimum.reduce(ratios, initial=1.0))
         beta = (1.0 - theta) * beta + theta * lam
         beta = np.where(beta < 0, 0.0, beta)
         keep = (beta > _INTERIOR_TOL).nonzero()[0]  # drops the atom that set theta
-        beta = beta[keep] / beta[keep].sum()
+        beta = beta[keep]
+        beta /= np.add.reduce(beta)
         H, g = state.corral_keep(keep)
-    beta = lam / lam.sum()
+    beta = lam / np.add.reduce(lam)
     ids, rows, x = state.corral_move(beta)
     return ActiveIterate(ids, rows, beta, x), passes
 

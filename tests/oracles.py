@@ -248,6 +248,29 @@ def corral_reference(Q, it):
     return rows, images, rows @ images.T
 
 
+def affine_minimizer_reference(H, g):
+    """The barycentric affine minimizer as first written: a zero-filled K, a concatenated
+    right-hand side, and its checks through ``@`` and ``ndarray.max``.  Raises
+    ``DegenerateActiveSetError`` where ``solvers._affine_minimizer`` must, with its message."""
+    from polyfw.solvers import DegenerateActiveSetError
+
+    m = H.shape[0]
+    if m == 1:
+        return np.array([1.0])
+    K = np.zeros((m + 1, m + 1))
+    K[:m, :m] = H
+    K[m, :m] = K[:m, m] = 1.0
+    rhs = np.concatenate([-g, [1.0]])
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateActiveSetError("singular affine system") from exc
+    scale = max(1.0, float(np.abs(K).max()), float(np.abs(sol).max()))
+    if not np.isfinite(sol).all() or np.abs(K @ sol - rhs).max() > 1e-7 * scale:
+        raise DegenerateActiveSetError("affine system solved with a large residual")
+    return sol[:m]
+
+
 def pdirw_bruteforce(atoms, r, x):
     """Pyramidal directional width by enumerating every active set.
 

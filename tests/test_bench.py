@@ -72,6 +72,12 @@ def test_gen_lasso_rejects_oversparse():
         gen_lasso(10, 5, 6, 0.1, 0)
 
 
+def test_gen_lasso_rejects_an_empty_dimension():
+    for m, n in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            gen_lasso(m, n, 0, 0.1, 0)
+
+
 def test_gen_lasso_noiseless_recovery():
     obj, spec = gen_lasso(25, 40, 4, 0.0, 3)
     trace = solve(obj, spec, SolverConfig(Variant.AFW, epsilon=1e-8, max_iter=3000))
@@ -472,6 +478,12 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="pi/2"):
         ExperimentConfig("x", {"kind": "triangle", "thetas": [2.0], "n_starts": 5,
                                "rng_seed": 1}, ["AFW"])
+    with pytest.raises(ValueError, match="n_starts >= 1"):
+        ExperimentConfig("x", {"kind": "triangle", "thetas": [0.5], "n_starts": 0,
+                               "rng_seed": 1}, ["AFW"])
+    for name in ("", "   "):
+        with pytest.raises(ValueError, match="name must be nonempty"):
+            ExperimentConfig(name, {"kind": "lasso", "m": 5, "n": 9, "k": 2}, ["AFW"])
     with pytest.raises(ValueError, match="variants"):
         ExperimentConfig("x", {"kind": "lasso", "m": 5, "n": 9, "k": 2}, [])
     with pytest.raises(ValueError, match="epsilon"):

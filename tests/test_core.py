@@ -495,7 +495,7 @@ import ast  # noqa: E402
 import inspect  # noqa: E402
 import textwrap  # noqa: E402
 
-from polyfw import solvers  # noqa: E402
+from polyfw import geometry, solvers  # noqa: E402
 from polyfw.core import _AtomStore, _move  # noqa: E402
 from polyfw.objectives import IdentityState, QuadraticState  # noqa: E402
 from polyfw.oracles import VertexList  # noqa: E402
@@ -569,6 +569,24 @@ def test_store_rows_dot_is_matmul_bit_for_bit(k, d, seed, scale):
     assert rows.dot(vec).tobytes() == (rows @ vec).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 130), d=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+       scale=st.integers(-30, 30))
+def test_vector_dot_rows_is_matmul_bit_for_bit(k, d, seed, scale):
+    """``corral_move``'s product: a weight vector times the corral's rows, as ``@`` gives it."""
+    points = _operands(seed, (k * (d + 1),), scale)
+    rows, weights = points[: k * d].reshape(k, d), points[k * d :]
+    assert weights.dot(rows).tobytes() == (weights @ rows).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), scale=st.integers(-30, 30))
+def test_sqrt_of_self_dot_is_norm_bit_for_bit(n, seed, scale):
+    """``pwidth``'s distance: the square root of v . v has ``np.linalg.norm(v)``'s bits."""
+    (v,) = _operands(seed, (1, n), scale)
+    assert np.float64(np.sqrt(v.dot(v))).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+
+
 def test_store_keeps_its_rows_and_doubles_on_the_first_append():
     """A new iterate's store is the rows it was given, made read-only; the first append
     doubles it, and the rows already there keep their positions and products."""
@@ -619,16 +637,34 @@ STEP_PATH = [
 ]
 
 
-@pytest.mark.parametrize("func", STEP_PATH, ids=lambda f: f.__qualname__)
-def test_step_path_makes_no_matmul(func):
-    """Keeps ``@`` and its ``np.matmul`` dispatch off the FW/AFW/PFW step path."""
+CORRECTION_PATH = [
+    solvers.fcfw_correction, solvers._wolfe_step, solvers._affine_minimizer,
+    solvers.mnp_correction, QuadraticState.corral_with, QuadraticState._grow,
+    QuadraticState.corral_keep, QuadraticState.corral_move, geometry._facial_pair,
+    geometry.pwidth,
+]
+
+
+def _assert_no_matmul(func, path):
     tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
     matmuls = [node.lineno for node in ast.walk(tree)
                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
     assert not matmuls, (
         f"{func.__module__}.{func.__qualname__} uses @ (lines {matmuls} of its source): "
-        "products on the step path use ndarray.dot, see the polyfw.core module docstring"
+        f"products on the {path} use ndarray.dot, see the polyfw.core module docstring"
     )
+
+
+@pytest.mark.parametrize("func", STEP_PATH, ids=lambda f: f.__qualname__)
+def test_step_path_makes_no_matmul(func):
+    """Keeps ``@`` and its ``np.matmul`` dispatch off the FW/AFW/PFW step path."""
+    _assert_no_matmul(func, "step path")
+
+
+@pytest.mark.parametrize("func", CORRECTION_PATH, ids=lambda f: f.__qualname__)
+def test_correction_path_makes_no_matmul(func):
+    """Keeps ``@`` off Wolfe's cycle, FCFW's inner loop and ``pwidth``'s facial problems."""
+    _assert_no_matmul(func, "correction path")
 
 
 def _self_writes(method):

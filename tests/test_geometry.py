@@ -338,6 +338,13 @@ def test_pwidth_refuses_a_face_that_touches_the_other_atoms(monkeypatch):
         pwidth(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1 / 3, 2 / 3]]))
 
 
+@pytest.mark.parametrize("atoms", [[0.0, 1.0], np.zeros((0, 2)), []],
+                         ids=["1d", "no_rows", "empty"])
+def test_pwidth_refuses_an_atom_set_that_is_no_nonempty_matrix(atoms):
+    with pytest.raises(ValueError, match="nonempty 2-d matrix"):
+        pwidth(atoms)
+
+
 def test_pwidth_scale_covariant():
     atoms = points_of(Simplex(3))
     base = pwidth(atoms).pwidth_estimate

@@ -303,6 +303,9 @@ def test_quadratic_rejects_inputs_of_the_wrong_shape():
         QuadraticObjective(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError, match=r"y has shape \(3,\), but A has shape \(4, 2\)"):
         QuadraticObjective.least_squares(np.ones((4, 2)), np.ones(3))
+    for x in (np.zeros(1), np.zeros((2, 1)), 0.0):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            QuadraticObjective(np.eye(2), np.zeros(2)).value(x)
     with pytest.raises(ValueError, match=r"A has shape \(4,\)"):
         QuadraticObjective.least_squares(np.ones(4), np.ones(4))
 

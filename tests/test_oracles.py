@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +206,9 @@ def test_base_polytope_enumerated_once():
 def test_enumeration_cap_enforced():
     with pytest.raises(EnumerationError):
         Cube(15).enumerate_atoms()
+    assert math.factorial(8) > ENUMERATION_CAP  # the greedy orderings of a base polytope
+    with pytest.raises(EnumerationError, match="too many greedy orderings"):
+        BasePolytope(8, cardinality_cap(3.0)).enumerate_atoms()
 
 
 def test_direct_enumeration_checks_the_cap_before_building_atoms():
@@ -273,6 +277,23 @@ def test_vertexlist_rejects_nonfinite_atoms():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             VertexList([[0.0, 1.0], [bad, 0.0]])
+
+
+def test_vertexlist_rejects_a_matrix_that_is_not_2d_or_has_no_rows():
+    for atoms in ([0.0, 1.0], np.zeros((0, 3)), []):
+        with pytest.raises(ValueError, match="2-d with at least one row"):
+            VertexList(atoms)
+
+
+def test_base_polytope_with_a_callable_has_no_json_form():
+    with pytest.raises(ValueError, match="no JSON form"):
+        BasePolytope(3, cardinality_cap(2.0)).to_json()
+
+
+def test_spec_from_json_rejects_an_unknown_submodular_family():
+    doc = {"variant": "basepoly", "n": 3, "function": {"kind": "modular", "cap": 2}}
+    with pytest.raises(ValueError, match="unknown submodular family 'modular'"):
+        spec_from_json(doc)
 
 
 def test_vertexlist_returns_its_prebuilt_atoms():

@@ -123,6 +123,32 @@ def test_pfw_step_uses_away_weight_as_cap():
     assert np.allclose(d, s.point - b.point)
 
 
+def test_pfw_snapped_drop_records_a_zero_gamma_and_resyncs():
+    """A PFW step whose line search returns gamma at most ``WEIGHT_FLOOR`` from an away weight
+    within ``GAMMA_SNAP`` of it snaps to the whole weight: the away atom leaves (a swap), the
+    record keeps gamma 0.0, and the state resyncs on the re-synthesized iterate."""
+    from polyfw.core import GAMMA_SNAP, WEIGHT_FLOOR
+
+    a, v, s = Atom([0.0, 0.0]), Atom([1.0, 0.0]), Atom([1.0, 1.0])
+    it = ActiveIterate([a.id, v.id], np.stack([a.point, v.point]), [1.0 - 5e-13, 5e-13])
+    assert WEIGHT_FLOOR < it.w[1] <= GAMMA_SNAP
+    curvature = 1e12
+    target = it.x - np.array([1.0, -1e-3]) / curvature  # the gradient at x is (1, -1e-3)
+    obj = QuadraticObjective(curvature * np.eye(2), -curvature * target)
+    state = obj.start(it)
+    grad, fw_dir = state.grad, s.point - it.x
+    away = away_atom(it, grad)
+    assert it.ids[away[0]] == v.id
+    # the exact step 1e-3 / 1e12 along s - v is below the floor
+    assert obj.line_search(it.x, s.point - v.point, 5e-13) <= WEIGHT_FLOOR
+    nxt, kind, gamma, gamma_max = _line_search_step(
+        Variant.PFW, it, grad, s, state, away, fw_dir, -float(grad.dot(fw_dir))
+    )
+    assert kind is StepKind.SWAP and gamma == 0.0 and gamma_max == it.w[1]
+    assert nxt.ids == (a.id, s.id) and nxt.synced
+    assert state.resyncs == 1
+
+
 def test_solve_rejects_a_non_finite_gradient_and_a_bad_x0():
     class Broken(Objective):
         dimension = 2
@@ -145,6 +171,52 @@ def test_affine_minimizer_refuses_a_non_finite_solution():
 
     with pytest.raises(DegenerateActiveSetError, match="large residual"):
         _affine_minimizer(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_fcfw_correction_toward_its_one_atom_targets_f_itself(monkeypatch):
+    """With s the iterate's only atom there is no FW direction, so the target value is f at
+    the iterate; every gap is 0 and the correction returns the iterate with no inner step
+    and no major cycle."""
+    import polyfw.solvers as solvers
+
+    def no_cycle(*args):
+        raise AssertionError("the correction ran a major cycle")
+
+    monkeypatch.setattr(solvers, "_wolfe_step", no_cycle)
+    s = Atom([1.0, 0.0, 0.0])
+    it = ActiveIterate.from_atom(s)
+    for obj in (QuadraticObjective.distance_to(np.array([0.2, 0.3, 0.5])),
+                QuadraticObjective(np.diag([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.0]))):
+        state = obj.start(it)
+        f = state.value
+        result = fcfw_correction(state, it, s, 1e-10)
+        assert result.iterate is it and result.inner_steps == 0
+        assert result.post_away_gap == 0.0 and state.value == f
+
+
+def _assert_affine_minimizer_is_its_reference(H, g):
+    """``_affine_minimizer(H, g)`` returns the reference's bytes, or raises as it does."""
+    from polyfw.solvers import _affine_minimizer
+
+    try:
+        expect = ref.affine_minimizer_reference(H, g)
+    except DegenerateActiveSetError as exc:
+        with pytest.raises(DegenerateActiveSetError) as raised:
+            _affine_minimizer(H, g)
+        assert str(raised.value) == str(exc)
+        return "raised"
+    assert _affine_minimizer(H, g).tobytes() == expect.tobytes()
+    return "solved"
+
+
+@pytest.mark.parametrize("H, g", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2)),  # a non-finite solution
+    (np.diag([1e-308, 1e-308]), np.array([1.0, -1.0])),  # infinite weights, no NaN
+    (np.ones((2, 2)), np.zeros(2)),  # one atom twice: K has two equal rows
+    (np.ones((3, 3)), np.array([1.0, -2.0, 0.5])),
+])
+def test_affine_minimizer_raises_as_its_reference(H, g):
+    assert _assert_affine_minimizer_is_its_reference(H, g) == "raised"
 
 
 def test_interior_optimum_on_simplex():
@@ -1248,6 +1320,21 @@ def test_fcfw_converges_at_small_epsilon(case):
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 12), d=st.integers(1, 12), repeat=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), scale=st.integers(-30, 30))
+def test_affine_minimizer_is_its_reference_bit_for_bit(m, d, repeat, seed, scale):
+    """On the Gram matrix of m random rows in R^d, full rank or not (d < m, or a row
+    repeated), at scales 2^-30 to 2^30, ``_affine_minimizer`` returns the first-written
+    reference's bytes, or raises with its message."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, d)) * 2.0 ** scale
+    if repeat:
+        rows[-1] = rows[0]
+    b = rng.standard_normal(d) * 2.0 ** scale
+    _assert_affine_minimizer_is_its_reference(rows @ rows.T, rows @ b)
 
 
 @st.composite
