@@ -7,11 +7,14 @@ a single d x d array beyond its input, which first holds |Q - Q^T| for
 the symmetry test and then becomes the stored (Q + Q^T) / 2 (halved before
 the sum when an entry is large enough for the sum to overflow); the
 caller's Q is read, never kept or written (``least_squares`` doubles its
-fresh A^T A in place).  Q is positive semidefinite when its smallest
-eigenvalue is at least -1e-10 * max(1, |lambda_max|), a bound relative
-to Q's scale, since rounding is.  A generic objective
-only needs value/gradient; its line search bisects on the sign of the
-slope, so it resolves steps whose decrease is below the rounding of f.
+fresh A^T A in place).  A Q with the identity's bytes is kept as the
+read-only O(d) view ``_identity``, which ``distance_to`` builds directly, so
+L = mu = 1 need no eigvalsh; the generic methods' products by it run numpy's
+strided loop, which no solve calls.  Q is positive semidefinite when its
+smallest eigenvalue is at least -1e-10 * max(1, |lambda_max|), a bound
+relative to Q's scale, since rounding is.  A generic objective only needs
+value/gradient; its line search bisects on the sign of the slope, so it
+resolves steps whose decrease is below the rounding of f.
 
 ``Objective.start(it)`` opens the per-solve state that the solver loop
 and its FCFW/MNP corrections run on.  The generic state re-evaluates
@@ -25,9 +28,8 @@ the line search its descent <-grad, d>, so a step computes it once; f
 is evaluated afresh at each point.  The state also owns the corral of the
 FCFW/MNP corrections' Wolfe major cycle (the atoms' rows, images and Gram
 matrix H), moves over it with no product by Q, and gives FCFW its target
-in closed form.  A quadratic whose stored Q is exactly the identity (every
-distance objective) opens ``IdentityState`` instead: each point is its own
-image, so it keeps no images and makes no product by Q.
+in closed form.  An identity Q (every distance objective) opens
+``IdentityState``: each point is its own image, so it keeps no images.
 """
 
 from __future__ import annotations
@@ -168,12 +170,12 @@ class QuadraticObjective(Objective):
         else:  # halves first: the same bits unless a half is subnormal
             np.multiply(Q, 0.5, out=sym)
             sym += 0.5 * Q.T
-        self.Q = sym
+        diag, bits = sym.diagonal(), sym.view(np.uint64)  # views: the test allocates nothing
+        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(bits) == len(b)
+        self.Q = _identity(len(b)) if self._identity else sym
         self.b = b
         self.c = float(c)
         self.dimension = Q.shape[0]
-        diag = sym.diagonal()  # a view: the identity test allocates nothing
-        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(sym) == len(b)
         self._eigenvalues: Optional[np.ndarray] = None
 
     @classmethod
@@ -191,15 +193,23 @@ class QuadraticObjective(Objective):
 
     @classmethod
     def distance_to(cls, target) -> "QuadraticObjective":
-        """f(x) = 1/2 ||x - target||^2."""
+        """f(x) = 1/2 ||x - target||^2, built in O(d): Q is the read-only ``_identity`` view."""
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 1:
             raise ValueError(f"target has shape {target.shape}; it must be a vector")
-        return cls(np.eye(target.shape[0]), -target, 0.5 * float(target @ target))
+        d, c = target.shape[0], 0.5 * float(target @ target)
+        if d == 0:
+            raise ValueError("Q has shape (0, 0); it must be at least 1x1")
+        if not (np.isfinite(target).all() and np.isfinite(c)):
+            raise ValueError("Q, b and c must be finite")
+        obj = cls.__new__(cls)
+        obj.Q, obj.b, obj.c, obj.dimension = _identity(d), -target, c, d
+        obj._identity, obj._eigenvalues = True, None
+        return obj
 
     def _eigh(self) -> np.ndarray:
         if self._eigenvalues is None:
-            eig = np.linalg.eigvalsh(self.Q)
+            eig = np.ones(self.dimension) if self._identity else np.linalg.eigvalsh(self.Q)
             if eig[0] < -1e-10 * max(1.0, abs(eig[-1])):  # relative: rounding scales with Q
                 raise ValueError(f"Q has negative eigenvalue {eig[0]} (largest {eig[-1]})")
             self._eigenvalues = eig
@@ -246,6 +256,12 @@ class QuadraticObjective(Objective):
         d = np.asarray(d, dtype=np.float64)
         _check_search_args(self, x, d, gamma_max)
         return _exact_step(-float(self.gradient(x) @ d), float(d @ (self.Q @ d)), gamma_max)
+
+
+def _identity(d: int) -> np.ndarray:
+    """I as a read-only (d, d) view of its 2d - 1 diagonals: (i, j) reads offset j - i's."""
+    buf = (np.arange(1 - d, d) == 0).astype(np.float64)  # 1 at offset 0, index d - 1
+    return np.lib.stride_tricks.as_strided(buf[d - 1 :], (d, d), (-8, 8), writeable=False)
 
 
 def _exact_step(descent: float, curvature: float, gamma_max: float) -> float:

@@ -54,6 +54,7 @@ from polyfw.core import (
     Atom,
     RunTrace,
     StepKind,
+    _AtomStore,
     apply_away_step,
     apply_fw_step,
     apply_pairwise_step,
@@ -277,7 +278,10 @@ def _wolfe_step(state: ObjectiveState, it: ActiveIterate, atom: Atom) -> Tuple[A
         H, g = state.corral_keep(keep)
     beta = lam / np.add.reduce(lam)
     ids, rows, x = state.corral_move(beta)
-    return ActiveIterate(ids, rows, beta, x), passes
+    out = ActiveIterate.__new__(ActiveIterate)  # __init__'s fields, without its copies and checks
+    out.ids, out.w, out.x, out._store = ids, beta, x, _AtomStore(ids, rows)
+    out._rows, out._steps_since_sync, out._w_low = np.arange(len(ids)), 0, min(beta.tolist())
+    return out, passes
 
 
 def mnp_correction(state: ObjectiveState, it: ActiveIterate, s: Atom) -> CorrectionResult:

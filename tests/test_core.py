@@ -495,7 +495,7 @@ import ast  # noqa: E402
 import inspect  # noqa: E402
 import textwrap  # noqa: E402
 
-from polyfw import geometry, solvers  # noqa: E402
+from polyfw import geometry, objectives, solvers  # noqa: E402
 from polyfw.core import _AtomStore, _move  # noqa: E402
 from polyfw.objectives import IdentityState, QuadraticState  # noqa: E402
 from polyfw.oracles import VertexList  # noqa: E402
@@ -659,6 +659,15 @@ def _assert_no_matmul(func, path):
 def test_step_path_makes_no_matmul(func):
     """Keeps ``@`` and its ``np.matmul`` dispatch off the FW/AFW/PFW step path."""
     _assert_no_matmul(func, "step path")
+
+
+def test_objectives_builds_no_dense_identity():
+    """Q = I is held as the O(d) ``objectives._identity`` view: the module never builds a
+    d x d identity with ``np.eye`` or ``np.identity``."""
+    tree = ast.parse(inspect.getsource(objectives))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("eye", "identity")]
+    assert not calls, f"polyfw.objectives builds a dense identity at lines {calls}"
 
 
 @pytest.mark.parametrize("func", CORRECTION_PATH, ids=lambda f: f.__qualname__)

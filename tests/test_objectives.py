@@ -207,6 +207,12 @@ def test_quadratic_rejects_non_finite_data():
             QuadraticObjective(Q, b, c)
     with pytest.raises(ValueError, match="finite"):  # inf in y makes b and c infinite
         QuadraticObjective.least_squares([[1.0, 2.0], [3.0, 4.0]], [np.inf, 0.0])
+    for target in ([0.0, np.inf], [np.nan, 1.0]):  # distance_to's own check, same message
+        with pytest.raises(ValueError, match="^Q, b and c must be finite$"):
+            QuadraticObjective.distance_to(target)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # c = ||t||^2 / 2 is not finite
+        with pytest.raises(ValueError, match="^Q, b and c must be finite$"):
+            QuadraticObjective.distance_to([1e200, 0.0])
 
 
 def _layouts(rng):
@@ -251,19 +257,60 @@ def test_least_squares_q_is_twice_the_gram_matrix_bit_for_bit():
 
 def test_quadratic_construction_allocates_one_d_by_d_buffer():
     """Beyond its input, building the objective holds one d x d float64 array at its peak:
-    the symmetry test and the symmetric part share it, and the identity test adds none."""
+    the symmetry test and the symmetric part share it, and the identity test adds none.
+    An identity ends holding no d x d array: its buffer gives way to the O(d) view."""
     d = 400
     b = np.zeros(d)
-    for Q in (_symmetric(np.random.default_rng(309), d), np.eye(d)):
+    for Q, identity in ((_symmetric(np.random.default_rng(309), d), False), (np.eye(d), True)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             obj = QuadraticObjective(Q, b)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert obj.Q.nbytes == 8 * d * d
         assert peak <= 1.1 * 8 * d * d
+        assert held <= 64 * d if identity else held >= 8 * d * d
+
+
+def test_an_identity_q_is_held_in_o_of_d():
+    """``distance_to`` builds no d x d array (np.eye(2000) alone is 32 MB), and an explicit
+    identity keeps none: both hold Q as a read-only view with np.eye(d)'s bytes.  A -0.0 off
+    the diagonal is not the identity byte for byte, so that Q keeps its own buffer."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        QuadraticObjective.distance_to(np.zeros(2000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for d in (1, 2, 5, 64, 385):
+        for obj in (QuadraticObjective.distance_to(np.ones(d)),
+                    QuadraticObjective(np.eye(d), np.ones(d))):
+            assert obj.Q.shape == (d, d) and obj.Q.tobytes() == np.eye(d).tobytes()
+            assert not obj.Q.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                obj.Q[0, 0] = 2.0
+    Q = np.eye(3)
+    Q[0, 2] = Q[2, 0] = -0.0
+    obj = QuadraticObjective(Q, np.zeros(3))
+    assert obj.Q.flags.owndata and obj.Q.flags.writeable and obj.Q.tobytes() == Q.tobytes()
+
+
+def test_identity_constants_need_no_eigendecomposition(monkeypatch):
+    """L = mu = 1 for Q = I without eigvalsh, whose bytes ``np.ones(d)`` are."""
+    for d in (1, 2, 3, 10, 100):
+        obj = QuadraticObjective.distance_to(np.zeros(d))
+        assert obj._eigh().tobytes() == np.linalg.eigvalsh(np.eye(d)).tobytes()
+
+    def no_eigvalsh(Q):
+        raise AssertionError("eigvalsh called on an identity")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for obj in (QuadraticObjective.distance_to(np.ones(7)), QuadraticObjective(np.eye(7), np.ones(7))):
+        assert obj.smoothness == obj.strong_convexity == 1.0
 
 
 def test_quadratic_at_the_scale_edge_stores_a_finite_q():
@@ -293,10 +340,12 @@ def test_psd_check_is_relative_to_the_largest_eigenvalue():
 def test_quadratic_rejects_inputs_of_the_wrong_shape():
     with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
         QuadraticObjective(np.zeros((0, 0)), np.zeros(0))
-    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+    with pytest.raises(ValueError, match=r"^Q has shape \(0, 0\); it must be at least 1x1$"):
         QuadraticObjective.distance_to(np.zeros(0))
-    with pytest.raises(ValueError, match=r"shape \(\)"):
+    with pytest.raises(ValueError, match=r"^target has shape \(\); it must be a vector$"):
         QuadraticObjective.distance_to(1.0)
+    with pytest.raises(ValueError, match=r"^target has shape \(2, 2\); it must be a vector$"):
+        QuadraticObjective.distance_to(np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
         QuadraticObjective(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError, match=r"b has shape \(3,\), but Q has shape \(2, 2\)"):
@@ -350,6 +399,27 @@ def test_image_matches_the_dense_product(d, support, seed):
         assert img.tobytes() == dense.tobytes()
     point[nz] = 1.0
     assert _image(np.eye(d), point).tobytes() == (np.eye(d) @ point).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 40), data=st.data())
+def test_the_identity_view_computes_as_a_dense_eye(d, data):
+    """The generic methods read the ``_identity`` view's bytes as they read np.eye(d)'s,
+    signed zeros and subnormals included, on finite inputs small enough not to overflow."""
+    vector = st.lists(st.floats(-1e100, 1e100), min_size=d, max_size=d).map(np.array)
+    target, x, direction = data.draw(vector), data.draw(vector), data.draw(vector)
+    obj = QuadraticObjective.distance_to(target)
+    dense = QuadraticObjective.distance_to(target)
+    dense.Q = np.eye(d)
+    bits = np.float64
+    assert bits(obj.value(x)).tobytes() == bits(dense.value(x)).tobytes()
+    assert obj.gradient(x).tobytes() == dense.gradient(x).tobytes()
+    (v, g), (dense_v, dense_g) = obj.value_and_gradient(x), dense.value_and_gradient(x)
+    assert bits(v).tobytes() == bits(dense_v).tobytes() and g.tobytes() == dense_g.tobytes()
+    if direction.any():
+        gamma_max = data.draw(st.floats(1e-300, 1e300))
+        step, dense_step = (f.line_search(x, direction, gamma_max) for f in (obj, dense))
+        assert bits(step).tobytes() == bits(dense_step).tobytes()
 
 
 def _general_state(monkeypatch):

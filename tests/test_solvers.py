@@ -880,6 +880,38 @@ def test_fcfw_runs_no_cycle_from_its_own_cycle_iterate_toward_one_of_its_atoms(
     assert trace.config_echo["exit_status"] in ("converged", "stall")
 
 
+@pytest.mark.parametrize("case", [_lasso_case, _simplex_case], ids=["lasso", "simplex"])
+def test_wolfe_step_builds_the_iterate_init_would(case, monkeypatch):
+    """``_wolfe_step`` fills its result through ``ActiveIterate.__new__``, skipping
+    ``__init__``'s copies and checks: every field, and its bits, is what
+    ``ActiveIterate(ids, rows, w, x)`` gives over the corral's own (now read-only) rows."""
+    import polyfw.solvers as solvers
+
+    wolfe, seen = solvers._wolfe_step, []
+
+    def checking(state, it, atom):
+        out, passes = wolfe(state, it, atom)
+        store = out._store
+        built = ActiveIterate(out.ids, store.rows, out.w, out.x)
+        assert type(out.ids) is tuple and out.ids == built.ids
+        for name in ("w", "x", "_rows"):
+            mine, theirs = getattr(out, name), getattr(built, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert (out._steps_since_sync, out._w_low) == (built._steps_since_sync, built._w_low)
+        assert (store.size, store.row_of, store.at) == (
+            built._store.size, built._store.row_of, built._store.at)
+        assert not store.rows.flags.writeable
+        out.check()
+        seen.append(passes)
+        return out, passes
+
+    monkeypatch.setattr(solvers, "_wolfe_step", checking)
+    obj, spec = case()
+    for variant in (Variant.MNP, Variant.FCFW):
+        solve(obj, spec, SolverConfig(variant, epsilon=1e-10, max_iter=40))
+    assert len(seen) > 10 and max(seen) > 1  # minor cycles that drop atoms ran too
+
+
 def test_fcfw_stall_restores_the_state_saved_before_the_cycle(monkeypatch):
     """A major cycle that raises f makes FCFW return the iterate it started from, with the
     state saved before that cycle put back by reference: f, the gradient, ``Qx`` and the
