@@ -253,10 +253,12 @@ def fit_rate(
     ``floor`` (or nonpositive value), and the fit runs over the middle
     60% of the truncated series, or all of it when that leaves fewer than
     10 points; the result's ``window`` is that range in truncated indices.
-    A non-finite ``f_star`` or value in the column fitted raises ``ValueError``.
+    A non-finite ``f_star``, ``floor`` or value in the column fitted raises ``ValueError``.
     """
     if quantity not in RATE_QUANTITIES:
         raise ValueError(f"quantity must be one of {RATE_QUANTITIES}")
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
     column = "f_value" if quantity == "f_gap_to_opt" else "fw_gap"
     if not all(map(math.isfinite, trace.columns[column])):
         raise ValueError(f"the trace's {column} column holds a non-finite value")

@@ -164,8 +164,10 @@ class ActiveIterate:
     atom sum within ``DRIFT_LIMIT`` in infinity norm.  ``_w_low`` is a
     lower bound on the smallest weight: exact when an iterate is built,
     carried through each step by ``_move``.  Instances are value-like:
-    step operations return new iterates, and no method but ``__init__``
-    writes to an iterate or its arrays.
+    step operations return new iterates, and only three functions of this
+    module write an iterate's slots or arrays: ``__init__`` copies and checks,
+    ``_adopt`` (Wolfe's major cycle, ``from_atom``) keeps the arrays it is
+    handed, and ``_move`` builds each stepped iterate.
     """
 
     __slots__ = ("ids", "w", "x", "_store", "_rows", "_steps_since_sync", "_w_low")
@@ -174,22 +176,30 @@ class ActiveIterate:
         """Iterate with atoms ``points[i]`` (id ``ids[i]``) at weights ``w[i]``.
 
         ``x`` defaults to the weighted atom sum; C-ordered float64 ``points`` are kept uncopied
-        and read-only.  Nothing is validated here; ``check()`` tests the invariants.
+        and read-only.  Only the shapes are checked here; ``check()`` tests the invariants.
         """
-        self.ids: Tuple[bytes, ...] = tuple(ids)
+        ids, w = tuple(ids), np.array(w, dtype=np.float64)
         points = np.ascontiguousarray(points, dtype=np.float64)
-        self.w = np.array(w, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(self.ids) or self.w.shape != (len(self.ids),):
+        if points.ndim != 2 or points.shape[0] != len(ids) or w.shape != (len(ids),):
             raise ValueError("ids, points and weights must have one entry per atom")
-        self._store = _AtomStore(self.ids, points)
-        self._rows = np.arange(len(self.ids))
-        self._steps_since_sync = 0
-        self._w_low = min(self.w.tolist(), default=math.inf)
+        self.ids, self.w, self._store = ids, w, _AtomStore(ids, points)
+        self._rows, self._steps_since_sync = np.arange(len(ids)), 0
+        self._w_low = min(w.tolist(), default=math.inf)
         self.x = self.synthesize() if x is None else np.asarray(x, dtype=np.float64)
 
     @classmethod
+    def _adopt(cls, ids: Tuple[bytes, ...], rows: np.ndarray, w: np.ndarray,
+               x: np.ndarray) -> "ActiveIterate":
+        """``__init__``'s iterate from a tuple of ids, C-ordered float64 ``rows`` (made
+        read-only), float64 weights and x, all uncopied and unchecked, like ``Atom._adopt``."""
+        it = cls.__new__(cls)
+        it.ids, it.w, it.x, it._store = ids, w, x, _AtomStore(ids, rows)
+        it._rows, it._steps_since_sync, it._w_low = np.arange(len(ids)), 0, min(w.tolist())
+        return it
+
+    @classmethod
     def from_atom(cls, atom: Atom) -> "ActiveIterate":
-        return cls((atom.id,), atom.point[None, :], [1.0], atom.point.copy())
+        return cls._adopt((atom.id,), atom.point[None, :], np.ones(1), atom.point.copy())
 
     @classmethod
     def from_weights(cls, pairs: Mapping[Atom, float]) -> "ActiveIterate":
@@ -301,11 +311,8 @@ def _move(
     makes the bound exact again.
     """
     ids, rows, store, low = it.ids, it._rows, it._store, it._w_low
-    scale = 1.0 + gamma * ((s is None) - (j is None))
-    if scale != 1.0:
-        w, low = it.w * scale, low * scale
-    else:
-        w = it.w.copy()  # a pairwise step only copies
+    scale = 1.0 + gamma * ((s is None) - (j is None))  # 1.0 for a pairwise step: a copy
+    w, low = it.w * scale, low * scale
     if j is not None:
         w[j] -= gamma
         if not drop:

@@ -2,15 +2,17 @@
 
 The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
-and strong-convexity constants are eigenvalues.  Building one allocates
-a single d x d array beyond its input, which first holds |Q - Q^T| for
-the symmetry test and then becomes the stored (Q + Q^T) / 2 (halved before
+and strong-convexity constants are eigenvalues.  The constructor first
+tests the caller's Q, on views, for the identity's bytes: such a Q is held
+as the read-only O(d) view ``_identity`` with eigenvalues of ones, so it
+builds no d x d array and L = mu = 1 need no eigvalsh (``distance_to`` is
+the constructor on that view); the generic methods' products by it run
+numpy's strided loop, which no solve calls.  Any other Q allocates a
+single d x d array beyond its input, which first holds |Q - Q^T| for the
+symmetry test and then becomes the stored (Q + Q^T) / 2 (halved before
 the sum when an entry is large enough for the sum to overflow); the
 caller's Q is read, never kept or written (``least_squares`` doubles its
-fresh A^T A in place).  A Q with the identity's bytes is kept as the
-read-only O(d) view ``_identity``, which ``distance_to`` builds directly, so
-L = mu = 1 need no eigvalsh; the generic methods' products by it run numpy's
-strided loop, which no solve calls.  Q is positive semidefinite when its
+fresh A^T A in place).  Q is positive semidefinite when its
 smallest eigenvalue is at least -1e-10 * max(1, |lambda_max|), a bound
 relative to Q's scale, since rounding is.  A generic objective only needs
 value/gradient; its line search bisects on the sign of the slope, so it
@@ -156,27 +158,28 @@ class QuadraticObjective(Objective):
             raise ValueError("Q has shape (0, 0); it must be at least 1x1")
         if b.shape != (Q.shape[0],):
             raise ValueError(f"b has shape {b.shape}, but Q has shape {Q.shape}")
-        hi, lo = float(Q.max()), float(Q.min())  # NaN propagates, so both are finite iff Q is
+        d, diag, bits = len(b), Q.diagonal(), Q.view(np.uint64)  # views: the test allocates none
+        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(bits) == d
+        # NaN propagates through max and min, so both are finite iff Q is
+        hi, lo = (1.0, 0.0) if self._identity else (float(Q.max()), float(Q.min()))
         if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(b).all() and np.isfinite(c)):
             raise ValueError("Q, b and c must be finite")
-        # Q may be the caller's array: it is read, never written or kept.
-        sym = np.subtract(Q, Q.T, out=np.empty(Q.shape))
-        np.abs(sym, out=sym)
-        if sym.max() > 1e-12 * max(1.0, hi, -lo):
-            raise ValueError("Q must be symmetric within 1e-12")
-        if max(hi, -lo) < 2.0 ** 1023:  # then no sum of two entries overflows
-            np.add(Q, Q.T, out=sym)
-            sym *= 0.5
-        else:  # halves first: the same bits unless a half is subnormal
-            np.multiply(Q, 0.5, out=sym)
-            sym += 0.5 * Q.T
-        diag, bits = sym.diagonal(), sym.view(np.uint64)  # views: the test allocates nothing
-        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(bits) == len(b)
-        self.Q = _identity(len(b)) if self._identity else sym
-        self.b = b
-        self.c = float(c)
-        self.dimension = Q.shape[0]
-        self._eigenvalues: Optional[np.ndarray] = None
+        if self._identity:  # held as the O(d) view, whose eigenvalues are known
+            Q, eig = _identity(d), np.ones(d)
+        else:  # Q may be the caller's array: it is read, never written or kept
+            sym = np.subtract(Q, Q.T, out=np.empty(Q.shape))
+            np.abs(sym, out=sym)
+            if sym.max() > 1e-12 * max(1.0, hi, -lo):
+                raise ValueError("Q must be symmetric within 1e-12")
+            if max(hi, -lo) < 2.0 ** 1023:  # then no sum of two entries overflows
+                np.add(Q, Q.T, out=sym)
+                sym *= 0.5
+            else:  # halves first: the same bits unless a half is subnormal
+                np.multiply(Q, 0.5, out=sym)
+                sym += 0.5 * Q.T
+            Q, eig = sym, None
+        self.Q, self.b, self.c, self.dimension = Q, b, float(c), d
+        self._eigenvalues: Optional[np.ndarray] = eig
 
     @classmethod
     def least_squares(cls, A, y) -> "QuadraticObjective":
@@ -193,23 +196,16 @@ class QuadraticObjective(Objective):
 
     @classmethod
     def distance_to(cls, target) -> "QuadraticObjective":
-        """f(x) = 1/2 ||x - target||^2, built in O(d): Q is the read-only ``_identity`` view."""
+        """f(x) = 1/2 ||x - target||^2, held in O(d) memory: Q is the read-only ``_identity``
+        view, which the constructor's identity test reads once, in O(d^2) time."""
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 1:
             raise ValueError(f"target has shape {target.shape}; it must be a vector")
-        d, c = target.shape[0], 0.5 * float(target @ target)
-        if d == 0:
-            raise ValueError("Q has shape (0, 0); it must be at least 1x1")
-        if not (np.isfinite(target).all() and np.isfinite(c)):
-            raise ValueError("Q, b and c must be finite")
-        obj = cls.__new__(cls)
-        obj.Q, obj.b, obj.c, obj.dimension = _identity(d), -target, c, d
-        obj._identity, obj._eigenvalues = True, None
-        return obj
+        return cls(_identity(len(target)), -target, 0.5 * float(target @ target))
 
     def _eigh(self) -> np.ndarray:
         if self._eigenvalues is None:
-            eig = np.ones(self.dimension) if self._identity else np.linalg.eigvalsh(self.Q)
+            eig = np.linalg.eigvalsh(self.Q)
             if eig[0] < -1e-10 * max(1.0, abs(eig[-1])):  # relative: rounding scales with Q
                 raise ValueError(f"Q has negative eigenvalue {eig[0]} (largest {eig[-1]})")
             self._eigenvalues = eig

@@ -39,7 +39,8 @@ def _axis_atom(memo: Dict[int, Atom], key: int, dimension: int, i: int, value: f
     """The atom ``value * e_i``, built and keyed the first time ``key`` is asked, then kept in ``memo``.
 
     ``key`` is the atom's position in its spec's ``_atoms()``, so ``memo`` holds
-    at most ``atom_count()`` atoms; enumeration builds its own and never fills it.
+    at most ``atom_count()`` atoms; enumeration passes a fresh dict for each atom,
+    so a spec's memo keeps only the atoms its LMO returned.
     """
     atom = memo.get(key)
     if atom is None:
@@ -114,7 +115,7 @@ class Simplex(PolytopeSpec):
         return _axis_atom(self._memo, i, self.dimension, i, 1.0)
 
     def _atoms(self) -> List[Atom]:
-        return [Atom(row) for row in np.eye(self.dimension)]
+        return [_axis_atom({}, 0, self.dimension, i, 1.0) for i in range(self.dimension)]
 
     def atom_count(self) -> int:
         return self.dimension
@@ -142,13 +143,8 @@ class L1Ball(PolytopeSpec):
         return _axis_atom(self._memo, 2 * i + 1, self.dimension, i, -self.radius)
 
     def _atoms(self) -> List[Atom]:
-        out = []
-        for i in range(self.dimension):
-            for sign in (1.0, -1.0):
-                point = np.zeros(self.dimension)
-                point[i] = sign * self.radius
-                out.append(Atom(point))
-        return out
+        return [_axis_atom({}, 0, self.dimension, i, sign * self.radius)
+                for i in range(self.dimension) for sign in (1.0, -1.0)]
 
     def atom_count(self) -> int:
         return 2 * self.dimension

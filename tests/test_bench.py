@@ -10,6 +10,7 @@ import pytest
 from polyfw import cli, geometry
 from polyfw.bench import (
     PROBLEMS,
+    RATE_QUANTITIES,
     ExperimentConfig,
     all_runs_clean,
     fit_rate,
@@ -169,6 +170,12 @@ def test_fit_rate_argument_validation():
         fit_rate(trace, "f_gap_to_opt")  # f_star missing
     with pytest.raises(ValueError):
         fit_rate(trace, "no_such_series")
+    halving = synth_trace([0.5 ** t for t in range(30)])  # a fit of ln 2 at r^2 = 1 ...
+    assert fit_rate(halving, "fw_gap").rho_hat == pytest.approx(math.log(2.0), abs=1e-12)
+    for floor in (math.nan, math.inf, -math.inf):  # ... but not a silent zero fit
+        for quantity in RATE_QUANTITIES:
+            with pytest.raises(ValueError, match="floor must be finite"):
+                fit_rate(halving, quantity, f_star=0.0, floor=floor)
 
 
 def test_fit_rate_short_series_reports_zero():
@@ -617,16 +624,19 @@ def test_cli_rate(tmp_path, capsys):
         assert cli.main(["rate", str(path), "--quantity", "f_gap_to_opt", "--f-star", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
-    # a non-finite value in the fitted column, or f_star, is an error and not a zero rate
+    # a non-finite value in the fitted column, f_star or floor is an error and not a zero rate
     columns = body.split("\n", 1)[0]
     rows = "".join(f"{k},FW,0.5,1.0,{gap},0.0,{f},1\n"
                    for k, (f, gap) in enumerate([(2.0, 1.0), ("nan", 0.5), (0.5, "inf")]))
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
     bad.write_text(f"{head}\n{columns}\n{rows}")
     good.write_text(f"{head}\n{body}")
-    for file, quantity, f_star in ((bad, "f_gap_to_opt", "0"), (bad, "fw_gap", "0"),
-                                   (good, "f_gap_to_opt", "nan")):
-        assert cli.main(["rate", str(file), "--quantity", quantity, "--f-star", f_star]) == 2
+    cases = ((bad, "f_gap_to_opt", "0", "0"), (bad, "fw_gap", "0", "0"),
+             (good, "f_gap_to_opt", "nan", "0"), (good, "fw_gap", "0", "nan"),
+             (good, "fw_gap", "0", "inf"))
+    for file, quantity, f_star, floor in cases:
+        args = ["rate", str(file), "--quantity", quantity, "--f-star", f_star, "--floor", floor]
+        assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "finite" in captured.err and not captured.out
 

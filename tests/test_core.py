@@ -600,6 +600,25 @@ def test_store_keeps_its_rows_and_doubles_on_the_first_append():
     assert nxt.atom_dots(vec)[:8].tobytes() == dots == it.atom_dots(vec).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 3, 40])
+def test_from_atom_builds_the_iterate_init_would(d):
+    """``from_atom`` adopts the atom's point as its one store row, uncopied: every field, and
+    its bits, is what ``ActiveIterate((id,), point[None], [1.0], point.copy())`` gives."""
+    atom = Atom(np.random.default_rng(d).standard_normal(d))
+    it = ActiveIterate.from_atom(atom)
+    built = ActiveIterate((atom.id,), atom.point[None, :], [1.0], atom.point.copy())
+    assert type(it.ids) is tuple and it.ids == built.ids
+    for name in ("w", "x", "_rows"):
+        mine, theirs = getattr(it, name), getattr(built, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert (it._steps_since_sync, it._w_low) == (built._steps_since_sync, built._w_low)
+    assert (it._store.size, it._store.row_of, it._store.at) == (
+        built._store.size, built._store.row_of, built._store.at)
+    assert np.shares_memory(it._store.rows, atom.point) and not it._store.rows.flags.writeable
+    assert not np.shares_memory(it.x, atom.point) and it.x.flags.writeable
+    it.check()
+
+
 def test_store_compacts_once_it_holds_twice_the_active_rows():
     """FW steps grow the shared store and away drops shrink the active set; once the store
     holds 2k + 8 rows or more for k active atoms, the next new atom moves the active rows to

@@ -90,3 +90,39 @@ def test_solvers_leave_the_quadratic_state_to_objectives():
     assert not names & SOLVERS_HIDDEN_NAMES, sorted(names & SOLVERS_HIDDEN_NAMES)
     read = attributes & SOLVERS_HIDDEN_ATTRIBUTES
     assert not read, sorted(read)
+
+
+# Each object is built by its own class.  A constructor is skipped with ``__new__`` only where
+# the class lives (``core``: ``Atom._adopt``, ``ActiveIterate._adopt``, ``_move``) or by the
+# oracles' own specs, and no module but ``core`` writes an ``ActiveIterate``'s slots.
+NEW_ALLOWED = {"core", "oracles"}
+
+
+def _nodes(module):
+    return ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+
+
+def test_only_core_and_oracles_call_new():
+    found = sorted(f"{module}.py:{node.lineno}" for module in sorted(set(LAYER) - NEW_ALLOWED)
+                   for node in _nodes(module)
+                   if isinstance(node, ast.Attribute) and node.attr == "__new__")
+    assert not found, f"__new__ called outside {sorted(NEW_ALLOWED)}: {found}"
+
+
+def test_only_core_writes_an_active_iterates_slots():
+    from polyfw.core import ActiveIterate
+
+    slots = set(ActiveIterate.__slots__)
+
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return not isinstance(node.ctx, ast.Load) and node.attr in slots
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in slots)
+
+    probe = "it.w = w\nit._rows += 1\ndel it.x\nsetattr(it, '_w_low', 0)\nf(it.ids)\nx = it.w\n"
+    assert [n.lineno for n in ast.walk(ast.parse(probe)) if writes(n)] == [1, 2, 3, 4]
+    found = sorted(f"{module}.py:{node.lineno}" for module in sorted(set(LAYER) - {"core"})
+                   for node in _nodes(module) if writes(node))
+    assert not found, f"ActiveIterate slots written outside polyfw.core: {found}"

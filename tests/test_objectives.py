@@ -23,6 +23,13 @@ def _symmetric(rng, d):
     return M @ M.T
 
 
+def _one_sided_negative_zero(d):
+    """I with a -0.0 above the diagonal only: not I's bytes, though its symmetric part is I."""
+    Q = np.eye(d)
+    Q[0, d - 1] = -0.0
+    return Q
+
+
 def test_objective_is_exported():
     assert polyfw.Objective is Objective and "Objective" in polyfw.__all__
 
@@ -258,7 +265,8 @@ def test_least_squares_q_is_twice_the_gram_matrix_bit_for_bit():
 def test_quadratic_construction_allocates_one_d_by_d_buffer():
     """Beyond its input, building the objective holds one d x d float64 array at its peak:
     the symmetry test and the symmetric part share it, and the identity test adds none.
-    An identity ends holding no d x d array: its buffer gives way to the O(d) view."""
+    An identity, found on the caller's Q first, never builds a d x d array: it gets the
+    O(d) view."""
     d = 400
     b = np.zeros(d)
     for Q, identity in ((_symmetric(np.random.default_rng(309), d), False), (np.eye(d), True)):
@@ -270,7 +278,7 @@ def test_quadratic_construction_allocates_one_d_by_d_buffer():
         finally:
             tracemalloc.stop()
         assert obj.Q.nbytes == 8 * d * d
-        assert peak <= 1.1 * 8 * d * d
+        assert peak <= 64 * d if identity else peak <= 1.1 * 8 * d * d
         assert held <= 64 * d if identity else held >= 8 * d * d
 
 
@@ -297,6 +305,10 @@ def test_an_identity_q_is_held_in_o_of_d():
     Q[0, 2] = Q[2, 0] = -0.0
     obj = QuadraticObjective(Q, np.zeros(3))
     assert obj.Q.flags.owndata and obj.Q.flags.writeable and obj.Q.tobytes() == Q.tobytes()
+    # on one side only: the stored symmetric part has I's bytes, but the caller's Q does not
+    obj = QuadraticObjective(_one_sided_negative_zero(3), np.zeros(3))
+    assert obj.Q.flags.owndata and obj.Q.flags.writeable and obj.Q.tobytes() == np.eye(3).tobytes()
+    assert obj._eigenvalues is None
 
 
 def test_identity_constants_need_no_eigendecomposition(monkeypatch):
@@ -471,9 +483,9 @@ def _state(obj):
 
 
 def test_only_an_exact_identity_opens_the_identity_state():
-    """Q = I is read off the stored Q: a distance objective, an explicit identity and d = 1
-    take the identity state; 2 I, an identity with one symmetric off-diagonal pair of 1e-300
-    and a least squares take the general one."""
+    """Q = I is read off the caller's Q: a distance objective, an explicit identity and d = 1
+    take the identity state; 2 I, an identity with one symmetric off-diagonal pair of 1e-300,
+    one with a -0.0 above the diagonal only and a least squares take the general one."""
     near = np.eye(5)
     near[1, 3] = near[3, 1] = 1e-300
     rng = np.random.default_rng(400)
@@ -485,6 +497,7 @@ def test_only_an_exact_identity_opens_the_identity_state():
     general = [
         QuadraticObjective(2.0 * np.eye(4), np.zeros(4)),
         QuadraticObjective(near, np.zeros(5)),
+        QuadraticObjective(_one_sided_negative_zero(5), np.zeros(5)),
         QuadraticObjective.least_squares(rng.standard_normal((8, 4)), rng.standard_normal(8)),
     ]
     assert all(type(_state(obj)) is IdentityState for obj in identity)
@@ -655,3 +668,41 @@ def test_distance_solves_make_no_product_by_q(monkeypatch):
     _general_state(monkeypatch)
     solve(obj, dag, SolverConfig("PFW", epsilon=1e-12, max_iter=300))
     assert counts["products"] and counts["gathers"]
+
+
+# -- Q = I through the constructor -------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64, 385])
+def test_distance_to_is_the_constructor_on_an_identity(d):
+    """``distance_to(t)`` is ``QuadraticObjective(np.eye(d), -t, t . t / 2)`` field for field:
+    Q's bytes and read-only flag, b, c, the dimension, the eigenvalues and the state."""
+    target = np.random.default_rng(d).standard_normal(d)
+    target[0] = 0.0  # b holds a -0.0
+    mine = QuadraticObjective.distance_to(target)
+    built = QuadraticObjective(np.eye(d), -target, 0.5 * float(target @ target))
+    assert mine.Q.tobytes() == built.Q.tobytes() == np.eye(d).tobytes()
+    assert mine.Q.flags.writeable is built.Q.flags.writeable is False
+    assert mine.b.dtype == built.b.dtype == np.float64 and mine.b.tobytes() == built.b.tobytes()
+    assert np.float64(mine.c).tobytes() == np.float64(built.c).tobytes()
+    assert type(mine.c) is type(built.c) is float and mine.dimension == built.dimension == d
+    assert mine._eigenvalues.tobytes() == built._eigenvalues.tobytes() == np.ones(d).tobytes()
+    it = ActiveIterate.from_atom(Simplex(d).lmo(np.ones(d)))
+    assert type(mine.start(it)) is type(built.start(it)) is IdentityState
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_identity_traces_are_the_same_however_q_is_built(d, data):
+    """AFW and MNP over Simplex(d) write the same CSV bytes for ``distance_to(t)``, for the
+    constructor on np.eye(d), and (d > 1) on the general state for a one-sided -0.0 Q."""
+    target = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    c = 0.5 * float(target @ target)
+    objs = [QuadraticObjective.distance_to(target), QuadraticObjective(np.eye(d), -target, c)]
+    if d > 1:
+        objs.append(QuadraticObjective(_one_sided_negative_zero(d), -target, c))
+    for variant in (Variant.AFW, Variant.MNP):
+        config = SolverConfig(variant, epsilon=1e-12, max_iter=200)
+        csvs = {solve(obj, Simplex(d), config).to_csv() for obj in objs}
+        assert len(csvs) == 1, variant
+

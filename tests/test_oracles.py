@@ -618,3 +618,31 @@ def test_simplex_and_l1ball_memo_holds_at_most_one_atom_per_answer(spec, referen
     memo = dict(spec._memo)
     assert not any(a is b for a in spec.enumerate_atoms() for b in memo.values())
     assert spec._memo == memo
+
+
+def _axis_atoms_as_built_before(spec):
+    """Simplex and L1Ball enumeration as it was built by ``Atom``: rows of np.eye(d), and
+    +radius then -radius on each axis."""
+    if isinstance(spec, Simplex):
+        return [Atom(row) for row in np.eye(spec.dimension)]
+    out = []
+    for i in range(spec.dimension):
+        for sign in (1.0, -1.0):
+            point = np.zeros(spec.dimension)
+            point[i] = sign * spec.radius
+            out.append(Atom(point))
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_simplex_and_l1ball_enumerate_the_atoms_atom_init_built(d):
+    """Enumeration through ``_axis_atom`` gives the atoms ``Atom`` built, in the same order:
+    the same ids, point bytes and read-only points.  It leaves the LMO's memo empty."""
+    for spec in (Simplex(d), L1Ball(d, 1.0), L1Ball(d, 0.3)):
+        atoms, expected = spec.enumerate_atoms(), _axis_atoms_as_built_before(spec)
+        assert [a.id for a in atoms] == [a.id for a in expected]
+        assert [a.point.tobytes() for a in atoms] == [a.point.tobytes() for a in expected]
+        assert all(a.point.dtype == np.float64 and a.point.shape == (d,) for a in atoms)
+        assert not any(a.point.flags.writeable for a in atoms)
+        assert len({id(a.point) for a in atoms}) == len(atoms)  # no two atoms share a point
+        assert spec._memo == {}

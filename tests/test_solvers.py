@@ -882,7 +882,7 @@ def test_fcfw_runs_no_cycle_from_its_own_cycle_iterate_toward_one_of_its_atoms(
 
 @pytest.mark.parametrize("case", [_lasso_case, _simplex_case], ids=["lasso", "simplex"])
 def test_wolfe_step_builds_the_iterate_init_would(case, monkeypatch):
-    """``_wolfe_step`` fills its result through ``ActiveIterate.__new__``, skipping
+    """``_wolfe_step`` builds its result through ``ActiveIterate._adopt``, skipping
     ``__init__``'s copies and checks: every field, and its bits, is what
     ``ActiveIterate(ids, rows, w, x)`` gives over the corral's own (now read-only) rows."""
     import polyfw.solvers as solvers
