@@ -51,51 +51,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: object, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = bench.ExperimentConfig.from_json(
-            Path(args.config), seed=args.seed, max_iter=args.max_iter, epsilon=args.epsilon
-        )
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    try:
-        summary = bench.run_experiment(config, args.out_dir)
-    except RuntimeError as exc:  # the reference run ended with an error status
-        return _error(exc, 1)
+    config = bench.ExperimentConfig.from_json(
+        Path(args.config), seed=args.seed, max_iter=args.max_iter, epsilon=args.epsilon
+    )
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    summary = bench.run_experiment(config, args.out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if bench.all_runs_clean(summary) else 1
 
 
 def _cmd_pwidth(args: argparse.Namespace) -> int:
-    try:
-        report = geometry.pwidth(VertexList.read_csv(args.vertices_csv).matrix)
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    except RuntimeError as exc:  # a facial problem did not converge
-        return _error(exc, 1)
+    report = geometry.pwidth(VertexList.read_csv(args.vertices_csv).matrix)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    try:
-        trace = RunTrace.read_csv(args.trace_csv)
-        fit = bench.fit_rate(trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor)
-    except (OSError, ValueError) as exc:
-        return _error(exc)
+    trace = RunTrace.read_csv(args.trace_csv)
+    fit = bench.fit_rate(trace, quantity=args.quantity, f_star=args.f_star, floor=args.floor)
     print(json.dumps(fit.to_json(), indent=2))
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command and return its exit code: 0 on success, 1 for a run that ended
+    unclean or with an error status, 2 for bad input, also when a run meets it."""
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError) as exc:
+        message, code = exc, 2
+    except RuntimeError as exc:  # a reference run or a facial problem ended with an error status
+        message, code = exc, 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The quadratic family is the workhorse: values, gradients, and the step
 size of an exact line search all have closed forms, and the smoothness
 and strong-convexity constants are eigenvalues.  The constructor first
-tests the caller's Q, on views, for the identity's bytes: such a Q is held
+tests the caller's Q, on views, for the identity's bytes (of a Toeplitz view
+such as ``_identity`` it reads row 0 and column 0 alone): such a Q is held
 as the read-only O(d) view ``_identity`` with eigenvalues of ones, so it
 builds no d x d array and L = mu = 1 need no eigvalsh (``distance_to`` is
 the constructor on that view); the generic methods' products by it run
@@ -158,8 +159,11 @@ class QuadraticObjective(Objective):
             raise ValueError("Q has shape (0, 0); it must be at least 1x1")
         if b.shape != (Q.shape[0],):
             raise ValueError(f"b has shape {b.shape}, but Q has shape {Q.shape}")
-        d, diag, bits = len(b), Q.diagonal(), Q.view(np.uint64)  # views: the test allocates none
-        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(bits) == d
+        d, diag = len(b), Q.diagonal()  # a view: the test allocates no d x d array
+        # a Toeplitz view such as ``_identity(d)`` repeats row 0 and column 0: only they are read
+        seen, ones = (np.concatenate((Q[0], Q[1:, 0])), 1) if Q.strides == (-8, 8) else (Q, d)
+        bits = seen.view(np.uint64)
+        self._identity = bool(diag.min() == 1.0 == diag.max()) and np.count_nonzero(bits) == ones
         # NaN propagates through max and min, so both are finite iff Q is
         hi, lo = (1.0, 0.0) if self._identity else (float(Q.max()), float(Q.min()))
         if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(b).all() and np.isfinite(c)):
@@ -197,7 +201,7 @@ class QuadraticObjective(Objective):
     @classmethod
     def distance_to(cls, target) -> "QuadraticObjective":
         """f(x) = 1/2 ||x - target||^2, held in O(d) memory: Q is the read-only ``_identity``
-        view, which the constructor's identity test reads once, in O(d^2) time."""
+        view, whose 2d - 1 entries the constructor's identity test reads once."""
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 1:
             raise ValueError(f"target has shape {target.shape}; it must be a vector")

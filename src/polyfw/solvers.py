@@ -392,9 +392,11 @@ def solve(
     row, so a run that ends early keeps its completed iterations and ends
     at the last completed iterate and its gap.  Without ``x0`` the
     run starts at the oracle's atom for the all-ones direction.  A
-    non-finite gradient, or an ``x0`` iterate that breaks an invariant,
-    raises ``ValueError``.
+    non-finite gradient, an ``x0`` iterate that breaks an invariant, or an
+    objective whose dimension is not the spec's raises ``ValueError``.
     """
+    if obj.dimension != spec.dimension:
+        raise ValueError(f"the objective has dimension {obj.dimension}, the spec {spec.dimension}")
     it = _initial_iterate(spec, x0)
     init_size = len(it)
     state = obj.start(it)

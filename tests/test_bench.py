@@ -584,6 +584,26 @@ def test_cli_run_reports_a_failed_reference_run(tmp_path, capsys, monkeypatch):
     assert not captured.out
 
 
+@pytest.mark.parametrize("exc", [ValueError("bad input met mid-run"), OSError("disk full")])
+def test_cli_run_reports_bad_input_met_mid_run(tmp_path, capsys, monkeypatch, exc):
+    """A ValueError or OSError raised while the experiment runs is one ``error:`` line on
+    stderr, nothing on stdout, and exit 2: the same as bad input met before the run."""
+    import polyfw.bench as bench
+
+    def failing(config, out_dir):
+        raise exc
+
+    monkeypatch.setattr(bench, "run_experiment", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "midrun", "variants": ["PFW"],
+        "problem": {"kind": "triangle", "thetas": [math.pi / 4], "n_starts": 1, "rng_seed": 3},
+    }))
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc}\n" and not captured.out
+
+
 def test_cli_pwidth_reports_a_facial_problem_that_did_not_converge(tmp_path, capsys, monkeypatch):
     from polyfw import solvers
 

@@ -39,6 +39,16 @@ def test_atom_identity_stable():
     assert Atom(p).id == Atom(p.copy()).id
 
 
+def test_atom_equality_and_repr():
+    """Atoms with the same coordinates are equal, -0.0 and +0.0 included; an atom with other
+    coordinates and a non-atom are not.  The repr shows the coordinates."""
+    a = Atom(np.array([0.0, 0.5]))
+    assert a == Atom(np.array([-0.0, 0.5])) and hash(a) == hash(Atom(np.array([-0.0, 0.5])))
+    assert a != Atom(np.array([0.5, 0.0]))
+    assert a != np.array([0.0, 0.5]) and a != a.id and a != "Atom([0. 0.5])"
+    assert repr(Atom(np.array([0.25, 1.0 / 3.0]))) == "Atom([0.25     0.333333])"
+
+
 def test_from_weights_rejects_negative():
     with pytest.raises(ValueError):
         ActiveIterate.from_weights({V1: -0.1, V2: 1.1})

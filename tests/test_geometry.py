@@ -1,6 +1,8 @@
 """Width machinery: faces, pyramidal width, diameter, constants."""
 
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -575,20 +577,32 @@ def test_affine_constants_require_min_samples():
         ref.estimate_affine_constants(identity_obj(2), Simplex(2), n_samples=50)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _fresh_env():
+    """The environment of a fresh interpreter that imports polyfw from this tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_leaves_scipy_stats_unloaded():
     code = "import polyfw, sys; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True)
 
 
 def run_fresh(code, *args):
     """Run code in a fresh interpreter that imports polyfw from this tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=_fresh_env(), check=True)
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    """``python -m polyfw.cli pwidth`` exits 0 and prints the width report as JSON."""
+    csv = tmp_path / "verts.csv"
+    csv.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+    done = subprocess.run([sys.executable, "-m", "polyfw.cli", "pwidth", str(csv)],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert done.returncode == 0 and not done.stderr
+    assert json.loads(done.stdout)["pwidth_estimate"] == pytest.approx(1 / math.sqrt(2), rel=0.02)
 
 
 def test_solve_run_and_rate_leave_scipy_unloaded(tmp_path):

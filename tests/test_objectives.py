@@ -325,6 +325,26 @@ def test_identity_constants_need_no_eigendecomposition(monkeypatch):
         assert obj.smoothness == obj.strong_convexity == 1.0
 
 
+def test_identity_test_reads_a_toeplitz_view_in_o_of_d(monkeypatch):
+    """The identity test counts the nonzero bytes of the 2d - 1 entries that an identity view
+    holds (row 0 and column 0 of ``distance_to``'s Q), and all d^2 entries of a dense Q."""
+    counted = []
+    count_nonzero = np.count_nonzero
+
+    def counting(a, *args, **kwargs):
+        counted.append(np.size(a))
+        return count_nonzero(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    for d in (1, 2, 3, 385, 2000):
+        counted.clear()
+        assert QuadraticObjective.distance_to(np.ones(d))._identity
+        assert sum(counted) == 2 * d - 1
+    counted.clear()
+    assert QuadraticObjective(np.eye(385), np.ones(385))._identity
+    assert sum(counted) == 385 * 385
+
+
 def test_quadratic_at_the_scale_edge_stores_a_finite_q():
     """A finite Q near the largest float is halved before its halves are summed: its
     symmetric part is stored without an overflow warning (an error under pytest's filter)."""

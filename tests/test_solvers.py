@@ -564,6 +564,24 @@ def test_x0_of_another_dimension_rejected():
             solve(obj, Simplex(2), cfg, x0=x0)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_objective_of_another_dimension_rejected(variant, monkeypatch):
+    """An objective whose dimension is not the spec's raises a ValueError that names both,
+    before the first oracle call (without the check, numpy's broadcast or alignment message)."""
+    import polyfw.solvers as solvers
+
+    def no_lmo(spec, r):
+        raise AssertionError("LMO called")
+
+    monkeypatch.setattr(solvers, "lmo", no_lmo)
+    cases = ((QuadraticObjective.distance_to([0.3, 0.3]), Simplex(3)),
+             (QuadraticObjective.distance_to([0.5]), Simplex(3)),
+             (QuadraticObjective([[1.0]], [0.0]), Cube(3)))
+    for obj, spec in cases:
+        with pytest.raises(ValueError, match=rf"dimension {obj.dimension}, the spec 3$"):
+            solve(obj, spec, SolverConfig(variant, epsilon=1e-10, max_iter=10))
+
+
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AFW, Variant.PFW])
 def test_qx_drift_bounded_on_lasso_desk(variant):
     from polyfw.bench import gen_lasso
